@@ -4,14 +4,11 @@ Subcommands: simulate, flag, infer, h1, syncdetect, evaluate, run.  Each
 reads --config (a pipeline JSON document), writes artifacts under --out
 (default: the config's output_dir), and honors --seed as an override of the
 config seed.  Exit codes: 0 success, 2 usage/config error, 3 I/O error.
-Set ADTOMO_LOG=debug for verbose logging.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -69,19 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("ADTOMO_LOG", "warning").upper(),
-                      logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    import json
-
     try:
         cfg = load_pipeline_config(args.config)
     except FileNotFoundError:
         print(f"adtomo: config file not found: {args.config}", file=sys.stderr)
         return 2
-    except (ConfigError, StatError, json.JSONDecodeError) as exc:
+    except (ConfigError, StatError) as exc:
         print(f"adtomo: config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:

@@ -1,11 +1,8 @@
-"""Tree-building hot loops.
+"""Tree-building hot loops, in plain Python over numpy arrays.
 
-Two interchangeable backends live here: numba-compiled kernels (default when
-numba imports) and a pure-numpy fallback, selected with the ADTOMO_BACKEND
-environment variable ("numba" or "numpy") or ``set_backend``.  Both consume
-the same splitmix64 draw sequence and evaluate splits with the same scalar
-float expressions, so they grow bit-identical forests; the test suite and
-``benchmarks/bench_forest.py`` hold them to that.
+Bootstrap draws and per-node feature subsets come from the splitmix64 counter
+generator, and splits are scored with scalar float expressions, so a forest
+is a pure function of its inputs and tree seeds.
 
 Trees are stored flat: parallel arrays indexed by node id, with feature == -1
 marking a leaf.  Node 0 is the root; children of a split follow the X == 0
@@ -15,15 +12,12 @@ branch on the left.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from ..rng import splitmix64
 
 UNBOUNDED_DEPTH = 1 << 20
-
-_ENV_VAR = "ADTOMO_BACKEND"
 
 
 def entropy01(pos: int, n: int) -> float:
@@ -35,12 +29,8 @@ def entropy01(pos: int, n: int) -> float:
     return -(p * math.log2(p) + q * math.log2(q))
 
 
-# --------------------------------------------------------------------------
-# pure-numpy backend
-# --------------------------------------------------------------------------
-
-def _build_tree_np(X, y, order, lo_root, hi_root, state, max_depth, n_sub, min_leaf,
-                   feat_a, left_a, right_a, n_a, gain_a, label_a):
+def _build_tree(X, y, order, lo_root, hi_root, state, max_depth, n_sub, min_leaf,
+                feat_a, left_a, right_a, n_a, gain_a, label_a):
     n_features = X.shape[1]
     scratch = np.empty(hi_root - lo_root, dtype=np.int64)
     stack = [(0, lo_root, hi_root, 0)]
@@ -101,7 +91,17 @@ def _build_tree_np(X, y, order, lo_root, hi_root, state, max_depth, n_sub, min_l
     return count, state
 
 
-def _build_forest_np(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
+def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
+    """Grow ``len(tree_seeds)`` trees; returns flat node arrays + node counts.
+
+    ``max_depth`` of None means unbounded; features/labels must be uint8 0/1.
+    """
+    X = np.ascontiguousarray(X, dtype=np.uint8)
+    y = np.ascontiguousarray(y, dtype=np.uint8)
+    tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
+    max_depth = UNBOUNDED_DEPTH if max_depth is None else int(max_depth)
+    n_sub = int(n_sub)
+    min_leaf = int(min_leaf)
     n = X.shape[0]
     n_trees = tree_seeds.shape[0]
     max_nodes = 2 * n
@@ -121,13 +121,15 @@ def _build_forest_np(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
                 order[i] = draw % n
         else:
             order[:] = np.arange(n)
-        node_count[t], _ = _build_tree_np(
+        node_count[t], _ = _build_tree(
             X, y, order, 0, n, state, max_depth, n_sub, min_leaf,
             feat_a[t], left_a[t], right_a[t], n_a[t], gain_a[t], label_a[t])
     return feat_a, left_a, right_a, n_a, gain_a, label_a, node_count
 
 
-def _predict_votes_np(feat_a, left_a, right_a, label_a, X):
+def predict_votes(feat_a, left_a, right_a, label_a, X):
+    """Majority vote over trees for each row of X; ties resolve to 0."""
+    X = np.ascontiguousarray(X, dtype=np.uint8)
     n_trees = feat_a.shape[0]
     n_rows = X.shape[0]
     votes = np.zeros(n_rows, dtype=np.int64)
@@ -142,236 +144,3 @@ def _predict_votes_np(feat_a, left_a, right_a, label_a, X):
                 node = left[node] if X[i, feat[node]] == 0 else right[node]
             votes[i] += label[node]
     return (2 * votes > n_trees).astype(np.uint8)
-
-
-# --------------------------------------------------------------------------
-# numba backend
-# --------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _U = np.uint64
-    _SM_GOLDEN = _U(0x9E3779B97F4A7C15)
-    _SM_M1 = _U(0xBF58476D1CE4E5B9)
-    _SM_M2 = _U(0x94D049BB133111EB)
-    _SM_S30 = _U(30)
-    _SM_S27 = _U(27)
-    _SM_S31 = _U(31)
-
-    @njit(cache=True)
-    def _splitmix64_nb(state):
-        state = state + _SM_GOLDEN
-        z = state
-        z = (z ^ (z >> _SM_S30)) * _SM_M1
-        z = (z ^ (z >> _SM_S27)) * _SM_M2
-        z = z ^ (z >> _SM_S31)
-        return state, z
-
-    @njit(cache=True)
-    def _entropy01_nb(pos, n):
-        if pos <= 0 or pos >= n:
-            return 0.0
-        p = pos / n
-        q = 1.0 - p
-        return -(p * math.log2(p) + q * math.log2(q))
-
-    @njit(cache=True)
-    def _build_forest_nb(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
-        n, n_features = X.shape
-        n_trees = tree_seeds.shape[0]
-        max_nodes = 2 * n
-        feat_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-        left_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-        right_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-        n_a = np.zeros((n_trees, max_nodes), dtype=np.int32)
-        gain_a = np.zeros((n_trees, max_nodes), dtype=np.float64)
-        label_a = np.zeros((n_trees, max_nodes), dtype=np.uint8)
-        node_count = np.zeros(n_trees, dtype=np.int32)
-
-        order = np.empty(n, dtype=np.int64)
-        scratch = np.empty(n, dtype=np.int64)
-        perm = np.empty(n_features, dtype=np.int64)
-        stack_node = np.empty(max_nodes + 2, dtype=np.int64)
-        stack_lo = np.empty(max_nodes + 2, dtype=np.int64)
-        stack_hi = np.empty(max_nodes + 2, dtype=np.int64)
-        stack_depth = np.empty(max_nodes + 2, dtype=np.int64)
-
-        un = _U(n)
-        for t in range(n_trees):
-            state = tree_seeds[t]
-            if bootstrap:
-                for i in range(n):
-                    state, draw = _splitmix64_nb(state)
-                    order[i] = np.int64(draw % un)
-            else:
-                for i in range(n):
-                    order[i] = i
-
-            sp = 0
-            stack_node[0] = 0
-            stack_lo[0] = 0
-            stack_hi[0] = n
-            stack_depth[0] = 0
-            sp = 1
-            count = 1
-            while sp > 0:
-                sp -= 1
-                node = stack_node[sp]
-                lo = stack_lo[sp]
-                hi = stack_hi[sp]
-                depth = stack_depth[sp]
-                nn = hi - lo
-                pos = 0
-                for i in range(lo, hi):
-                    pos += y[order[i]]
-                n_a[t, node] = nn
-                if pos == 0 or pos == nn or depth >= max_depth or nn < 2 * min_leaf:
-                    label_a[t, node] = 1 if 2 * pos > nn else 0
-                    continue
-                if n_sub >= n_features:
-                    n_cand = n_features
-                    for i in range(n_features):
-                        perm[i] = i
-                else:
-                    n_cand = n_sub
-                    for i in range(n_features):
-                        perm[i] = i
-                    for i in range(n_sub):
-                        state, draw = _splitmix64_nb(state)
-                        j = i + np.int64(draw % _U(n_features - i))
-                        tmp = perm[i]
-                        perm[i] = perm[j]
-                        perm[j] = tmp
-                h_parent = _entropy01_nb(pos, nn)
-                best_gain = -1.0
-                best_feat = -1
-                best_n1 = 0
-                for c in range(n_cand):
-                    feat = perm[c]
-                    n1 = 0
-                    p1 = 0
-                    for i in range(lo, hi):
-                        r = order[i]
-                        if X[r, feat] == 1:
-                            n1 += 1
-                            p1 += y[r]
-                    n0 = nn - n1
-                    if n0 < min_leaf or n1 < min_leaf:
-                        continue
-                    p0 = pos - p1
-                    gain = h_parent - (n0 * _entropy01_nb(p0, n0) + n1 * _entropy01_nb(p1, n1)) / nn
-                    if gain > best_gain or (gain == best_gain and feat < best_feat):
-                        best_gain = gain
-                        best_feat = feat
-                        best_n1 = n1
-                if best_feat < 0:
-                    label_a[t, node] = 1 if 2 * pos > nn else 0
-                    continue
-                n0 = nn - best_n1
-                k = 0
-                for i in range(lo, hi):
-                    r = order[i]
-                    if X[r, best_feat] == 0:
-                        scratch[k] = r
-                        k += 1
-                for i in range(lo, hi):
-                    r = order[i]
-                    if X[r, best_feat] == 1:
-                        scratch[k] = r
-                        k += 1
-                for i in range(nn):
-                    order[lo + i] = scratch[i]
-                feat_a[t, node] = best_feat
-                gain_a[t, node] = best_gain
-                left_id = count
-                right_id = count + 1
-                count += 2
-                left_a[t, node] = left_id
-                right_a[t, node] = right_id
-                stack_node[sp] = right_id
-                stack_lo[sp] = lo + n0
-                stack_hi[sp] = hi
-                stack_depth[sp] = depth + 1
-                sp += 1
-                stack_node[sp] = left_id
-                stack_lo[sp] = lo
-                stack_hi[sp] = lo + n0
-                stack_depth[sp] = depth + 1
-                sp += 1
-            node_count[t] = count
-        return feat_a, left_a, right_a, n_a, gain_a, label_a, node_count
-
-    @njit(cache=True)
-    def _predict_votes_nb(feat_a, left_a, right_a, label_a, X):
-        n_trees = feat_a.shape[0]
-        n_rows = X.shape[0]
-        votes = np.zeros(n_rows, dtype=np.int64)
-        for t in range(n_trees):
-            for i in range(n_rows):
-                node = 0
-                while feat_a[t, node] >= 0:
-                    if X[i, feat_a[t, node]] == 0:
-                        node = left_a[t, node]
-                    else:
-                        node = right_a[t, node]
-                votes[i] += label_a[t, node]
-        out = np.zeros(n_rows, dtype=np.uint8)
-        for i in range(n_rows):
-            if 2 * votes[i] > n_trees:
-                out[i] = 1
-        return out
-
-
-def _default_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice in ("numba", "numpy"):
-        return choice
-    if choice:
-        raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_backend = _default_backend()
-if _backend == "numba" and not HAVE_NUMBA:
-    raise ImportError(f"{_ENV_VAR}=numba requested but numba is not installed")
-
-
-def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    _backend = name
-
-
-def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
-    """Grow ``len(tree_seeds)`` trees; returns flat node arrays + node counts.
-
-    ``max_depth`` of None means unbounded; features/labels must be uint8 0/1.
-    """
-    X = np.ascontiguousarray(X, dtype=np.uint8)
-    y = np.ascontiguousarray(y, dtype=np.uint8)
-    seeds = np.asarray(tree_seeds, dtype=np.uint64)
-    depth = UNBOUNDED_DEPTH if max_depth is None else int(max_depth)
-    if _backend == "numba":
-        return _build_forest_nb(X, y, seeds, depth, int(n_sub), int(min_leaf), bool(bootstrap))
-    return _build_forest_np(X, y, seeds, depth, int(n_sub), int(min_leaf), bool(bootstrap))
-
-
-def predict_votes(feat_a, left_a, right_a, label_a, X):
-    """Majority vote over trees for each row of X; ties resolve to 0."""
-    X = np.ascontiguousarray(X, dtype=np.uint8)
-    if _backend == "numba":
-        return _predict_votes_nb(feat_a, left_a, right_a, label_a, X)
-    return _predict_votes_np(feat_a, left_a, right_a, label_a, X)

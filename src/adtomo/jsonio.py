@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from .errors import ConfigError
+
 
 def dumps_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
@@ -24,13 +26,22 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
+    return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
+
+
 def read_jsonl(path) -> list[dict]:
+    """Records of a JSON-lines file; a malformed line raises ConfigError
+    naming the file and line."""
     out = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
+                try:
+                    out.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise _decode_error(path, lineno, exc) from None
     return out
 
 
@@ -43,4 +54,7 @@ def write_json(path, payload) -> None:
 
 def read_json(path):
     with Path(path).open(encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _decode_error(path, exc.lineno, exc) from None

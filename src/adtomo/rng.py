@@ -5,9 +5,9 @@ derived by hashing the seed together with a list of labels (stage name, run
 index, persona id, ...), so any unit of work owns an independent stream and
 results never depend on execution order, scheduling, or the environment.
 
-Hot kernels use the splitmix64 counter generator instead of numpy's
-``Generator`` because it is trivial to reproduce bit-for-bit inside and
-outside compiled code.
+The forest kernels use the splitmix64 counter generator instead of numpy's
+``Generator``: one draw is a handful of 64-bit integer operations, trivial to
+reproduce bit for bit anywhere.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ def substream(*parts) -> np.random.Generator:
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state once; returns (new_state, draw).
 
-    Pure-Python-int reference implementation.  The numba kernels carry an
-    equivalent uint64 version; ``tests/test_kernels.py`` pins the two to the
-    same sequence.
+    Pure-Python ints masked to 64 bits; ``tests/test_kernels.py`` pins the
+    first draws to the reference values of the standard generator.
     """
     state = (state + 0x9E3779B97F4A7C15) & MASK64
     z = state

@@ -25,12 +25,12 @@ from adtomo.forest import (
     train_tree,
 )
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
-from adtomo.profiles import get_profile
 from adtomo.stattest import chi_square_independence, welch_t_test
 from adtomo.syncdetect import detect_cookie_sync
 from adtomo.tomography import enumerate_blocking_configs, infer_relationships
 
 import oracles
+from conftest import load_config
 
 
 def report(name, detail):
@@ -103,7 +103,7 @@ def test_criterion_2_inference_rule_fixture():
 
 
 def _pipeline_evaluation(profile, seed, tmp_path):
-    cfg = load_pipeline_config(get_profile(profile, seed=seed))
+    cfg = load_pipeline_config(load_config(profile, seed=seed))
     out = tmp_path / f"{profile}_{seed}"
     run_pipeline(cfg, out)
     return json.loads((out / "evaluation.json").read_text())
@@ -152,7 +152,7 @@ def test_criterion_5_h1_replication(tmp_path):
     import csv
 
     t0 = time.monotonic()
-    cfg = load_pipeline_config(get_profile("h1", seed=3))
+    cfg = load_pipeline_config(load_config("h1", seed=3))
     out = tmp_path / "h1"
     stage_simulate(cfg, out)
     stage_h1(cfg, out)
@@ -265,7 +265,7 @@ def test_criterion_8_combinatorics_and_byte_identical_runs(tmp_path):
     assert len({c.mask for c in configs}) == 1024
     assert len({c.blocked for c in configs}) == 1024
 
-    doc = get_profile("small", seed=42)
+    doc = load_config("small", seed=42)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     outs = []

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from adtomo.pipeline import ARTIFACTS
-from adtomo.profiles import h1_profile, mini_profile
+
+from conftest import load_config
 
 
 def run_cli(*args):
@@ -28,7 +29,7 @@ def read_artifacts(out_dir):
 def mini_run(tmp_path_factory):
     """One full CLI run on the mini profile, shared by the read-only tests."""
     tmp_path = tmp_path_factory.mktemp("mini")
-    cfg_path = write_config(tmp_path, mini_profile(seed=11))
+    cfg_path = write_config(tmp_path, load_config("mini", seed=11))
     out = tmp_path / "out"
     proc = run_cli("run", "--config", str(cfg_path), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
@@ -83,7 +84,7 @@ class TestRunCommand:
 
 class TestExitCodes:
     def test_invalid_folds_named_in_diagnostic(self, tmp_path):
-        doc = mini_profile()
+        doc = load_config("mini")
         doc["folds"] = 3  # runs - holdout = 4 is not divisible by 3
         proc = run_cli("run", "--config", str(write_config(tmp_path, doc)),
                        "--out", str(tmp_path / "o"))
@@ -104,7 +105,7 @@ class TestExitCodes:
         assert proc.returncode == 2
 
     def test_infer_before_flag_stage(self, tmp_path):
-        cfg_path = write_config(tmp_path, mini_profile())
+        cfg_path = write_config(tmp_path, load_config("mini"))
         out = tmp_path / "out"
         proc = run_cli("simulate", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 0
@@ -113,7 +114,7 @@ class TestExitCodes:
         assert "stage" in proc.stderr
 
     def test_infer_on_null_flags(self, tmp_path):
-        cfg_path = write_config(tmp_path, mini_profile())
+        cfg_path = write_config(tmp_path, load_config("mini"))
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
         assert run_cli("flag", "--config", str(cfg_path), "--out", str(out)).returncode == 0
@@ -126,14 +127,14 @@ class TestExitCodes:
         assert "flag stage required" in proc.stderr
 
     def test_output_path_collision_is_io_error(self, tmp_path):
-        cfg_path = write_config(tmp_path, mini_profile())
+        cfg_path = write_config(tmp_path, load_config("mini"))
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")
         proc = run_cli("simulate", "--config", str(cfg_path), "--out", str(blocker))
         assert proc.returncode == 3
 
     def test_flag_without_controls_is_config_error(self, tmp_path):
-        cfg_path = write_config(tmp_path, h1_profile())  # no control personas
+        cfg_path = write_config(tmp_path, load_config("h1"))  # no control personas
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
         proc = run_cli("flag", "--config", str(cfg_path), "--out", str(out))
@@ -141,7 +142,7 @@ class TestExitCodes:
         assert "control" in proc.stderr
 
     def test_malformed_request_log_is_config_error(self, tmp_path):
-        cfg_path = write_config(tmp_path, mini_profile())
+        cfg_path = write_config(tmp_path, load_config("mini"))
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
         lines = (out / "requestlog.jsonl").read_text().splitlines()
@@ -153,10 +154,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "gap" in proc.stderr
 
+    def test_truncated_ad_log_names_file_and_line(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        adlog = out / "adlog.jsonl"
+        n_lines = len(adlog.read_text().splitlines())
+        with adlog.open("a") as fh:
+            fh.write('{"run":1,"pers')
+        proc = run_cli("flag", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"adlog.jsonl:{n_lines + 1}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestH1Command:
     def test_disjoint_two_group_log_zero_off_diagonal(self, tmp_path):
-        doc = h1_profile(seed=2)
+        doc = load_config("h1", seed=2)
         world = doc["sim"]["world"]
         # Two groups with fully disjoint vocabularies and no generic-ad mixing.
         world["groups"] = [{"id": "g1", "vocabulary": [f"g1w{i}" for i in range(12)]},

@@ -1,21 +1,15 @@
-"""Backend equivalence: the numba kernels and the pure-numpy fallback must
-produce bit-identical forests, so no artifact ever depends on which backend
-was active."""
+"""Golden digests for the forest kernels: the splitmix64 stream, the entropy
+formula, and SHA-256 digests of trained forests and their predictions, so any
+change to tree growth or voting shows up as a digest mismatch."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from adtomo.forest import ForestParams, Sample, feature_importance, kernels, predict_batch, train_forest
+from adtomo.forest import ForestParams, Sample, kernels, predict_batch, train_forest
 from adtomo.rng import splitmix64
-
-
-@pytest.fixture
-def restore_backend():
-    before = kernels.get_backend()
-    yield
-    kernels.set_backend(before)
 
 
 def test_splitmix_python_reference_known_values():
@@ -26,19 +20,6 @@ def test_splitmix_python_reference_known_values():
     assert v2 == 0x6E789E6AA1B965F4
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_splitmix_backends_agree():
-    from adtomo.forest.kernels import _splitmix64_nb
-
-    state_nb = np.uint64(987654321)
-    state_py = 987654321
-    for _ in range(5000):
-        state_nb, v_nb = _splitmix64_nb(state_nb)
-        state_nb = np.uint64(state_nb)
-        state_py, v_py = splitmix64(state_py)
-        assert int(v_nb) == v_py
-
-
 def _random_samples(seed, n=200, f=7, positive_rate=0.3):
     rng = np.random.default_rng(seed)
     return [Sample(tuple(int(v) for v in rng.integers(0, 2, f)),
@@ -46,39 +27,25 @@ def _random_samples(seed, n=200, f=7, positive_rate=0.3):
             for i in range(n)]
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
-@pytest.mark.parametrize("max_depth", [2, None])
-def test_forests_bit_identical_across_backends(restore_backend, features_per_split,
-                                               max_depth):
-    samples = _random_samples(31)
+@pytest.mark.parametrize("features_per_split,max_depth,digest", [
+    ("sqrt", 2, "7decc688d308df0cbec39f72f57b365a3fd2180aac031d65f8d8352d691853ce"),
+    ("sqrt", None, "ed720e24c075122fb016b9adc1c8377fd9627894f699336f0b9863661a4eaa5d"),
+    ("all", 2, "83029a671cd41fb86df32616c05bcb8c2a9228f86f539275cedf4d73cb12d91d"),
+    ("all", None, "0670d70bb815e9f3d8c6b4c90c61d52ccc18e21654f4a7a455e8b1e99d64d33d"),
+])
+def test_forest_golden_digest(features_per_split, max_depth, digest):
     params = ForestParams(n_trees=15, max_depth=max_depth,
                           features_per_split=features_per_split, min_leaf=1)
-    kernels.set_backend("numba")
-    m_nb = train_forest(samples, params, seed=99)
-    imp_nb = feature_importance(m_nb)
-    kernels.set_backend("numpy")
-    m_np = train_forest(samples, params, seed=99)
-    imp_np = feature_importance(m_np)
-    assert json.dumps(m_nb.to_dict()) == json.dumps(m_np.to_dict())
-    assert np.array_equal(imp_nb, imp_np)
+    model = train_forest(_random_samples(31), params, seed=99)
+    assert hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest() == digest
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_predictions_identical_across_backends(restore_backend):
-    samples = _random_samples(32)
-    model = train_forest(samples, ForestParams(n_trees=12), seed=5)
+def test_predictions_golden_digest():
+    model = train_forest(_random_samples(32), ForestParams(n_trees=12), seed=5)
     X = np.random.default_rng(33).integers(0, 2, (300, 7)).astype(np.uint8)
-    kernels.set_backend("numba")
-    preds_nb = predict_batch(model, X)
-    kernels.set_backend("numpy")
-    preds_np = predict_batch(model, X)
-    assert np.array_equal(preds_nb, preds_np)
-
-
-def test_backend_selection_guarded():
-    with pytest.raises(ValueError):
-        kernels.set_backend("cython")
+    preds = predict_batch(model, X)
+    assert hashlib.sha256(preds.tobytes()).hexdigest() == (
+        "779ee38f1ea7acee2e43778f406176696498db58576d54c8c72ba98cf020c68a")
 
 
 def test_entropy01_shared_formula():

@@ -4,7 +4,8 @@ import pytest
 
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, run_pipeline
-from adtomo.profiles import get_profile
+
+from conftest import load_config
 
 
 def run_to_dir(doc, tmp_path, name):
@@ -17,7 +18,7 @@ def run_to_dir(doc, tmp_path, name):
 def test_single_edge_world_recovers_exactly_that_edge(tmp_path):
     # Deterministic sharing (reliability 1.0): the advertiser's inferred set
     # must be exactly its one supplying tracker.
-    doc = get_profile("mini", seed=13)
+    doc = load_config("mini", seed=13)
     doc["sim"]["world"]["edges"] = [
         {"tracker": "t1", "advertiser": "dsp-1", "reliability": 1.0}]
     out = run_to_dir(doc, tmp_path, "single")
@@ -31,7 +32,7 @@ def test_two_edge_world_inferred_subset_nonempty_over_seeds(tmp_path):
     # set and never come back empty.
     hits = 0
     for seed in (1, 2, 3, 4, 5):
-        doc = get_profile("small", seed=seed)
+        doc = load_config("small", seed=seed)
         doc["sim"]["world"]["edges"] = [
             {"tracker": "t2", "advertiser": "dsp-2", "reliability": 1.0},
             {"tracker": "t5", "advertiser": "dsp-2", "reliability": 1.0}]
@@ -44,7 +45,7 @@ def test_two_edge_world_inferred_subset_nonempty_over_seeds(tmp_path):
 
 
 def test_records_artifact_round_trips(tmp_path):
-    out = run_to_dir(get_profile("mini", seed=4), tmp_path, "roundtrip")
+    out = run_to_dir(load_config("mini", seed=4), tmp_path, "roundtrip")
     lines = (out / "records.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     assert records
@@ -60,7 +61,7 @@ def test_records_artifact_round_trips(tmp_path):
 
 
 def test_control_records_feed_flags_but_not_inference(tmp_path):
-    out = run_to_dir(get_profile("mini", seed=4), tmp_path, "controls")
+    out = run_to_dir(load_config("mini", seed=4), tmp_path, "controls")
     records = [json.loads(line)
                for line in (out / "records.jsonl").read_text().splitlines()]
     controls = {p["id"] for p in json.loads((out / "personas.json").read_text())
@@ -72,7 +73,7 @@ def test_control_records_feed_flags_but_not_inference(tmp_path):
 def test_report_csv_mirrors_report_json(tmp_path):
     import csv
 
-    out = run_to_dir(get_profile("mini", seed=6), tmp_path, "csv")
+    out = run_to_dir(load_config("mini", seed=6), tmp_path, "csv")
     report = json.loads((out / "report.json").read_text())
     with (out / "report.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -88,20 +89,20 @@ def test_report_csv_mirrors_report_json(tmp_path):
 
 def test_profiles_all_load_and_validate():
     for name in ("small", "empty", "h1", "mini", "desk"):
-        cfg = load_pipeline_config(get_profile(name))
+        cfg = load_pipeline_config(load_config(name))
         assert cfg.sim.runs >= 1
-    desk = load_pipeline_config(get_profile("desk"))
+    desk = load_pipeline_config(load_config("desk"))
     assert len(desk.sim.world.trackers) == 10
     assert len([p for p in desk.sim.personas if not p.is_control]) == 1024
     assert len([p for p in desk.sim.personas if p.is_control]) == 100
 
 
 def test_cross_field_validation_paths():
-    doc = get_profile("mini")
+    doc = load_config("mini")
     doc["holdout_runs"] = 6  # == runs
     with pytest.raises(ConfigError, match="holdout_runs"):
         load_pipeline_config(doc)
-    doc = get_profile("mini")
+    doc = load_config("mini")
     doc["accuracy_threshold"] = 1.5
     with pytest.raises(ConfigError, match="accuracy_threshold"):
         load_pipeline_config(doc)

@@ -30,19 +30,31 @@ def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
     return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
 
 
-def read_jsonl(path) -> list[dict]:
-    """Records of a JSON-lines file; a malformed line raises ConfigError
-    naming the file and line."""
+def read_jsonl(path, fields: Iterable[str] = ()) -> list[dict]:
+    """Records of a JSON-lines file.  A malformed line, or a line that is not
+    an object holding every name in ``fields``, raises ConfigError naming the
+    file and line."""
+    required = set(fields)
     out = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 try:
-                    out.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise _decode_error(path, lineno, exc) from None
+                if required and not (isinstance(record, dict) and record.keys() >= required):
+                    raise _field_error(path, lineno, record, required)
+                out.append(record)
     return out
+
+
+def _field_error(path, lineno: int, record, required: set) -> ConfigError:
+    if not isinstance(record, dict):
+        return ConfigError("expected a JSON object", f"{path}:{lineno}")
+    missing = ", ".join(repr(f) for f in sorted(required - record.keys()))
+    return ConfigError(f"missing field {missing}", f"{path}:{lineno}")
 
 
 def write_json(path, payload) -> None:

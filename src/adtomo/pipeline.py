@@ -130,16 +130,21 @@ def _read_personas(out_dir: Path) -> list[dict]:
 
 
 def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
+    rows = read_jsonl(out_dir / "adlog.jsonl",
+                      fields=("run", "persona", "slot", "advertiser", "tokens"))
     return [DeliveredAd(r["run"], r["persona"], r["slot"], r["advertiser"],
                         tuple(r["tokens"]))
-            for r in read_jsonl(out_dir / "adlog.jsonl")]
+            for r in rows]
 
 
 def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
+    rows = read_jsonl(out_dir / "requestlog.jsonl",
+                      fields=("run", "persona", "chain_position", "source_domain",
+                              "destination_domain", "cookie_sent", "uid_param"))
     return [RequestLogEntry(r["run"], r["persona"], r["chain_position"],
                             r["source_domain"], r["destination_domain"],
                             r["cookie_sent"], r["uid_param"])
-            for r in read_jsonl(out_dir / "requestlog.jsonl")]
+            for r in rows]
 
 
 def _read_corpus(out_dir: Path) -> Corpus:
@@ -148,9 +153,12 @@ def _read_corpus(out_dir: Path) -> Corpus:
 
 
 def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
+    rows = read_jsonl(out_dir / "records.jsonl",
+                      fields=("advertiser", "persona", "run", "counts",
+                              "is_different_from_control"))
     index = corpus.word_index
     out = []
-    for r in read_jsonl(out_dir / "records.jsonl"):
+    for r in rows:
         try:
             counts = {index[token]: c for token, c in r["counts"].items()}
         except KeyError as exc:

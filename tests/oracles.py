@@ -1,14 +1,22 @@
-"""Independent oracles used to cross-check the statistics implementations.
+"""Independent oracles used to cross-check the statistics and forest
+implementations.
 
 The tail probabilities are computed here by adaptive-Simpson quadrature over
 the density (with a rational substitution mapping the infinite tail onto
 [0, 1)), sharing no code with the continued-fraction implementations they
 verify.  Statistics are recomputed with plain Python arithmetic.
+
+The forest oracle grows trees row by row, the way a textbook greedy builder
+does, drawing every bootstrap index with the scalar splitmix64.  The kernels
+grow the same trees from per-pattern counts with vectorised draws, so the two
+must agree node for node.
 """
 
 from __future__ import annotations
 
 import math
+
+from adtomo.rng import splitmix64
 
 _U_MAX = 1.0 - 1e-12
 
@@ -112,3 +120,82 @@ def chi2_statistic_collapsed(table: list[list[float]], min_expected: float) -> t
             if e > 0:
                 stat += (c[i] - e) ** 2 / e
     return stat, v - 1
+
+
+def _entropy_bits(pos: int, n: int) -> float:
+    if pos <= 0 or pos >= n:
+        return 0.0
+    p = pos / n
+    q = 1.0 - p
+    return -(p * math.log2(p) + q * math.log2(q))
+
+
+def forest_by_rows(X, y, tree_seeds, max_depth, n_sub: int, min_leaf: int,
+                   bootstrap: bool) -> list[list[tuple]]:
+    """Row-wise reference for ``kernels.build_forest``: each tree as a list of
+    (feature, left, right, n, gain, label) nodes in node-id order."""
+    n, k = len(X), len(X[0])
+    depth_cap = math.inf if max_depth is None else max_depth
+    forest = []
+    for seed in tree_seeds:
+        state = int(seed)
+        rows = list(range(n))
+        if bootstrap:
+            for i in range(n):
+                state, draw = splitmix64(state)
+                rows[i] = draw % n
+        nodes = {}
+        stack = [(0, rows, 0)]
+        count = 1
+        while stack:
+            node, rows, depth = stack.pop()
+            nn = len(rows)
+            pos = sum(y[r] for r in rows)
+            leaf = (-1, -1, -1, nn, 0.0, 1 if 2 * pos > nn else 0)
+            if pos == 0 or pos == nn or depth >= depth_cap or nn < 2 * min_leaf:
+                nodes[node] = leaf
+                continue
+            cand = list(range(k))
+            if n_sub < k:
+                for i in range(n_sub):
+                    state, draw = splitmix64(state)
+                    j = i + draw % (k - i)
+                    cand[i], cand[j] = cand[j], cand[i]
+                cand = cand[:n_sub]
+            best_gain, best_feat = -1.0, -1
+            for feat in cand:
+                ones = [r for r in rows if X[r][feat]]
+                n1, n0 = len(ones), nn - len(ones)
+                if n0 < min_leaf or n1 < min_leaf:
+                    continue
+                p1 = sum(y[r] for r in ones)
+                p0 = pos - p1
+                gain = _entropy_bits(pos, nn) - (
+                    n0 * _entropy_bits(p0, n0) + n1 * _entropy_bits(p1, n1)) / nn
+                if gain > best_gain or (gain == best_gain and feat < best_feat):
+                    best_gain, best_feat = gain, feat
+            if best_feat < 0:
+                nodes[node] = leaf
+                continue
+            nodes[node] = (best_feat, count, count + 1, nn, best_gain, 0)
+            stack.append((count + 1, [r for r in rows if X[r][best_feat]], depth + 1))
+            stack.append((count, [r for r in rows if not X[r][best_feat]], depth + 1))
+            count += 2
+        forest.append([nodes[i] for i in range(count)])
+    return forest
+
+
+def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
+    """Majority vote of ``forest_by_rows`` trees, one walk per row and tree;
+    ties resolve to 0."""
+    out = []
+    for row in X:
+        votes = 0
+        for nodes in forest:
+            node = 0
+            while nodes[node][0] >= 0:
+                feat, left, right = nodes[node][:3]
+                node = right if row[feat] else left
+            votes += nodes[node][5]
+        out.append(1 if 2 * votes > len(forest) else 0)
+    return out

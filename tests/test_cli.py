@@ -167,6 +167,51 @@ class TestExitCodes:
         assert f"adlog.jsonl:{n_lines + 1}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_ad_log_line_missing_field_names_file_and_line(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        adlog = out / "adlog.jsonl"
+        n_lines = len(adlog.read_text().splitlines())
+        with adlog.open("a") as fh:
+            fh.write('{"run":1}\n')
+        proc = run_cli("flag", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"adlog.jsonl:{n_lines + 1}:" in proc.stderr
+        assert "'persona'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_record_missing_field_names_file_and_line(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        assert run_cli("flag", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines()
+        third = json.loads(lines[2])
+        del third["run"]
+        lines[2] = json.dumps(third)
+        records.write_text("\n".join(lines) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "records.jsonl:3:" in proc.stderr
+        assert "'run'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_request_log_line_missing_field_names_file_and_line(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        n_lines = len(requestlog.read_text().splitlines())
+        with requestlog.open("a") as fh:
+            fh.write('{"run":0,"persona":"x"}\n')
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"requestlog.jsonl:{n_lines + 1}:" in proc.stderr
+        assert "'chain_position'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestH1Command:
     def test_disjoint_two_group_log_zero_off_diagonal(self, tmp_path):

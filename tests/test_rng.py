@@ -1,6 +1,9 @@
-import numpy as np
+import warnings
 
-from adtomo.rng import substream, substream_key
+import numpy as np
+import pytest
+
+from adtomo.rng import GAMMA, MASK64, splitmix64, splitmix64_draws, substream, substream_key
 
 
 def test_substream_key_stable():
@@ -26,3 +29,22 @@ def test_generator_reproducible():
     g1 = substream(42, "stage")
     g2 = substream(42, "stage")
     assert np.array_equal(g1.normal(size=10), g2.normal(size=10))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1 << 63, MASK64])
+def test_splitmix64_draws_equal_scalar_stream(seed):
+    # The vectorised draws are the scalar generator iterated n times; the
+    # top seeds wrap past 2^64 on the first step, which numpy must do in
+    # uint64 without a warning or a promotion to float.
+    scalar_state, expected = seed, []
+    for _ in range(1000):
+        scalar_state, draw = splitmix64(scalar_state)
+        expected.append(draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 2, 37, 1000):
+            state, draws = splitmix64_draws(seed, n)
+            assert draws.dtype == np.uint64
+            assert draws.tolist() == expected[:n]
+            assert state == (seed + n * GAMMA) % (1 << 64)
+    assert state == scalar_state

@@ -25,11 +25,11 @@ from .pipeline import (
 )
 from .stattest import StatError
 from .syncdetect import MalformedChainError
-from .textvec import CorpusMismatchError, OutOfCorpusError
+from .textvec import OutOfCorpusError
 from .tomography import MissingControlError
 
 _INPUT_ERRORS = (ConfigError, StatError, MissingControlError, MalformedChainError,
-                 OutOfCorpusError, CorpusMismatchError)
+                 OutOfCorpusError)
 
 _STAGES = {
     "simulate": stage_simulate,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ConfigError
 
@@ -30,10 +30,11 @@ def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
     return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
 
 
-def read_jsonl(path, fields: Iterable[str] = ()) -> list[dict]:
-    """Records of a JSON-lines file.  A malformed line, or a line that is not
-    an object holding every name in ``fields``, raises ConfigError naming the
-    file and line."""
+def read_jsonl(path, fields: Iterable[str] = (),
+               check: Callable[[dict], str | None] | None = None) -> list[dict]:
+    """Records of a JSON-lines file.  A malformed line, a line that is not an
+    object holding every name in ``fields``, or a record for which ``check``
+    returns a message raises ConfigError naming the file and line."""
     required = set(fields)
     out = []
     with Path(path).open(encoding="utf-8") as fh:
@@ -46,6 +47,9 @@ def read_jsonl(path, fields: Iterable[str] = ()) -> list[dict]:
                     raise _decode_error(path, lineno, exc) from None
                 if required and not (isinstance(record, dict) and record.keys() >= required):
                     raise _field_error(path, lineno, record, required)
+                problem = check(record) if check else None
+                if problem:
+                    raise ConfigError(problem, f"{path}:{lineno}")
                 out.append(record)
     return out
 

@@ -32,7 +32,7 @@ from .forest import HyperGrid
 from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
-from .textvec import Corpus, CountVector, vectorize_tokens
+from .textvec import Corpus, build_corpus, vectorize_tokens
 from .tomography import (
     VectorRecord,
     collate,
@@ -125,8 +125,30 @@ def _persona_manifest(cfg: PipelineConfig) -> list[dict]:
              "is_control": p.is_control} for p in cfg.sim.personas]
 
 
+_PERSONA_FIELDS = {"id": str, "group": str, "blocked": list, "is_control": bool}
+
+
 def _read_personas(out_dir: Path) -> list[dict]:
-    return read_json(out_dir / "personas.json")
+    path = out_dir / "personas.json"
+    personas = read_json(path)
+    if not isinstance(personas, list):
+        raise ConfigError("expected a JSON list of persona entries", str(path))
+    for i, entry in enumerate(personas):
+        if not isinstance(entry, dict):
+            raise ConfigError("expected a JSON object", f"{path}: entry {i}")
+        for field, kind in _PERSONA_FIELDS.items():
+            if field not in entry:
+                raise ConfigError(f"missing field {field!r}", f"{path}: entry {i}")
+            if not isinstance(entry[field], kind):
+                raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}",
+                                  f"{path}: entry {i}")
+    return personas
+
+
+def _check_known_personas(used, personas: list[dict], path: Path) -> None:
+    unknown = sorted(set(used) - {p["id"] for p in personas})
+    if unknown:
+        raise ConfigError(f"persona {unknown[0]!r} is missing from personas.json", str(path))
 
 
 def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
@@ -153,21 +175,25 @@ def _read_corpus(out_dir: Path) -> Corpus:
 
 
 def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
+    index = corpus.word_index
+
+    def check(r) -> str | None:
+        if not isinstance(r["counts"], dict):
+            return "'counts' must be a JSON object of token -> count"
+        for token, c in r["counts"].items():
+            if token not in index:
+                return f"token {token!r} is missing from corpus.json"
+            if type(c) is not int or c < 1:
+                return f"count of token {token!r} must be an integer >= 1, got {c!r}"
+        return None
+
     rows = read_jsonl(out_dir / "records.jsonl",
                       fields=("advertiser", "persona", "run", "counts",
-                              "is_different_from_control"))
-    index = corpus.word_index
-    out = []
-    for r in rows:
-        try:
-            counts = {index[token]: c for token, c in r["counts"].items()}
-        except KeyError as exc:
-            raise ConfigError(f"records.jsonl references token {exc.args[0]!r} "
-                              "missing from corpus.json", "records") from None
-        out.append(VectorRecord(
-            r["advertiser"], r["persona"], r["run"],
-            CountVector(counts, corpus.size), r["is_different_from_control"]))
-    return out
+                              "is_different_from_control"), check=check)
+    return [VectorRecord(r["advertiser"], r["persona"], r["run"],
+                         {index[token]: c for token, c in r["counts"].items()},
+                         r["is_different_from_control"])
+            for r in rows]
 
 
 # --------------------------------------------------------------------------
@@ -199,22 +225,21 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     ads = _read_adlog(out_dir)
     personas = _read_personas(out_dir)
+    _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
     is_control = {p["id"]: p["is_control"] for p in personas}
     if not any(is_control.values()):
         raise ConfigError("flag stage requires at least one control persona",
                           "run.personas")
-    tokens = sorted({t for a in ads for t in a.tokens})
-    corpus = Corpus({t: i for i, t in enumerate(tokens)})
+    corpus = build_corpus(a.tokens for a in ads)
+    tokens = corpus.tokens()
     write_json(out_dir / "corpus.json", {"tokens": tokens})
     records = collate(ads, corpus)
-    persona_records = [r for r in records if not is_control.get(r.persona, False)]
-    control_records = [r for r in records if is_control.get(r.persona, False)]
+    persona_records = [r for r in records if not is_control[r.persona]]
+    control_records = [r for r in records if is_control[r.persona]]
     flagged = flag_changes(persona_records, control_records, cfg.stats)
-    token_of = {i: t for t, i in corpus.word_index.items()}
     write_jsonl(out_dir / "records.jsonl",
                 ({"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
-                  "counts": {token_of[i]: r.vector.counts[i]
-                             for i in sorted(r.vector.counts)},
+                  "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
                   "is_different_from_control": r.is_different_from_control}
                  for r in flagged))
 
@@ -237,6 +262,7 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
     if any(r.is_different_from_control is None for r in records):
         raise ConfigError("flag stage required: records carry no flags", "records")
     personas = _read_personas(out_dir)
+    _check_known_personas({r.persona for r in records}, personas, out_dir / "records.jsonl")
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
     trackers = list(cfg.sim.world.tracker_ids)
     cv, holdout = segment_records(records, cfg.sim.runs, cfg.holdout_runs, cfg.seed)
@@ -296,9 +322,9 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
     ads = _read_adlog(out_dir)
     personas = _read_personas(out_dir)
+    _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
     group_of = {p["id"]: p["group"] for p in personas}
-    tokens = sorted({t for a in ads for t in a.tokens})
-    corpus = Corpus({t: i for i, t in enumerate(tokens)})
+    corpus = build_corpus(a.tokens for a in ads)
     grouped: dict[tuple[str, int], list[str]] = {}
     for ad in ads:
         grouped.setdefault((group_of[ad.persona], ad.run), []).extend(ad.tokens)

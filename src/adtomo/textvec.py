@@ -1,40 +1,21 @@
 """Bag-of-words machinery over ad-creative text.
 
-Documents aggregate the token descriptions of delivered ads; a corpus maps
-every token seen anywhere to a dense column index (lexicographic, so corpus
-construction is deterministic); count vectors are sparse maps from column
-index to frequency.  This module is also the ingestion boundary for
-externally extracted ad descriptions: JSON-lines records of the form
-``{"key": [...], "tokens": [...]}``.
+A corpus maps every token seen anywhere to a dense column index
+(lexicographic, so corpus construction is deterministic).  A count vector is
+a plain ``dict[int, int]`` from column index to frequency, holding only
+counts >= 1; the flagging tables and the similarity analysis read nothing
+else.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-
-_EDGE_STRIP = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
-
-
-class CorpusMismatchError(ValueError):
-    pass
+from typing import Iterable, Mapping
 
 
 class OutOfCorpusError(KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class Document:
-    """A keyed multiset of tokens; key is typically (group or persona, run)."""
-
-    key: tuple
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -53,50 +34,16 @@ class Corpus:
         return out
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Sparse token-frequency vector: column index -> count (>= 1 only)."""
-
-    counts: Mapping[int, int]
-    size: int
-
-    def __post_init__(self):
-        for idx, c in self.counts.items():
-            if c < 1:
-                raise ValueError(f"sparse count must be >= 1, got {c} at column {idx}")
-            if not 0 <= idx < self.size:
-                raise ValueError(f"column {idx} outside corpus of size {self.size}")
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.size, dtype=float)
-        for idx, c in self.counts.items():
-            dense[idx] = c
-        return dense
-
-
-def tokenize(text: str) -> list[str]:
-    """Whitespace split, lowercase, strip non-alphanumeric edges."""
-    out = []
-    for raw in text.lower().split():
-        token = _EDGE_STRIP.sub("", raw)
-        if token:
-            out.append(token)
-    return out
-
-
-def build_corpus(documents: Iterable[Document]) -> Corpus:
-    """Corpus over the union of all document tokens, indexed lexicographically."""
+def build_corpus(token_lists: Iterable[Iterable[str]]) -> Corpus:
+    """Corpus over the union of all tokens, indexed lexicographically."""
     vocab = set()
-    for doc in documents:
-        vocab.update(doc.tokens)
+    for tokens in token_lists:
+        vocab.update(tokens)
     return Corpus({token: i for i, token in enumerate(sorted(vocab))})
 
 
-def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> CountVector:
-    counts: dict[int, int] = {}
+def add_tokens(counts: dict[int, int], tokens: Iterable[str], corpus: Corpus) -> None:
+    """Add one count per token to its column in ``counts``."""
     index = corpus.word_index
     for token in tokens:
         try:
@@ -104,62 +51,25 @@ def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> CountVector:
         except KeyError:
             raise OutOfCorpusError(token) from None
         counts[idx] = counts.get(idx, 0) + 1
-    return CountVector(counts, corpus.size)
 
 
-def vectorize(document: Document, corpus: Corpus) -> CountVector:
-    """Token frequencies of one document over the corpus."""
-    return vectorize_tokens(document.tokens, corpus)
-
-
-def _check_same_corpus(vectors: Sequence[CountVector]) -> int:
-    sizes = {v.size for v in vectors}
-    if len(sizes) > 1:
-        raise CorpusMismatchError(f"vectors span corpora of sizes {sorted(sizes)}")
-    return sizes.pop() if sizes else 0
-
-
-def merge_vectors(vectors: Sequence[CountVector]) -> CountVector:
-    """Element-wise sum; all inputs must share one corpus."""
-    if not vectors:
-        raise ValueError("nothing to merge")
-    size = _check_same_corpus(vectors)
+def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> dict[int, int]:
+    """Token frequencies over the corpus: column index -> count."""
     counts: dict[int, int] = {}
-    for v in vectors:
-        for idx, c in v.counts.items():
-            counts[idx] = counts.get(idx, 0) + c
-    return CountVector(counts, size)
+    add_tokens(counts, tokens, corpus)
+    return counts
 
 
-def cosine_similarity(x: CountVector, y: CountVector) -> float:
+def cosine_similarity(x: Mapping[int, int], y: Mapping[int, int]) -> float:
     """dot(x, y) / (|x| |y|); 0.0 by convention if either vector is empty."""
-    _check_same_corpus([x, y])
-    if not x.counts or not y.counts:
+    if not x or not y:
         return 0.0
-    small, large = (x.counts, y.counts) if len(x.counts) <= len(y.counts) else (y.counts, x.counts)
+    small, large = (x, y) if len(x) <= len(y) else (y, x)
     dot = 0.0
     for idx, c in small.items():
         other = large.get(idx)
         if other is not None:
             dot += c * other
-    nx = math.sqrt(sum(c * c for c in x.counts.values()))
-    ny = math.sqrt(sum(c * c for c in y.counts.values()))
+    nx = math.sqrt(sum(c * c for c in x.values()))
+    ny = math.sqrt(sum(c * c for c in y.values()))
     return dot / (nx * ny)
-
-
-def read_documents_jsonl(path) -> list[Document]:
-    """Ingest documents from JSON-lines: {"key": [...], "tokens": [...]}."""
-    docs = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            key = tuple(rec["key"]) if isinstance(rec["key"], list) else (rec["key"],)
-            if key in seen:
-                raise ValueError(f"duplicate document key {key} at line {line_no}")
-            seen.add(key)
-            docs.append(Document(key=key, tokens=tuple(rec["tokens"])))
-    return docs

@@ -32,7 +32,7 @@ from .forest import (
 from .ecosim.types import BlockingConfig, DeliveredAd
 from .rng import substream, substream_key
 from .stattest import DegenerateTableError, StatConfig, TestResult, chi_square_independence, welch_t_test
-from .textvec import Corpus, CountVector, cosine_similarity, merge_vectors, vectorize_tokens
+from .textvec import Corpus, add_tokens, cosine_similarity
 
 
 class MissingControlError(ValueError):
@@ -44,7 +44,7 @@ class VectorRecord:
     advertiser: str
     persona: str
     run: int
-    vector: CountVector
+    vector: dict[int, int]          # column index -> count (>= 1 only)
     is_different_from_control: bool | None = None
 
 
@@ -80,20 +80,22 @@ def enumerate_blocking_configs(trackers: Sequence[str]) -> list[BlockingConfig]:
 
 
 def collate(adlog: Iterable[DeliveredAd], corpus: Corpus) -> list[VectorRecord]:
-    """One record per (advertiser, persona, run) with all creative count
-    vectors summed.  The grid is the full cross product of the advertisers,
-    personas, and runs observed in the log, so advertisers that won nothing
-    for some (persona, run) contribute an all-zero vector."""
+    """One record per (advertiser, persona, run) with the tokens of all its
+    creatives counted into one vector.  The grid is the full cross product of
+    the advertisers, personas, and runs observed in the log, so advertisers
+    that won nothing for some (persona, run) contribute an empty vector."""
     ads = list(adlog)
     advertisers = sorted({a.advertiser for a in ads})
     personas = sorted({a.persona for a in ads})
     runs = sorted({a.run for a in ads})
-    merged: dict[tuple[str, str, int], CountVector] = {}
+    merged: dict[tuple[str, str, int], dict[int, int]] = {}
     for ad in ads:
         key = (ad.advertiser, ad.persona, ad.run)
-        vec = vectorize_tokens(ad.tokens, corpus)
-        merged[key] = merge_vectors([merged[key], vec]) if key in merged else vec
-    empty = CountVector({}, corpus.size)
+        counts = merged.get(key)
+        if counts is None:
+            counts = merged[key] = {}
+        add_tokens(counts, ad.tokens, corpus)
+    empty: dict[int, int] = {}  # shared by every empty record; nothing mutates a record's vector
     return [
         VectorRecord(a, p, r, merged.get((a, p, r), empty))
         for a in advertisers for p in personas for r in runs
@@ -106,21 +108,26 @@ def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[Vect
     source (persona vs pooled control) at the configured alpha.
 
     Controls are pooled per (advertiser, run) across all control personas.
-    Records whose 2 x V table is degenerate are flagged False.
+    Each record is tested on the 2 x V table over the union of the two
+    supports, columns in ascending index order: a column both rows leave at
+    zero has zero mass, so low-mass collapsing would drop it anyway.
+    Records whose table is degenerate are flagged False.
     """
-    pooled: dict[tuple[str, int], CountVector] = {}
+    pooled: dict[tuple[str, int], dict[int, int]] = {}
     for rec in control_records:
-        key = (rec.advertiser, rec.run)
-        pooled[key] = merge_vectors([pooled[key], rec.vector]) if key in pooled else rec.vector
-    control_dense: dict[tuple[str, int], np.ndarray] = {
-        key: vec.to_dense() for key, vec in pooled.items()}
+        control = pooled.setdefault((rec.advertiser, rec.run), {})
+        for idx, c in rec.vector.items():
+            control[idx] = control.get(idx, 0) + c
     out = []
     for rec in records:
-        key = (rec.advertiser, rec.run)
-        if key not in control_dense:
+        control = pooled.get((rec.advertiser, rec.run))
+        if control is None:
             raise MissingControlError(
                 f"no control record for advertiser {rec.advertiser!r} run {rec.run}")
-        table = np.vstack([control_dense[key], rec.vector.to_dense()])
+        vector = rec.vector
+        columns = sorted(control.keys() | vector.keys())
+        table = np.array([[control.get(i, 0) for i in columns],
+                          [vector.get(i, 0) for i in columns]], dtype=float)
         try:
             result = chi_square_independence(table, config)
             flag = result.p_value < config.alpha
@@ -240,7 +247,7 @@ def evaluate(inferred: Iterable[tuple[str, str]],
     return precision, recall
 
 
-def h1_similarity_matrix(vectors: Mapping[tuple[str, int], CountVector]) -> H1Result:
+def h1_similarity_matrix(vectors: Mapping[tuple[str, int], Mapping[int, int]]) -> H1Result:
     """Interest-dependence analysis over per-(group, run) document vectors.
 
     For each group pair the mean of the cosine-similarity distribution is

@@ -10,13 +10,20 @@ The forest oracle grows trees row by row, the way a textbook greedy builder
 does, drawing every bootstrap index with the scalar splitmix64.  The kernels
 grow the same trees from per-pattern counts with vectorised draws, so the two
 must agree node for node.
+
+The flagging oracle pools the controls into dense vectors the width of the
+corpus and tests every record on the full dense 2 x V table, the way the
+flagging code once did; the sparse tables must give the same floats.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from adtomo.rng import splitmix64
+from adtomo.stattest import DegenerateTableError, chi_square_independence
 
 _U_MAX = 1.0 - 1e-12
 
@@ -198,4 +205,29 @@ def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
                 node = right if row[feat] else left
             votes += nodes[node][5]
         out.append(1 if 2 * votes > len(forest) else 0)
+    return out
+
+
+def chi2_by_dense_tables(records, control_records, size: int, config) -> list:
+    """Dense reference for ``tomography.flag_changes``: per record, the
+    chi-squared TestResult on the dense 2 x ``size`` table of pooled control
+    over record, or None where the table is degenerate."""
+
+    def to_dense(counts):
+        dense = np.zeros(size, dtype=float)
+        for idx, c in counts.items():
+            dense[idx] = c
+        return dense
+
+    control_dense = {}
+    for rec in control_records:
+        key = (rec.advertiser, rec.run)
+        control_dense[key] = control_dense.get(key, 0.0) + to_dense(rec.vector)
+    out = []
+    for rec in records:
+        table = np.vstack([control_dense[(rec.advertiser, rec.run)], to_dense(rec.vector)])
+        try:
+            out.append(chi_square_independence(table, config))
+        except DegenerateTableError:
+            out.append(None)
     return out

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,53 @@ class TestExitCodes:
         assert f"requestlog.jsonl:{n_lines + 1}:" in proc.stderr
         assert "'chain_position'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param(lambda c: {**c, next(iter(c)): 0}, id="zero_count"),
+        pytest.param(lambda c: [1, 2], id="list_not_object"),
+    ])
+    def test_bad_record_counts_name_file_and_line(self, mini_run, tmp_path, counts):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines()
+        third = json.loads(lines[2])
+        third["counts"] = counts(third["counts"])
+        lines[2] = json.dumps(third)
+        records.write_text("\n".join(lines) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "records.jsonl:3:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stage, field", [
+        ("flag", "is_control"), ("infer", "id"), ("infer", "blocked"), ("h1", "group")])
+    def test_persona_entry_missing_field_names_file_and_entry(self, mini_run, tmp_path,
+                                                             stage, field):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        personas = json.loads((out / "personas.json").read_text())
+        del personas[1][field]
+        (out / "personas.json").write_text(json.dumps(personas))
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "personas.json: entry 1:" in proc.stderr
+        assert repr(field) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_ad_log_persona_missing_from_manifest(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        adlog = out / "adlog.jsonl"
+        ghost = {**json.loads(adlog.read_text().splitlines()[0]), "persona": "ghost"}
+        with adlog.open("a") as fh:
+            fh.write(json.dumps(ghost) + "\n")
+        for stage in ("flag", "h1"):
+            proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+            assert proc.returncode == 2, stage
+            assert "adlog.jsonl" in proc.stderr and "'ghost'" in proc.stderr, stage
+            assert "Traceback" not in proc.stderr
 
 
 class TestH1Command:

@@ -3,23 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adtomo.textvec import (
-    Corpus,
-    CorpusMismatchError,
-    CountVector,
-    Document,
     OutOfCorpusError,
+    add_tokens,
     build_corpus,
     cosine_similarity,
-    merge_vectors,
-    read_documents_jsonl,
-    tokenize,
-    vectorize,
     vectorize_tokens,
 )
-
-
-def doc(key, text):
-    return Document(key=(key,), tokens=tuple(text.split()))
 
 
 class TestCorpus:
@@ -27,103 +16,68 @@ class TestCorpus:
         assert build_corpus([]).size == 0
 
     def test_union_lexicographic(self):
-        corpus = build_corpus([doc("d1", "a b"), doc("d2", "b c")])
+        corpus = build_corpus([["a", "b"], ["b", "c"]])
         assert corpus.size == 3
         assert corpus.word_index == {"a": 0, "b": 1, "c": 2}
+        assert corpus.tokens() == ["a", "b", "c"]
 
     def test_union_of_shared_tokens(self):
         tokens = [f"tok{i:04d}" for i in range(1000)]
-        corpus = build_corpus([Document(("d1",), tuple(tokens)),
-                               Document(("d2",), tuple(reversed(tokens)))])
+        corpus = build_corpus([tokens, reversed(tokens)])
         assert corpus.size == len(set(tokens))
 
 
 class TestVectorize:
     def test_direct_count(self):
-        corpus = build_corpus([doc("d", "a b c")])
-        v = vectorize(doc("x", "a a b"), corpus)
-        assert v.counts == {0: 2, 1: 1}
+        corpus = build_corpus([["a", "b", "c"]])
+        assert vectorize_tokens(["a", "a", "b"], corpus) == {0: 2, 1: 1}
 
     def test_empty_document(self):
-        corpus = build_corpus([doc("d", "a")])
-        assert vectorize(doc("x", ""), corpus).counts == {}
+        corpus = build_corpus([["a"]])
+        assert vectorize_tokens([], corpus) == {}
 
     def test_out_of_corpus(self):
-        corpus = build_corpus([doc("d", "a")])
+        corpus = build_corpus([["a"]])
         with pytest.raises(OutOfCorpusError):
-            vectorize(doc("x", "zzz"), corpus)
+            vectorize_tokens(["zzz"], corpus)
+
+    def test_add_tokens_accumulates(self):
+        corpus = build_corpus([["a", "b"]])
+        counts = {1: 3}
+        add_tokens(counts, ["a", "b", "a"], corpus)
+        assert counts == {1: 4, 0: 2}
 
     def test_matches_naive_frequency_table(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(200)]
         tokens = [vocab[i] for i in rng.integers(0, 200, size=10_000)]
-        corpus = build_corpus([Document(("all",), tuple(vocab))])
+        corpus = build_corpus([vocab])
         v = vectorize_tokens(tokens, corpus)
         naive = {}
         for t in tokens:
             naive[t] = naive.get(t, 0) + 1
-        assert v.counts == {corpus.word_index[t]: c for t, c in naive.items()}
-
-
-class TestMerge:
-    def test_elementwise_sum(self):
-        a = CountVector({0: 1}, 3)
-        b = CountVector({0: 2, 1: 1}, 3)
-        assert merge_vectors([a, b]).counts == {0: 3, 1: 1}
-
-    def test_zero_identity(self):
-        v = CountVector({1: 4}, 3)
-        assert merge_vectors([v, CountVector({}, 3)]).counts == v.counts
-
-    def test_corpus_mismatch(self):
-        with pytest.raises(CorpusMismatchError):
-            merge_vectors([CountVector({}, 3), CountVector({}, 4)])
-
-    def test_against_dense_oracle(self):
-        rng = np.random.default_rng(8)
-        size = 50
-        vectors = []
-        dense_sum = np.zeros(size)
-        for _ in range(100):
-            dense = rng.integers(0, 5, size=size)
-            dense_sum += dense
-            vectors.append(CountVector({i: int(c) for i, c in enumerate(dense) if c}, size))
-        merged = merge_vectors(vectors)
-        assert np.array_equal(merged.to_dense(), dense_sum)
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(9)
-        vectors = [CountVector({int(i): int(c) for i, c in
-                                zip(rng.integers(0, 20, 5), rng.integers(1, 9, 5))}, 20)
-                   for _ in range(10)]
-        a = merge_vectors(vectors)
-        b = merge_vectors(list(reversed(vectors)))
-        assert a.counts == b.counts
+        assert v == {corpus.word_index[t]: c for t, c in naive.items()}
 
 
 class TestCosine:
     def test_self_similarity(self):
-        v = CountVector({0: 3, 2: 1}, 4)
+        v = {0: 3, 2: 1}
         assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_similarity(CountVector({0: 1}, 2), CountVector({1: 1}, 2)) == 0.0
+        assert cosine_similarity({0: 1}, {1: 1}) == 0.0
 
     def test_hand_computed_half(self):
         # dot = 1, norms sqrt(2) each -> 0.5
-        x = CountVector({0: 1, 1: 1}, 3)
-        y = CountVector({0: 1, 2: 1}, 3)
-        assert cosine_similarity(x, y) == pytest.approx(0.5, abs=1e-12)
+        assert cosine_similarity({0: 1, 1: 1}, {0: 1, 2: 1}) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity(CountVector({}, 2), CountVector({0: 5}, 2)) == 0.0
+        assert cosine_similarity({}, {0: 5}) == 0.0
 
     @given(st.dictionaries(st.integers(0, 19), st.integers(1, 50), max_size=12),
            st.dictionaries(st.integers(0, 19), st.integers(1, 50), max_size=12))
     @settings(max_examples=60, deadline=None)
-    def test_symmetry_and_bounds(self, ca, cb):
-        x = CountVector(ca, 20)
-        y = CountVector(cb, 20)
+    def test_symmetry_and_bounds(self, x, y):
         s1 = cosine_similarity(x, y)
         s2 = cosine_similarity(y, x)
         assert s1 == s2
@@ -132,39 +86,6 @@ class TestCosine:
     @given(st.dictionaries(st.integers(0, 19), st.integers(1, 50), min_size=1, max_size=12),
            st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
-    def test_scale_invariance(self, counts, k):
-        x = CountVector(counts, 20)
-        kx = CountVector({i: k * c for i, c in counts.items()}, 20)
+    def test_scale_invariance(self, x, k):
+        kx = {i: k * c for i, c in x.items()}
         assert cosine_similarity(x, kx) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestTokenize:
-    def test_normalization(self):
-        assert tokenize("  Hello, WORLD!  (x3) ") == ["hello", "world", "x3"]
-
-    def test_inner_punctuation_kept(self):
-        assert tokenize("re-run co.uk") == ["re-run", "co.uk"]
-
-    def test_pure_punctuation_dropped(self):
-        assert tokenize("--- !!! a") == ["a"]
-
-
-def test_jsonl_ingestion(tmp_path):
-    path = tmp_path / "docs.jsonl"
-    path.write_text(
-        '{"key": ["g1", 0], "tokens": ["a", "b", "a"]}\n'
-        '{"key": ["g1", 1], "tokens": ["c"]}\n',
-        encoding="utf-8")
-    docs = read_documents_jsonl(path)
-    assert len(docs) == 2
-    assert docs[0].key == ("g1", 0)
-    assert docs[0].tokens == ("a", "b", "a")
-
-
-def test_jsonl_duplicate_key_rejected(tmp_path):
-    path = tmp_path / "docs.jsonl"
-    path.write_text(
-        '{"key": ["g1", 0], "tokens": ["a"]}\n{"key": ["g1", 0], "tokens": ["b"]}\n',
-        encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate"):
-        read_documents_jsonl(path)

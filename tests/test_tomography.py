@@ -1,11 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from adtomo import tomography
+from adtomo.ecosim import build_world, run_simulation
 from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
-from adtomo.stattest import StatConfig
-from adtomo.textvec import Corpus, CountVector
+from adtomo.pipeline import load_pipeline_config
+from adtomo.stattest import DegenerateTableError, StatConfig
+from adtomo.textvec import Corpus, build_corpus
 from adtomo.tomography import (
     MissingControlError,
     VectorRecord,
@@ -18,6 +24,9 @@ from adtomo.tomography import (
     run_inference,
     segment_records,
 )
+
+from conftest import load_config
+from oracles import chi2_by_dense_tables
 
 
 class TestEnumerate:
@@ -56,8 +65,8 @@ class TestCollate:
                DeliveredAd(1, "p1", "s2", "adv", ("a",))]
         records = collate(ads, corpus)
         assert len(records) == 1
-        assert records[0].vector.counts == {corpus.word_index["a"]: 2,
-                                            corpus.word_index["b"]: 1}
+        assert records[0].vector == {corpus.word_index["a"]: 2,
+                                     corpus.word_index["b"]: 1}
 
     def test_empty_log(self):
         assert collate([], corpus_of("a")) == []
@@ -69,7 +78,7 @@ class TestCollate:
         records = collate(ads, corpus)
         assert len(records) == 4
         zero = [r for r in records if r.advertiser == "adv1" and r.persona == "p2"]
-        assert zero[0].vector.counts == {}
+        assert zero[0].vector == {}
 
     def test_mass_preserved_against_groupby_oracle(self):
         rng = np.random.default_rng(0)
@@ -88,7 +97,7 @@ class TestCollate:
             oracle[key] = oracle.get(key, 0) + len(ad.tokens)
         for rec in records:
             key = (rec.advertiser, rec.persona, rec.run)
-            assert rec.vector.total() == oracle.get(key, 0)
+            assert sum(rec.vector.values()) == oracle.get(key, 0)
 
     def test_collation_conservation_per_persona_run(self):
         rng = np.random.default_rng(1)
@@ -103,62 +112,163 @@ class TestCollate:
             for run in {a.run for a in ads}:
                 log_mass = sum(len(a.tokens) for a in ads
                                if a.persona == persona and a.run == run)
-                rec_mass = sum(r.vector.total() for r in records
+                rec_mass = sum(sum(r.vector.values()) for r in records
                                if r.persona == persona and r.run == run)
                 assert rec_mass == log_mass
 
 
-def vec(counts, size=6):
-    return CountVector(counts, size)
+def flag_with_results(records, control, config=StatConfig()):
+    """flag_changes output, plus the chi-squared TestResult (None where the
+    table is degenerate) of every test it ran, in call order."""
+    seen = []
+    real = tomography.chi_square_independence
+
+    def spy(table, cfg):
+        try:
+            result = real(table, cfg)
+        except DegenerateTableError:
+            seen.append(None)
+            raise
+        seen.append(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "chi_square_independence", spy)
+        out = flag_changes(records, control, config)
+    return out, seen
+
+
+def assert_matches_dense(records, control, config=StatConfig(), size=6):
+    out, seen = flag_with_results(records, control, config)
+    expected = chi2_by_dense_tables(records, control, size, config)
+    assert seen == expected
+    assert [r.is_different_from_control for r in out] == [
+        e is not None and e.p_value < config.alpha for e in expected]
+    return out
 
 
 class TestFlagChanges:
     def test_proportional_to_control_not_flagged(self):
-        control = [VectorRecord("adv", "ctrl", 0, vec({0: 30, 1: 60}))]
-        records = [VectorRecord("adv", "p1", 0, vec({0: 10, 1: 20}))]
+        control = [VectorRecord("adv", "ctrl", 0, {0: 30, 1: 60})]
+        records = [VectorRecord("adv", "p1", 0, {0: 10, 1: 20})]
         out = flag_changes(records, control)
         assert out[0].is_different_from_control is False
 
     def test_identical_to_control_not_flagged(self):
-        control = [VectorRecord("adv", "ctrl", 0, vec({0: 20, 1: 20}))]
-        records = [VectorRecord("adv", "p1", 0, vec({0: 20, 1: 20}))]
+        control = [VectorRecord("adv", "ctrl", 0, {0: 20, 1: 20})]
+        records = [VectorRecord("adv", "p1", 0, {0: 20, 1: 20})]
         assert flag_changes(records, control)[0].is_different_from_control is False
 
     def test_disjoint_vocabulary_flagged(self):
         # Hand check: columns {0,1} control-only, {2,3} persona-only, all mass
         # >= min_expected; chi-squared is far beyond the df=3 critical value.
-        control = [VectorRecord("adv", "ctrl", 0, vec({0: 30, 1: 30}))]
-        records = [VectorRecord("adv", "p1", 0, vec({2: 20, 3: 20}))]
+        control = [VectorRecord("adv", "ctrl", 0, {0: 30, 1: 30})]
+        records = [VectorRecord("adv", "p1", 0, {2: 20, 3: 20})]
         assert flag_changes(records, control)[0].is_different_from_control is True
 
     def test_degenerate_table_flags_false(self):
-        control = [VectorRecord("adv", "ctrl", 0, vec({}))]
-        records = [VectorRecord("adv", "p1", 0, vec({0: 1}))]
+        control = [VectorRecord("adv", "ctrl", 0, {})]
+        records = [VectorRecord("adv", "p1", 0, {0: 1})]
         assert flag_changes(records, control)[0].is_different_from_control is False
 
     def test_zero_ad_advertiser_flags_false(self):
-        control = [VectorRecord("adv", "ctrl", 0, vec({0: 50, 1: 50}))]
-        records = [VectorRecord("adv", "p1", 0, vec({}))]
+        control = [VectorRecord("adv", "ctrl", 0, {0: 50, 1: 50})]
+        records = [VectorRecord("adv", "p1", 0, {})]
         assert flag_changes(records, control)[0].is_different_from_control is False
 
     def test_controls_pooled_across_personas(self):
         # Two thin controls pool into one row with enough mass to test.
-        control = [VectorRecord("adv", "c1", 0, vec({0: 15, 1: 2})),
-                   VectorRecord("adv", "c2", 0, vec({0: 15, 1: 3}))]
-        records = [VectorRecord("adv", "p1", 0, vec({1: 25}))]
+        control = [VectorRecord("adv", "c1", 0, {0: 15, 1: 2}),
+                   VectorRecord("adv", "c2", 0, {0: 15, 1: 3})]
+        records = [VectorRecord("adv", "p1", 0, {1: 25})]
         out = flag_changes(records, control, StatConfig(min_expected=5))
         assert out[0].is_different_from_control is True
 
+    @pytest.mark.parametrize("controls, record, min_expected", [
+        pytest.param([{0: 30, 1: 30}], {}, 5, id="empty_record"),
+        pytest.param([{}, {}], {0: 9, 1: 9}, 5, id="empty_pooled_control"),
+        pytest.param([{}], {}, 5, id="both_empty"),
+        pytest.param([{0: 1, 1: 2, 2: 1}], {1: 1, 3: 1}, 5, id="all_low_mass"),
+        pytest.param([{0: 20, 1: 1}], {0: 10, 2: 2}, 5, id="single_column_plus_residual"),
+        pytest.param([{0: 20}], {0: 10}, 5, id="single_surviving_column"),
+        pytest.param([{0: 30, 1: 30}], {4: 20, 5: 20}, 5, id="disjoint_supports"),
+        pytest.param([{0: 3, 5: 7}, {2: 4}], {1: 2, 5: 1}, 1, id="interleaved_supports"),
+    ])
+    def test_edge_cases_match_dense_reference(self, controls, record, min_expected):
+        control = [VectorRecord("adv", f"c{i}", 0, c) for i, c in enumerate(controls)]
+        records = [VectorRecord("adv", "p1", 0, record)]
+        assert_matches_dense(records, control, StatConfig(min_expected=min_expected))
+
+    def test_randomized_records_match_dense_reference(self):
+        rng = np.random.default_rng(21)
+        size = 30
+
+        def draw():
+            support = rng.choice(size, size=int(rng.integers(0, 9)), replace=False)
+            return {int(i): int(rng.integers(1, 16)) for i in support}
+
+        for trial in range(40):
+            control = [VectorRecord(f"a{a}", f"c{c}", r, draw())
+                       for a in range(2) for c in range(2) for r in range(2)]
+            records = [VectorRecord(f"a{a}", f"p{p}", r, draw())
+                       for a in range(2) for p in range(3) for r in range(2)]
+            config = StatConfig(alpha=0.05, min_expected=float([1, 5, 12][trial % 3]))
+            assert_matches_dense(records, control, config, size)
+
+    def test_controls_pooled_by_elementwise_sum(self):
+        rng = np.random.default_rng(8)
+        parts = [{int(i): int(c) for i, c in enumerate(rng.integers(0, 5, size=6)) if c}
+                 for _ in range(10)] + [{}]
+        summed = {}
+        for part in parts:
+            for i, c in part.items():
+                summed[i] = summed.get(i, 0) + c
+        records = [VectorRecord("adv", "p1", 0, {0: 12, 3: 9, 5: 1})]
+        _, split = flag_with_results(
+            records, [VectorRecord("adv", f"c{i}", 0, p) for i, p in enumerate(parts)])
+        _, pooled = flag_with_results(records, [VectorRecord("adv", "c", 0, summed)])
+        assert split == pooled
+        assert parts[0] != summed  # pooling built new vectors, the inputs are untouched
+
+    def test_control_pooling_order_invariant(self):
+        rng = np.random.default_rng(9)
+        control = [VectorRecord("adv", f"c{i}", 0,
+                                {int(j): int(c) for j, c in
+                                 zip(rng.integers(0, 6, 5), rng.integers(1, 9, 5))})
+                   for i in range(10)]
+        records = [VectorRecord("adv", "p1", 0, {1: 20, 2: 4})]
+        assert (flag_with_results(records, control)[1]
+                == flag_with_results(records, control[::-1])[1])
+
     def test_missing_control_rejected(self):
-        records = [VectorRecord("adv", "p1", 1, vec({0: 5}))]
-        control = [VectorRecord("adv", "ctrl", 0, vec({0: 5}))]
+        records = [VectorRecord("adv", "p1", 1, {0: 5})]
+        control = [VectorRecord("adv", "ctrl", 0, {0: 5})]
         with pytest.raises(MissingControlError):
             flag_changes(records, control)
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (0, "aae2b901eae167277b5e99bb8523060ba41ad01003c970ea0d95644096bc3671"),
+    (3, "28e90f440170994947751f7407d9356c7646f3b82fbecf7035403df75ab54c98"),
+])
+def test_flag_changes_golden_digest_on_small(seed, digest):
+    # Digests of collate + flag_changes on the simulated small profile,
+    # captured from the dense-table flagging code.
+    cfg = load_pipeline_config(load_config("small", seed=seed))
+    logs = run_simulation(build_world(cfg.sim, cfg.seed), cfg.sim.personas,
+                          cfg.sim.runs, cfg.seed)
+    records = collate(logs.ads, build_corpus(a.tokens for a in logs.ads))
+    controls = {p.id for p in cfg.sim.personas if p.is_control}
+    flagged = flag_changes([r for r in records if r.persona not in controls],
+                           [r for r in records if r.persona in controls], cfg.stats)
+    payload = json.dumps([[r.advertiser, r.persona, r.run, sorted(r.vector.items()),
+                           r.is_different_from_control] for r in flagged])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
 class TestSegment:
     def _records(self, runs=10, advertisers=2, personas=3):
-        return [VectorRecord(f"a{a}", f"p{p}", r, vec({0: 1}))
+        return [VectorRecord(f"a{a}", f"p{p}", r, {0: 1})
                 for a in range(advertisers) for p in range(personas)
                 for r in range(runs)]
 
@@ -259,7 +369,7 @@ def _planted_flags(edge_trackers, trackers, personas_per_side=None, runs=10, see
         for run in range(runs):
             cut_off = all(t in blocked for t in edge_trackers)
             flag = cut_off if rng.random() > 0.05 else not cut_off
-            records.append(VectorRecord("adv", pid, run, vec({0: 1}), flag))
+            records.append(VectorRecord("adv", pid, run, {0: 1}, flag))
     return records
 
 
@@ -276,7 +386,7 @@ GRID = HyperGrid(n_trees=(20,), max_depth=(3, None), features_per_split=("all",)
 class TestRunInference:
     def test_constant_false_flags_infer_nothing(self):
         trackers = ["t1", "t2", "t3"]
-        records = [VectorRecord("adv", pid, run, vec({0: 1}), False)
+        records = [VectorRecord("adv", pid, run, {0: 1}, False)
                    for pid in _blocking_map(trackers) for run in range(10)]
         cv = [r for r in records if r.run < 8]
         holdout = [r for r in records if r.run >= 8]
@@ -314,7 +424,7 @@ class TestRunInference:
 
     def test_unflagged_records_rejected(self):
         trackers = ["t1"]
-        records = [VectorRecord("adv", "p-0", run, vec({0: 1}), None)
+        records = [VectorRecord("adv", "p-0", run, {0: 1}, None)
                    for run in range(10)]
         with pytest.raises(ConfigError, match="flag stage"):
             run_inference(records[:8], records[8:], GRID, 4, 1, trackers, {"p-0": ()})
@@ -335,31 +445,31 @@ class TestH1Matrix:
     def test_disjoint_groups_zero_off_diagonal(self):
         vectors = {}
         for run in range(3):
-            vectors[("g1", run)] = vec({0: 5, 1: run + 1}, size=8)
-            vectors[("g2", run)] = vec({4: 3, 5: run + 2}, size=8)
+            vectors[("g1", run)] = {0: 5, 1: run + 1}
+            vectors[("g2", run)] = {4: 3, 5: run + 2}
         result = h1_similarity_matrix(vectors)
         assert result.means[("g1", "g2")] == 0.0
         assert result.means[("g2", "g1")] == 0.0
         assert result.tests[("g1", "g2")].p_value < 0.05
 
     def test_identical_documents_diagonal_one(self):
-        vectors = {("g1", r): vec({0: 3, 2: 7}, 4) for r in range(4)}
-        vectors.update({("g2", r): vec({1: 2, 3: int(2 + r)}, 4) for r in range(4)})
+        vectors = {("g1", r): {0: 3, 2: 7} for r in range(4)}
+        vectors.update({("g2", r): {1: 2, 3: int(2 + r)} for r in range(4)})
         result = h1_similarity_matrix(vectors)
         assert result.means[("g1", "g1")] == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_two_runs(self):
         with pytest.raises(ConfigError, match="fewer than 2"):
-            h1_similarity_matrix({("g1", 0): vec({0: 1}, 2),
-                                  ("g2", 0): vec({1: 1}, 2),
-                                  ("g2", 1): vec({1: 2}, 2)})
+            h1_similarity_matrix({("g1", 0): {0: 1},
+                                  ("g2", 0): {1: 1},
+                                  ("g2", 1): {1: 2}})
 
     def test_within_distribution_excludes_self_pairs(self):
         # Two identical + one orthogonal run: mean over the 3 cross-run pairs
         # is 1/3; self-pairs would pull it toward 1.
-        vectors = {("g", 0): vec({0: 1}, 4), ("g", 1): vec({0: 1}, 4),
-                   ("g", 2): vec({1: 1}, 4),
-                   ("h", 0): vec({2: 1}, 4), ("h", 1): vec({2: 1}, 4),
-                   ("h", 2): vec({2: 2}, 4)}
+        vectors = {("g", 0): {0: 1}, ("g", 1): {0: 1},
+                   ("g", 2): {1: 1},
+                   ("h", 0): {2: 1}, ("h", 1): {2: 1},
+                   ("h", 2): {2: 2}}
         result = h1_similarity_matrix(vectors)
         assert result.means[("g", "g")] == pytest.approx(1 / 3, abs=1e-12)

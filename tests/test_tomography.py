@@ -218,7 +218,7 @@ class TestFlagChanges:
     def test_controls_pooled_by_elementwise_sum(self):
         rng = np.random.default_rng(8)
         parts = [{int(i): int(c) for i, c in enumerate(rng.integers(0, 5, size=6)) if c}
-                 for _ in range(10)] + [{}]
+                 for _ in range(10)]
         summed = {}
         for part in parts:
             for i, c in part.items():
@@ -229,6 +229,15 @@ class TestFlagChanges:
         _, pooled = flag_with_results(records, [VectorRecord("adv", "c", 0, summed)])
         assert split == pooled
         assert parts[0] != summed  # pooling built new vectors, the inputs are untouched
+
+    def test_empty_control_is_pooling_identity(self):
+        control = {1: 4, 2: 7}
+        records = [VectorRecord("adv", "p1", 0, {1: 12, 2: 2, 4: 6})]
+        _, alone = flag_with_results(records, [VectorRecord("adv", "c0", 0, control)])
+        _, padded = flag_with_results(records, [VectorRecord("adv", "c0", 0, control),
+                                                VectorRecord("adv", "c1", 0, {})])
+        assert alone == padded
+        assert control == {1: 4, 2: 7}
 
     def test_control_pooling_order_invariant(self):
         rng = np.random.default_rng(9)

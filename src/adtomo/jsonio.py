@@ -14,16 +14,20 @@ from typing import Callable, Iterable
 from .errors import ConfigError
 
 
+# One encoder for every JSON line: json.dumps with these arguments builds a
+# new encoder per call.  The encoder holds no state between calls.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps_line(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    return _LINE_ENCODER.encode(record)
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
     path = Path(path)
+    encode = _LINE_ENCODER.encode
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(dumps_line(rec))
-            fh.write("\n")
+        fh.writelines(encode(rec) + "\n" for rec in records)
 
 
 def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:

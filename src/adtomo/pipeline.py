@@ -128,20 +128,30 @@ def _persona_manifest(cfg: PipelineConfig) -> list[dict]:
 _PERSONA_FIELDS = {"id": str, "group": str, "blocked": list, "is_control": bool}
 
 
+def _check_fields(entry, fields: dict[str, type], where: str) -> None:
+    """ConfigError at ``where`` unless ``entry`` is a JSON object holding
+    every field of ``fields`` with its type."""
+    if not isinstance(entry, dict):
+        raise ConfigError("expected a JSON object", where)
+    for field, kind in fields.items():
+        if field not in entry:
+            raise ConfigError(f"missing field {field!r}", where)
+        if not isinstance(entry[field], kind):
+            raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}", where)
+
+
+def _check_strings(values: list, field: str, where: str) -> None:
+    if not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"field {field!r} must be a JSON list of strings", where)
+
+
 def _read_personas(out_dir: Path) -> list[dict]:
     path = out_dir / "personas.json"
     personas = read_json(path)
     if not isinstance(personas, list):
         raise ConfigError("expected a JSON list of persona entries", str(path))
     for i, entry in enumerate(personas):
-        if not isinstance(entry, dict):
-            raise ConfigError("expected a JSON object", f"{path}: entry {i}")
-        for field, kind in _PERSONA_FIELDS.items():
-            if field not in entry:
-                raise ConfigError(f"missing field {field!r}", f"{path}: entry {i}")
-            if not isinstance(entry[field], kind):
-                raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}",
-                                  f"{path}: entry {i}")
+        _check_fields(entry, _PERSONA_FIELDS, f"{path}: entry {i}")
     return personas
 
 
@@ -170,8 +180,11 @@ def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
 
 
 def _read_corpus(out_dir: Path) -> Corpus:
-    tokens = read_json(out_dir / "corpus.json")["tokens"]
-    return Corpus({t: i for i, t in enumerate(tokens)})
+    path = out_dir / "corpus.json"
+    doc = read_json(path)
+    _check_fields(doc, {"tokens": list}, str(path))
+    _check_strings(doc["tokens"], "tokens", str(path))
+    return Corpus({t: i for i, t in enumerate(doc["tokens"])})
 
 
 def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
@@ -305,10 +318,19 @@ def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
                 "weak_candidates": rows(report.weak_candidates)})
 
 
+def _read_inferred_edges(out_dir: Path) -> set[tuple[str, str]]:
+    path = out_dir / "report.json"
+    report = read_json(path)
+    _check_fields(report, {"advertisers": list}, str(path))
+    for i, row in enumerate(report["advertisers"]):
+        where = f"{path}: advertisers entry {i}"
+        _check_fields(row, {"advertiser": str, "inferred": list}, where)
+        _check_strings(row["inferred"], "inferred", where)
+    return {(t, row["advertiser"]) for row in report["advertisers"] for t in row["inferred"]}
+
+
 def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    report = read_json(out_dir / "report.json")
-    inferred = {(t, row["advertiser"])
-                for row in report["advertisers"] for t in row["inferred"]}
+    inferred = _read_inferred_edges(out_dir)
     truth = cfg.sim.world.graph.as_pairs()
     precision, recall = evaluate(inferred, truth)
     write_json(out_dir / "evaluation.json", {

@@ -10,11 +10,18 @@ Flagging is deliberately conservative: a record whose table cannot support a
 valid chi-squared test (too little co-occurring mass after low-expectancy
 column collapsing, e.g. because the advertiser won few or no auctions for
 that persona) is flagged False.  Not winning auctions is noise, not evidence.
+
+The records of one (advertiser, run) share their pooled control row, so they
+are tested together by ``stattest.chi_square_against``: one dense block per
+batch over the control's support plus the columns some record fills to
+``min_expected`` alone.  Every other column is low-mass in every record's
+table and goes straight into that record's residual, so each record gets the
+statistic its own 2 x V table would give, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,7 +38,7 @@ from .forest import (
 )
 from .ecosim.types import BlockingConfig, DeliveredAd
 from .rng import substream, substream_key
-from .stattest import DegenerateTableError, StatConfig, TestResult, chi_square_independence, welch_t_test
+from .stattest import StatConfig, TestResult, chi_square_against, welch_t_test
 from .textvec import Corpus, add_tokens, cosine_similarity
 
 
@@ -110,31 +117,29 @@ def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[Vect
     Controls are pooled per (advertiser, run) across all control personas.
     Each record is tested on the 2 x V table over the union of the two
     supports, columns in ascending index order: a column both rows leave at
-    zero has zero mass, so low-mass collapsing would drop it anyway.
-    Records whose table is degenerate are flagged False.
+    zero has zero mass, so low-mass collapsing would drop it anyway.  The
+    records of one (advertiser, run) are tested in one ``chi_square_against``
+    call.  Records whose table is degenerate are flagged False.
     """
     pooled: dict[tuple[str, int], dict[int, int]] = {}
     for rec in control_records:
         control = pooled.setdefault((rec.advertiser, rec.run), {})
         for idx, c in rec.vector.items():
             control[idx] = control.get(idx, 0) + c
-    out = []
+    groups: dict[tuple[str, int], list[dict[int, int]]] = {}
     for rec in records:
-        control = pooled.get((rec.advertiser, rec.run))
-        if control is None:
+        key = (rec.advertiser, rec.run)
+        if key not in pooled:
             raise MissingControlError(
                 f"no control record for advertiser {rec.advertiser!r} run {rec.run}")
-        vector = rec.vector
-        columns = sorted(control.keys() | vector.keys())
-        table = np.array([[control.get(i, 0) for i in columns],
-                          [vector.get(i, 0) for i in columns]], dtype=float)
-        try:
-            result = chi_square_independence(table, config)
-            flag = result.p_value < config.alpha
-        except DegenerateTableError:
-            flag = False
-        out.append(replace(rec, is_different_from_control=flag))
-    return out
+        groups.setdefault(key, []).append(rec.vector)
+    # Each group's flags in record order, consumed below in that order.
+    flags = {key: iter([r is not None and r.p_value < config.alpha
+                        for r in chi_square_against(pooled[key], vectors, config)])
+             for key, vectors in groups.items()}
+    return [VectorRecord(rec.advertiser, rec.persona, rec.run, rec.vector,
+                         next(flags[(rec.advertiser, rec.run)]))
+            for rec in records]
 
 
 def segment_records(records: Sequence[VectorRecord], runs: int, holdout_runs: int,

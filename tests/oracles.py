@@ -13,7 +13,10 @@ must agree node for node.
 
 The flagging oracle pools the controls into dense vectors the width of the
 corpus and tests every record on the full dense 2 x V table, the way the
-flagging code once did; the sparse tables must give the same floats.
+flagging code once did; the sparse tables must give the same floats.  The
+batched chi-squared test is checked against one ``chi_square_independence``
+call per record on the table over the union of the two supports, the way
+flagging tested each record before it was batched.
 """
 
 from __future__ import annotations
@@ -226,6 +229,23 @@ def chi2_by_dense_tables(records, control_records, size: int, config) -> list:
     out = []
     for rec in records:
         table = np.vstack([control_dense[(rec.advertiser, rec.run)], to_dense(rec.vector)])
+        try:
+            out.append(chi_square_independence(table, config))
+        except DegenerateTableError:
+            out.append(None)
+    return out
+
+
+def chi2_by_union_tables(control, vectors, config) -> list:
+    """Per-record reference for ``stattest.chi_square_against``: the
+    TestResult of each vector's 2 x V table (control over vector) over the
+    union of the two supports, columns ascending, or None where the table is
+    degenerate."""
+    out = []
+    for vector in vectors:
+        columns = sorted(control.keys() | vector.keys())
+        table = np.array([[control.get(i, 0) for i in columns],
+                          [vector.get(i, 0) for i in columns]], dtype=float)
         try:
             out.append(chi_square_independence(table, config))
         except DegenerateTableError:

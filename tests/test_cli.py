@@ -260,6 +260,52 @@ class TestExitCodes:
             assert "adlog.jsonl" in proc.stderr and "'ghost'" in proc.stderr, stage
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("corpus, problem", [
+        pytest.param({"words": []}, "missing field 'tokens'", id="no_tokens_field"),
+        pytest.param({"tokens": "abc"}, "field 'tokens' must be a JSON list", id="tokens_string"),
+        pytest.param({"tokens": ["a", 7]}, "list of strings", id="non_string_token"),
+        pytest.param(["a", "b"], "expected a JSON object", id="list_not_object"),
+    ])
+    def test_bad_corpus_names_file(self, mini_run, tmp_path, corpus, problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        (out / "corpus.json").write_text(json.dumps(corpus))
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "corpus.json: " in proc.stderr and problem in proc.stderr
+        assert "records.jsonl" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        pytest.param(lambda row: row.pop("inferred"), "missing field 'inferred'",
+                     id="no_inferred"),
+        pytest.param(lambda row: row.pop("advertiser"), "missing field 'advertiser'",
+                     id="no_advertiser"),
+        pytest.param(lambda row: row.update(inferred="tr-1"), "field 'inferred' must be",
+                     id="inferred_string"),
+        pytest.param(lambda row: row.update(inferred=[["tr-1"]]), "list of strings",
+                     id="inferred_nested"),
+    ])
+    def test_bad_report_row_names_file_and_entry(self, mini_run, tmp_path, corrupt, problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        report = json.loads((out / "report.json").read_text())
+        corrupt(report["advertisers"][1])
+        (out / "report.json").write_text(json.dumps(report))
+        proc = run_cli("evaluate", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "report.json: advertisers entry 1:" in proc.stderr and problem in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_report_without_advertisers_names_file(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        (out / "report.json").write_text(json.dumps({"trackers": []}))
+        proc = run_cli("evaluate", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "report.json: missing field 'advertisers'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestH1Command:
     def test_disjoint_two_group_log_zero_off_diagonal(self, tmp_path):

@@ -5,10 +5,12 @@ import pytest
 
 from adtomo.special import regularized_gamma_q, regularized_incomplete_beta
 from adtomo.stattest import (
+    _BATCH_RECORDS,
     DegenerateTableError,
     StatConfig,
     StatError,
     chi2_sf,
+    chi_square_against,
     chi_square_independence,
     collapse_low_mass_columns,
     mean_std,
@@ -187,6 +189,91 @@ class TestChiSquare:
             r = chi_square_independence(np.vstack([a, b]).astype(float))
             flagged += r.p_value < 0.05
         assert flagged / n_tables <= 0.05 + 0.03
+
+
+def random_group(rng, n, columns=40):
+    """A pooled control and ``n`` record vectors over ``columns`` columns:
+    a mix of empty, all-low-mass, control-like and heavy records, where the
+    heavy ones put large counts on columns outside the control's support."""
+    def draw(max_support, low, high, pool):
+        support = rng.choice(pool, size=min(int(rng.integers(0, max_support + 1)), pool.size),
+                             replace=False)
+        return {int(i): int(rng.integers(low, high)) for i in support}
+
+    everything = np.arange(columns)
+    control = {} if rng.random() < 0.15 else draw(25, 1, 30, everything)
+    outside = np.setdiff1d(everything, list(control))
+    vectors = []
+    for _ in range(n):
+        kind = rng.integers(4)
+        if kind == 0:
+            vectors.append({})
+        elif kind == 1:
+            vectors.append(draw(8, 1, 3, everything))
+        elif kind == 2:
+            vectors.append(draw(20, 1, 12, everything))
+        else:
+            heavy = draw(4, 8, 40, outside) if outside.size else {}
+            vectors.append({**draw(10, 1, 12, everything), **heavy})
+    return control, vectors
+
+
+class TestChiSquareAgainst:
+    def test_randomized_groups_match_per_record_tables(self):
+        rng = np.random.default_rng(31)
+        seen = {"degenerate": 0, "outside_kept": 0, "empty_control_tested": 0}
+        for trial in range(60):
+            n = int(rng.integers(1, 301))
+            control, vectors = random_group(rng, n)
+            config = StatConfig(min_expected=float([1, 5, 12][trial % 3]))
+            got = chi_square_against(control, vectors, config)
+            expected = oracles.chi2_by_union_tables(control, vectors, config)
+            assert got == expected
+            for vector, result in zip(vectors, expected):
+                seen["degenerate"] += result is None
+                if result is not None:
+                    seen["outside_kept"] += any(
+                        c >= config.min_expected for i, c in vector.items() if i not in control)
+                    seen["empty_control_tested"] += not control
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("n", sorted({1, _BATCH_RECORDS - 1, _BATCH_RECORDS,
+                                          _BATCH_RECORDS + 1, 2 * _BATCH_RECORDS + 3, 300}))
+    def test_group_sizes_around_batch_cap(self, n):
+        rng = np.random.default_rng(n)
+        control, vectors = random_group(rng, n)
+        config = StatConfig(min_expected=5)
+        got = chi_square_against(control, vectors, config)
+        assert len(got) == n
+        assert got == oracles.chi2_by_union_tables(control, vectors, config)
+
+    @pytest.mark.parametrize("control", [{0: 30, 1: 2, 3: 40}, {}], ids=["control", "empty_control"])
+    def test_mixed_group_edge_cases(self, control):
+        vectors = [
+            {},                           # no mass of its own
+            {0: 1, 2: 1, 9: 2},           # all low-mass
+            {0: 9, 1: 9},                 # testable against either control
+            {7: 6, 8: 5, 2: 1},           # kept columns outside the control support
+            {4: 2, 5: 2, 6: 2, 0: 12},    # out-of-block columns only in the residual
+            {},
+        ]
+        config = StatConfig(min_expected=5)
+        got = chi_square_against(control, vectors, config)
+        assert got == oracles.chi2_by_union_tables(control, vectors, config)
+        # An empty record against a control is a zero row: statistic 0, p 1.
+        assert got[0] == got[5] and (got[0] is None) == (not control)
+        if control:
+            assert (got[0].statistic, got[0].p_value) == (0.0, 1.0)
+        assert got[2] is not None and got[3] is not None
+
+    def test_no_vectors(self):
+        assert chi_square_against({0: 5}, []) == []
+
+    @pytest.mark.parametrize("control, vector", [({0: 5, 1: -1}, {0: 5}),
+                                                 ({0: 5}, {0: 5, 2: -3})])
+    def test_negative_counts_rejected(self, control, vector):
+        with pytest.raises(StatError, match="non-negative"):
+            chi_square_against(control, [{0: 1}, vector])
 
 
 class TestMeanStd:

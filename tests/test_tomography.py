@@ -10,7 +10,7 @@ from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
 from adtomo.pipeline import load_pipeline_config
-from adtomo.stattest import DegenerateTableError, StatConfig
+from adtomo.stattest import StatConfig
 from adtomo.textvec import Corpus, build_corpus
 from adtomo.tomography import (
     MissingControlError,
@@ -119,22 +119,30 @@ class TestCollate:
 
 def flag_with_results(records, control, config=StatConfig()):
     """flag_changes output, plus the chi-squared TestResult (None where the
-    table is degenerate) of every test it ran, in call order."""
-    seen = []
-    real = tomography.chi_square_independence
+    table is degenerate) of every record, in record order.  flag_changes must
+    make one chi_square_against call per (advertiser, run), in order of first
+    appearance, over the vectors of that group's records in record order."""
+    calls = []
+    real = tomography.chi_square_against
 
-    def spy(table, cfg):
-        try:
-            result = real(table, cfg)
-        except DegenerateTableError:
-            seen.append(None)
-            raise
-        seen.append(result)
-        return result
+    def spy(pooled, vectors, cfg):
+        results = real(pooled, vectors, cfg)
+        calls.append((list(vectors), results))
+        return results
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tomography, "chi_square_independence", spy)
+        mp.setattr(tomography, "chi_square_against", spy)
         out = flag_changes(records, control, config)
+    groups = {}
+    for i, rec in enumerate(records):
+        groups.setdefault((rec.advertiser, rec.run), []).append(i)
+    assert len(calls) == len(groups)
+    seen = [None] * len(records)
+    for members, (vectors, results) in zip(groups.values(), calls):
+        assert len(vectors) == len(results) == len(members)
+        for i, vector, result in zip(members, vectors, results):
+            assert vector is records[i].vector
+            seen[i] = result
     return out, seen
 
 
@@ -253,6 +261,17 @@ class TestFlagChanges:
         records = [VectorRecord("adv", "p1", 1, {0: 5})]
         control = [VectorRecord("adv", "ctrl", 0, {0: 5})]
         with pytest.raises(MissingControlError):
+            flag_changes(records, control)
+
+    def test_missing_control_names_first_uncontrolled_record(self):
+        control = [VectorRecord("adv", "ctrl", r, {0: 5}) for r in (0, 2)]
+        records = [VectorRecord("adv", "p1", 0, {0: 5}),
+                   VectorRecord("adv", "p2", 2, {0: 3}),
+                   VectorRecord("adv", "p1", 1, {0: 5}),
+                   VectorRecord("adv2", "p1", 0, {0: 5}),
+                   VectorRecord("adv", "p2", 3, {})]
+        with pytest.raises(MissingControlError,
+                           match=r"^no control record for advertiser 'adv' run 1$"):
             flag_changes(records, control)
 
 

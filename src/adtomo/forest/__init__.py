@@ -2,23 +2,17 @@ from .model import (
     ForestModel,
     ForestParams,
     HyperGrid,
-    Sample,
     Tree,
     accuracy,
-    canonicalize,
     cross_validate_grid,
-    entropy,
     feature_importance,
-    predict,
     predict_batch,
     train_forest,
-    train_tree,
 )
 from . import kernels
 
 __all__ = [
-    "ForestModel", "ForestParams", "HyperGrid", "Sample", "Tree",
-    "accuracy", "canonicalize", "cross_validate_grid", "entropy",
-    "feature_importance", "predict", "predict_batch", "train_forest",
-    "train_tree", "kernels",
+    "ForestModel", "ForestParams", "HyperGrid", "Tree",
+    "accuracy", "cross_validate_grid", "feature_importance", "predict_batch",
+    "train_forest", "kernels",
 ]

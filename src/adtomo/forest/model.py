@@ -3,8 +3,12 @@
 The learner is deliberately plain: bagged greedy entropy trees with a
 per-node random feature subset, majority voting, and information-gain
 importances (sum over split nodes of node-fraction x gain, averaged across
-trees, normalized to sum 1).  Everything is deterministic given the
-canonicalized sample list, the hyperparameters, and one integer seed.
+trees, normalized to sum 1).  Its input is arrays: X holds one uint8 row of
+0/1 blocking features per record, y its 0/1 change label.  Rows are used in
+the order given, and the bootstrap draws index into that order, so a forest
+is deterministic given (X, y), the hyperparameters, and one integer seed.
+The caller fixes the row order: ``tomography.run_inference`` sorts each
+advertiser's records by (persona, flag) before building X and y.
 
 A note on zero-gain splits: an impure node is still split when the best
 achievable gain is zero, as long as some feature actually partitions it.
@@ -18,21 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..rng import substream, substream_key
 from . import kernels
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training record: blocked-tracker flags, change flag, persona key."""
-
-    features: tuple[int, ...]
-    label: bool
-    persona: str
 
 
 @dataclass(frozen=True)
@@ -51,10 +46,6 @@ class ForestParams:
             raise ValueError(f"unknown features_per_split {self.features_per_split!r}")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-
-    def sort_key(self):
-        depth = math.inf if self.max_depth is None else self.max_depth
-        return (self.n_trees, depth, self.features_per_split, self.min_leaf)
 
 
 @dataclass(frozen=True)
@@ -95,17 +86,6 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def depth(self) -> int:
-        depths = {0: 0}
-        out = 0
-        for node in range(self.n_nodes):
-            d = depths[node]
-            if self.feature[node] >= 0:
-                depths[int(self.left[node])] = d + 1
-                depths[int(self.right[node])] = d + 1
-                out = max(out, d + 1)
-        return out
-
     def _node_dict(self, node: int) -> dict:
         if self.feature[node] < 0:
             return {"kind": "leaf", "n": int(self.n_samples[node]),
@@ -144,28 +124,14 @@ class ForestModel:
         }
 
 
-def entropy(labels: Iterable[bool]) -> float:
-    """Shannon entropy (bits) of a binary label multiset."""
-    labels = list(labels)
-    if not labels:
-        raise ValueError("empty input")
-    return kernels.entropy01(sum(bool(v) for v in labels), len(labels))
-
-
-def canonicalize(samples: Sequence[Sample]) -> list[Sample]:
-    """Order-independent canonical sample order (persona, features, label)."""
-    return sorted(samples, key=lambda s: (s.persona, s.features, s.label))
-
-
-def _as_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise ValueError("need at least one sample")
-    widths = {len(s.features) for s in samples}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent feature lengths {sorted(widths)}")
-    X = np.array([s.features for s in samples], dtype=np.uint8)
-    y = np.array([1 if s.label else 0 for s in samples], dtype=np.uint8)
-    return X, y
+def _rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as uint8 arrays; X must be 2-D with at least one row."""
+    X = np.asarray(X, dtype=np.uint8)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D feature array, got shape {X.shape}")
+    if len(X) == 0:
+        raise ValueError("need at least one row")
+    return X, np.asarray(y, dtype=np.uint8)
 
 
 def _n_sub(params: ForestParams, n_features: int) -> int:
@@ -174,43 +140,19 @@ def _n_sub(params: ForestParams, n_features: int) -> int:
     return max(1, int(math.sqrt(n_features)))
 
 
-def _wrap_trees(raw, n_trees: int) -> tuple[Tree, ...]:
-    feat_a, left_a, right_a, n_a, gain_a, label_a, node_count = raw
-    trees = []
-    for t in range(n_trees):
-        k = int(node_count[t])
-        trees.append(Tree(
-            feature=feat_a[t, :k].copy(),
-            left=left_a[t, :k].copy(),
-            right=right_a[t, :k].copy(),
-            n_samples=n_a[t, :k].copy(),
-            gain=gain_a[t, :k].copy(),
-            label=label_a[t, :k].copy(),
-        ))
-    return tuple(trees)
-
-
-def train_tree(samples: Sequence[Sample], params: ForestParams, seed: int) -> Tree:
-    """Greedy entropy tree on the samples as given (no bootstrap)."""
-    samples = canonicalize(samples)
-    X, y = _as_arrays(samples)
-    raw = kernels.build_forest(
-        X, y, np.array([seed], dtype=np.uint64),
-        params.max_depth, _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=False)
-    return _wrap_trees(raw, 1)[0]
-
-
-def train_forest(samples: Sequence[Sample], params: ForestParams, seed: int) -> ForestModel:
-    """Bagged forest: each tree trains on a same-size bootstrap resample drawn
-    from its own seed-derived substream."""
-    samples = canonicalize(samples)
-    X, y = _as_arrays(samples)
+def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
+    """Bagged forest: each tree trains on a same-size bootstrap resample of
+    the rows, drawn from its own seed-derived substream."""
+    X, y = _rows(X, y)
     tree_seeds = np.array(
         [substream_key(seed, "tree", t) for t in range(params.n_trees)], dtype=np.uint64)
-    raw = kernels.build_forest(
+    *fields, node_count = kernels.build_forest(
         X, y, tree_seeds, params.max_depth, _n_sub(params, X.shape[1]),
         params.min_leaf, bootstrap=True)
-    return ForestModel(_wrap_trees(raw, params.n_trees), params, seed, X.shape[1])
+    # build_forest returns the node arrays in Tree's field order.
+    trees = tuple(Tree(*(a[t, :k].copy() for a in fields))
+                  for t, k in enumerate(node_count.tolist()))
+    return ForestModel(trees, params, seed, X.shape[1])
 
 
 def _stacked(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,6 +172,7 @@ def _stacked(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def predict_batch(model: ForestModel, X) -> np.ndarray:
+    """Majority vote across trees for each row of X; ties resolve to 0."""
     X = np.asarray(X, dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features, got {X.shape}")
@@ -237,17 +180,9 @@ def predict_batch(model: ForestModel, X) -> np.ndarray:
     return kernels.predict_votes(feat_a, left_a, right_a, label_a, X)
 
 
-def predict(model: ForestModel, features: Sequence[int]) -> bool:
-    """Majority vote across trees; ties resolve to False."""
-    if len(features) != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {len(features)}")
-    return bool(predict_batch(model, np.array([features], dtype=np.uint8))[0])
-
-
-def accuracy(model: ForestModel, samples: Sequence[Sample]) -> float:
-    X, y = _as_arrays(list(samples))
-    preds = predict_batch(model, X)
-    return float((preds == y).mean())
+def accuracy(model: ForestModel, X, y) -> float:
+    X, y = _rows(X, y)
+    return float((predict_batch(model, X) == y).mean())
 
 
 def feature_importance(model: ForestModel) -> np.ndarray:
@@ -268,13 +203,13 @@ def feature_importance(model: ForestModel) -> np.ndarray:
     return totals
 
 
-def _fold_assignment(samples: Sequence[Sample], folds: int, seed: int) -> np.ndarray:
-    """Fold id per sample such that every fold holds the same number of
-    records of each persona; requires per-persona counts divisible by folds."""
+def _fold_assignment(personas: Sequence[str], folds: int, seed: int) -> np.ndarray:
+    """Fold id per row such that every fold holds the same number of rows of
+    each persona; requires per-persona counts divisible by folds."""
     by_persona: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_persona.setdefault(s.persona, []).append(i)
-    assignment = np.empty(len(samples), dtype=np.int64)
+    for i, persona in enumerate(personas):
+        by_persona.setdefault(persona, []).append(i)
+    assignment = np.empty(len(personas), dtype=np.int64)
     rng = substream(seed, "folds")
     for persona in sorted(by_persona):
         idxs = by_persona[persona]
@@ -287,28 +222,27 @@ def _fold_assignment(samples: Sequence[Sample], folds: int, seed: int) -> np.nda
     return assignment
 
 
-def cross_validate_grid(samples: Sequence[Sample], grid: HyperGrid, folds: int,
+def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: int,
                         seed: int) -> tuple[ForestParams, float]:
-    """Persona-balanced k-fold grid search.
+    """Persona-balanced k-fold grid search over the rows of (X, y), whose
+    personas are ``personas``.
 
     Returns the grid point with the highest mean held-out-fold accuracy;
     exact ties go to the earlier point in canonical parameter order.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    samples = canonicalize(samples)
-    assignment = _fold_assignment(samples, folds, seed)
-    X, y = _as_arrays(samples)
+    X, y = _rows(X, y)
+    assignment = _fold_assignment(personas, folds, seed)
     best_params = None
     best_acc = -1.0
     for gi, params in enumerate(grid.points()):
         accs = []
         for k in range(folds):
             test_mask = assignment == k
-            train = [s for s, m in zip(samples, test_mask) if not m]
-            model = train_forest(train, params, substream_key(seed, "cv", gi, k))
-            preds = predict_batch(model, X[test_mask])
-            accs.append(float((preds == y[test_mask]).mean()))
+            model = train_forest(X[~test_mask], y[~test_mask], params,
+                                 substream_key(seed, "cv", gi, k))
+            accs.append(accuracy(model, X[test_mask], y[test_mask]))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_acc = mean_acc

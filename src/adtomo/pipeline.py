@@ -145,13 +145,22 @@ def _check_strings(values: list, field: str, where: str) -> None:
         raise ConfigError(f"field {field!r} must be a JSON list of strings", where)
 
 
-def _read_personas(out_dir: Path) -> list[dict]:
+def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
+    """Persona entries of ``personas.json``; each ``blocked`` list must name
+    trackers of the config."""
     path = out_dir / "personas.json"
     personas = read_json(path)
     if not isinstance(personas, list):
         raise ConfigError("expected a JSON list of persona entries", str(path))
+    known = set(trackers)
     for i, entry in enumerate(personas):
-        _check_fields(entry, _PERSONA_FIELDS, f"{path}: entry {i}")
+        where = f"{path}: entry {i}"
+        _check_fields(entry, _PERSONA_FIELDS, where)
+        _check_strings(entry["blocked"], "blocked", where)
+        unknown = [t for t in entry["blocked"] if t not in known]
+        if unknown:
+            raise ConfigError(f"blocked tracker {unknown[0]!r} is not a tracker of the config",
+                              where)
     return personas
 
 
@@ -191,6 +200,14 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
     index = corpus.word_index
 
     def check(r) -> str | None:
+        for field in ("advertiser", "persona"):
+            if not isinstance(r[field], str):
+                return f"field {field!r} must be a JSON string"
+        if type(r["run"]) is not int:
+            return "field 'run' must be a JSON integer"
+        flag = r["is_different_from_control"]
+        if flag is not None and not isinstance(flag, bool):
+            return "field 'is_different_from_control' must be a JSON bool or null"
         if not isinstance(r["counts"], dict):
             return "'counts' must be a JSON object of token -> count"
         for token, c in r["counts"].items():
@@ -237,7 +254,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     ads = _read_adlog(out_dir)
-    personas = _read_personas(out_dir)
+    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
     is_control = {p["id"]: p["is_control"] for p in personas}
     if not any(is_control.values()):
@@ -274,7 +291,7 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
     records = _read_records(out_dir, corpus)
     if any(r.is_different_from_control is None for r in records):
         raise ConfigError("flag stage required: records carry no flags", "records")
-    personas = _read_personas(out_dir)
+    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     _check_known_personas({r.persona for r in records}, personas, out_dir / "records.jsonl")
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
     trackers = list(cfg.sim.world.tracker_ids)
@@ -343,7 +360,7 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
     ads = _read_adlog(out_dir)
-    personas = _read_personas(out_dir)
+    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
     group_of = {p["id"]: p["group"] for p in personas}
     corpus = build_corpus(a.tokens for a in ads)

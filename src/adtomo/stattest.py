@@ -236,11 +236,3 @@ def _chi_square_block(control: Mapping[int, int], vectors: Sequence[Mapping[int,
         df = float(k - 1)
         out.append(TestResult(statistic, df, chi2_sf(statistic, df)))
     return out
-
-
-def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and population (ddof=0) standard deviation."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise StatError("empty input")
-    return float(v.mean()), float(v.std(ddof=0))

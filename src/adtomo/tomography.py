@@ -1,10 +1,11 @@
 """The tomography pipeline: from ad logs to inferred sharing edges.
 
-Stages: enumerate blocking configurations -> collate per-(advertiser,
-persona, run) count-vector records -> chi-squared change flagging against the
-pooled control -> run segmentation into cross-validation and holdout sets ->
-per-advertiser grid-searched random forest -> holdout-gated mean-plus-sigma
-information-gain rule -> precision/recall against the planted graph.
+Stages: collate per-(advertiser, persona, run) count-vector records ->
+chi-squared change flagging against the pooled control -> run segmentation
+into cross-validation and holdout sets -> per-advertiser grid-searched random
+forest -> holdout-gated mean-plus-sigma information-gain rule ->
+precision/recall against the planted graph.  The personas, one per
+blocked-tracker combination, are enumerated by ``ecosim.enumerate_personas``.
 
 Flagging is deliberately conservative: a record whose table cannot support a
 valid chi-squared test (too little co-occurring mass after low-expectancy
@@ -17,6 +18,12 @@ batch over the control's support plus the columns some record fills to
 ``min_expected`` alone.  Every other column is low-mass in every record's
 table and goes straight into that record's residual, so each record gets the
 statistic its own 2 x V table would give, bit for bit.
+
+The forest sees one advertiser's records as arrays (X, y, personas), built
+once for the cross-validation set and once for the holdout set.  The rows
+are sorted by (persona, flag); features are a function of the persona, so
+this is also the (persona, features, label) order, and the report does not
+depend on the order of the records.
 """
 
 from __future__ import annotations
@@ -30,13 +37,12 @@ from .errors import ConfigError
 from .forest import (
     ForestParams,
     HyperGrid,
-    Sample,
     accuracy,
     cross_validate_grid,
     feature_importance,
     train_forest,
 )
-from .ecosim.types import BlockingConfig, DeliveredAd
+from .ecosim.types import DeliveredAd
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, chi_square_against, welch_t_test
 from .textvec import Corpus, add_tokens, cosine_similarity
@@ -70,20 +76,6 @@ class H1Result:
     groups: tuple[str, ...]
     means: dict[tuple[str, str], float]
     tests: dict[tuple[str, str], TestResult]   # within-vs-across Welch tests
-
-
-def enumerate_blocking_configs(trackers: Sequence[str]) -> list[BlockingConfig]:
-    """All 2^k blocked-tracker subsets in ascending bitmask order; bit i
-    corresponds to the i-th tracker in lexicographic order."""
-    universe = tuple(sorted(trackers))
-    if len(set(universe)) != len(universe):
-        raise ConfigError("duplicate tracker ids")
-    k = len(universe)
-    out = []
-    for mask in range(1 << k):
-        blocked = tuple(universe[i] for i in range(k) if mask >> i & 1)
-        out.append(BlockingConfig(blocked, mask))
-    return out
 
 
 def collate(adlog: Iterable[DeliveredAd], corpus: Corpus) -> list[VectorRecord]:
@@ -186,17 +178,25 @@ def infer_relationships(gains, holdout_accuracy: float, accuracy_threshold: floa
     return tuple(t for t, g in zip(tracker_ids, gains) if g > cutoff)
 
 
-def _to_samples(records: Sequence[VectorRecord], trackers: Sequence[str],
-                blocking_by_persona: Mapping[str, Iterable[str]]) -> list[Sample]:
-    samples = []
-    for rec in records:
-        if rec.is_different_from_control is None:
-            raise ConfigError("flag stage required: records carry no "
-                              "is_different_from_control flags")
-        blocked = set(blocking_by_persona[rec.persona])
-        features = tuple(1 if t in blocked else 0 for t in trackers)
-        samples.append(Sample(features, rec.is_different_from_control, rec.persona))
-    return samples
+def _design(records: Sequence[VectorRecord], trackers: Sequence[str],
+            blocking_by_persona: Mapping[str, Iterable[str]]
+            ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(X, y, personas) of one advertiser's records, rows sorted by (persona,
+    flag): X[i, j] is 1 when the row's persona blocks ``trackers[j]``, y[i]
+    is its change flag."""
+    if any(rec.is_different_from_control is None for rec in records):
+        raise ConfigError("flag stage required: records carry no "
+                          "is_different_from_control flags")
+    ordered = sorted(records, key=lambda r: (r.persona, r.is_different_from_control))
+    personas = [rec.persona for rec in ordered]
+    rows: dict[str, list[bool]] = {}
+    for persona in personas:
+        if persona not in rows:
+            blocked = set(blocking_by_persona[persona])
+            rows[persona] = [t in blocked for t in trackers]
+    X = np.array([rows[p] for p in personas], dtype=np.uint8)
+    y = np.array([rec.is_different_from_control for rec in ordered], dtype=np.uint8)
+    return X, y, personas
 
 
 def run_inference(cv_records: Sequence[VectorRecord], holdout_records: Sequence[VectorRecord],
@@ -218,15 +218,15 @@ def run_inference(cv_records: Sequence[VectorRecord], holdout_records: Sequence[
 
     reports = []
     for advertiser in sorted(by_advertiser):
-        cv_samples = _to_samples(by_advertiser[advertiser], trackers, blocking_by_persona)
-        holdout_samples = _to_samples(
-            holdout_by_advertiser.get(advertiser, []), trackers, blocking_by_persona)
-        if not holdout_samples:
+        X, y, personas = _design(by_advertiser[advertiser], trackers, blocking_by_persona)
+        holdout = holdout_by_advertiser.get(advertiser, [])
+        if not holdout:
             raise ConfigError(f"advertiser {advertiser!r} has no holdout records")
+        X_holdout, y_holdout, _ = _design(holdout, trackers, blocking_by_persona)
         adv_seed = substream_key(seed, "infer", advertiser)
-        params, cv_acc = cross_validate_grid(cv_samples, grid, folds, adv_seed)
-        model = train_forest(cv_samples, params, adv_seed)
-        holdout_acc = accuracy(model, holdout_samples)
+        params, cv_acc = cross_validate_grid(X, y, personas, grid, folds, adv_seed)
+        model = train_forest(X, y, params, adv_seed)
+        holdout_acc = accuracy(model, X_holdout, y_holdout)
         gains = feature_importance(model)
         inferred = infer_relationships(gains, holdout_acc, accuracy_threshold, trackers)
         reports.append(AdvertiserReport(

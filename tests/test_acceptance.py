@@ -15,19 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from adtomo.ecosim import build_world, run_simulation, sim_config_from_dict
-from adtomo.forest import (
-    ForestParams,
-    Sample,
-    accuracy,
-    feature_importance,
-    train_forest,
-    train_tree,
-)
+from adtomo.ecosim import (
+    build_world, enumerate_personas, run_simulation, sim_config_from_dict)
+from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
-from adtomo.stattest import chi_square_independence, welch_t_test
+from adtomo.stattest import chi_square_against, chi_square_independence, welch_t_test
 from adtomo.syncdetect import detect_cookie_sync
-from adtomo.tomography import enumerate_blocking_configs, infer_relationships
+from adtomo.tomography import infer_relationships
 
 import oracles
 from conftest import load_config
@@ -39,7 +33,9 @@ def report(name, detail):
 
 def test_criterion_1_statistical_oracle_equivalence():
     """Welch t and chi-squared match the quadrature oracle to 1e-9 on 100
-    random inputs each, plus the fixed cases; under 10 s."""
+    random inputs each, plus the fixed cases; under 10 s.  Each chi-squared
+    table is also tested as a one-record ``chi_square_against`` group, the
+    call flagging makes."""
     t0 = time.monotonic()
     rng = np.random.default_rng(20240801)
 
@@ -71,6 +67,13 @@ def test_criterion_1_statistical_oracle_equivalence():
         assert r.df == df_ref
         assert abs(r.p_value - p_ref) <= 1e-9
         worst_c = max(worst_c, abs(r.p_value - p_ref))
+        control, vector = ({j: int(c) for j, c in enumerate(row) if c} for row in table)
+        (g,) = chi_square_against(control, [vector])
+        assert g is not None
+        assert abs(g.statistic - stat_ref) <= 1e-9
+        assert g.df == df_ref
+        assert abs(g.p_value - p_ref) <= 1e-9
+        worst_c = max(worst_c, abs(g.p_value - p_ref))
         n_checked += 1
 
     fixed = chi_square_independence([[50, 10], [10, 50]])
@@ -186,33 +189,34 @@ def test_criterion_6_forest_correctness():
     def separable(n, seed):
         r = np.random.default_rng(seed)
         X = r.integers(0, 2, size=(n, 6))
-        return [Sample(tuple(int(v) for v in row), bool(row[2]), f"p{i % 16:02d}")
-                for i, row in enumerate(X)]
+        return X, X[:, 2]
 
     params = ForestParams(n_trees=30, max_depth=None, features_per_split="sqrt")
-    m1 = train_forest(separable(64, 0), params, seed=5)
-    m2 = train_forest(separable(64, 0), params, seed=5)
+    m1 = train_forest(*separable(64, 0), params, seed=5)
+    m2 = train_forest(*separable(64, 0), params, seed=5)
     assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
 
-    holdout = separable(48, 1)
-    assert accuracy(m1, holdout) == 1.0
+    assert accuracy(m1, *separable(48, 1)) == 1.0
 
-    xor = [Sample((0, 0), False, "a"), Sample((0, 1), True, "b"),
-           Sample((1, 0), True, "c"), Sample((1, 1), False, "d")]
-    tree = train_tree(xor, ForestParams(n_trees=1, max_depth=2,
-                                        features_per_split="all"), seed=1)
-    assert tree.depth() == 2
-    for s in xor:
+    # One tree grown on the XOR rows as given (no bootstrap), all features.
+    X_xor = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.uint8)
+    y_xor = np.array([0, 1, 1, 0], dtype=np.uint8)
+    feature, left, right, _, _, label, count = (a[0] for a in kernels.build_forest(
+        X_xor, y_xor, np.array([1], dtype=np.uint64), 2, 2, 1, bootstrap=False))
+    depth = {0: 0}
+    for node in range(int(count)):
+        if feature[node] >= 0:
+            depth[int(left[node])] = depth[int(right[node])] = depth[node] + 1
+    assert max(depth.values()) == 2
+    for row, want in zip(X_xor, y_xor):
         node = 0
-        while tree.feature[node] >= 0:
-            node = (tree.left[node] if s.features[tree.feature[node]] == 0
-                    else tree.right[node])
-        assert bool(tree.label[node]) == s.label
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] == 0 else right[node]
+        assert label[node] == want
 
     tops = 0
     for seed in range(20):
-        model = train_forest(separable(64, 200 + seed),
-                             ForestParams(n_trees=25), seed=seed)
+        model = train_forest(*separable(64, 200 + seed), ForestParams(n_trees=25), seed=seed)
         imp = feature_importance(model)
         assert abs(imp.sum() - 1.0) <= 1e-9
         tops += imp[2] > max(np.delete(imp, 2))
@@ -260,7 +264,9 @@ def test_criterion_7_cookie_sync_oracle():
 def test_criterion_8_combinatorics_and_byte_identical_runs(tmp_path):
     """1,024 distinct blocking configs for k=10; two CLI `run` invocations on
     one config produce byte-identical artifacts."""
-    configs = enumerate_blocking_configs([f"org{i:02d}" for i in range(10)])
+    desk = sim_config_from_dict(load_config("desk")["sim"])  # a 10-tracker world
+    assert len(desk.world.trackers) == 10
+    configs = [p.blocking for p in enumerate_personas(desk.world, "g1", controls=0)]
     assert len(configs) == 1024
     assert len({c.mask for c in configs}) == 1024
     assert len({c.blocked for c in configs}) == 1024

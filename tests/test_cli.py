@@ -247,6 +247,45 @@ class TestExitCodes:
         assert repr(field) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("blocked, problem", [
+        pytest.param([["t1"]], "field 'blocked' must be a JSON list of strings", id="nested"),
+        pytest.param(["tZZ"], "blocked tracker 'tZZ' is not a tracker of the config",
+                     id="unknown_tracker"),
+    ])
+    def test_bad_persona_blocked_names_file_and_entry(self, mini_run, tmp_path, blocked,
+                                                      problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        personas = json.loads((out / "personas.json").read_text())
+        personas[1]["blocked"] = blocked
+        (out / "personas.json").write_text(json.dumps(personas))
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "personas.json: entry 1:" in proc.stderr and problem in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field, value, problem", [
+        pytest.param("is_different_from_control", "false", "must be a JSON bool or null",
+                     id="flag_string"),
+        pytest.param("run", "0", "field 'run' must be a JSON integer", id="run_string"),
+        pytest.param("persona", ["p-001"], "field 'persona' must be a JSON string",
+                     id="persona_list"),
+        pytest.param("advertiser", ["dsp-1"], "field 'advertiser' must be a JSON string",
+                     id="advertiser_list"),
+    ])
+    def test_bad_record_field_names_file_and_line(self, mini_run, tmp_path, field, value,
+                                                  problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), field: value})
+        records.write_text("\n".join(lines) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "records.jsonl:3:" in proc.stderr and problem in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_ad_log_persona_missing_from_manifest(self, mini_run, tmp_path):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")

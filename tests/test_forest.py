@@ -1,40 +1,66 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 from adtomo.forest import (
+    ForestModel,
     ForestParams,
     HyperGrid,
-    Sample,
+    Tree,
     accuracy,
     cross_validate_grid,
-    entropy,
     feature_importance,
-    predict,
+    kernels,
     predict_batch,
     train_forest,
-    train_tree,
 )
+from adtomo.forest.model import _fold_assignment, _n_sub
+from adtomo.tomography import VectorRecord, run_inference
 
 
-def make_samples(X, y, personas=None):
-    return [Sample(tuple(int(v) for v in row), bool(label),
-                   personas[i] if personas else f"p{i:03d}")
-            for i, (row, label) in enumerate(zip(X, y))]
+def rows(X, y):
+    return np.asarray(X, dtype=np.uint8), np.asarray(y, dtype=np.uint8)
 
 
-def separable_samples(n=64, n_features=5, seed=0, personas=None):
+def separable_rows(n=64, n_features=5, seed=0):
     """Feature 0 fully determines the label; the rest is coin flips."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 2, size=(n, n_features))
-    y = X[:, 0] == 1
-    return make_samples(X, y, personas)
+    return rows(X, X[:, 0])
 
 
-XOR_SAMPLES = make_samples([(0, 0), (0, 1), (1, 0), (1, 1)],
-                           [False, True, True, False])
+def train_tree(X, y, params, seed):
+    """One greedy tree on the rows as given (no bootstrap)."""
+    X, y = rows(X, y)
+    *fields, node_count = kernels.build_forest(
+        X, y, np.array([seed], dtype=np.uint64), params.max_depth,
+        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=False)
+    return Tree(*(a[0, :int(node_count[0])].copy() for a in fields))
+
+
+def depth(tree):
+    depths = {0: 0}
+    for node in range(tree.n_nodes):
+        if tree.feature[node] >= 0:
+            depths[int(tree.left[node])] = depths[int(tree.right[node])] = depths[node] + 1
+    return max(depths.values())
+
+
+def leaf_label(tree, row):
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if row[tree.feature[node]] == 0 else tree.right[node]
+    return int(tree.label[node])
+
+
+def predict_one(model, row):
+    return bool(predict_batch(model, np.array([row], dtype=np.uint8))[0])
+
+
+XOR_X, XOR_Y = rows([(0, 0), (0, 1), (1, 0), (1, 1)], [0, 1, 1, 0])
 
 ALL_FEATURES = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
                             min_leaf=1)
@@ -42,37 +68,35 @@ ALL_FEATURES = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
 
 class TestEntropy:
     def test_uniform(self):
-        assert entropy([True] * 5 + [False] * 5) == 1.0
+        assert kernels.entropy01(5, 10) == 1.0
 
     def test_pure(self):
-        assert entropy([True] * 8) == 0.0
+        assert kernels.entropy01(8, 8) == 0.0
+        assert kernels.entropy01(0, 8) == 0.0
 
     def test_hand_computed(self):
         # -(3/4)log2(3/4) - (1/4)log2(1/4)
-        assert entropy([True, True, True, False]) == pytest.approx(0.8113, abs=1e-4)
+        assert kernels.entropy01(3, 4) == pytest.approx(0.8113, abs=1e-4)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            entropy([])
+    def test_empty_is_zero(self):
+        assert kernels.entropy01(0, 0) == 0.0
 
 
 class TestTrainTree:
     def test_single_perfect_split(self):
-        tree = train_tree(separable_samples(), ALL_FEATURES, seed=1)
-        assert tree.depth() == 1
+        tree = train_tree(*separable_rows(), ALL_FEATURES, seed=1)
+        assert depth(tree) == 1
         assert int(tree.feature[0]) == 0
 
     def test_pure_labels_single_leaf(self):
-        samples = make_samples([(0, 1), (1, 0), (1, 1)], [True, True, True])
-        tree = train_tree(samples, ALL_FEATURES, seed=1)
+        tree = train_tree(*rows([(0, 1), (1, 0), (1, 1)], [1, 1, 1]), ALL_FEATURES, seed=1)
         assert tree.n_nodes == 1
         assert bool(tree.label[0]) is True
 
     def test_xor_learnable_at_depth_two(self):
         # Exhaustive oracle: best training accuracy of any depth-d stump tree.
         def best_tree_accuracy(depth):
-            pts = [(f, l) for f, l in
-                   zip([s.features for s in XOR_SAMPLES], [s.label for s in XOR_SAMPLES])]
+            pts = list(zip(XOR_X.tolist(), XOR_Y.tolist()))
 
             def best(rows, d):
                 pos = sum(l for _, l in rows)
@@ -95,103 +119,95 @@ class TestTrainTree:
         for max_depth in (2, 3, None):
             params = ForestParams(n_trees=1, max_depth=max_depth,
                                   features_per_split="all", min_leaf=1)
-            tree = train_tree(XOR_SAMPLES, params, seed=5)
-            assert tree.depth() == 2
-            for s in XOR_SAMPLES:
-                node = 0
-                while tree.feature[node] >= 0:
-                    node = (tree.left[node] if s.features[tree.feature[node]] == 0
-                            else tree.right[node])
-                assert bool(tree.label[node]) == s.label
+            tree = train_tree(XOR_X, XOR_Y, params, seed=5)
+            assert depth(tree) == 2
+            for row, label in zip(XOR_X, XOR_Y):
+                assert leaf_label(tree, row) == label
 
     def test_max_depth_respected(self):
         params = ForestParams(n_trees=1, max_depth=1, features_per_split="all",
                               min_leaf=1)
-        tree = train_tree(XOR_SAMPLES, params, seed=5)
-        assert tree.depth() <= 1
+        tree = train_tree(XOR_X, XOR_Y, params, seed=5)
+        assert depth(tree) <= 1
 
     def test_min_leaf_respected(self):
-        samples = make_samples([(0,), (1,), (1,), (1,)],
-                               [False, True, True, True])
         params = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
                               min_leaf=2)
-        tree = train_tree(samples, params, seed=0)
+        tree = train_tree(*rows([(0,), (1,), (1,), (1,)], [0, 1, 1, 1]), params, seed=0)
         assert tree.n_nodes == 1  # the only split would leave a 1-sample side
 
     def test_leaf_counts_sum_to_sample_size(self):
-        samples = separable_samples(n=50, seed=3)
-        tree = train_tree(samples, ALL_FEATURES, seed=9)
+        tree = train_tree(*separable_rows(n=50, seed=3), ALL_FEATURES, seed=9)
         leaves = tree.feature < 0
         assert int(tree.n_samples[leaves].sum()) == 50
 
     def test_consistent_duplicate_free_data_fit_exactly(self):
         rng = np.random.default_rng(11)
-        X = np.array(list(itertools.product([0, 1], repeat=5)))
-        y = rng.integers(0, 2, size=len(X)).astype(bool)
-        samples = make_samples(X, y)
-        tree = train_tree(samples, ALL_FEATURES, seed=2)
-        correct = 0
-        for s in samples:
-            node = 0
-            while tree.feature[node] >= 0:
-                node = (tree.left[node] if s.features[tree.feature[node]] == 0
-                        else tree.right[node])
-            correct += bool(tree.label[node]) == s.label
-        assert correct == len(samples)
+        X, y = rows(list(itertools.product([0, 1], repeat=5)), rng.integers(0, 2, size=32))
+        tree = train_tree(X, y, ALL_FEATURES, seed=2)
+        assert all(leaf_label(tree, row) == label for row, label in zip(X, y))
 
 
 class TestForest:
     def test_single_tree_forest_equals_tree_on_bootstrap(self):
         # With all-feature splits no subset draws occur, so the forest's only
-        # tree must equal train_tree applied to its bootstrap sample.
+        # tree must equal a no-bootstrap tree grown on its bootstrap sample.
         from adtomo.rng import splitmix64, substream_key
 
-        samples = separable_samples(n=40, seed=4)
+        X, y = separable_rows(n=40, seed=4)
         params = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
                               min_leaf=1)
-        model = train_forest(samples, params, seed=21)
+        model = train_forest(X, y, params, seed=21)
 
-        from adtomo.forest import canonicalize
-        ordered = canonicalize(samples)
         state = substream_key(21, "tree", 0)
         boot = []
-        for _ in range(len(ordered)):
+        for _ in range(len(X)):
             state, draw = splitmix64(state)
-            boot.append(ordered[draw % len(ordered)])
-        direct = train_tree(boot, params, seed=0)  # seed unused: no subset draws
+            boot.append(draw % len(X))
+        direct = train_tree(X[boot], y[boot], params, seed=0)  # seed unused: no subset draws
         assert json.dumps(model.trees[0].to_dict()) == json.dumps(direct.to_dict())
 
     def test_separable_holdout_perfect(self):
-        train = separable_samples(n=64, seed=5)
-        holdout = separable_samples(n=32, seed=6)
+        train = separable_rows(n=64, seed=5)
+        holdout = separable_rows(n=32, seed=6)
         for params in HyperGrid().points()[:4]:
-            model = train_forest(train, params, seed=13)
-            assert accuracy(model, holdout) == 1.0
+            model = train_forest(*train, params, seed=13)
+            assert accuracy(model, *holdout) == 1.0
 
     def test_retrain_determinism(self):
-        samples = separable_samples(n=48, seed=7)
+        X, y = separable_rows(n=48, seed=7)
         params = ForestParams(n_trees=20, max_depth=None, features_per_split="sqrt")
-        m1 = train_forest(samples, params, seed=3)
-        m2 = train_forest(samples, params, seed=3)
+        m1 = train_forest(X, y, params, seed=3)
+        m2 = train_forest(X, y, params, seed=3)
         assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
 
     def test_sample_order_does_not_matter(self):
-        samples = separable_samples(n=48, seed=8)
-        params = ForestParams(n_trees=10, features_per_split="sqrt")
-        m1 = train_forest(samples, params, seed=4)
-        m2 = train_forest(list(reversed(samples)), params, seed=4)
-        assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
+        # The forest uses its rows in the order given; run_inference fixes
+        # that order, so shuffled CV and holdout records give the same report.
+        trackers = ["t1", "t2", "t3"]
+        blocking = {f"p-{m}": tuple(t for i, t in enumerate(trackers) if m >> i & 1)
+                    for m in range(8)}
+        rng = random.Random(8)
+        records = [VectorRecord("adv", pid, run, {0: 1},
+                                rng.random() < 0.3 + 0.4 * ("t2" in blocked))
+                   for pid, blocked in blocking.items() for run in range(6)]
+        cv = [r for r in records if r.run < 4]
+        holdout = [r for r in records if r.run >= 4]
+        grid = HyperGrid(n_trees=(10,), max_depth=(3, None), features_per_split=("sqrt",),
+                         min_leaf=(1,))
+        want = run_inference(cv, holdout, grid, 4, 4, trackers, blocking)
+        for _ in range(3):
+            rng.shuffle(cv)
+            rng.shuffle(holdout)
+            assert run_inference(cv, holdout, grid, 4, 4, trackers, blocking) == want
 
     def test_predict_majority_and_tie(self):
-        samples = separable_samples(n=32, seed=9)
-        model = train_forest(samples, ForestParams(n_trees=3, features_per_split="all"),
-                             seed=5)
-        assert predict(model, (1, 0, 0, 0, 0)) is True
-        assert predict(model, (0, 1, 1, 1, 1)) is False
+        model = train_forest(*separable_rows(n=32, seed=9),
+                             ForestParams(n_trees=3, features_per_split="all"), seed=5)
+        assert predict_one(model, (1, 0, 0, 0, 0)) is True
+        assert predict_one(model, (0, 1, 1, 1, 1)) is False
 
     def test_vote_counting_on_hand_built_trees(self):
-        from adtomo.forest import ForestModel, Tree
-
         def leaf(label):
             return Tree(feature=np.array([-1], dtype=np.int32),
                         left=np.array([-1], dtype=np.int32),
@@ -201,21 +217,20 @@ class TestForest:
 
         params = ForestParams(n_trees=1, features_per_split="all")
         single = ForestModel((leaf(1),), params, seed=0, n_features=2)
-        assert predict(single, (0, 1)) is True  # the one tree's leaf label
+        assert predict_one(single, (0, 1)) is True  # the one tree's leaf label
 
         votes_ttf = ForestModel((leaf(1), leaf(1), leaf(0)), params, 0, 2)
-        assert predict(votes_ttf, (0, 0)) is True  # {T, T, F} -> majority true
+        assert predict_one(votes_ttf, (0, 0)) is True  # {T, T, F} -> majority true
 
         tied = ForestModel((leaf(1), leaf(0)), params, 0, 2)
-        assert predict(tied, (0, 0)) is False  # exact tie resolves to false
+        assert predict_one(tied, (0, 0)) is False  # exact tie resolves to false
 
     def test_prediction_invariant_under_tree_permutation(self):
         import dataclasses
 
         rng = np.random.default_rng(10)
-        samples = make_samples(rng.integers(0, 2, (60, 4)),
-                               rng.integers(0, 2, 60).astype(bool))
-        model = train_forest(samples, ForestParams(n_trees=9), seed=6)
+        X, y = rows(rng.integers(0, 2, (60, 4)), rng.integers(0, 2, 60))
+        model = train_forest(X, y, ForestParams(n_trees=9), seed=6)
         X = rng.integers(0, 2, (100, 4)).astype(np.uint8)
         base = predict_batch(model, X)
         for _ in range(5):
@@ -224,55 +239,61 @@ class TestForest:
             assert np.array_equal(predict_batch(shuffled, X), base)
 
     def test_feature_length_mismatch(self):
-        model = train_forest(separable_samples(), ForestParams(n_trees=2), seed=1)
+        model = train_forest(*separable_rows(), ForestParams(n_trees=2), seed=1)
         with pytest.raises(ValueError):
-            predict(model, (1, 0))
+            predict_one(model, (1, 0))
+
+    def test_empty_or_flat_rows_rejected(self):
+        params = ForestParams(n_trees=2)
+        with pytest.raises(ValueError, match="at least one row"):
+            train_forest(np.zeros((0, 3)), np.zeros(0), params, seed=1)
+        with pytest.raises(ValueError, match="2-D"):
+            train_forest(np.zeros(3), np.zeros(3), params, seed=1)
+        model = train_forest(*separable_rows(), params, seed=1)
+        with pytest.raises(ValueError, match="at least one row"):
+            accuracy(model, np.zeros((0, 5)), np.zeros(0))
 
 
 class TestImportance:
     def test_single_split_concentrates(self):
-        samples = separable_samples(n=40, seed=11)
         params = ForestParams(n_trees=1, max_depth=1, features_per_split="all")
-        model = train_forest(samples, params, seed=7)
+        model = train_forest(*separable_rows(n=40, seed=11), params, seed=7)
         imp = feature_importance(model)
         assert imp[0] == pytest.approx(1.0, abs=1e-12)
         assert imp[1:].sum() == 0.0
 
     def test_all_leaf_forest_zero_vector(self):
-        samples = make_samples([(0, 1)] * 6, [True] * 6)
-        model = train_forest(samples, ForestParams(n_trees=5), seed=8)
+        model = train_forest(*rows([(0, 1)] * 6, [1] * 6), ForestParams(n_trees=5), seed=8)
         imp = feature_importance(model)
         assert imp.sum() == 0.0
 
     def test_matches_hand_weighted_bookkeeping(self):
-        samples = XOR_SAMPLES
         params = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
                               min_leaf=1)
-        tree = train_tree(samples, params, seed=0)
+        tree = train_tree(XOR_X, XOR_Y, params, seed=0)
         # Root splits feature 0 with gain 0; both depth-1 nodes split feature 1
         # with gain 1 over half the samples each: raw = [0, 2 * (2/4) * 1].
         expected = np.array([0.0, 1.0])
-        model = train_forest(samples, ForestParams(n_trees=1, features_per_split="all"),
-                             seed=0)
-        del model  # importance checked on the deterministic no-bootstrap tree
         raw = np.zeros(2)
         for node in range(tree.n_nodes):
             if tree.feature[node] >= 0:
                 raw[tree.feature[node]] += (tree.n_samples[node] / tree.n_samples[0]
                                             ) * tree.gain[node]
         assert raw == pytest.approx(expected, abs=1e-9)
+        # feature_importance applies the same bookkeeping to a forest's trees.
+        model = ForestModel((tree,), params, seed=0, n_features=2)
+        assert feature_importance(model) == pytest.approx(expected / expected.sum(), abs=1e-12)
 
     def test_importances_sum_to_one(self):
         rng = np.random.default_rng(12)
-        samples = make_samples(rng.integers(0, 2, (80, 6)),
-                               rng.integers(0, 2, 80).astype(bool))
-        model = train_forest(samples, ForestParams(n_trees=30), seed=9)
+        X, y = rows(rng.integers(0, 2, (80, 6)), rng.integers(0, 2, 80))
+        model = train_forest(X, y, ForestParams(n_trees=30), seed=9)
         assert feature_importance(model).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_discriminative_feature_tops(self):
         for seed in range(20):
-            samples = separable_samples(n=60, seed=100 + seed)
-            model = train_forest(samples, ForestParams(n_trees=25), seed=seed)
+            model = train_forest(*separable_rows(n=60, seed=100 + seed),
+                                 ForestParams(n_trees=25), seed=seed)
             imp = feature_importance(model)
             assert imp[0] > max(imp[1:])
 
@@ -281,43 +302,33 @@ class TestCrossValidation:
     def test_single_point_grid(self):
         grid = HyperGrid(n_trees=(10,), max_depth=(3,), features_per_split=("all",),
                          min_leaf=(1,))
-        samples = separable_samples(n=32, seed=13,
-                                    personas=[f"p{i % 4}" for i in range(32)])
-        params, acc = cross_validate_grid(samples, grid, folds=4, seed=1)
+        X, y = separable_rows(n=32, seed=13)
+        personas = [f"p{i % 4}" for i in range(32)]
+        params, acc = cross_validate_grid(X, y, personas, grid, folds=4, seed=1)
         assert params == ForestParams(10, 3, "all", 1)
 
     def test_separable_reaches_perfect_cv(self):
-        samples = []
         rng = np.random.default_rng(14)
-        for p in range(8):
-            X = rng.integers(0, 2, size=(8, 4))
-            for row in X:
-                samples.append(Sample(tuple(int(v) for v in row), bool(row[0]), f"p{p}"))
+        X = rng.integers(0, 2, size=(64, 4))
+        personas = [f"p{i // 8}" for i in range(64)]
         grid = HyperGrid(n_trees=(10, 20), max_depth=(3,), features_per_split=("all",),
                          min_leaf=(1,))
-        params, acc = cross_validate_grid(samples, grid, folds=4, seed=2)
+        params, acc = cross_validate_grid(*rows(X, X[:, 0]), personas, grid, folds=4, seed=2)
         assert acc == 1.0
 
     def test_fold_balance_per_persona(self):
-        from adtomo.forest.model import _fold_assignment, canonicalize
-
-        samples = []
-        rng = np.random.default_rng(15)
+        personas = [f"persona-{p}" for p in range(6) for _ in range(8)]
+        random.Random(15).shuffle(personas)
+        assignment = _fold_assignment(personas, folds=4, seed=3)
         for p in range(6):
-            for _ in range(8):
-                samples.append(Sample(tuple(rng.integers(0, 2, 3)), bool(rng.integers(2)),
-                                      f"persona-{p}"))
-        ordered = canonicalize(samples)
-        assignment = _fold_assignment(ordered, folds=4, seed=3)
-        for p in range(6):
-            idxs = [i for i, s in enumerate(ordered) if s.persona == f"persona-{p}"]
+            idxs = [i for i, q in enumerate(personas) if q == f"persona-{p}"]
             counts = np.bincount(assignment[idxs], minlength=4)
             assert counts.tolist() == [2, 2, 2, 2]
 
     def test_indivisible_counts_rejected(self):
-        samples = [Sample((0,), False, "p1")] * 7
         with pytest.raises(ValueError, match="divisible"):
-            cross_validate_grid(samples, HyperGrid(n_trees=(5,)), folds=4, seed=1)
+            cross_validate_grid(np.zeros((7, 1)), np.zeros(7), ["p1"] * 7,
+                                HyperGrid(n_trees=(5,)), folds=4, seed=1)
 
     def test_grid_points_canonical_order(self):
         grid = HyperGrid(n_trees=(100, 50), max_depth=(None, 3),
@@ -325,5 +336,6 @@ class TestCrossValidation:
         pts = grid.points()
         assert pts[0] == ForestParams(50, 3, "all", 1)
         assert pts[-1] == ForestParams(100, None, "sqrt", 2)
-        keys = [p.sort_key() for p in pts]
+        keys = [(p.n_trees, float("inf") if p.max_depth is None else p.max_depth,
+                 p.features_per_split, p.min_leaf) for p in pts]
         assert keys == sorted(keys)

@@ -9,8 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from adtomo.forest import (
-    ForestParams, Sample, kernels, predict_batch, train_forest, train_tree)
+from adtomo.forest import ForestParams, Tree, kernels, predict_batch, train_forest
 from adtomo.rng import splitmix64
 
 import oracles
@@ -24,11 +23,20 @@ def test_splitmix_python_reference_known_values():
     assert v2 == 0x6E789E6AA1B965F4
 
 
+def _canonical(records):
+    """(X, y) of (features, label, persona) records sorted by (persona,
+    features, label), the row order the digests were captured in."""
+    ordered = sorted(records, key=lambda r: (r[2], r[0], r[1]))
+    X = np.array([r[0] for r in ordered], dtype=np.uint8)
+    y = np.array([r[1] for r in ordered], dtype=np.uint8)
+    return X, y
+
+
 def _random_samples(seed, n=200, f=7, positive_rate=0.3):
     rng = np.random.default_rng(seed)
-    return [Sample(tuple(int(v) for v in rng.integers(0, 2, f)),
-                   bool(rng.random() < positive_rate), f"p{i % 25:02d}")
-            for i in range(n)]
+    return _canonical([(tuple(int(v) for v in rng.integers(0, 2, f)),
+                        bool(rng.random() < positive_rate), f"p{i % 25:02d}")
+                       for i in range(n)])
 
 
 @pytest.mark.parametrize("features_per_split,max_depth,digest", [
@@ -40,7 +48,7 @@ def _random_samples(seed, n=200, f=7, positive_rate=0.3):
 def test_forest_golden_digest(features_per_split, max_depth, digest):
     params = ForestParams(n_trees=15, max_depth=max_depth,
                           features_per_split=features_per_split, min_leaf=1)
-    model = train_forest(_random_samples(31), params, seed=99)
+    model = train_forest(*_random_samples(31), params, seed=99)
     assert hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest() == digest
 
 
@@ -50,13 +58,16 @@ def _digest(obj) -> str:
 
 def _same_pattern_samples(n=60):
     rng = np.random.default_rng(36)
-    return [Sample((0, 1, 1, 0, 1), bool(rng.random() < 0.5), f"p{i % 6}")
-            for i in range(n)]
+    return _canonical([((0, 1, 1, 0, 1), bool(rng.random() < 0.5), f"p{i % 6}")
+                       for i in range(n)])
 
 
 def test_tree_golden_digest():
-    # train_tree grows on the samples as given: the bootstrap=False path.
-    tree = train_tree(_random_samples(34), ForestParams(features_per_split="sqrt"), seed=3)
+    # One tree grown on the rows as given: the bootstrap=False path.
+    X, y = _random_samples(34)
+    *fields, node_count = kernels.build_forest(
+        X, y, np.array([3], dtype=np.uint64), None, 2, 1, bootstrap=False)
+    tree = Tree(*(a[0, :int(node_count[0])] for a in fields))
     assert _digest(tree) == "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854"
 
 
@@ -72,11 +83,11 @@ def test_forest_edge_case_golden_digest(case, digest):
     samples, params, seed = {
         "min_leaf_2": (_random_samples(35), ForestParams(n_trees=10, min_leaf=2), 8),
         "k10_sqrt": (_random_samples(36, n=300, f=10), ForestParams(n_trees=10), 4),
-        "single_row": ([Sample((1, 0, 1), True, "p00")], ForestParams(n_trees=4), 2),
+        "single_row": (_canonical([((1, 0, 1), True, "p00")]), ForestParams(n_trees=4), 2),
         "all_one_label": (_random_samples(37, positive_rate=1.0), ForestParams(n_trees=6), 6),
         "same_pattern": (_same_pattern_samples(), ForestParams(n_trees=9), 7),
     }[case]
-    assert _digest(train_forest(samples, params, seed)) == digest
+    assert _digest(train_forest(*samples, params, seed)) == digest
 
 
 @pytest.mark.parametrize("case,digest", [
@@ -85,18 +96,18 @@ def test_forest_edge_case_golden_digest(case, digest):
 ])
 def test_edge_case_predictions_golden_digest(case, digest):
     if case == "max_depth_1":
-        model = train_forest(_random_samples(38, positive_rate=0.5),
+        model = train_forest(*_random_samples(38, positive_rate=0.5),
                              ForestParams(n_trees=11, max_depth=1), seed=9)
         X = np.random.default_rng(39).integers(0, 2, (300, 7)).astype(np.uint8)
     else:
-        model = train_forest(_same_pattern_samples(), ForestParams(n_trees=9), seed=10)
+        model = train_forest(*_same_pattern_samples(), ForestParams(n_trees=9), seed=10)
         assert all(tree.n_nodes == 1 for tree in model.trees)
         X = np.random.default_rng(40).integers(0, 2, (50, 5)).astype(np.uint8)
     assert hashlib.sha256(predict_batch(model, X).tobytes()).hexdigest() == digest
 
 
 def test_predictions_golden_digest():
-    model = train_forest(_random_samples(32), ForestParams(n_trees=12), seed=5)
+    model = train_forest(*_random_samples(32), ForestParams(n_trees=12), seed=5)
     X = np.random.default_rng(33).integers(0, 2, (300, 7)).astype(np.uint8)
     preds = predict_batch(model, X)
     assert hashlib.sha256(preds.tobytes()).hexdigest() == (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,21 @@ def run_to_dir(doc, tmp_path, name):
     out = tmp_path / name
     run_pipeline(cfg, out)
     return out
+
+
+@pytest.mark.parametrize("profile, seed, report_json, report_csv", [
+    ("small", 7, "dac58ca6957e8a925b95be61ce72ccb9e6373bb2683f9de3db85c7fe2fcb0819",
+     "5d759b9b468c91190b6186c62f2ffd9e0fe316fbdf57eb4eb7c48d715d8986bc"),
+    ("mini", 7, "a3e4aeafb48827d003ade3bb53249110abd5643268a17fb0523564812bfd21d6",
+     "6d786536707329127b202edd4f730275733ad6353070fb2f8a5065847ea91844"),
+])
+def test_report_golden_digest(tmp_path, profile, seed, report_json, report_csv):
+    # SHA-256 of the inference report, captured from the code that grew the
+    # forest on canonicalized per-fold sample lists.
+    out = run_to_dir(load_config(profile, seed=seed), tmp_path, profile)
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("report.json", "report.csv")]
+    assert digests == [report_json, report_csv]
 
 
 def test_single_edge_world_recovers_exactly_that_edge(tmp_path):

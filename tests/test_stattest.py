@@ -13,7 +13,6 @@ from adtomo.stattest import (
     chi_square_against,
     chi_square_independence,
     collapse_low_mass_columns,
-    mean_std,
     student_t_sf,
     welch_t_test,
 )
@@ -274,23 +273,6 @@ class TestChiSquareAgainst:
     def test_negative_counts_rejected(self, control, vector):
         with pytest.raises(StatError, match="non-negative"):
             chi_square_against(control, [{0: 1}, vector])
-
-
-class TestMeanStd:
-    def test_singleton(self):
-        assert mean_std([5.0]) == (5.0, 0.0)
-
-    def test_hand_computed(self):
-        m, s = mean_std([1.0, 2.0, 3.0])
-        assert m == pytest.approx(2.0)
-        assert s == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-4)
-
-    def test_constant(self):
-        assert mean_std([4.0] * 10)[1] == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(StatError):
-            mean_std([])
 
 
 def test_t_sf_basic_values():

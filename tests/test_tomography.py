@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adtomo import tomography
-from adtomo.ecosim import build_world, run_simulation
+from adtomo.ecosim import build_world, enumerate_personas, run_simulation, sim_config_from_dict
 from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
@@ -16,7 +16,6 @@ from adtomo.tomography import (
     MissingControlError,
     VectorRecord,
     collate,
-    enumerate_blocking_configs,
     evaluate,
     flag_changes,
     h1_similarity_matrix,
@@ -29,29 +28,41 @@ from conftest import load_config
 from oracles import chi2_by_dense_tables
 
 
+def blocking_configs(trackers):
+    """The blocking of every non-control persona ``enumerate_personas``
+    builds over a world holding ``trackers``."""
+    world = sim_config_from_dict({"world": {
+        "generic_pool": ["gen0"], "groups": [{"id": "g1", "vocabulary": ["v0"]}],
+        "websites": [{"id": "site1", "group": "g1"}, {"id": "collect1", "group": None}],
+        "trackers": [{"id": t, "site_coverage": []} for t in trackers],
+        "advertisers": [{"id": "a1", "base_bid": 1.0, "creative_length": 4}],
+        "edges": [], "sync_pairs": [],
+        "slots": [{"id": "s1", "website": "collect1", "floor_price": 0.1,
+                   "mechanism": "hb_client"}],
+    }, "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1, "seed": 0}}).world
+    return [p.blocking for p in enumerate_personas(world, "g1", controls=0)]
+
+
 class TestEnumerate:
     def test_zero_trackers(self):
-        configs = enumerate_blocking_configs([])
+        configs = blocking_configs([])
         assert len(configs) == 1
         assert configs[0].blocked == ()
 
     def test_two_trackers_power_set(self):
-        configs = enumerate_blocking_configs(["t1", "t2"])
+        configs = blocking_configs(["t1", "t2"])
         assert [c.blocked for c in configs] == [(), ("t1",), ("t2",), ("t1", "t2")]
         assert [c.mask for c in configs] == [0, 1, 2, 3]
 
     def test_ten_trackers_full_combinatorics(self):
-        configs = enumerate_blocking_configs([f"t{i:02d}" for i in range(10)])
+        configs = blocking_configs([f"t{i:02d}" for i in range(10)])
         assert len(configs) == 1024
+        assert len({c.mask for c in configs}) == 1024
         assert len({c.blocked for c in configs}) == 1024
 
     def test_bit_order_is_lexicographic(self):
-        configs = enumerate_blocking_configs(["zeta", "alpha"])
+        configs = blocking_configs(["zeta", "alpha"])
         assert configs[1].blocked == ("alpha",)  # bit 0 = lexicographically first
-
-    def test_duplicate_trackers_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            enumerate_blocking_configs(["t1", "t1"])
 
 
 def corpus_of(*tokens):

@@ -10,11 +10,27 @@ entropies, gains, tie-breaks, node ids and depth-first order.  A bootstrap
 resample only changes the multiplicities, which are one ``np.bincount`` over
 the drawn row indices.
 
-Each tree's bootstrap draws come from one vectorised splitmix64 expression
-(``rng.splitmix64_draws``); its per-node feature subsets continue the same
-stream through the scalar ``rng.splitmix64``, in depth-first node order.
-Splits are scored with scalar float expressions, so a forest is a pure
-function of its inputs and tree seeds.
+``build_forest`` grows a batch of trees (the fold forests of one grid point,
+or one forest) in lockstep, one numpy pass per round over every tree:
+
+* Each tree's present patterns are its elements, and a node owns a
+  contiguous segment of its tree's elements; a split stably partitions the
+  segment, X == 0 side first.
+* Each tree keeps its own splitmix64 state.  Bootstrap draws and per-node
+  feature-subset draws are one vectorised splitmix64 expression over many
+  trees (``rng.splitmix64_draws``).  A tree that draws subsets takes one
+  growing node per round, the next in its depth-first order, so it consumes
+  its stream exactly as a one-tree depth-first builder does; a tree that
+  draws nothing takes every pending node each round.
+* Splits are scored with the scalar builder's float operations, one ufunc
+  per operation, on integer sums; entropies come from ``math.log2`` through
+  a memo, never from ``np.log2``.  Ties go to the lowest feature index.
+* Node ids are assigned at the end: split node r of a tree in depth-first
+  order has children 1 + 2r and 2 + 2r, as the depth-first builder numbers
+  them.
+
+So a forest is a pure function of its inputs and tree seeds, whatever batch
+it grows in.
 
 Trees are stored flat: parallel arrays indexed by node id, with feature == -1
 marking a leaf.  Node 0 is the root; children of a split follow the X == 0
@@ -27,7 +43,7 @@ import math
 
 import numpy as np
 
-from ..rng import splitmix64, splitmix64_draws
+from ..rng import GAMMA, splitmix64_draws
 
 UNBOUNDED_DEPTH = 1 << 20
 
@@ -41,122 +57,389 @@ def entropy01(pos: int, n: int) -> float:
     return -(p * math.log2(p) + q * math.log2(q))
 
 
-def _grow_tree(table, state, max_depth, n_sub, min_leaf,
-               feat_a, left_a, right_a, n_a, gain_a, label_a):
-    """Grow one tree; returns its node count.
+class _EntropyMemo:
+    """``entropy01`` over int arrays of (pos, n), each value computed once by
+    the scalar function: ``math.log2``, never ``np.log2``, whose last ulp may
+    differ.  Values live in a direct-mapped table: (pos, n) owns slot
+    n(n+1)/2 + pos mod 2^17, so pairs with n < 511 never collide and larger
+    ones evict each other.  The table holds 2 MB whatever the row count.  It
+    starts all zero, which reads as key 0, that is (0, 0), of entropy 0.0:
+    true wherever it is looked up.  It caches a pure function, so sharing
+    one table across calls changes nothing but speed."""
 
-    ``table`` has one row per pattern present in the tree's sample: a 1, the
-    pattern's rows, its positive rows, then its k features.  A node owns a
-    contiguous block of rows of the table; a split stable-sorts the block on
-    the chosen feature, so the X == 0 child's block comes first.
-    """
-    n_features = table.shape[1] - 3
-    stack = [(0, table, int(table[:, 1].sum()), int(table[:, 2].sum()), 0)]
-    count = 1
-    while stack:
-        node, block, nn, pos, depth = stack.pop()
-        n_a[node] = nn
-        if pos == 0 or pos == nn or depth >= max_depth or nn < 2 * min_leaf:
-            label_a[node] = 1 if 2 * pos > nn else 0
-            continue
-        if n_sub >= n_features:
-            cand = range(n_features)
-        else:
-            perm = list(range(n_features))
-            for i in range(n_sub):
-                state, draw = splitmix64(state)
-                j = i + draw % (n_features - i)
-                perm[i], perm[j] = perm[j], perm[i]
-            cand = perm[:n_sub]
-        if len(block) == 1:  # one pattern: no feature separates the node
-            label_a[node] = 1 if 2 * pos > nn else 0
-            continue
-        # Per feature: patterns, rows and positive rows on its X == 1 side.
-        m1s, n1s, p1s = block[:, :3].T.dot(block[:, 3:]).tolist()
-        h_parent = entropy01(pos, nn)
-        best_gain = -1.0
-        best_feat = -1
-        best_n1 = best_p1 = 0
-        for feat in cand:
-            n1 = n1s[feat]
-            n0 = nn - n1
-            if n0 < min_leaf or n1 < min_leaf:
-                continue
-            p1 = p1s[feat]
-            p0 = pos - p1
-            gain = h_parent - (n0 * entropy01(p0, n0) + n1 * entropy01(p1, n1)) / nn
-            if gain > best_gain or (gain == best_gain and feat < best_feat):
-                best_gain = gain
-                best_feat = feat
-                best_n1 = n1
-                best_p1 = p1
-        if best_feat < 0:
-            label_a[node] = 1 if 2 * pos > nn else 0
-            continue
-        block = block.take(block[:, 3 + best_feat].argsort(kind="stable"), axis=0)
-        m0 = len(block) - m1s[best_feat]
-        feat_a[node] = best_feat
-        gain_a[node] = best_gain
-        left_id = count
-        right_id = count + 1
-        count += 2
-        left_a[node] = left_id
-        right_a[node] = right_id
-        stack.append((right_id, block[m0:], best_n1, best_p1, depth + 1))
-        stack.append((left_id, block[:m0], nn - best_n1, pos - best_p1, depth + 1))
-    return count
+    def __init__(self, bits: int = 17):
+        self.mask = (1 << bits) - 1
+        self.table = np.zeros(1 << bits, dtype=[("key", np.int64), ("value", np.float64)])
+
+    def __call__(self, pos: np.ndarray, n: np.ndarray) -> np.ndarray:
+        pos = pos.astype(np.int64)
+        n = n.astype(np.int64)
+        key = (n << 32) | pos
+        slot = (((n * (n + 1)) >> 1) + pos) & self.mask
+        entry = self.table[slot]
+        out = entry["value"]
+        miss = entry["key"] != key
+        if miss.any():
+            new, at, inverse = np.unique(key[miss], return_index=True, return_inverse=True)
+            computed = np.empty(len(new), dtype=self.table.dtype)
+            computed["key"] = new
+            computed["value"] = [entropy01(k & 0xFFFFFFFF, k >> 32) for k in new.tolist()]
+            out[miss] = computed["value"][inverse.reshape(-1)]
+            # Whole (key, value) records: new keys sharing a slot leave one
+            # consistent pair, whichever is written last.
+            self.table[slot[miss][at]] = computed
+        return out
 
 
-def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap):
-    """Grow ``len(tree_seeds)`` trees; returns flat node arrays + node counts.
+_entropy = _EntropyMemo()
 
-    ``max_depth`` of None means unbounded; features/labels must be uint8 0/1.
-    Each tree trains on a same-size bootstrap resample drawn from its seed
-    when ``bootstrap`` is set, else on the rows as given.
+# Columns of the int32 node matrices: a node owns elements [START, END) of
+# its tree's present-pattern list, holding NN rows of which POS are
+# positive; PARENT is the record id of its parent (-1 for a root), and GROW
+# says whether it may split.
+START, END, NN, POS, DEPTH, PARENT, TREE, GROW = range(8)
+# Elements scored in one pass: bounds the (elements x 2 x k) temporaries.
+_SCORE_CHUNK = 1 << 13
+
+
+def _per_forest(value, n_forests: int) -> list:
+    """A per-forest argument given as one value for all forests or as one
+    value per forest, as a list of one value per forest."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != n_forests:
+            raise ValueError(f"expected {n_forests} per-forest values, got {len(value)}")
+        return list(value)
+    return [value] * n_forests
+
+
+def _samples(cells, rows, seeds, bootstrap, n_cells):
+    """(states, counts) of the trees of one forest: each tree's splitmix64
+    state after its bootstrap draws, and its (negative, positive) rows per
+    pattern, shape (trees, patterns, 2).  Draws run in chunks of trees of
+    about 2^16 values each."""
+    cells = cells[rows]
+    n = len(cells)
+    if not bootstrap:
+        counts = np.bincount(cells, minlength=n_cells)
+        return seeds, np.broadcast_to(counts, (len(seeds), n_cells)).reshape(len(seeds), -1, 2)
+    states, counts = [], []
+    chunk = max(1, (1 << 16) // n)
+    for lo in range(0, len(seeds), chunk):
+        state, draws = splitmix64_draws(seeds[lo:lo + chunk], n)
+        sample = cells[draws % np.uint64(n)]
+        sample += (np.arange(len(sample)) * n_cells)[:, None]
+        counts.append(np.bincount(sample.reshape(-1), minlength=len(sample) * n_cells))
+        states.append(state)
+    return np.concatenate(states), np.concatenate(counts).reshape(len(seeds), -1, 2)
+
+
+def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap, train=None):
+    """Grow a batch of forests in lockstep; returns the flat node arrays
+    (feature, left, right, n, gain, label), one row per tree, and the node
+    count of each tree.
+
+    Forest f trains on the rows of (X, y) where ``train[f]`` is set, in the
+    order given; ``train`` None means one forest on all rows.  The trees of
+    forest f are the f-th of len(train) equal runs of ``tree_seeds``.
+    ``max_depth`` (None: unbounded), ``n_sub``, ``min_leaf`` and
+    ``bootstrap`` are one value for every forest or one value per forest.
+    Features and labels must be uint8 0/1.  Each tree trains on a same-size
+    bootstrap resample of its forest's rows, drawn from its seed, when its
+    forest bootstraps, else on the rows as given.
+
+    Every tree is grown exactly as a depth-first builder grows it alone (see
+    the module docstring): a round takes from each tree that draws feature
+    subsets the next node in its depth-first order that can split, and from
+    every other tree all pending nodes.
     """
     X = np.ascontiguousarray(X, dtype=np.uint8)
     y = np.ascontiguousarray(y, dtype=np.uint8)
     tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
-    max_depth = UNBOUNDED_DEPTH if max_depth is None else int(max_depth)
-    n_sub = int(n_sub)
-    min_leaf = int(min_leaf)
-    n = X.shape[0]
-    n_trees = tree_seeds.shape[0]
+    train = np.ones((1, len(X)), dtype=bool) if train is None else np.asarray(train, dtype=bool)
+    n_forests, k = len(train), X.shape[1]
+    n_trees = len(tree_seeds)
+    per_forest = n_trees // n_forests
+    if per_forest * n_forests != n_trees:
+        raise ValueError(f"{n_trees} tree seeds do not split into {n_forests} forests")
+    forest_of = np.repeat(np.arange(n_forests), per_forest)
+    depth_cap = np.array([UNBOUNDED_DEPTH if d is None else int(d)
+                          for d in _per_forest(max_depth, n_forests)])[forest_of]
+    n_sub = np.array(_per_forest(n_sub, n_forests), dtype=np.int64)[forest_of]
+    min_leaf = np.array(_per_forest(min_leaf, n_forests), dtype=np.int64)[forest_of]
+
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-    n_patterns = patterns.shape[0]
     # (pattern, label) cell of each row: a sample's cell counts are its
     # (negative, positive) rows per pattern.
     cells = 2 * inverse.reshape(-1) + y
-    base = np.zeros((n_patterns, 3 + patterns.shape[1]), dtype=np.int64)
-    base[:, 0] = 1
-    base[:, 3:] = patterns
+    bootstrap = _per_forest(bootstrap, n_forests)
+    # Nested calls: the elements die with _grow, before the output arrays exist.
+    return _renumber(*_grow(*_roots(cells, train, tree_seeds, bootstrap, 2 * len(patterns)),
+                            patterns, depth_cap, n_sub, min_leaf), n_trees)
 
-    def pattern_table(sample_cells):
-        neg, pos = np.bincount(sample_cells, minlength=2 * n_patterns).reshape(-1, 2).T
-        table = base.copy()
-        table[:, 1] = neg + pos
-        table[:, 2] = pos
-        return table[table[:, 1] > 0]
 
-    # A tree over p patterns has at most p leaves, hence 2p - 1 nodes.
-    max_nodes = 2 * n_patterns
-    feat_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-    left_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-    right_a = np.full((n_trees, max_nodes), -1, dtype=np.int32)
-    n_a = np.zeros((n_trees, max_nodes), dtype=np.int32)
-    gain_a = np.zeros((n_trees, max_nodes), dtype=np.float64)
-    label_a = np.zeros((n_trees, max_nodes), dtype=np.uint8)
-    node_count = np.zeros(n_trees, dtype=np.int32)
-    table = None if bootstrap else pattern_table(cells)
-    for t in range(n_trees):
-        state = int(tree_seeds[t])
-        if bootstrap:
-            state, draws = splitmix64_draws(state, n)
-            table = pattern_table(cells[draws % np.uint64(n)])
-        node_count[t] = _grow_tree(
-            table, state, max_depth, n_sub, min_leaf,
-            feat_a[t], left_a[t], right_a[t], n_a[t], gain_a[t], label_a[t])
+def _roots(cells, train, tree_seeds, bootstrap, n_cells):
+    """(states, elements, roots) of a batch: each tree's splitmix64 state
+    after its bootstrap draws; its elements, one per pattern present in its
+    sample with the pattern's rows and positive rows, tree after tree; and
+    its root node over all of them."""
+    per_forest = len(tree_seeds) // len(train)
+    states, elements, roots = [], [], []
+    offset = 0
+    for f, boot in enumerate(bootstrap):
+        rows = np.flatnonzero(train[f])
+        state, counts = _samples(cells, rows, tree_seeds[f * per_forest:(f + 1) * per_forest],
+                                 bool(boot), n_cells)
+        sizes = counts.sum(axis=2)
+        tree, pattern = np.nonzero(sizes)
+        elements.append(np.stack([pattern, sizes[tree, pattern], counts[tree, pattern, 1]])
+                        .astype(np.int32))
+        ends = offset + np.cumsum(np.count_nonzero(sizes, axis=1))
+        root = np.zeros((len(ends), 8), dtype=np.int32)
+        root[:, START] = np.concatenate([[offset], ends[:-1]])
+        root[:, END] = ends
+        root[:, NN] = len(rows)
+        root[:, POS] = counts[:, :, 1].sum(axis=1)
+        states.append(state)
+        roots.append(root)
+        offset = int(ends[-1])
+    roots = np.concatenate(roots)
+    roots[:, PARENT] = -1
+    roots[:, TREE] = np.arange(len(roots))
+    return np.concatenate(states), np.concatenate(elements, axis=1), roots
+
+
+def _grow(state, elements, pending, patterns, depth_cap, n_sub, min_leaf):
+    """Grow every tree from its root in ``pending``; returns the node
+    records (START, PARENT, TREE, NN), features, gains and labels in the
+    order the nodes are taken.  A split stably partitions its node's
+    elements, X == 0 first, so every node owns a contiguous segment."""
+    k = patterns.shape[1]
+    draws = n_sub < k
+    patterns_t = np.ascontiguousarray(patterns.T)
+    pending[:, GROW] = _grows(pending, depth_cap, min_leaf)
+    # Node records in the order the nodes are taken.  A tree over p present
+    # patterns has at most 2p - 1 nodes; pages never written cost nothing.
+    most = 2 * elements.shape[1]
+    rec = np.empty((most, 4), dtype=np.int32)  # START, PARENT, TREE, NN
+    rec_feat = np.empty(most, dtype=np.int32)
+    rec_gain = np.empty(most)
+    rec_label = np.empty(most, dtype=np.uint8)
+    n_done = 0
+    while len(pending):
+        # Pending nodes are sorted by START, which groups them by tree and
+        # puts each tree's next node in depth-first order first.  A tree
+        # that draws takes its first growing node only: draws follow the
+        # depth-first order.  Leaves and trees without draws cannot change
+        # any later draw, so they go all at once.
+        grow = pending[:, GROW] == 1
+        take = ~grow | ~draws[pending[:, TREE]]
+        first = np.flatnonzero(grow)
+        if len(first):
+            tree = pending[first, TREE]
+            take[first[np.r_[True, tree[1:] != tree[:-1]]]] = True
+        if take.all():
+            node, pending = pending, pending[:0]
+        else:
+            node, pending = pending[take], pending[~take]
+        m = len(node)
+        done = slice(n_done, n_done + m)
+        feat, gain = rec_feat[done], rec_gain[done]
+        feat[:] = -1
+        gain[:] = 0.0
+
+        grow = node[:, GROW] == 1
+        # A node with one pattern cannot split, but it has drawn.
+        scored = grow & (node[:, END] - node[:, START] > 1)
+        drawing = grow & draws[node[:, TREE]]
+        groups = [(np.flatnonzero(scored & ~drawing), None)]
+        if drawing.any():
+            tree = node[drawing, TREE]
+            subsets = _feature_subsets(state, tree, n_sub[tree], k)
+            groups.append((np.flatnonzero(drawing)[scored[drawing]], subsets[scored[drawing]]))
+        children = [_split(node, part, cand, elements, patterns_t, depth_cap, min_leaf,
+                           feat, gain, n_done)
+                    for score, subsets in groups if len(score)
+                    for part, cand in _chunks(node, score, subsets)]
+        rec[done] = node[:, [START, PARENT, TREE, NN]]
+        rec_label[done] = (feat < 0) & (2 * node[:, POS] > node[:, NN])
+        n_done += m
+        # A wide round's nodes and children are large: free them early.
+        del node
+        pending = np.concatenate([pending, *children])
+        del children
+        start = pending[:, START]
+        if (start[1:] < start[:-1]).any():
+            pending = pending[np.argsort(start, kind="stable")]
+    done = slice(0, n_done)
+    return rec[done], rec_feat[done], rec_gain[done], rec_label[done]
+
+
+def _grows(node, depth_cap, min_leaf):
+    """Whether each node may split: impure, above its depth cap and big
+    enough for two leaves.  Only such nodes draw feature subsets."""
+    tree = node[:, TREE]
+    return ((node[:, POS] > 0) & (node[:, POS] < node[:, NN])
+            & (node[:, DEPTH] < depth_cap[tree]) & (node[:, NN] >= 2 * min_leaf[tree]))
+
+
+def _feature_subsets(state, tree, n_sub, k):
+    """Candidate features of one node for each tree in ``tree``: the first
+    ``n_sub`` entries of a partial Fisher-Yates shuffle of 0..k-1 over the
+    tree's next ``n_sub`` draws, as rows as wide as the largest ``n_sub``
+    (a shorter row repeats its first candidate).  Advances ``state`` of
+    those trees."""
+    m = len(tree)
+    _, z = splitmix64_draws(state[tree], int(n_sub.max()))
+    state[tree] += n_sub.astype(np.uint64) * np.uint64(GAMMA)
+    perm = np.tile(np.arange(k), (m, 1))
+    for i in range(z.shape[1]):
+        rows = np.flatnonzero(n_sub > i)
+        j = i + (z[rows, i] % np.uint64(k - i)).astype(np.int64)
+        swapped = perm[rows, j]
+        perm[rows, j] = perm[rows, i]
+        perm[rows, i] = swapped
+    perm = perm[:, :z.shape[1]]
+    return np.where(np.arange(z.shape[1]) < n_sub[:, None], perm, perm[:, :1])
+
+
+def _chunks(node, score, cand):
+    """``score`` (and its rows of ``cand``) in runs of about _SCORE_CHUNK
+    elements."""
+    length = node[score, END] - node[score, START]
+    cut = np.flatnonzero(np.diff(np.cumsum(length) // _SCORE_CHUNK)) + 1
+    parts = np.split(score, cut)
+    return zip(parts, [None] * len(parts) if cand is None else np.split(cand, cut))
+
+
+def _split(node, score, cand, elements, patterns_t, depth_cap, min_leaf, feat, gain, first_id):
+    """Score the candidate splits of the nodes ``score`` and split those
+    with a valid one: fills ``feat`` and ``gain``, partitions the elements
+    of nodes with a growing child in place, and returns the children, X == 0
+    side first.  ``cand`` holds each node's candidate features, None for
+    all of them; arrays over candidates are (candidate, node)."""
+    k, n_patterns = patterns_t.shape
+    seg = node[score]
+    length = seg[:, END] - seg[:, START]
+    offsets = np.cumsum(length) - length
+    owner = np.repeat(np.arange(len(score)), length)
+    el = elements.take(np.repeat(seg[:, START] - offsets, length) + np.arange(len(owner)),
+                       axis=1)
+    if cand is None:
+        cand_t = None
+        bits = patterns_t.take(el[0], axis=1)
+    else:
+        cand_t = np.ascontiguousarray(cand.T)
+        bits = patterns_t.take(cand_t.take(owner, axis=1) * n_patterns + el[0])
+    # Per candidate: rows and positive rows on the X == 1 side; integer sums.
+    n1, p1 = np.add.reduceat(bits * el[1:3, None], offsets, axis=2)
+    nn, pos = seg[:, NN], seg[:, POS]
+    n0, p0 = nn - n1, pos - p1
+    leaf = min_leaf[seg[:, TREE]]
+    valid = (n0 >= leaf) & (n1 >= leaf)
+    at = np.nonzero(valid)
+    n0, n1_at = n0[at], n1[at]
+    # The scalar builder's float operations, one ufunc each.
+    scores = np.full(valid.shape, -np.inf)
+    scores[at] = _entropy(pos, nn)[at[1]] - (
+        n0 * _entropy(p0[at], n0) + n1_at * _entropy(p1[at], n1_at)) / nn[at[1]]
+    best = scores.max(axis=0)
+    # Ties go to the lowest feature index.
+    tied = scores == best
+    if cand is None:
+        slot = best_feat = np.argmax(tied, axis=0)
+    else:
+        best_feat = np.where(tied, cand_t, k).min(axis=0)
+        slot = np.argmax(tied & (cand_t == best_feat), axis=0)
+    splits = np.flatnonzero(best > -np.inf)
+    rows = score[splits]
+    feat[rows] = best_feat[splits]
+    gain[rows] = best[splits]
+
+    seg, slot, offsets = seg[splits], slot[splits], offsets[splits]
+    n1b, p1b = n1[slot, splits], p1[slot, splits]
+    # Each split node's elements with their bit of its feature.
+    length = length[splits]
+    starts = np.cumsum(length) - length
+    member = np.repeat(offsets - starts, length) + np.arange(int(length.sum()))
+    owner = np.repeat(np.arange(len(splits)), length)
+    zero = bits.take(slot[owner] * bits.shape[1] + member) == 0
+    within = np.arange(len(owner)) - starts[owner]
+    zeros_before = np.cumsum(zero) - zero
+    zeros_before -= zeros_before[starts][owner]
+    n_zero = np.add.reduceat(zero, starts, dtype=np.int32)
+
+    children = np.empty((2 * len(splits), 8), dtype=np.int32)
+    left, right = children[0::2], children[1::2]
+    left[:, START] = seg[:, START]
+    left[:, END] = right[:, START] = seg[:, START] + n_zero
+    right[:, END] = seg[:, END]
+    left[:, NN] = seg[:, NN] - n1b
+    left[:, POS] = seg[:, POS] - p1b
+    right[:, NN] = n1b
+    right[:, POS] = p1b
+    children[:, DEPTH] = np.repeat(seg[:, DEPTH] + 1, 2)
+    children[:, PARENT] = np.repeat(first_id + rows, 2)
+    children[:, TREE] = np.repeat(seg[:, TREE], 2)
+    children[:, GROW] = _grows(children, depth_cap, min_leaf)
+
+    # Stable partition, X == 0 first, of the nodes whose children are read
+    # again; the others only needed their counts.
+    moved = np.flatnonzero((left[:, GROW] | right[:, GROW])[owner])
+    owner, zero, within, zeros_before = (a[moved] for a in (owner, zero, within, zeros_before))
+    target = seg[owner, START] + np.where(zero, zeros_before,
+                                          n_zero[owner] + within - zeros_before)
+    for dst, src in zip(elements, el.take(member[moved], axis=1)):
+        dst[target] = src
+    return children
+
+
+def _renumber(rec, feat, gain, label, n_trees):
+    """Flat node arrays with each tree's depth-first node ids, from the node
+    records (START, PARENT, TREE, NN) in the order the nodes were taken."""
+    tree = rec[:, 2]
+    split = feat >= 0
+    n_splits = np.bincount(tree[split], minlength=n_trees)
+    rank, node_id = _preorder(rec, split, n_splits)
+    node_count = (1 + 2 * n_splits).astype(np.int32)
+    width = int(node_count.max())
+    feat_a = np.full((n_trees, width), -1, dtype=np.int32)
+    left_a = np.full((n_trees, width), -1, dtype=np.int32)
+    right_a = np.full((n_trees, width), -1, dtype=np.int32)
+    n_a = np.zeros((n_trees, width), dtype=np.int32)
+    gain_a = np.zeros((n_trees, width), dtype=np.float64)
+    label_a = np.zeros((n_trees, width), dtype=np.uint8)
+    at = (tree, node_id)
+    feat_a[at] = feat
+    n_a[at] = rec[:, 3]
+    gain_a[at] = gain
+    label_a[at] = label
+    at = (tree[split], node_id[split])
+    rank = rank[split]
+    left_a[at] = 1 + 2 * rank
+    right_a[at] = 2 + 2 * rank
     return feat_a, left_a, right_a, n_a, gain_a, label_a, node_count
+
+
+def _preorder(rec, split, n_splits):
+    """(rank, node id) of every node record: a split node's rank among its
+    tree's split nodes in depth-first order, and the node's id.
+
+    A node's segment starts where its X == 0 child's does and before its
+    X == 1 child's, and a node is taken before its children, so a stable
+    sort by START lists the nodes of each tree in depth-first order.  The
+    builder numbers children as it splits, so split node r of a tree in
+    that order has children 1 + 2r and 2 + 2r."""
+    start, parent, tree = rec[:, 0], rec[:, 1], rec[:, 2]
+    order = np.argsort(start, kind="stable")
+    rank = np.empty(len(rec), dtype=np.int32)
+    rank[order] = np.cumsum(split[order], dtype=np.int32)
+    del order
+    rank -= (np.cumsum(n_splits) - n_splits + 1).astype(np.int32)[tree]
+    node_id = np.zeros(len(rec), dtype=np.int32)
+    child = parent >= 0
+    up = parent[child]
+    node_id[child] = 1 + 2 * rank[up] + (start[child] != start[up])
+    return rank, node_id
 
 
 def predict_votes(feat_a, left_a, right_a, label_a, X):

@@ -10,6 +10,12 @@ is deterministic given (X, y), the hyperparameters, and one integer seed.
 The caller fixes the row order: ``tomography.run_inference`` sorts each
 advertiser's records by (persona, flag) before building X and y.
 
+Growth runs in ``kernels.build_forest``.  ``train_forest`` hands it one
+forest; ``cross_validate_grid`` hands it the fold forests of one grid point
+as one batch over the shared rows, each fold's training rows a mask, and
+the kernel grows every tree of the batch in lockstep.  Each fold forest is
+the one ``train_forest`` would grow on that fold's rows and seed.
+
 A note on zero-gain splits: an impure node is still split when the best
 achievable gain is zero, as long as some feature actually partitions it.
 Without this, parity-style concepts (XOR) would be unlearnable at any depth;
@@ -140,15 +146,19 @@ def _n_sub(params: ForestParams, n_features: int) -> int:
     return max(1, int(math.sqrt(n_features)))
 
 
+def _tree_seeds(seeds: Sequence[int], n_trees: int) -> np.ndarray:
+    """The tree seeds of one forest per seed, forest after forest."""
+    return np.array([substream_key(seed, "tree", t) for seed in seeds for t in range(n_trees)],
+                    dtype=np.uint64)
+
+
 def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
     """Bagged forest: each tree trains on a same-size bootstrap resample of
     the rows, drawn from its own seed-derived substream."""
     X, y = _rows(X, y)
-    tree_seeds = np.array(
-        [substream_key(seed, "tree", t) for t in range(params.n_trees)], dtype=np.uint64)
     *fields, node_count = kernels.build_forest(
-        X, y, tree_seeds, params.max_depth, _n_sub(params, X.shape[1]),
-        params.min_leaf, bootstrap=True)
+        X, y, _tree_seeds([seed], params.n_trees), params.max_depth,
+        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
     # build_forest returns the node arrays in Tree's field order.
     trees = tuple(Tree(*(a[t, :k].copy() for a in fields))
                   for t, k in enumerate(node_count.tolist()))
@@ -234,15 +244,23 @@ def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: i
         raise ValueError("folds must be >= 2")
     X, y = _rows(X, y)
     assignment = _fold_assignment(personas, folds, seed)
+    test = assignment == np.arange(folds)[:, None]
     best_params = None
     best_acc = -1.0
     for gi, params in enumerate(grid.points()):
+        # The fold forests of one grid point grow as one batch; fold k's
+        # forest equals train_forest(X[~test[k]], y[~test[k]], params,
+        # substream_key(seed, "cv", gi, k)).
+        seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
+        feat_a, left_a, right_a, _, _, label_a, _ = kernels.build_forest(
+            X, y, _tree_seeds(seeds, params.n_trees), params.max_depth,
+            _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
         accs = []
         for k in range(folds):
-            test_mask = assignment == k
-            model = train_forest(X[~test_mask], y[~test_mask], params,
-                                 substream_key(seed, "cv", gi, k))
-            accs.append(accuracy(model, X[test_mask], y[test_mask]))
+            trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
+            votes = kernels.predict_votes(feat_a[trees], left_a[trees], right_a[trees],
+                                          label_a[trees], X[test[k]])
+            accs.append(float((votes == y[test[k]]).mean()))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_acc = mean_acc

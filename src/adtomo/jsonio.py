@@ -2,14 +2,18 @@
 
 All artifacts are UTF-8 with LF line endings, fixed field order, compact
 separators for JSON-lines, and no timestamps or environment-dependent
-content, so identical inputs produce byte-identical files.
+content, so identical inputs produce byte-identical files.  Every writer
+replaces its file atomically: an interrupted write leaves the previous
+artifact in place, never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import ConfigError
 
@@ -23,10 +27,26 @@ def dumps_line(record: dict) -> str:
     return _LINE_ENCODER.encode(record)
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
+@contextmanager
+def open_atomic(path, newline: str = "\n") -> Iterator[TextIO]:
+    """A UTF-8 text file to write ``path`` through: it is written beside
+    ``path`` under a temporary name and moved into place by ``os.replace``
+    when the block ends.  If the block raises, the temporary file is removed
+    and ``path`` keeps its previous content."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
     encode = _LINE_ENCODER.encode
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.writelines(encode(rec) + "\n" for rec in records)
 
 
@@ -35,10 +55,13 @@ def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
 
 
 def read_jsonl(path, fields: Iterable[str] = (),
-               check: Callable[[dict], str | None] | None = None) -> list[dict]:
-    """Records of a JSON-lines file.  A malformed line, a line that is not an
-    object holding every name in ``fields``, or a record for which ``check``
-    returns a message raises ConfigError naming the file and line."""
+               check: Callable[[dict, int], str | None] | None = None,
+               build: Callable[[dict], object] | None = None) -> list:
+    """Records of a JSON-lines file, each passed through ``build`` as it is
+    read when one is given.  A malformed line, a line that is not an object
+    holding every name in ``fields``, or a record for which
+    ``check(record, lineno)`` returns a message raises ConfigError naming the
+    file and line."""
     required = set(fields)
     out = []
     with Path(path).open(encoding="utf-8") as fh:
@@ -51,10 +74,10 @@ def read_jsonl(path, fields: Iterable[str] = (),
                     raise _decode_error(path, lineno, exc) from None
                 if required and not (isinstance(record, dict) and record.keys() >= required):
                     raise _field_error(path, lineno, record, required)
-                problem = check(record) if check else None
+                problem = check(record, lineno) if check else None
                 if problem:
                     raise ConfigError(problem, f"{path}:{lineno}")
-                out.append(record)
+                out.append(build(record) if build else record)
     return out
 
 
@@ -66,8 +89,7 @@ def _field_error(path, lineno: int, record, required: set) -> ConfigError:
 
 
 def write_json(path, payload) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 

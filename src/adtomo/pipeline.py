@@ -29,7 +29,7 @@ from .ecosim import SimConfig, build_world, run_simulation, sim_config_from_dict
 from .ecosim.types import DeliveredAd, RequestLogEntry
 from .errors import ConfigError
 from .forest import HyperGrid
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import open_atomic, read_json, read_jsonl, write_json, write_jsonl
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
 from .textvec import Corpus, build_corpus, vectorize_tokens
@@ -197,9 +197,14 @@ def _read_corpus(out_dir: Path) -> Corpus:
 
 
 def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
+    """The records of ``records.jsonl``, every field checked and every token
+    checked against the corpus.  Inference reads no counts, so each record
+    is built with an empty vector as its line is read: the decoded counts
+    are never all held at once."""
     index = corpus.word_index
+    first_line: dict[tuple[str, str, int], int] = {}
 
-    def check(r) -> str | None:
+    def check(r, lineno: int) -> str | None:
         for field in ("advertiser", "persona"):
             if not isinstance(r[field], str):
                 return f"field {field!r} must be a JSON string"
@@ -215,15 +220,18 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
                 return f"token {token!r} is missing from corpus.json"
             if type(c) is not int or c < 1:
                 return f"count of token {token!r} must be an integer >= 1, got {c!r}"
+        key = (r["advertiser"], r["persona"], r["run"])
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            return (f"duplicate record for (advertiser, persona, run) {key}, "
+                    f"first seen at line {first}")
         return None
 
-    rows = read_jsonl(out_dir / "records.jsonl",
+    return read_jsonl(out_dir / "records.jsonl",
                       fields=("advertiser", "persona", "run", "counts",
-                              "is_different_from_control"), check=check)
-    return [VectorRecord(r["advertiser"], r["persona"], r["run"],
-                         {index[token]: c for token, c in r["counts"].items()},
-                         r["is_different_from_control"])
-            for r in rows]
+                              "is_different_from_control"), check=check,
+                      build=lambda r: VectorRecord(r["advertiser"], r["persona"], r["run"], {},
+                                                   r["is_different_from_control"]))
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +320,7 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
          "inferred": list(r.inferred)}
         for r in reports]
     write_json(out_dir / "report.json", payload)
-    with (out_dir / "report.csv").open("w", encoding="utf-8", newline="") as fh:
+    with open_atomic(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["advertiser", "cv_accuracy", "holdout_accuracy", "tracker",
                          "gain", "inferred", "in_ground_truth"])
@@ -369,7 +377,7 @@ def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
         grouped.setdefault((group_of[ad.persona], ad.run), []).extend(ad.tokens)
     vectors = {key: vectorize_tokens(toks, corpus) for key, toks in grouped.items()}
     result = h1_similarity_matrix(vectors)
-    with (out_dir / "h1_matrix.csv").open("w", encoding="utf-8", newline="") as fh:
+    with open_atomic(out_dir / "h1_matrix.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["group_a", "group_b", "mean_similarity", "welch_t",
                          "welch_df", "welch_p"])

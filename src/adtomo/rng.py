@@ -8,9 +8,10 @@ results never depend on execution order, scheduling, or the environment.
 The forest kernels use the splitmix64 counter generator instead of numpy's
 ``Generator``: one draw is a handful of 64-bit integer operations, trivial to
 reproduce bit for bit anywhere.  Because draw i from a state is a fixed mix
-of ``state + i * GAMMA``, a tree's bootstrap draws are computed all at once
-as one wrapped-uint64 numpy expression (``splitmix64_draws``); the few
-per-node feature-subset draws that follow use the scalar ``splitmix64``.
+of ``state + i * GAMMA``, draws are computed as one wrapped-uint64 numpy
+expression over many streams at once (``splitmix64_draws``): the bootstrap
+draws of a chunk of trees, and the per-node feature-subset draws of every
+tree that draws in one round of lockstep growth.
 """
 
 from __future__ import annotations
@@ -36,32 +37,22 @@ def substream(*parts) -> np.random.Generator:
     return np.random.default_rng(substream_key(*parts))
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state once; returns (new_state, draw).
+def splitmix64_draws(state, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``n`` splitmix64 draws from ``state``; returns (the state
+    after the n draws, the draws), both uint64.
 
-    Pure-Python ints masked to 64 bits; ``tests/test_kernels.py`` pins the
-    first draws to the reference values of the standard generator.
+    ``state`` is one state or an array of states, one stream each; the draws
+    add a trailing axis of length n.  Draw i (from 1) mixes
+    ``state + i * GAMMA`` mod 2^64, so every stream is one numpy expression
+    in uint64, whose array arithmetic wraps without warning.
+    ``tests/test_kernels.py`` pins the first draws from seed 0 to the reference
+    values of the standard generator.
     """
-    state = (state + GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    z = z ^ (z >> 31)
-    return state, z
-
-
-def splitmix64_draws(state: int, n: int) -> tuple[int, np.ndarray]:
-    """The next ``n`` splitmix64 draws from ``state`` as one uint64 array;
-    returns (state after the n draws, draws).
-
-    Equal to calling ``splitmix64`` n times: draw i (from 1) mixes
-    ``state + i * GAMMA`` mod 2^64, so the whole stream is one numpy
-    expression in uint64, whose array arithmetic wraps without warning.
-    """
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(state)
+    states = np.asarray(state, dtype=np.uint64)
+    z = states[..., None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return (state + n * GAMMA) & MASK64, z
+    return states + np.uint64(n * GAMMA & MASK64), z

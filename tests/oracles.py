@@ -6,10 +6,11 @@ the density (with a rational substitution mapping the infinite tail onto
 [0, 1)), sharing no code with the continued-fraction implementations they
 verify.  Statistics are recomputed with plain Python arithmetic.
 
-The forest oracle grows trees row by row, the way a textbook greedy builder
-does, drawing every bootstrap index with the scalar splitmix64.  The kernels
-grow the same trees from per-pattern counts with vectorised draws, so the two
-must agree node for node.
+The forest oracle grows trees row by row and one at a time, the way a
+textbook greedy builder does, drawing every bootstrap index and every
+feature subset with the scalar splitmix64 below.  The kernels grow a batch
+of trees in lockstep from per-pattern counts with vectorised draws, so the
+two must agree node for node.
 
 The flagging oracle pools the controls into dense vectors the width of the
 corpus and tests every record on the full dense 2 x V table, the way the
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from adtomo.rng import splitmix64
+from adtomo.rng import GAMMA, MASK64
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 
 _U_MAX = 1.0 - 1e-12
@@ -130,6 +131,18 @@ def chi2_statistic_collapsed(table: list[list[float]], min_expected: float) -> t
             if e > 0:
                 stat += (c[i] - e) ** 2 / e
     return stat, v - 1
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """Advance a splitmix64 state once; returns (new_state, draw), in
+    pure-Python ints masked to 64 bits: the scalar reference for
+    ``rng.splitmix64_draws``."""
+    state = (state + GAMMA) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = z ^ (z >> 31)
+    return state, z
 
 
 def _entropy_bits(pos: int, n: int) -> float:

@@ -286,6 +286,18 @@ class TestExitCodes:
         assert "records.jsonl:3:" in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_duplicate_record_names_both_lines(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        records = out / "records.jsonl"
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join(lines + [lines[1]]) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"records.jsonl:{len(lines) + 1}:" in proc.stderr
+        assert "duplicate record" in proc.stderr and "first seen at line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_ad_log_persona_missing_from_manifest(self, mini_run, tmp_path):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")

@@ -152,7 +152,8 @@ class TestForest:
     def test_single_tree_forest_equals_tree_on_bootstrap(self):
         # With all-feature splits no subset draws occur, so the forest's only
         # tree must equal a no-bootstrap tree grown on its bootstrap sample.
-        from adtomo.rng import splitmix64, substream_key
+        from adtomo.rng import substream_key
+        from oracles import splitmix64
 
         X, y = separable_rows(n=40, seed=4)
         params = ForestParams(n_trees=1, max_depth=None, features_per_split="all",

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adtomo.jsonio import dumps_line, write_jsonl
+from adtomo.jsonio import dumps_line, open_atomic, write_json, write_jsonl
 
 RECORDS = [
     {"token": "créative-ß", "emoji": "\U0001f600", "quote": "a\"b\\c\n\t "},
@@ -25,3 +25,36 @@ def test_write_jsonl_writes_one_dumps_line_per_record(tmp_path):
     expected = "".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
                        for r in RECORDS)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _failing_records():
+    yield {"line": 1}
+    raise RuntimeError("generator failed mid-write")
+
+
+def test_interrupted_writes_keep_the_old_artifact(tmp_path):
+    jsonl, doc, csv = tmp_path / "out.jsonl", tmp_path / "out.json", tmp_path / "out.csv"
+    write_jsonl(jsonl, iter(RECORDS))
+    write_json(doc, {"old": True})
+    csv.write_text("old,row\n")
+    before = {p: p.read_bytes() for p in (jsonl, doc, csv)}
+
+    with pytest.raises(RuntimeError):
+        write_jsonl(jsonl, _failing_records())
+    with pytest.raises(TypeError):
+        write_json(doc, {"new": object()})
+    with pytest.raises(RuntimeError):
+        with open_atomic(csv, newline="") as fh:
+            fh.write("new,row\n")
+            raise RuntimeError("writer failed mid-write")
+
+    assert {p: p.read_bytes() for p in (jsonl, doc, csv)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json", "out.jsonl"]
+
+
+def test_completed_write_replaces_the_artifact(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"old": True})
+    write_json(path, {"new": True})
+    assert json.loads(path.read_text()) == {"new": True}
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

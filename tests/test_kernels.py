@@ -1,7 +1,9 @@
 """Golden digests for the forest kernels: the splitmix64 stream, the entropy
-formula, and SHA-256 digests of trained forests and their predictions, so any
-change to tree growth or voting shows up as a digest mismatch.  Randomized
-cases also check the kernels node for node against a row-wise reference."""
+formula and its memo, SHA-256 digests of trained forests and their
+predictions, and a grid-search result, so any change to tree growth or voting
+shows up as a golden mismatch.  Randomized cases, single forests and mixed
+lockstep batches, also check the kernels node for node against a row-wise
+reference that grows one tree at a time."""
 
 import hashlib
 import json
@@ -9,10 +11,13 @@ import json
 import numpy as np
 import pytest
 
-from adtomo.forest import ForestParams, Tree, kernels, predict_batch, train_forest
-from adtomo.rng import splitmix64
+from adtomo.forest import (
+    ForestParams, HyperGrid, Tree, cross_validate_grid, kernels, predict_batch, train_forest,
+)
+from adtomo.rng import splitmix64_draws
 
 import oracles
+from oracles import splitmix64
 
 
 def test_splitmix_python_reference_known_values():
@@ -21,6 +26,15 @@ def test_splitmix_python_reference_known_values():
     _, v2 = splitmix64(state)
     assert v1 == 0xE220A8397B1DCDAF
     assert v2 == 0x6E789E6AA1B965F4
+
+
+def test_splitmix_vectorised_known_values():
+    _, draws = splitmix64_draws(0, 2)
+    assert draws.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    # One stream per state: seed 0 and the state one draw after it.
+    state, _ = splitmix64_draws(0, 1)
+    _, rows = splitmix64_draws(np.array([0, state], dtype=np.uint64), 1)
+    assert rows.tolist() == [[0xE220A8397B1DCDAF], [0x6E789E6AA1B965F4]]
 
 
 def _canonical(records):
@@ -150,3 +164,92 @@ def test_kernels_match_row_wise_reference():
         votes = kernels.predict_votes(feat_a, left_a, right_a, label_a, Xt)
         assert votes.dtype == np.uint8
         assert votes.tolist() == oracles.votes_by_rows(want, Xt.tolist()), params
+
+
+def test_entropy_memo_equals_scalar_formula_bit_for_bit():
+    n = np.repeat(np.arange(401), np.arange(1, 402))
+    pos = np.arange(len(n)) - (n * (n + 1)) // 2
+    rng = np.random.default_rng(6144)
+    n = np.concatenate([n, rng.integers(6000, 6300, 5000)])
+    pos = np.concatenate([pos, rng.integers(0, n[-5000:] + 1)])
+    want = np.array([kernels.entropy01(p, m) for p, m in zip(pos.tolist(), n.tolist())])
+    # Twice: values computed on a miss, then values read back from the table.
+    for _ in range(2):
+        assert kernels._entropy(pos, n).tobytes() == want.tobytes()
+    # A 16-slot table forces keys of one call to share slots.
+    tiny = kernels._EntropyMemo(bits=4)
+    for _ in range(2):
+        assert tiny(pos[::7].reshape(-1, 1), n[::7].reshape(-1, 1)).tobytes() == want[::7].tobytes()
+
+
+def test_lockstep_batches_match_row_wise_reference():
+    """Batches of forests over shared rows, each forest with its own row
+    mask and parameters, against one reference forest at a time."""
+    rng = np.random.default_rng(707)
+    for case in range(14):
+        k = int(rng.integers(1, 11)) if case else 10
+        n = int(rng.choice([40, 90, 150]))
+        pool = rng.integers(0, 2, (int(rng.integers(1, 60)), k)).astype(np.uint8)
+        X = pool[rng.integers(0, len(pool), n)]
+        y = (rng.random(n) < rng.choice([0.1, 0.3, 0.5])).astype(np.uint8)
+        n_forests = int(rng.integers(1, 6))
+        per_forest = int(rng.integers(1, 4))
+        train = rng.random((n_forests, n)) < rng.uniform(0.3, 1.0, (n_forests, 1))
+        train[:, 0] = True
+        if n_forests > 1:
+            train[1] = False
+            train[1, int(rng.integers(0, n))] = True  # a one-row forest
+        if n_forests > 2:
+            train[2] = (X == X[0]).all(axis=1)  # a one-pattern forest
+        max_depth = [[3, 5, None][int(i)] for i in rng.integers(0, 3, n_forests)]
+        n_sub = [max(1, int(np.sqrt(k))) if s else k for s in rng.integers(0, 2, n_forests)]
+        min_leaf = [int(v) for v in rng.integers(1, 3, n_forests)]
+        bootstrap = [bool(v) for v in rng.integers(0, 2, n_forests)]
+        seeds = rng.integers(0, 1 << 64, n_forests * per_forest, dtype=np.uint64)
+
+        *fields, node_count = kernels.build_forest(
+            X, y, seeds, max_depth, n_sub, min_leaf, bootstrap, train=train)
+        got = [list(zip(*(a[t, :c].tolist() for a in fields)))
+               for t, c in enumerate(node_count.tolist())]
+        for f in range(n_forests):
+            trees = slice(f * per_forest, (f + 1) * per_forest)
+            want = oracles.forest_by_rows(
+                X[train[f]].tolist(), y[train[f]].tolist(), seeds[trees].tolist(),
+                max_depth[f], n_sub[f], min_leaf[f], bootstrap[f])
+            assert got[trees] == want, (case, f)
+
+
+def _k10_personas():
+    """160 rows of 40 personas, 4 rows each, over 10 blocking features; the
+    flag rate depends on features 2 and 7."""
+    rng = np.random.default_rng(41)
+    patterns = rng.integers(0, 2, (40, 10)).astype(np.uint8)
+    records = []
+    for i, pattern in enumerate(patterns):
+        rate = 0.15 + 0.6 * (pattern[2] ^ pattern[7])
+        for _ in range(4):
+            records.append((f"p{i:02d}", bool(rng.random() < rate), pattern))
+    records.sort(key=lambda r: (r[0], r[1]))
+    X = np.array([r[2] for r in records], dtype=np.uint8)
+    y = np.array([r[1] for r in records], dtype=np.uint8)
+    return X, y, [r[0] for r in records]
+
+
+def test_grid_search_golden():
+    # The 36-point default grid; captured from the one-forest-at-a-time search.
+    params, acc = cross_validate_grid(*_k10_personas(), HyperGrid(), folds=4, seed=13)
+    assert params == ForestParams(n_trees=200, max_depth=3, features_per_split="all",
+                                  min_leaf=2)
+    assert repr(acc) == "0.825"
+
+
+def test_unbounded_all_features_golden_digest():
+    # 266 distinct patterns over k=10 and no subset draws: each tree grows
+    # level by level and is renumbered into depth-first order afterwards.
+    rng = np.random.default_rng(42)
+    X = rng.integers(0, 2, (300, 10)).astype(np.uint8)
+    y = (rng.random(300) < 0.2 + 0.5 * X[:, 4]).astype(np.uint8)
+    model = train_forest(X, y, ForestParams(n_trees=20, max_depth=None,
+                                            features_per_split="all"), seed=11)
+    assert max(tree.n_nodes for tree in model.trees) == 181
+    assert _digest(model) == "04f5e9d81ab8e6d8aa50160c7cb3745cc38950e8796f5c303addad20cdeeefed"

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from adtomo.rng import GAMMA, MASK64, splitmix64, splitmix64_draws, substream, substream_key
+from adtomo.rng import GAMMA, MASK64, splitmix64_draws, substream, substream_key
+from oracles import splitmix64
 
 
 def test_substream_key_stable():

@@ -18,6 +18,7 @@ path, e.g. ``world.trackers[1].observe_prob``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -64,6 +65,8 @@ def _probability(value, path):
 def _non_negative(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError("expected a number", path)
+    if not math.isfinite(value):
+        raise ConfigError(f"must be a finite number, got {value}", path)
     if value < 0:
         raise ConfigError(f"must be non-negative, got {value}", path)
     return float(value)

@@ -7,6 +7,22 @@ is fixed before the persona tours the ad-collection slots.  Each (run,
 persona) pair owns a hash-derived random substream, which makes the outputs
 independent of persona scheduling; logs are emitted in canonical
 (run, persona, slot) order.
+
+Draw order.  Every artifact depends byte for byte on the order in which a
+(run, persona) substream is consumed:
+
+1. knowledge: for each advertiser in id order, two uniforms per incoming
+   edge in tracker order (observe, then reliability), all from one
+   ``random(2E)`` call for the E edges of the graph;
+2. for each slot in id order: one ``standard_normal(n_adv)`` call, one
+   normal per advertiser in id order (the bid noise is ``0.0 + sd * z``),
+   followed, when the slot is sold, by the winner's ``creative_length``
+   token indices from one ``integers(0, len(source), size=...)`` call.
+
+Each batched call consumes the stream exactly as the scalar calls it
+replaces: ``random()`` per draw, ``normal(0.0, sd)`` per advertiser and
+``choice(len(source), size=...)``.  ``tests/test_rng.py`` pins these
+identities of numpy's ``Generator``.
 """
 
 from __future__ import annotations
@@ -25,6 +41,8 @@ from .types import (
     InterestGroup,
     Persona,
     RequestLogEntry,
+    SharingEdge,
+    TrackerOrg,
     World,
 )
 
@@ -36,13 +54,32 @@ class SimLogs:
     bids: list[BidRecord] = field(default_factory=list)
 
 
+def _incoming(world: World, advertiser: str) -> tuple[tuple[TrackerOrg, SharingEdge], ...]:
+    """(tracker, edge) of every sharing edge into the advertiser, in tracker
+    order."""
+    return tuple((world.tracker_by_id[e.tracker], e)
+                 for e in world.graph.edges_into(advertiser))
+
+
+def _knows(incoming, visited: frozenset[str], blocked: frozenset[str], draws) -> bool:
+    """The knowledge rule over an advertiser's ``incoming`` edges and their
+    draws, two per edge (observe, then reliability).  An edge (t ->
+    advertiser) fires when the persona does not block t, t covers at least
+    one site the persona visited during training, the visit is observed
+    (observe draw below observe_prob), and the reliability draw is below the
+    edge's reliability."""
+    for i, (tracker, edge) in enumerate(incoming):
+        if (tracker.id not in blocked and not visited.isdisjoint(tracker.site_coverage)
+                and draws[2 * i] < tracker.observe_prob
+                and draws[2 * i + 1] < edge.reliability):
+            return True
+    return False
+
+
 def knowledge_state(advertiser: str, persona: Persona, world: World,
                     rng: np.random.Generator) -> bool:
     """True iff any sharing edge into the advertiser fires for this persona.
 
-    An edge (t -> advertiser) fires when the persona does not block t, t
-    covers at least one site the persona visited during training, the visit
-    is observed (observe_prob draw), and the edge's reliability draw succeeds.
     Two draws are consumed per incoming edge regardless of outcome, so the
     stream position never depends on the blocking configuration.
     """
@@ -50,59 +87,47 @@ def knowledge_state(advertiser: str, persona: Persona, world: World,
         raise ConfigError(f"unknown advertiser {advertiser!r}")
     if persona.group not in world.group_by_id:
         raise ConfigError(f"unknown group {persona.group!r}")
-    visited = world.visited_sites(persona.group)
-    blocked = set(persona.blocking.blocked)
-    known = False
-    for edge in world.graph.edges_into(advertiser):
-        tracker = world.tracker_by_id[edge.tracker]
-        obs_draw = rng.random()
-        rel_draw = rng.random()
-        if tracker.id in blocked:
-            continue
-        if not visited.intersection(tracker.site_coverage):
-            continue
-        if obs_draw < tracker.observe_prob and rel_draw < edge.reliability:
-            known = True
-    return known
+    incoming = _incoming(world, advertiser)
+    return _knows(incoming, world.visited_sites(persona.group),
+                  frozenset(persona.blocking.blocked),
+                  rng.random(2 * len(incoming)).tolist())
+
+
+def _creative_tokens(length: int, known: bool, group: InterestGroup, world: World,
+                     rng: np.random.Generator) -> tuple[str, ...]:
+    """``length`` tokens drawn uniformly with replacement from the group
+    vocabulary when the advertiser knows the persona's interest, from the
+    generic pool otherwise."""
+    source = group.vocabulary if known else world.generic_pool
+    if not source:
+        raise ConfigError("empty vocabulary" if known else "empty generic pool")
+    return tuple([source[i] for i in rng.integers(0, len(source), size=length).tolist()])
 
 
 def generate_creative(advertiser: str, known: bool, group: InterestGroup,
                       world: World, rng: np.random.Generator, *,
                       slot: str = "", run: int = 0) -> AdCreative:
-    """Creative tokens drawn uniformly from the group vocabulary when the
-    advertiser knows the persona's interest, from the generic pool otherwise."""
+    """The advertiser's creative for a persona of ``group``: see
+    ``_creative_tokens``."""
     adv = world.advertiser_by_id.get(advertiser)
     if adv is None:
         raise ConfigError(f"unknown advertiser {advertiser!r}")
-    source = group.vocabulary if known else world.generic_pool
-    if not source:
-        raise ConfigError("empty vocabulary" if known else "empty generic pool")
-    picks = rng.choice(len(source), size=adv.creative_length, replace=True)
-    return AdCreative(advertiser, tuple(source[i] for i in picks), slot, run)
+    return AdCreative(
+        advertiser, _creative_tokens(adv.creative_length, known, group, world, rng),
+        slot, run)
 
 
-def _chain_entries(world: World, run: int, persona: Persona) -> list[RequestLogEntry]:
-    """One redirect chain per (run, persona): collection-site tracker hops
-    (cookie only) followed by the configured cookie-sync hops (cookie + uid).
-    Emission is deterministic; sync events do not depend on blocking because
-    all trackers are unblocked during ad collection."""
-    entries = []
-    pos = 0
-    for slot in world.slots:
-        for tracker in world.trackers:
-            if slot.website in tracker.site_coverage:
-                entries.append(RequestLogEntry(
-                    run=run, persona=persona.id, chain_position=pos,
-                    source_domain=slot.website, destination_domain=tracker.id,
-                    cookie_sent=f"c:{tracker.id}", uid_param=None))
-                pos += 1
-    for src, dst in world.sync_pairs:
-        entries.append(RequestLogEntry(
-            run=run, persona=persona.id, chain_position=pos,
-            source_domain=src, destination_domain=dst,
-            cookie_sent=f"c:{dst}", uid_param=f"uid:{src}"))
-        pos += 1
-    return entries
+def _chain_hops(world: World, slots) -> list[tuple[str, str, str, str | None]]:
+    """(source, destination, cookie, uid) of every hop of the redirect chain
+    each (run, persona) emits: collection-site tracker hops (cookie only)
+    followed by the configured cookie-sync hops (cookie + uid).  The chain
+    does not depend on blocking because all trackers are unblocked during
+    ad collection."""
+    hops = [(slot.website, tracker.id, f"c:{tracker.id}", None)
+            for slot in slots for tracker in world.trackers
+            if slot.website in tracker.site_coverage]
+    hops.extend((src, dst, f"c:{dst}", f"uid:{src}") for src, dst in world.sync_pairs)
+    return hops
 
 
 def _validate_personas(world: World, personas) -> list[Persona]:
@@ -127,7 +152,9 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
     Per (run, persona): resolve knowledge per advertiser, emit the redirect
     chain, then auction every slot (bid = base + boost*known + N(0, sd),
     truncated at 0) and log the winner's creative.  Client-side HB slots also
-    log all on-time bids; server-side HB suppresses the bid log.
+    log all on-time bids; server-side HB suppresses the bid log.  Personas,
+    slots and advertisers are taken in id order, so the logs come out in
+    canonical order.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -136,40 +163,54 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
     if seed is None:
         seed = world.seed
     personas = _validate_personas(world, personas)
-    advertisers = world.advertisers
-    all_ids = tuple(a.id for a in advertisers)
+    advertisers = sorted(world.advertisers, key=lambda a: a.id)
+    ids = [a.id for a in advertisers]
+    position = {aid: i for i, aid in enumerate(ids)}
+    incoming = [_incoming(world, aid) for aid in ids]
+    n_draws = 2 * sum(len(edges) for edges in incoming)
+    noise_sd = [a.bid_noise_sd for a in advertisers]
+    slots = sorted(world.slots, key=lambda s: s.id)
+    # Per slot: the tiers of an RTB waterfall as advertiser positions, None
+    # for header bidding.
+    tiers_of = [None if s.mechanism != "rtb_waterfall"
+                else [range(len(ids))] if s.tiers is None
+                else [[position[aid] for aid in tier] for tier in s.tiers]
+                for s in slots]
+    hops = _chain_hops(world, slots)
     logs = SimLogs()
     for run in range(runs):
         for persona in personas:
-            rng = substream(seed, "sim", run, persona.id)
+            pid = persona.id
+            rng = substream(seed, "sim", run, pid)
             group = world.group_by_id[persona.group]
-            known = {a.id: knowledge_state(a.id, persona, world, rng)
-                     for a in advertisers}
-            logs.requests.extend(_chain_entries(world, run, persona))
-            for slot in world.slots:
-                bid_of = {}
-                for a in advertisers:
-                    noise = rng.normal(0.0, a.bid_noise_sd)
-                    boost = a.knowledge_boost if known[a.id] else 0.0
-                    bid_of[a.id] = max(0.0, a.base_bid + boost + noise)
-                if slot.mechanism == "rtb_waterfall":
-                    tier_ids = slot.tiers if slot.tiers is not None else (all_ids,)
-                    tiers = [[(aid, bid_of[aid]) for aid in tier] for tier in tier_ids]
-                    outcome = auction_rtb(slot, tiers)
+            visited = world.visited_sites(persona.group)
+            blocked = frozenset(persona.blocking.blocked)
+            draws = rng.random(n_draws).tolist()
+            known, start = [], 0
+            for edges in incoming:
+                stop = start + 2 * len(edges)
+                known.append(_knows(edges, visited, blocked, draws[start:stop]))
+                start = stop
+            level = [a.base_bid + (a.knowledge_boost if k else 0.0)
+                     for a, k in zip(advertisers, known)]
+            logs.requests.extend(RequestLogEntry(run, pid, pos, *hop)
+                                 for pos, hop in enumerate(hops))
+            for slot, tiers in zip(slots, tiers_of):
+                z = rng.standard_normal(len(ids)).tolist()
+                bid = [max(0.0, lv + (0.0 + sd * x)) for lv, sd, x in zip(level, noise_sd, z)]
+                if tiers is not None:
+                    outcome = auction_rtb(slot, [[(ids[i], bid[i]) for i in tier]
+                                                 for tier in tiers])
                 else:
-                    hb_bids = [(aid, bid_of[aid], 0.0) for aid in all_ids]
-                    outcome, recorded = auction_hb(slot, hb_bids, slot.timeout)
+                    outcome, recorded = auction_hb(
+                        slot, [(aid, b, 0.0) for aid, b in zip(ids, bid)], slot.timeout)
                     if slot.mechanism == "hb_client":
-                        logs.bids.extend(
-                            BidRecord(run, persona.id, slot.id, aid, value)
-                            for aid, value in recorded)
+                        logs.bids.extend(BidRecord(run, pid, slot.id, aid, value)
+                                         for aid, value in recorded)
                 if outcome.filled:
-                    creative = generate_creative(
-                        outcome.winner, known[outcome.winner], group, world, rng,
-                        slot=slot.id, run=run)
+                    w = position[outcome.winner]
                     logs.ads.append(DeliveredAd(
-                        run, persona.id, slot.id, outcome.winner, creative.tokens))
-    logs.ads.sort(key=lambda r: (r.run, r.persona, r.slot))
-    logs.requests.sort(key=lambda r: (r.run, r.persona, r.chain_position))
-    logs.bids.sort(key=lambda r: (r.run, r.persona, r.slot, r.advertiser))
+                        run, pid, slot.id, outcome.winner,
+                        _creative_tokens(advertisers[w].creative_length, known[w],
+                                         group, world, rng)))
     return logs

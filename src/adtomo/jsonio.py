@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -25,6 +26,21 @@ _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 def dumps_line(record: dict) -> str:
     return _LINE_ENCODER.encode(record)
+
+
+def _line_encoder() -> Callable[[dict], str]:
+    """A function equal to ``dumps_line``.  ``JSONEncoder.encode`` builds a
+    new C encoder inside ``iterencode`` on every call; this builds one, with
+    the arguments ``iterencode`` passes, for all the lines of a file.  Its
+    circular-reference markers are its own, so a failed write leaves nothing
+    behind.  Without the ``_json`` accelerator it is ``dumps_line``."""
+    if c_make_encoder is None:
+        return dumps_line
+    enc = _LINE_ENCODER
+    encode = c_make_encoder({}, enc.default, encode_basestring, enc.indent,
+                            enc.key_separator, enc.item_separator, enc.sort_keys,
+                            enc.skipkeys, enc.allow_nan)
+    return lambda record: "".join(encode(record, 0))
 
 
 @contextmanager
@@ -45,7 +61,7 @@ def open_atomic(path, newline: str = "\n") -> Iterator[TextIO]:
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    encode = _LINE_ENCODER.encode
+    encode = _line_encoder()
     with open_atomic(path) as fh:
         fh.writelines(encode(rec) + "\n" for rec in records)
 

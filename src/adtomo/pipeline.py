@@ -171,21 +171,21 @@ def _check_known_personas(used, personas: list[dict], path: Path) -> None:
 
 
 def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
-    rows = read_jsonl(out_dir / "adlog.jsonl",
-                      fields=("run", "persona", "slot", "advertiser", "tokens"))
-    return [DeliveredAd(r["run"], r["persona"], r["slot"], r["advertiser"],
-                        tuple(r["tokens"]))
-            for r in rows]
+    """The ads of ``adlog.jsonl``, each built as its line is read."""
+    return read_jsonl(out_dir / "adlog.jsonl",
+                      fields=("run", "persona", "slot", "advertiser", "tokens"),
+                      build=lambda r: DeliveredAd(r["run"], r["persona"], r["slot"],
+                                                  r["advertiser"], tuple(r["tokens"])))
 
 
 def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
-    rows = read_jsonl(out_dir / "requestlog.jsonl",
+    """The entries of ``requestlog.jsonl``, each built as its line is read."""
+    return read_jsonl(out_dir / "requestlog.jsonl",
                       fields=("run", "persona", "chain_position", "source_domain",
-                              "destination_domain", "cookie_sent", "uid_param"))
-    return [RequestLogEntry(r["run"], r["persona"], r["chain_position"],
-                            r["source_domain"], r["destination_domain"],
-                            r["cookie_sent"], r["uid_param"])
-            for r in rows]
+                              "destination_domain", "cookie_sent", "uid_param"),
+                      build=lambda r: RequestLogEntry(
+                          r["run"], r["persona"], r["chain_position"], r["source_domain"],
+                          r["destination_domain"], r["cookie_sent"], r["uid_param"]))
 
 
 def _read_corpus(out_dir: Path) -> Corpus:
@@ -244,7 +244,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
     logs = run_simulation(world, cfg.sim.personas, cfg.sim.runs, cfg.seed)
     write_jsonl(out_dir / "adlog.jsonl",
                 ({"run": a.run, "persona": a.persona, "slot": a.slot,
-                  "advertiser": a.advertiser, "tokens": list(a.tokens)}
+                  "advertiser": a.advertiser, "tokens": a.tokens}
                  for a in logs.ads))
     write_jsonl(out_dir / "requestlog.jsonl",
                 ({"run": e.run, "persona": e.persona, "chain_position": e.chain_position,

@@ -92,6 +92,16 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "folds" in proc.stderr
 
+    def test_non_finite_config_number_names_field(self, tmp_path):
+        doc = load_config("mini")
+        doc["sim"]["world"]["advertisers"][0]["bid_noise_sd"] = float("nan")
+        out = tmp_path / "out"
+        proc = run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert "world.advertisers[0].bid_noise_sd" in proc.stderr
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2

@@ -103,6 +103,18 @@ class TestConfigValidation:
                                    "observe_prob": 2.0}])
         assert "observe_prob" in str(err.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("section, field", [
+        ("advertisers", "base_bid"), ("advertisers", "knowledge_boost"),
+        ("advertisers", "bid_noise_sd"), ("slots", "floor_price"), ("slots", "timeout")])
+    def test_non_finite_number_rejected(self, section, field, value):
+        # json.load accepts NaN and Infinity; neither may reach a bid or an
+        # auction, and the error names the field.
+        entry = world_dict()[section][0]
+        with pytest.raises(ConfigError, match="finite") as err:
+            make_config(**{section: [{**entry, field: value}]})
+        assert f"world.{section}[0].{field}" in str(err.value)
+
 
 class TestKnowledgeState:
     def test_full_blockade_never_knows(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adtomo import jsonio
 from adtomo.jsonio import dumps_line, open_atomic, write_json, write_jsonl
 
 RECORDS = [
@@ -25,6 +26,29 @@ def test_write_jsonl_writes_one_dumps_line_per_record(tmp_path):
     expected = "".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
                        for r in RECORDS)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["c_encoder", "no_json_module"])
+def test_write_jsonl_lines_equal_dumps_line(tmp_path, monkeypatch, accelerated):
+    # write_jsonl builds its C encoder once per file; without the _json
+    # accelerator it falls back to dumps_line.  Both write the same bytes.
+    if not accelerated:
+        monkeypatch.setattr(jsonio, "c_make_encoder", None)
+    path = tmp_path / "out.jsonl"
+    records = RECORDS + [(1, "x"), "top-level string", 2.5, None]
+    write_jsonl(path, iter(records))
+    assert path.read_bytes() == "".join(dumps_line(r) + "\n" for r in records).encode("utf-8")
+
+
+def test_failed_encode_does_not_poison_later_writes(tmp_path):
+    # A record that fails mid-encode leaves its circular-reference marker
+    # set; the next file must not see it and call the record circular.
+    record = {"ok": 1, "bad": object()}
+    with pytest.raises(TypeError):
+        write_jsonl(tmp_path / "bad.jsonl", [record])
+    del record["bad"]
+    write_jsonl(tmp_path / "good.jsonl", [record])
+    assert (tmp_path / "good.jsonl").read_text() == '{"ok":1}\n'
 
 
 def _failing_records():

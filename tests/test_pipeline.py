@@ -16,6 +16,24 @@ def run_to_dir(doc, tmp_path, name):
     return out
 
 
+# SHA-256 of the simulate artifacts at seed 7, captured from the simulator
+# that drew one scalar from numpy per knowledge draw, bid and creative.
+SIMULATE_DIGESTS = {
+    "small": {
+        "adlog.jsonl": "f53828ffb73e9d69d8640d4bf4f4a8984f6067363fada1a993b82ad5bd086d10",
+        "requestlog.jsonl": "44522dc4cd2e3d895de9bfc6f47c4bf2c80969d4072f09fd62f7203e0a5a3646",
+        "bidlog.jsonl": "a663290178d856acc90531d03c08be4d38e2f4cb73975d039e453b9fcff5ade5",
+        "world.json": "249f3c5c0c4fd70c8736431d918376c04dcdcccde1e61b4f7d654833faf4657e",
+    },
+    "mini": {
+        "adlog.jsonl": "f7a52837ef761c90bc17273dac7c5202f58ad4e330347c2d05da282bdbfe4931",
+        "requestlog.jsonl": "0fd80d77bbfddf87a383d0cbfca5f96144639a8ea3f0aa57e4975bfb67cabd9c",
+        "bidlog.jsonl": "ad32909c8bd960766cfa76ff55bdc9af5688ddeed663a6d065196e6e67aee47b",
+        "world.json": "752477a69d81b7b2dd1a0b135bcca0c496106903d3273d2f079dbf41ed8f0cf0",
+    },
+}
+
+
 @pytest.mark.parametrize("profile, seed, report_json, report_csv", [
     ("small", 7, "dac58ca6957e8a925b95be61ce72ccb9e6373bb2683f9de3db85c7fe2fcb0819",
      "5d759b9b468c91190b6186c62f2ffd9e0fe316fbdf57eb4eb7c48d715d8986bc"),
@@ -24,11 +42,14 @@ def run_to_dir(doc, tmp_path, name):
 ])
 def test_report_golden_digest(tmp_path, profile, seed, report_json, report_csv):
     # SHA-256 of the inference report, captured from the code that grew the
-    # forest on canonicalized per-fold sample lists.
+    # forest on canonicalized per-fold sample lists, and of the simulate
+    # artifacts (SIMULATE_DIGESTS).
     out = run_to_dir(load_config(profile, seed=seed), tmp_path, profile)
-    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("report.json", "report.csv")]
-    assert digests == [report_json, report_csv]
+    expected = {"report.json": report_json, "report.csv": report_csv,
+                **SIMULATE_DIGESTS[profile]}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
 
 
 def test_single_edge_world_recovers_exactly_that_edge(tmp_path):

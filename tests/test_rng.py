@@ -49,3 +49,40 @@ def test_splitmix64_draws_equal_scalar_stream(seed):
             assert draws.tolist() == expected[:n]
             assert state == (seed + n * GAMMA) % (1 << 64)
     assert state == scalar_state
+
+
+# The simulator batches its numpy draws (ecosim/sim.py, "Draw order"); each
+# batched call must consume a Generator's stream exactly as the scalar calls
+# it replaces, and leave it in the same state, so a numpy release that breaks
+# one of these identities fails here by name.
+
+@pytest.mark.parametrize("n", [0, 1, 2, 22, 1000])
+def test_random_batch_equals_scalar_calls(n):
+    batched, scalar = substream(7, "id", n), substream(7, "id", n)
+    assert batched.random(n).tolist() == [scalar.random() for _ in range(n)]
+    assert batched.random() == scalar.random()
+
+
+@pytest.mark.parametrize("sd", [0.0, 0.5, 1.0, 3.7, 1e-300, 1e300])
+def test_normal_equals_zero_plus_scaled_standard_normal(sd):
+    batched, scalar = substream(7, "normal", repr(sd)), substream(7, "normal", repr(sd))
+    z = batched.standard_normal(200).tolist()
+    expected = [scalar.normal(0.0, sd) for _ in range(200)]
+    # repr tells -0.0 from 0.0: with sd = 0 a negative z gives sd * z = -0.0,
+    # which the leading 0.0 + turns into the 0.0 that normal(0.0, 0.0) returns.
+    assert [repr(0.0 + sd * x) for x in z] == [repr(v) for v in expected]
+    if sd == 0.0:
+        assert any(x < 0 for x in z) and all(repr(v) == "0.0" for v in expected)
+    assert batched.random() == scalar.random()
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 8), (10, 1), (3000, 8), (1 << 31, 5),
+                                  (1 << 40, 4)])
+def test_choice_with_replacement_equals_integers(n, k):
+    by_choice, by_integers = substream(7, "choice", n, k), substream(7, "choice", n, k)
+    for _ in range(50):
+        picks = by_choice.choice(n, size=k, replace=True)
+        draws = by_integers.integers(0, n, size=k)
+        assert draws.dtype == picks.dtype
+        assert draws.tolist() == picks.tolist()
+    assert by_choice.random() == by_integers.random()

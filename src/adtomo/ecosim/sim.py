@@ -19,15 +19,16 @@ Draw order.  Every artifact depends byte for byte on the order in which a
    followed, when the slot is sold, by the winner's ``creative_length``
    token indices from one ``integers(0, len(source), size=...)`` call.
 
-Each batched call consumes the stream exactly as the scalar calls it
-replaces: ``random()`` per draw, ``normal(0.0, sd)`` per advertiser and
-``choice(len(source), size=...)``.  ``tests/test_rng.py`` pins these
-identities of numpy's ``Generator``.
+Each batched call consumes the stream exactly as the equivalent scalar
+calls would: one ``random()`` per draw, one ``normal(0.0, sd)`` per
+advertiser, and ``choice(len(source), size=...)``.  ``tests/test_rng.py``
+pins these identities of numpy's ``Generator``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,9 +96,8 @@ def knowledge_state(advertiser: str, persona: Persona, world: World,
 
 def _creative_tokens(length: int, known: bool, group: InterestGroup, world: World,
                      rng: np.random.Generator) -> tuple[str, ...]:
-    """``length`` tokens drawn uniformly with replacement from the group
-    vocabulary when the advertiser knows the persona's interest, from the
-    generic pool otherwise."""
+    """The tokens of ``generate_creative`` for an advertiser whose creatives
+    are ``length`` tokens long."""
     source = group.vocabulary if known else world.generic_pool
     if not source:
         raise ConfigError("empty vocabulary" if known else "empty generic pool")
@@ -107,8 +107,9 @@ def _creative_tokens(length: int, known: bool, group: InterestGroup, world: Worl
 def generate_creative(advertiser: str, known: bool, group: InterestGroup,
                       world: World, rng: np.random.Generator, *,
                       slot: str = "", run: int = 0) -> AdCreative:
-    """The advertiser's creative for a persona of ``group``: see
-    ``_creative_tokens``."""
+    """Creative tokens drawn uniformly with replacement from the group
+    vocabulary when the advertiser knows the persona's interest, from the
+    generic pool otherwise."""
     adv = world.advertiser_by_id.get(advertiser)
     if adv is None:
         raise ConfigError(f"unknown advertiser {advertiser!r}")
@@ -167,7 +168,8 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
     ids = [a.id for a in advertisers]
     position = {aid: i for i, aid in enumerate(ids)}
     incoming = [_incoming(world, aid) for aid in ids]
-    n_draws = 2 * sum(len(edges) for edges in incoming)
+    # Advertiser i's knowledge draws are draws[offsets[i]:offsets[i + 1]].
+    offsets = list(accumulate((2 * len(edges) for edges in incoming), initial=0))
     noise_sd = [a.bid_noise_sd for a in advertisers]
     slots = sorted(world.slots, key=lambda s: s.id)
     # Per slot: the tiers of an RTB waterfall as advertiser positions, None
@@ -185,12 +187,9 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
             group = world.group_by_id[persona.group]
             visited = world.visited_sites(persona.group)
             blocked = frozenset(persona.blocking.blocked)
-            draws = rng.random(n_draws).tolist()
-            known, start = [], 0
-            for edges in incoming:
-                stop = start + 2 * len(edges)
-                known.append(_knows(edges, visited, blocked, draws[start:stop]))
-                start = stop
+            draws = rng.random(offsets[-1]).tolist()
+            known = [_knows(edges, visited, blocked, draws[lo:hi])
+                     for edges, lo, hi in zip(incoming, offsets, offsets[1:])]
             level = [a.base_bid + (a.knowledge_boost if k else 0.0)
                      for a, k in zip(advertisers, known)]
             logs.requests.extend(RequestLogEntry(run, pid, pos, *hop)

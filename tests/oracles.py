@@ -18,6 +18,11 @@ flagging code once did; the sparse tables must give the same floats.  The
 batched chi-squared test is checked against one ``chi_square_independence``
 call per record on the table over the union of the two supports, the way
 flagging tested each record before it was batched.
+
+The simulation oracle draws every knowledge uniform, bid noise and creative
+token with its own scalar numpy call, in the order the simulator's draw
+contract states, and sorts the logs into canonical order at the end; the
+batched simulator must give equal logs.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import math
 
 import numpy as np
 
-from adtomo.rng import GAMMA, MASK64
+from adtomo.ecosim import BidRecord, DeliveredAd, RequestLogEntry, auction_hb, auction_rtb
+from adtomo.rng import GAMMA, MASK64, substream
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 
 _U_MAX = 1.0 - 1e-12
@@ -264,3 +270,54 @@ def chi2_by_union_tables(control, vectors, config) -> list:
         except DegenerateTableError:
             out.append(None)
     return out
+
+
+def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
+    """(ads, bids, requests) of ``run_simulation``, one scalar draw at a time."""
+    ads, bids, requests = [], [], []
+    advertisers = sorted(world.advertisers, key=lambda a: a.id)
+    slots = sorted(world.slots, key=lambda s: s.id)
+    for run in range(runs):
+        for persona in sorted(personas, key=lambda p: p.id):
+            rng = substream(seed, "sim", run, persona.id)
+            visited = world.visited_sites(persona.group)
+            known = {}
+            for a in advertisers:
+                known[a.id] = False
+                for edge in sorted((e for e in world.graph.edges if e.advertiser == a.id),
+                                   key=lambda e: e.tracker):
+                    tracker = world.tracker_by_id[edge.tracker]
+                    obs, rel = rng.random(), rng.random()
+                    if (tracker.id not in persona.blocking.blocked
+                            and visited & set(tracker.site_coverage)
+                            and obs < tracker.observe_prob and rel < edge.reliability):
+                        known[a.id] = True
+            hops = [(s.website, t.id, f"c:{t.id}", None)
+                    for s in slots for t in world.trackers if s.website in t.site_coverage]
+            hops += [(src, dst, f"c:{dst}", f"uid:{src}") for src, dst in world.sync_pairs]
+            requests += [RequestLogEntry(run, persona.id, i, *hop) for i, hop in enumerate(hops)]
+            for slot in slots:
+                bid = {}
+                for a in advertisers:
+                    noise = rng.normal(0.0, a.bid_noise_sd)
+                    bid[a.id] = max(0.0, a.base_bid + (a.knowledge_boost if known[a.id] else 0.0)
+                                    + noise)
+                if slot.mechanism == "rtb_waterfall":
+                    tiers = slot.tiers if slot.tiers is not None else ([a.id for a in advertisers],)
+                    outcome = auction_rtb(slot, [[(aid, bid[aid]) for aid in t] for t in tiers])
+                else:
+                    outcome, recorded = auction_hb(slot, [(a.id, bid[a.id], 0.0) for a in advertisers],
+                                                   slot.timeout)
+                    if slot.mechanism == "hb_client":
+                        bids += [BidRecord(run, persona.id, slot.id, aid, v) for aid, v in recorded]
+                if outcome.filled:
+                    winner = world.advertiser_by_id[outcome.winner]
+                    source = (world.group_by_id[persona.group].vocabulary if known[winner.id]
+                              else world.generic_pool)
+                    picks = rng.choice(len(source), size=winner.creative_length, replace=True)
+                    ads.append(DeliveredAd(run, persona.id, slot.id, winner.id,
+                                           tuple(source[i] for i in picks)))
+    ads.sort(key=lambda r: (r.run, r.persona, r.slot))
+    bids.sort(key=lambda r: (r.run, r.persona, r.slot, r.advertiser))
+    requests.sort(key=lambda r: (r.run, r.persona, r.chain_position))
+    return ads, bids, requests

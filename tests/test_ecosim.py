@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from adtomo.ecosim import (
 )
 from adtomo.errors import ConfigError
 from adtomo.rng import substream
+from oracles import simulate_by_scalar_draws
 
 
 def world_dict(*, groups=None, trackers=None, advertisers=None, edges=None,
@@ -311,6 +313,55 @@ class TestRunSimulation:
         world = build_world(cfg, seed=1)
         with pytest.raises(ConfigError, match="slot"):
             run_simulation(world, cfg.personas, 1, seed=1)
+
+    def test_batched_draws_match_scalar_oracle(self):
+        # Random worlds with every mechanism, RTB tiers (including none),
+        # zero and non-zero noise, partial observation and blocking: the
+        # simulator's batched draws give the logs of one scalar draw at a
+        # time, float for float.
+        rand = random.Random(3)
+        for case in range(40):
+            groups = [{"id": f"g{i}", "vocabulary": [f"v{i}-{j}" for j in range(rand.randint(1, 9))]}
+                      for i in range(rand.randint(1, 2))]
+            sites = [{"id": f"s{i}", "group": rand.choice([None, *(g["id"] for g in groups)])}
+                     for i in range(5)]
+            trackers = [{"id": f"t{i}", "observe_prob": rand.choice([0.0, 0.6, 1.0]),
+                         "site_coverage": rand.sample([s["id"] for s in sites], rand.randint(0, 3))}
+                        for i in range(rand.randint(1, 4))]
+            advertisers = [{"id": f"a{i}", "base_bid": rand.choice([0.0, 0.6, 1.0]),
+                            "knowledge_boost": rand.choice([0.0, 0.4]),
+                            "bid_noise_sd": rand.choice([0.0, 0.5, 2.0]),
+                            "creative_length": rand.randint(1, 9)}
+                           for i in range(rand.randint(1, 5))]
+            ids = [a["id"] for a in advertisers]
+            slots = []
+            for i in range(rand.randint(1, 5)):
+                mechanism = rand.choice(["rtb_waterfall", "hb_client", "hb_server"])
+                slot = {"id": f"slot{i}", "website": rand.choice(sites)["id"],
+                        "floor_price": rand.choice([0.0, 0.5, 1.2]), "mechanism": mechanism}
+                if mechanism == "rtb_waterfall" and rand.random() < 0.5:
+                    slot["tiers"] = [rand.sample(ids, rand.randint(1, len(ids)))
+                                     for _ in range(rand.randint(0, 3))]
+                slots.append(slot)
+            cfg = sim_config_from_dict({
+                "world": world_dict(
+                    groups=groups, websites=sites, trackers=trackers,
+                    advertisers=advertisers, slots=slots,
+                    pool=[f"gen{j}" for j in range(rand.choice([1, 7, 300]))],
+                    edges=[{"tracker": t["id"], "advertiser": aid,
+                            "reliability": rand.choice([0.5, 1.0])}
+                           for t in trackers for aid in ids if rand.random() < 0.5],
+                    sync_pairs=[[trackers[0]["id"], ids[0]]] if rand.random() < 0.5 else None),
+                "run": {"personas": [{"id": f"p{j}", "group": rand.choice(groups)["id"],
+                                      "blocked": rand.sample([t["id"] for t in trackers],
+                                                             rand.randint(0, len(trackers)))}
+                                     for j in range(rand.randint(1, 4))],
+                        "runs": rand.randint(1, 3), "seed": case}})
+            world = build_world(cfg, seed=case)
+            logs = run_simulation(world, cfg.personas, cfg.runs, seed=case)
+            expected = simulate_by_scalar_draws(world, cfg.personas, cfg.runs, case)
+            assert (logs.ads, logs.bids, logs.requests) == expected, case
+            assert repr(logs.bids) == repr(expected[1]), case
 
     def test_winner_bid_clears_floor(self):
         # With hb_client slots the winning bid is visible in the bid log.

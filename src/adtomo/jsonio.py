@@ -31,9 +31,10 @@ def dumps_line(record: dict) -> str:
 def _line_encoder() -> Callable[[dict], str]:
     """A function equal to ``dumps_line``.  ``JSONEncoder.encode`` builds a
     new C encoder inside ``iterencode`` on every call; this builds one, with
-    the arguments ``iterencode`` passes, for all the lines of a file.  Its
-    circular-reference markers are its own, so a failed write leaves nothing
-    behind.  Without the ``_json`` accelerator it is ``dumps_line``."""
+    the arguments ``iterencode`` passes, for all the lines of a file.  Each
+    file gets its own circular-reference markers: a record that fails
+    mid-encode leaves its marker set, and a later file must not see it.
+    Without the ``_json`` accelerator it is ``dumps_line``."""
     if c_make_encoder is None:
         return dumps_line
     enc = _LINE_ENCODER

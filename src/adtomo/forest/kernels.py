@@ -11,17 +11,19 @@ resample only changes the multiplicities, which are one ``np.bincount`` over
 the drawn row indices.
 
 ``build_forest`` grows a batch of trees (the fold forests of one grid point,
-or one forest) in lockstep, one numpy pass per round over every tree:
+or one forest) in lockstep, one numpy pass per round over every tree.  The
+batch shares one hyperparameter set; only the training rows differ per
+forest.
 
 * Each tree's present patterns are its elements, and a node owns a
   contiguous segment of its tree's elements; a split stably partitions the
   segment, X == 0 side first.
 * Each tree keeps its own splitmix64 state.  Bootstrap draws and per-node
   feature-subset draws are one vectorised splitmix64 expression over many
-  trees (``rng.splitmix64_draws``).  A tree that draws subsets takes one
-  growing node per round, the next in its depth-first order, so it consumes
-  its stream exactly as a one-tree depth-first builder does; a tree that
-  draws nothing takes every pending node each round.
+  trees (``rng.splitmix64_draws``).  When the batch draws subsets, each
+  tree takes one growing node per round, the next in its depth-first order,
+  so it consumes its stream exactly as a one-tree depth-first builder does;
+  when it draws nothing, every pending node is taken each round.
 * Splits are scored with the scalar builder's float operations, one ufunc
   per operation, on integer sums; entropies come from ``math.log2`` through
   a memo, never from ``np.log2``.  Ties go to the lowest feature index.
@@ -43,7 +45,7 @@ import math
 
 import numpy as np
 
-from ..rng import GAMMA, splitmix64_draws
+from ..rng import splitmix64_draws
 
 UNBOUNDED_DEPTH = 1 << 20
 
@@ -102,16 +104,6 @@ START, END, NN, POS, DEPTH, PARENT, TREE, GROW = range(8)
 _SCORE_CHUNK = 1 << 13
 
 
-def _per_forest(value, n_forests: int) -> list:
-    """A per-forest argument given as one value for all forests or as one
-    value per forest, as a list of one value per forest."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != n_forests:
-            raise ValueError(f"expected {n_forests} per-forest values, got {len(value)}")
-        return list(value)
-    return [value] * n_forests
-
-
 def _samples(cells, rows, seeds, bootstrap, n_cells):
     """(states, counts) of the trees of one forest: each tree's splitmix64
     state after its bootstrap draws, and its (negative, positive) rows per
@@ -142,15 +134,15 @@ def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap, train=
     order given; ``train`` None means one forest on all rows.  The trees of
     forest f are the f-th of len(train) equal runs of ``tree_seeds``.
     ``max_depth`` (None: unbounded), ``n_sub``, ``min_leaf`` and
-    ``bootstrap`` are one value for every forest or one value per forest.
-    Features and labels must be uint8 0/1.  Each tree trains on a same-size
-    bootstrap resample of its forest's rows, drawn from its seed, when its
-    forest bootstraps, else on the rows as given.
+    ``bootstrap`` are one value each for every tree of the batch.  Features
+    and labels must be uint8 0/1.  With ``bootstrap`` each tree trains on a
+    same-size bootstrap resample of its forest's rows, drawn from its seed,
+    else on the rows as given.
 
     Every tree is grown exactly as a depth-first builder grows it alone (see
-    the module docstring): a round takes from each tree that draws feature
-    subsets the next node in its depth-first order that can split, and from
-    every other tree all pending nodes.
+    the module docstring): when ``n_sub`` < k, a round takes from each tree
+    the next node in its depth-first order that can split, else all pending
+    nodes.
     """
     X = np.ascontiguousarray(X, dtype=np.uint8)
     y = np.ascontiguousarray(y, dtype=np.uint8)
@@ -158,20 +150,14 @@ def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap, train=
     train = np.ones((1, len(X)), dtype=bool) if train is None else np.asarray(train, dtype=bool)
     n_forests, k = len(train), X.shape[1]
     n_trees = len(tree_seeds)
-    per_forest = n_trees // n_forests
-    if per_forest * n_forests != n_trees:
+    if n_trees % n_forests:
         raise ValueError(f"{n_trees} tree seeds do not split into {n_forests} forests")
-    forest_of = np.repeat(np.arange(n_forests), per_forest)
-    depth_cap = np.array([UNBOUNDED_DEPTH if d is None else int(d)
-                          for d in _per_forest(max_depth, n_forests)])[forest_of]
-    n_sub = np.array(_per_forest(n_sub, n_forests), dtype=np.int64)[forest_of]
-    min_leaf = np.array(_per_forest(min_leaf, n_forests), dtype=np.int64)[forest_of]
+    depth_cap = UNBOUNDED_DEPTH if max_depth is None else max_depth
 
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     # (pattern, label) cell of each row: a sample's cell counts are its
     # (negative, positive) rows per pattern.
     cells = 2 * inverse.reshape(-1) + y
-    bootstrap = _per_forest(bootstrap, n_forests)
     # Nested calls: the elements die with _grow, before the output arrays exist.
     return _renumber(*_grow(*_roots(cells, train, tree_seeds, bootstrap, 2 * len(patterns)),
                             patterns, depth_cap, n_sub, min_leaf), n_trees)
@@ -185,10 +171,10 @@ def _roots(cells, train, tree_seeds, bootstrap, n_cells):
     per_forest = len(tree_seeds) // len(train)
     states, elements, roots = [], [], []
     offset = 0
-    for f, boot in enumerate(bootstrap):
-        rows = np.flatnonzero(train[f])
+    for f, mask in enumerate(train):
+        rows = np.flatnonzero(mask)
         state, counts = _samples(cells, rows, tree_seeds[f * per_forest:(f + 1) * per_forest],
-                                 bool(boot), n_cells)
+                                 bootstrap, n_cells)
         sizes = counts.sum(axis=2)
         tree, pattern = np.nonzero(sizes)
         elements.append(np.stack([pattern, sizes[tree, pattern], counts[tree, pattern, 1]])
@@ -227,20 +213,18 @@ def _grow(state, elements, pending, patterns, depth_cap, n_sub, min_leaf):
     n_done = 0
     while len(pending):
         # Pending nodes are sorted by START, which groups them by tree and
-        # puts each tree's next node in depth-first order first.  A tree
-        # that draws takes its first growing node only: draws follow the
-        # depth-first order.  Leaves and trees without draws cannot change
-        # any later draw, so they go all at once.
-        grow = pending[:, GROW] == 1
-        take = ~grow | ~draws[pending[:, TREE]]
-        first = np.flatnonzero(grow)
-        if len(first):
-            tree = pending[first, TREE]
-            take[first[np.r_[True, tree[1:] != tree[:-1]]]] = True
-        if take.all():
-            node, pending = pending, pending[:0]
-        else:
+        # puts each tree's next node in depth-first order first.  When the
+        # batch draws, a tree takes its first growing node only: draws
+        # follow the depth-first order.  Leaves cannot change any later
+        # draw, and without draws nothing can, so those go all at once.
+        if draws:
+            grow = pending[:, GROW] == 1
+            take = ~grow
+            first = np.flatnonzero(grow)
+            take[first[np.diff(pending[first, TREE], prepend=-1) != 0]] = True
             node, pending = pending[take], pending[~take]
+        else:
+            node, pending = pending, pending[:0]
         m = len(node)
         done = slice(n_done, n_done + m)
         feat, gain = rec_feat[done], rec_gain[done]
@@ -250,16 +234,13 @@ def _grow(state, elements, pending, patterns, depth_cap, n_sub, min_leaf):
         grow = node[:, GROW] == 1
         # A node with one pattern cannot split, but it has drawn.
         scored = grow & (node[:, END] - node[:, START] > 1)
-        drawing = grow & draws[node[:, TREE]]
-        groups = [(np.flatnonzero(scored & ~drawing), None)]
-        if drawing.any():
-            tree = node[drawing, TREE]
-            subsets = _feature_subsets(state, tree, n_sub[tree], k)
-            groups.append((np.flatnonzero(drawing)[scored[drawing]], subsets[scored[drawing]]))
+        score = np.flatnonzero(scored)
+        subsets = None
+        if draws:
+            subsets = _feature_subsets(state, node[grow, TREE], n_sub, k)[scored[grow]]
         children = [_split(node, part, cand, elements, patterns_t, depth_cap, min_leaf,
                            feat, gain, n_done)
-                    for score, subsets in groups if len(score)
-                    for part, cand in _chunks(node, score, subsets)]
+                    for part, cand in _chunks(node, score, subsets)] if len(score) else []
         rec[done] = node[:, [START, PARENT, TREE, NN]]
         rec_label[done] = (feat < 0) & (2 * node[:, POS] > node[:, NN])
         n_done += m
@@ -277,29 +258,23 @@ def _grow(state, elements, pending, patterns, depth_cap, n_sub, min_leaf):
 def _grows(node, depth_cap, min_leaf):
     """Whether each node may split: impure, above its depth cap and big
     enough for two leaves.  Only such nodes draw feature subsets."""
-    tree = node[:, TREE]
     return ((node[:, POS] > 0) & (node[:, POS] < node[:, NN])
-            & (node[:, DEPTH] < depth_cap[tree]) & (node[:, NN] >= 2 * min_leaf[tree]))
+            & (node[:, DEPTH] < depth_cap) & (node[:, NN] >= 2 * min_leaf))
 
 
 def _feature_subsets(state, tree, n_sub, k):
     """Candidate features of one node for each tree in ``tree``: the first
     ``n_sub`` entries of a partial Fisher-Yates shuffle of 0..k-1 over the
-    tree's next ``n_sub`` draws, as rows as wide as the largest ``n_sub``
-    (a shorter row repeats its first candidate).  Advances ``state`` of
-    those trees."""
-    m = len(tree)
-    _, z = splitmix64_draws(state[tree], int(n_sub.max()))
-    state[tree] += n_sub.astype(np.uint64) * np.uint64(GAMMA)
-    perm = np.tile(np.arange(k), (m, 1))
-    for i in range(z.shape[1]):
-        rows = np.flatnonzero(n_sub > i)
-        j = i + (z[rows, i] % np.uint64(k - i)).astype(np.int64)
+    tree's next ``n_sub`` draws.  Advances ``state`` of those trees."""
+    state[tree], z = splitmix64_draws(state[tree], n_sub)
+    rows = np.arange(len(tree))
+    perm = np.tile(np.arange(k), (len(tree), 1))
+    for i in range(n_sub):
+        j = i + (z[:, i] % np.uint64(k - i)).astype(np.int64)
         swapped = perm[rows, j]
-        perm[rows, j] = perm[rows, i]
-        perm[rows, i] = swapped
-    perm = perm[:, :z.shape[1]]
-    return np.where(np.arange(z.shape[1]) < n_sub[:, None], perm, perm[:, :1])
+        perm[rows, j] = perm[:, i]
+        perm[:, i] = swapped
+    return perm[:, :n_sub]
 
 
 def _chunks(node, score, cand):
@@ -334,8 +309,7 @@ def _split(node, score, cand, elements, patterns_t, depth_cap, min_leaf, feat, g
     n1, p1 = np.add.reduceat(bits * el[1:3, None], offsets, axis=2)
     nn, pos = seg[:, NN], seg[:, POS]
     n0, p0 = nn - n1, pos - p1
-    leaf = min_leaf[seg[:, TREE]]
-    valid = (n0 >= leaf) & (n1 >= leaf)
+    valid = (n0 >= min_leaf) & (n1 >= min_leaf)
     at = np.nonzero(valid)
     n0, n1_at = n0[at], n1[at]
     # The scalar builder's float operations, one ufunc each.

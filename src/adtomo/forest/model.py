@@ -44,14 +44,17 @@ class ForestParams:
     min_leaf: int = 1
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
+        _positive_int("n_trees", self.n_trees)
+        if self.max_depth is not None:
+            _positive_int("max_depth", self.max_depth, " or None")
         if self.features_per_split not in ("sqrt", "all"):
             raise ValueError(f"unknown features_per_split {self.features_per_split!r}")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        _positive_int("min_leaf", self.min_leaf)
+
+
+def _positive_int(name: str, value, alternative: str = "") -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1{alternative}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ class HyperGrid:
         for name in ("n_trees", "max_depth", "features_per_split", "min_leaf"):
             if not getattr(self, name):
                 raise ValueError(f"grid dimension {name} is empty")
+            # Each value alone, so points() never meets a value it cannot sort.
+            for value in getattr(self, name):
+                ForestParams(**{name: value})
 
     def points(self) -> list[ForestParams]:
         """Grid points in canonical (lexicographic-parameter) order."""

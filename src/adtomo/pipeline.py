@@ -22,7 +22,7 @@ intermediates reproduces its artifacts byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from .ecosim import SimConfig, build_world, run_simulation, sim_config_from_dict
@@ -67,13 +67,16 @@ class PipelineConfig:
 
 
 def _parse_grid(d: dict) -> HyperGrid:
+    if not isinstance(d, dict):
+        raise ConfigError("expected an object", "grid")
+    dims = {}
+    for dim in dataclass_fields(HyperGrid):
+        values = d.get(dim.name, dim.default)
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"{dim.name} must be a list, got {values!r}", "grid")
+        dims[dim.name] = tuple(values)
     try:
-        return HyperGrid(
-            n_trees=tuple(d.get("n_trees", (50, 100, 200))),
-            max_depth=tuple(d.get("max_depth", (3, 5, None))),
-            features_per_split=tuple(d.get("features_per_split", ("sqrt", "all"))),
-            min_leaf=tuple(d.get("min_leaf", (1, 2))),
-        )
+        return HyperGrid(**dims)
     except ValueError as e:
         raise ConfigError(str(e), "grid") from None
 

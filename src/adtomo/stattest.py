@@ -60,8 +60,8 @@ class StatConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise StatError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.min_expected <= 0:
-            raise StatError(f"min_expected must be positive, got {self.min_expected}")
+        if not (math.isfinite(self.min_expected) and self.min_expected > 0):
+            raise StatError(f"min_expected must be positive and finite, got {self.min_expected}")
 
 
 def student_t_sf(t: float, df: float) -> float:

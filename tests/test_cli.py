@@ -102,6 +102,27 @@ class TestExitCodes:
         assert "world.advertisers[0].bid_noise_sd" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("stats", "min_expected", float("nan")),
+        ("stats", "min_expected", float("inf")),
+        ("grid", "n_trees", [1.5]),
+        ("grid", "n_trees", ["a"]),
+        ("grid", "max_depth", [2, "x"]),
+        ("grid", "n_trees", 5),
+        ("grid", "max_depth", [2.5]),
+        ("grid", "min_leaf", [1.5]),
+    ], ids=["min_expected_nan", "min_expected_inf", "float_trees", "string_trees",
+            "string_depth", "trees_not_list", "float_depth", "float_leaf"])
+    def test_bad_stats_or_grid_names_section(self, tmp_path, section, key, value):
+        doc = load_config("mini")
+        doc[section][key] = value
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+        assert proc.returncode == 2
+        assert section in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2

@@ -6,6 +6,7 @@ lockstep batches, also check the kernels node for node against a row-wise
 reference that grows one tree at a time."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -184,10 +185,14 @@ def test_entropy_memo_equals_scalar_formula_bit_for_bit():
 
 def test_lockstep_batches_match_row_wise_reference():
     """Batches of forests over shared rows, each forest with its own row
-    mask and parameters, against one reference forest at a time."""
+    mask and the batch with one parameter set, against one reference forest
+    at a time.  The 48 cases take every (max_depth, n_sub, min_leaf,
+    bootstrap) combination twice."""
     rng = np.random.default_rng(707)
-    for case in range(14):
-        k = int(rng.integers(1, 11)) if case else 10
+    combos = itertools.product([3, 5, None], ["sqrt", "all"], [1, 2], [False, True])
+    for case, (max_depth, subset, min_leaf, bootstrap) in enumerate(2 * list(combos)):
+        # sqrt draws a strict subset from k >= 2 on.
+        k = int(rng.integers(1 if subset == "all" else 2, 11)) if case else 10
         n = int(rng.choice([40, 90, 150]))
         pool = rng.integers(0, 2, (int(rng.integers(1, 60)), k)).astype(np.uint8)
         X = pool[rng.integers(0, len(pool), n)]
@@ -201,11 +206,9 @@ def test_lockstep_batches_match_row_wise_reference():
             train[1, int(rng.integers(0, n))] = True  # a one-row forest
         if n_forests > 2:
             train[2] = (X == X[0]).all(axis=1)  # a one-pattern forest
-        max_depth = [[3, 5, None][int(i)] for i in rng.integers(0, 3, n_forests)]
-        n_sub = [max(1, int(np.sqrt(k))) if s else k for s in rng.integers(0, 2, n_forests)]
-        min_leaf = [int(v) for v in rng.integers(1, 3, n_forests)]
-        bootstrap = [bool(v) for v in rng.integers(0, 2, n_forests)]
+        n_sub = max(1, int(np.sqrt(k))) if subset == "sqrt" else k
         seeds = rng.integers(0, 1 << 64, n_forests * per_forest, dtype=np.uint64)
+        params = (case, k, max_depth, n_sub, min_leaf, bootstrap)
 
         *fields, node_count = kernels.build_forest(
             X, y, seeds, max_depth, n_sub, min_leaf, bootstrap, train=train)
@@ -215,8 +218,8 @@ def test_lockstep_batches_match_row_wise_reference():
             trees = slice(f * per_forest, (f + 1) * per_forest)
             want = oracles.forest_by_rows(
                 X[train[f]].tolist(), y[train[f]].tolist(), seeds[trees].tolist(),
-                max_depth[f], n_sub[f], min_leaf[f], bootstrap[f])
-            assert got[trees] == want, (case, f)
+                max_depth, n_sub, min_leaf, bootstrap)
+            assert got[trees] == want, (params, f)
 
 
 def _k10_personas():

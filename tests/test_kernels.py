@@ -1,9 +1,9 @@
 """Golden digests for the forest kernels: the splitmix64 stream, the entropy
 formula and its memo, SHA-256 digests of trained forests and their
 predictions, and a grid-search result, so any change to tree growth or voting
-shows up as a golden mismatch.  Randomized cases, single forests and mixed
-lockstep batches, also check the kernels node for node against a row-wise
-reference that grows one tree at a time."""
+shows up as a golden mismatch.  Randomized cases, single forests and
+lockstep batches of forests over their own rows, also check the kernels node
+for node against a row-wise reference that grows one tree at a time."""
 
 import hashlib
 import itertools

@@ -6,7 +6,7 @@ from .config import (
     make_blocking,
     sim_config_from_dict,
 )
-from .sim import SimLogs, generate_creative, knowledge_state, run_simulation
+from .sim import SimLogs, generate_creative, knowledge_state, prepare_simulation, run_simulation
 from .types import (
     AdCreative,
     Advertiser,
@@ -30,6 +30,6 @@ __all__ = [
     "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig", "SimLogs",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
     "build_world", "enumerate_personas", "generate_creative",
-    "knowledge_state", "make_blocking", "run_simulation",
+    "knowledge_state", "make_blocking", "prepare_simulation", "run_simulation",
     "sim_config_from_dict",
 ]

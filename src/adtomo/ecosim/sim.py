@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -147,18 +148,14 @@ def _validate_personas(world: World, personas) -> list[Persona]:
     return sorted(personas, key=lambda p: p.id)
 
 
-def run_simulation(world: World, personas, runs: int, seed: int | None = None) -> SimLogs:
-    """Simulate ``runs`` collection rounds for every persona.
-
-    Per (run, persona): resolve knowledge per advertiser, emit the redirect
-    chain, then auction every slot (bid = base + boost*known + N(0, sd),
-    truncated at 0) and log the winner's creative.  Client-side HB slots also
-    log all on-time bids; server-side HB suppresses the bid log.  Personas,
-    slots and advertisers are taken in id order, so the logs come out in
-    canonical order.
-    """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
+def prepare_simulation(world: World, personas, seed: int | None = None
+                       ) -> Callable[[int], SimLogs]:
+    """The body of one collection round, ``simulate_run(run) -> SimLogs``,
+    after validating the personas and preparing what every round shares:
+    the incoming edges and draw offsets of each advertiser, the auction tiers
+    of each slot and the redirect hops.  Rounds share no state, because each
+    (run, persona) draws from its own substream, so they may run in any
+    order or process."""
     if not world.slots:
         raise ConfigError("no ad-collection slots configured")
     if seed is None:
@@ -179,8 +176,9 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
                 else [[position[aid] for aid in tier] for tier in s.tiers]
                 for s in slots]
     hops = _chain_hops(world, slots)
-    logs = SimLogs()
-    for run in range(runs):
+
+    def simulate_run(run: int) -> SimLogs:
+        logs = SimLogs()
         for persona in personas:
             pid = persona.id
             rng = substream(seed, "sim", run, pid)
@@ -212,4 +210,28 @@ def run_simulation(world: World, personas, runs: int, seed: int | None = None) -
                         run, pid, slot.id, outcome.winner,
                         _creative_tokens(advertisers[w].creative_length, known[w],
                                          group, world, rng)))
+        return logs
+
+    return simulate_run
+
+
+def run_simulation(world: World, personas, runs: int, seed: int | None = None) -> SimLogs:
+    """Simulate ``runs`` collection rounds for every persona.
+
+    Per (run, persona): resolve knowledge per advertiser, emit the redirect
+    chain, then auction every slot (bid = base + boost*known + N(0, sd),
+    truncated at 0) and log the winner's creative.  Client-side HB slots also
+    log all on-time bids; server-side HB suppresses the bid log.  Runs,
+    personas, slots and advertisers are taken in id order, so the logs come
+    out in canonical order.
+    """
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    simulate_run = prepare_simulation(world, personas, seed)
+    logs = SimLogs()
+    for run in range(runs):
+        part = simulate_run(run)
+        logs.ads.extend(part.ads)
+        logs.requests.extend(part.requests)
+        logs.bids.extend(part.bids)
     return logs

@@ -4,8 +4,11 @@ from .model import (
     HyperGrid,
     Tree,
     accuracy,
+    best_point,
     cross_validate_grid,
+    cv_score,
     feature_importance,
+    fold_masks,
     predict_batch,
     train_forest,
 )
@@ -13,6 +16,6 @@ from . import kernels
 
 __all__ = [
     "ForestModel", "ForestParams", "HyperGrid", "Tree",
-    "accuracy", "cross_validate_grid", "feature_importance", "predict_batch",
-    "train_forest", "kernels",
+    "accuracy", "best_point", "cross_validate_grid", "cv_score", "feature_importance",
+    "fold_masks", "predict_batch", "train_forest", "kernels",
 ]

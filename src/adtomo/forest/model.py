@@ -11,10 +11,12 @@ The caller fixes the row order: ``tomography.run_inference`` sorts each
 advertiser's records by (persona, flag) before building X and y.
 
 Growth runs in ``kernels.build_forest``.  ``train_forest`` hands it one
-forest; ``cross_validate_grid`` hands it the fold forests of one grid point
-as one batch over the shared rows, each fold's training rows a mask, and
-the kernel grows every tree of the batch in lockstep.  Each fold forest is
-the one ``train_forest`` would grow on that fold's rows and seed.
+forest; ``cv_score`` hands it the fold forests of one grid point as one
+batch over the shared rows, each fold's training rows a mask, and the
+kernel grows every tree of the batch in lockstep.  Each fold forest is the
+one ``train_forest`` would grow on that fold's rows and seed.
+``cross_validate_grid`` scores every grid point and keeps the best by
+``best_point``.
 
 A note on zero-gain splits: an impure node is still split when the best
 achievable gain is zero, as long as some feature actually partitions it.
@@ -68,11 +70,15 @@ class HyperGrid:
 
     def __post_init__(self):
         for name in ("n_trees", "max_depth", "features_per_split", "min_leaf"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"grid dimension {name} is empty")
             # Each value alone, so points() never meets a value it cannot sort.
-            for value in getattr(self, name):
+            for value in values:
                 ForestParams(**{name: value})
+            # A repeated value would grow and score the same grid point twice.
+            if len(set(values)) != len(values):
+                raise ValueError(f"grid dimension {name} repeats a value: {list(values)}")
 
     def points(self) -> list[ForestParams]:
         """Grid points in canonical (lexicographic-parameter) order."""
@@ -238,6 +244,51 @@ def _fold_assignment(personas: Sequence[str], folds: int, seed: int) -> np.ndarr
     return assignment
 
 
+def fold_masks(personas: Sequence[str], folds: int, seed: int) -> np.ndarray:
+    """The persona-balanced k-fold split of rows whose personas are
+    ``personas``: a (folds, rows) bool array, True where a row is in that
+    fold's held-out set."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    return _fold_assignment(personas, folds, seed) == np.arange(folds)[:, None]
+
+
+def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParams,
+             gi: int, seed: int) -> float:
+    """Mean held-out-fold accuracy of grid point ``gi`` (``params``) over the
+    folds of ``test`` (from ``fold_masks``); X and y as ``_rows`` returns
+    them.
+
+    The fold forests grow as one batch; fold k's forest equals
+    train_forest(X[~test[k]], y[~test[k]], params, substream_key(seed, "cv",
+    gi, k)).  Each grid point draws from its own substreams, so the points
+    may be scored in any order or process."""
+    folds = len(test)
+    seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
+    feat_a, left_a, right_a, _, _, label_a, _ = kernels.build_forest(
+        X, y, _tree_seeds(seeds, params.n_trees), params.max_depth,
+        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
+    accs = []
+    for k in range(folds):
+        trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
+        votes = kernels.predict_votes(feat_a[trees], left_a[trees], right_a[trees],
+                                      label_a[trees], X[test[k]])
+        accs.append(float((votes == y[test[k]]).mean()))
+    return float(np.mean(accs))
+
+
+def best_point(points: Sequence[ForestParams], scores) -> tuple[ForestParams, float]:
+    """The point with the highest score, scores in point order; exact ties
+    go to the earlier point."""
+    best_params = None
+    best_acc = -1.0
+    for params, acc in zip(points, scores):
+        if acc > best_acc:
+            best_acc = acc
+            best_params = params
+    return best_params, best_acc
+
+
 def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: int,
                         seed: int) -> tuple[ForestParams, float]:
     """Persona-balanced k-fold grid search over the rows of (X, y), whose
@@ -246,29 +297,8 @@ def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: i
     Returns the grid point with the highest mean held-out-fold accuracy;
     exact ties go to the earlier point in canonical parameter order.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    test = fold_masks(personas, folds, seed)
     X, y = _rows(X, y)
-    assignment = _fold_assignment(personas, folds, seed)
-    test = assignment == np.arange(folds)[:, None]
-    best_params = None
-    best_acc = -1.0
-    for gi, params in enumerate(grid.points()):
-        # The fold forests of one grid point grow as one batch; fold k's
-        # forest equals train_forest(X[~test[k]], y[~test[k]], params,
-        # substream_key(seed, "cv", gi, k)).
-        seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
-        feat_a, left_a, right_a, _, _, label_a, _ = kernels.build_forest(
-            X, y, _tree_seeds(seeds, params.n_trees), params.max_depth,
-            _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
-        accs = []
-        for k in range(folds):
-            trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
-            votes = kernels.predict_votes(feat_a[trees], left_a[trees], right_a[trees],
-                                          label_a[trees], X[test[k]])
-            accs.append(float((votes == y[test[k]]).mean()))
-        mean_acc = float(np.mean(accs))
-        if mean_acc > best_acc:
-            best_acc = mean_acc
-            best_params = params
-    return best_params, best_acc
+    points = grid.points()
+    return best_point(points, [cv_score(X, y, test, params, gi, seed)
+                               for gi, params in enumerate(points)])

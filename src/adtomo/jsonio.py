@@ -61,10 +61,17 @@ def open_atomic(path, newline: str = "\n") -> Iterator[TextIO]:
         raise
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
+def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
+    """Each record as one JSON line, newline included: the lines of a
+    JSON-lines file, one encoder for all of them."""
     encode = _line_encoder()
+    for rec in records:
+        yield encode(rec) + "\n"
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
     with open_atomic(path) as fh:
-        fh.writelines(encode(rec) + "\n" for rec in records)
+        fh.writelines(jsonl_lines(records))
 
 
 def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:

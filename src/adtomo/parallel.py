@@ -1,0 +1,56 @@
+"""One process-pool helper for loops whose iterations share nothing.
+
+``fork_map(fn, items)`` yields ``fn(item)`` for each item, in item order,
+from forked workers: one per CPU the process may run on, at most one per
+item.  With fewer than two it is a plain loop in this process.  Every random
+draw in the package comes from a substream named by its unit of work (see
+``rng``), so results do not depend on which process computes them, and no
+option chooses the worker count.
+
+``fn`` and ``items`` sit in a module slot before the pool forks, so the
+workers inherit them: only item indices travel to the workers and only
+results travel back, and ``fn`` may be a closure.  Anything ``fn`` records
+in module state inside a worker stays in that worker.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Callable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+_TASK: tuple[Callable, Sequence] | None = None
+
+
+def _call(i: int):
+    fn, items = _TASK
+    return fn(items[i])
+
+
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+    """``fn(item)`` for each item, in item order.  The first item, in item
+    order, that raises re-raises its exception here.  The pool is closed and
+    joined after the last result, and terminated if an item raises or the
+    caller stops early."""
+    global _TASK
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing  # ~20 ms to import; an in-process run never pays it
+
+    _TASK = (fn, items)
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            yield from pool.imap(_call, range(len(items)), chunksize=1)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+    finally:
+        _TASK = None

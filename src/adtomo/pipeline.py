@@ -25,11 +25,14 @@ import csv
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
-from .ecosim import SimConfig, build_world, run_simulation, sim_config_from_dict
+from .ecosim import SimConfig, SimLogs, build_world, prepare_simulation, sim_config_from_dict
+# perfbench's tracer looks run_simulation up here; no stage calls it.
+from .ecosim import run_simulation  # noqa: F401
 from .ecosim.types import DeliveredAd, RequestLogEntry
 from .errors import ConfigError
 from .forest import HyperGrid
-from .jsonio import open_atomic, read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import jsonl_lines, open_atomic, read_json, read_jsonl, write_json, write_jsonl
+from .parallel import fork_map
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
 from .textvec import Corpus, build_corpus, vectorize_tokens
@@ -66,9 +69,20 @@ class PipelineConfig:
         return replace(self, seed=seed, resolved=resolved)
 
 
+_CONFIG_KEYS = ("sim", "stats", "grid", "folds", "holdout_runs", "accuracy_threshold",
+                "seed", "output_dir")
+
+
+def _check_known_keys(d: dict, known, prefix: str = "") -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError("unknown key", prefix + unknown[0])
+
+
 def _parse_grid(d: dict) -> HyperGrid:
     if not isinstance(d, dict):
         raise ConfigError("expected an object", "grid")
+    _check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
     dims = {}
     for dim in dataclass_fields(HyperGrid):
         values = d.get(dim.name, dim.default)
@@ -84,6 +98,9 @@ def _parse_grid(d: dict) -> HyperGrid:
 def load_pipeline_config(source) -> PipelineConfig:
     """Build a validated PipelineConfig from a dict or a JSON file path."""
     doc = read_json(source) if not isinstance(source, dict) else source
+    if not isinstance(doc, dict):
+        raise ConfigError("expected a JSON object", str(source))
+    _check_known_keys(doc, _CONFIG_KEYS)
     if "sim" not in doc:
         raise ConfigError("missing required field", "sim")
     sim = sim_config_from_dict(doc["sim"])
@@ -241,24 +258,37 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
 # stages
 # --------------------------------------------------------------------------
 
+def _encode_run(logs: SimLogs) -> tuple[str, str, str]:
+    """The adlog, requestlog and bidlog lines of one run's logs."""
+    return (
+        "".join(jsonl_lines({"run": a.run, "persona": a.persona, "slot": a.slot,
+                             "advertiser": a.advertiser, "tokens": a.tokens}
+                            for a in logs.ads)),
+        "".join(jsonl_lines({"run": e.run, "persona": e.persona,
+                             "chain_position": e.chain_position,
+                             "source_domain": e.source_domain,
+                             "destination_domain": e.destination_domain,
+                             "cookie_sent": e.cookie_sent, "uid_param": e.uid_param}
+                            for e in logs.requests)),
+        "".join(jsonl_lines({"run": b.run, "persona": b.persona, "slot": b.slot,
+                             "advertiser": b.advertiser, "bid": b.bid}
+                            for b in logs.bids)),
+    )
+
+
 def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
+    """Simulate the runs in a process pool, each worker encoding its run's
+    log lines.  Each run's lines are appended to the three logs as they
+    arrive, in run order, so the logs hold ``run_simulation``'s records."""
     out_dir.mkdir(parents=True, exist_ok=True)
     world = build_world(cfg.sim, cfg.seed)
-    logs = run_simulation(world, cfg.sim.personas, cfg.sim.runs, cfg.seed)
-    write_jsonl(out_dir / "adlog.jsonl",
-                ({"run": a.run, "persona": a.persona, "slot": a.slot,
-                  "advertiser": a.advertiser, "tokens": a.tokens}
-                 for a in logs.ads))
-    write_jsonl(out_dir / "requestlog.jsonl",
-                ({"run": e.run, "persona": e.persona, "chain_position": e.chain_position,
-                  "source_domain": e.source_domain,
-                  "destination_domain": e.destination_domain,
-                  "cookie_sent": e.cookie_sent, "uid_param": e.uid_param}
-                 for e in logs.requests))
-    write_jsonl(out_dir / "bidlog.jsonl",
-                ({"run": b.run, "persona": b.persona, "slot": b.slot,
-                  "advertiser": b.advertiser, "bid": b.bid}
-                 for b in logs.bids))
+    simulate_run = prepare_simulation(world, cfg.sim.personas, cfg.seed)
+    with (open_atomic(out_dir / "adlog.jsonl") as adlog,
+          open_atomic(out_dir / "requestlog.jsonl") as requestlog,
+          open_atomic(out_dir / "bidlog.jsonl") as bidlog):
+        for lines in fork_map(lambda run: _encode_run(simulate_run(run)), range(cfg.sim.runs)):
+            for fh, text in zip((adlog, requestlog, bidlog), lines):
+                fh.write(text)
     write_json(out_dir / "personas.json", _persona_manifest(cfg))
     write_json(out_dir / "world.json", world.canonical_dict())
 

@@ -123,6 +123,30 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc.update(stat={"alpha": 0.5}), "stat: unknown key"),
+        (lambda doc: doc["grid"].update(n_tree=[20]), "grid.n_tree: unknown key"),
+        (lambda doc: doc["grid"].update(n_trees=[20, 20]), "grid: grid dimension n_trees"),
+        (lambda doc: doc["grid"].update(max_depth=[None, 3, None]),
+         "grid: grid dimension max_depth"),
+    ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth"])
+    def test_unknown_key_or_repeated_grid_value_names_it(self, tmp_path, edit, named):
+        doc = load_config("mini")
+        edit(doc)
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_config_not_an_object_names_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("5", encoding="utf-8")
+        proc = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert f"{path}: expected a JSON object" in proc.stderr
+
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2

@@ -1,0 +1,168 @@
+import hashlib
+import multiprocessing
+import os
+import random
+import threading
+import time
+
+import pytest
+
+from adtomo import parallel, pipeline, tomography
+from adtomo.errors import ConfigError
+from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_importance, \
+    train_forest
+from adtomo.parallel import fork_map
+from adtomo.pipeline import ARTIFACTS, load_pipeline_config, run_pipeline
+from adtomo.rng import substream_key
+from adtomo.tomography import VectorRecord, run_inference
+
+from conftest import load_config
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so fork_map forks a pool on any machine."""
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+
+
+def _slow_square(x):
+    time.sleep(0.01 * (5 - x % 5))  # early items finish last
+    return x * x, os.getpid()
+
+
+def test_results_come_back_in_item_order(two_cpus):
+    results = list(fork_map(_slow_square, range(12)))
+    assert [r for r, _ in results] == [x * x for x in range(12)]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert multiprocessing.active_children() == []
+
+
+def _fail_on_2_and_5(x):
+    if x == 2:
+        time.sleep(0.3)  # item 5 raises first in time
+        raise ConfigError("item 2 failed", "where.2")
+    if x == 5:
+        raise ConfigError("item 5 failed", "where.5")
+    return x
+
+
+def test_first_raising_item_in_item_order_is_reraised(two_cpus):
+    with pytest.raises(ConfigError) as info:
+        list(fork_map(_fail_on_2_and_5, range(8)))
+    assert str(info.value) == "where.2: item 2 failed"
+    assert info.value.path == "where.2"
+    assert multiprocessing.active_children() == []
+
+
+def test_closure_works_as_fn(two_cpus):
+    lock = threading.Lock()  # not picklable: fn reaches the workers by fork
+    offset = {"value": 100}
+
+    def add(x):
+        with lock:
+            return x + offset["value"]
+
+    assert list(fork_map(add, [1, 2, 3])) == [101, 102, 103]
+
+
+def test_one_cpu_runs_in_process(one_cpu):
+    results = list(fork_map(_slow_square, range(4)))
+    assert results == [(x * x, os.getpid()) for x in range(4)]
+
+
+def test_stopping_early_terminates_the_pool(two_cpus):
+    results = fork_map(_slow_square, range(50))
+    assert next(results)[0] == 0
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+def _digests(out):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+@pytest.mark.parametrize("profile", ["mini", "small"])
+def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch, profile):
+    cfg = load_pipeline_config(load_config(profile, seed=7))
+    run_pipeline(cfg, tmp_path / "pooled")
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    run_pipeline(cfg, tmp_path / "serial")
+    assert _digests(tmp_path / "pooled") == _digests(tmp_path / "serial")
+
+
+def test_no_worker_outlives_a_stage(tmp_path, two_cpus, monkeypatch):
+    cfg = load_pipeline_config(load_config("mini", seed=3))
+    out = tmp_path / "out"
+    pipeline.stage_simulate(cfg, out)
+    assert multiprocessing.active_children() == []
+    pipeline.stage_flag(cfg, out)
+    pipeline.stage_infer(cfg, out)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
+    cfg = load_pipeline_config(load_config("mini", seed=3))
+    out = tmp_path / "out"
+    pipeline.stage_simulate(cfg, out)
+    pipeline.stage_flag(cfg, out)
+    adlog = (out / "adlog.jsonl").read_bytes()
+
+    def failing_encode(logs):
+        raise ConfigError("encode failed")
+
+    monkeypatch.setattr(pipeline, "_encode_run", failing_encode)
+    with pytest.raises(ConfigError, match="encode failed"):
+        pipeline.stage_simulate(cfg, out)
+    assert multiprocessing.active_children() == []
+    assert (out / "adlog.jsonl").read_bytes() == adlog
+    assert not list(out.glob(".*.tmp"))
+
+    def failing_score(X, y, test, params, gi, seed):
+        raise ConfigError("score failed")
+
+    monkeypatch.setattr(tomography, "cv_score", failing_score)
+    with pytest.raises(ConfigError, match="score failed"):
+        pipeline.stage_infer(cfg, out)
+    assert multiprocessing.active_children() == []
+
+
+def _random_inference_case(seed):
+    rng = random.Random(seed)
+    trackers = [f"t{i}" for i in range(rng.randint(2, 5))]
+    personas = [f"p{i}" for i in range(rng.randint(3, 8))]
+    blocking = {p: tuple(t for t in trackers if rng.random() < 0.5) for p in personas}
+    advertisers = [f"a{i}" for i in range(rng.randint(1, 4))]
+    folds = rng.choice([2, 4])
+    runs = folds * rng.randint(1, 2) + 1
+    records = [VectorRecord(a, p, r, {}, rng.random() < 0.5)
+               for a in advertisers for p in personas for r in range(runs)]
+    cv = [rec for rec in records if rec.run < runs - 1]
+    holdout = [rec for rec in records if rec.run == runs - 1]
+    grid = HyperGrid(n_trees=(3, 5), max_depth=(2, None), features_per_split=("sqrt", "all"),
+                     min_leaf=(1,))
+    return cv, holdout, grid, folds, trackers, blocking
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_run_inference_equals_per_advertiser_grid_search(case, two_cpus):
+    cv, holdout, grid, folds, trackers, blocking = _random_inference_case(case)
+    seed = 1000 + case
+    reports = run_inference(cv, holdout, grid, folds, seed, trackers, blocking, 0.5)
+    assert [r.advertiser for r in reports] == sorted({rec.advertiser for rec in cv})
+    for report in reports:
+        mine = [rec for rec in cv if rec.advertiser == report.advertiser]
+        X, y, personas = tomography._design(mine, sorted(trackers), blocking)
+        adv_seed = substream_key(seed, "infer", report.advertiser)
+        params, cv_acc = cross_validate_grid(X, y, personas, grid, folds, adv_seed)
+        model = train_forest(X, y, params, adv_seed)
+        X_h, y_h, _ = tomography._design(
+            [rec for rec in holdout if rec.advertiser == report.advertiser],
+            sorted(trackers), blocking)
+        assert (report.params, report.cv_accuracy) == (params, cv_acc)
+        assert report.holdout_accuracy == accuracy(model, X_h, y_h)
+        assert list(report.gains.values()) == feature_importance(model).tolist()

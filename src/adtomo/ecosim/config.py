@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_known_keys
 from .types import (
     Advertiser,
     AuctionSlot,
@@ -270,10 +270,22 @@ def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
     return tuple(sorted(personas, key=lambda p: p.id))
 
 
+_SIM_KEYS = ("world", "run")
+_RUN_KEYS = ("personas", "runs", "seed")
+_WORLD_KEYS = ("generic_pool", "groups", "websites", "trackers", "advertisers", "edges",
+               "slots", "sync_pairs")
+
+
 def sim_config_from_dict(d: dict) -> SimConfig:
-    """Parse and validate a full simulation config document."""
+    """Parse and validate a full simulation config document.  An unknown key
+    in the document, its ``run`` or its ``world`` is an error naming it."""
+    if not isinstance(d, dict):
+        raise ConfigError("expected an object", "sim")
+    check_known_keys(d, _SIM_KEYS, "sim.")
     world_section = _require(d, "world", "sim", dict)
     run_section = _require(d, "run", "sim", dict)
+    check_known_keys(run_section, _RUN_KEYS, "sim.run.")
+    check_known_keys(world_section, _WORLD_KEYS, "sim.world.")
     runs = _require(run_section, "runs", "run", int)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}", "run.runs")

@@ -7,3 +7,11 @@ class ConfigError(ValueError):
     def __init__(self, message: str, path: str | None = None):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def check_known_keys(d: dict, known, prefix: str = "") -> None:
+    """ConfigError naming ``prefix`` plus the first unknown key of ``d``, in
+    sorted order, unless every key of ``d`` is in ``known``."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError("unknown key", prefix + unknown[0])

@@ -24,14 +24,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from sys import intern
 
 from .ecosim import SimConfig, SimLogs, build_world, prepare_simulation, sim_config_from_dict
 # perfbench's tracer looks run_simulation up here; no stage calls it.
 from .ecosim import run_simulation  # noqa: F401
 from .ecosim.types import DeliveredAd, RequestLogEntry
-from .errors import ConfigError
+from .errors import ConfigError, check_known_keys
 from .forest import HyperGrid
-from .jsonio import jsonl_lines, open_atomic, read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import jsonl_lines, open_atomic, read_json, read_jsonl, write_json
+# perfbench's tracer looks write_jsonl up here; no stage calls it.
+from .jsonio import write_jsonl  # noqa: F401
 from .parallel import fork_map
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
@@ -73,16 +76,10 @@ _CONFIG_KEYS = ("sim", "stats", "grid", "folds", "holdout_runs", "accuracy_thres
                 "seed", "output_dir")
 
 
-def _check_known_keys(d: dict, known, prefix: str = "") -> None:
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise ConfigError("unknown key", prefix + unknown[0])
-
-
 def _parse_grid(d: dict) -> HyperGrid:
     if not isinstance(d, dict):
         raise ConfigError("expected an object", "grid")
-    _check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
+    check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
     dims = {}
     for dim in dataclass_fields(HyperGrid):
         values = d.get(dim.name, dim.default)
@@ -100,7 +97,7 @@ def load_pipeline_config(source) -> PipelineConfig:
     doc = read_json(source) if not isinstance(source, dict) else source
     if not isinstance(doc, dict):
         raise ConfigError("expected a JSON object", str(source))
-    _check_known_keys(doc, _CONFIG_KEYS)
+    check_known_keys(doc, _CONFIG_KEYS)
     if "sim" not in doc:
         raise ConfigError("missing required field", "sim")
     sim = sim_config_from_dict(doc["sim"])
@@ -191,11 +188,14 @@ def _check_known_personas(used, personas: list[dict], path: Path) -> None:
 
 
 def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
-    """The ads of ``adlog.jsonl``, each built as its line is read."""
+    """The ads of ``adlog.jsonl``, each built as its line is read.  Their
+    strings are interned: a log repeats a few thousand distinct tokens, and
+    one string object per occurrence would take most of the ads' memory."""
     return read_jsonl(out_dir / "adlog.jsonl",
                       fields=("run", "persona", "slot", "advertiser", "tokens"),
-                      build=lambda r: DeliveredAd(r["run"], r["persona"], r["slot"],
-                                                  r["advertiser"], tuple(r["tokens"])))
+                      build=lambda r: DeliveredAd(
+                          r["run"], intern(r["persona"]), intern(r["slot"]),
+                          intern(r["advertiser"]), tuple(map(intern, r["tokens"]))))
 
 
 def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
@@ -294,9 +294,14 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
+    """Collate, flag and encode each advertiser's records in a process pool,
+    one task per advertiser.  Every task collates on the whole log's
+    (persona, run) grid and returns its lines, appended to ``records.jsonl``
+    in advertiser order, so no process holds every record."""
     ads = _read_adlog(out_dir)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
+    seen_personas = sorted({a.persona for a in ads})
+    _check_known_personas(seen_personas, personas, out_dir / "adlog.jsonl")
     is_control = {p["id"]: p["is_control"] for p in personas}
     if not any(is_control.values()):
         raise ConfigError("flag stage requires at least one control persona",
@@ -304,15 +309,24 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     corpus = build_corpus(a.tokens for a in ads)
     tokens = corpus.tokens()
     write_json(out_dir / "corpus.json", {"tokens": tokens})
-    records = collate(ads, corpus)
-    persona_records = [r for r in records if not is_control[r.persona]]
-    control_records = [r for r in records if is_control[r.persona]]
-    flagged = flag_changes(persona_records, control_records, cfg.stats)
-    write_jsonl(out_dir / "records.jsonl",
-                ({"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
-                  "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
-                  "is_different_from_control": r.is_different_from_control}
-                 for r in flagged))
+    runs = sorted({a.run for a in ads})
+    by_advertiser: dict[str, list[DeliveredAd]] = {}
+    for ad in ads:
+        by_advertiser.setdefault(ad.advertiser, []).append(ad)
+
+    def flag_advertiser(advertiser: str) -> str:
+        records = collate(by_advertiser[advertiser], corpus, seen_personas, runs)
+        flagged = flag_changes([r for r in records if not is_control[r.persona]],
+                               [r for r in records if is_control[r.persona]], cfg.stats)
+        return "".join(jsonl_lines(
+            {"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
+             "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
+             "is_different_from_control": r.is_different_from_control}
+            for r in flagged))
+
+    with open_atomic(out_dir / "records.jsonl") as fh:
+        for text in fork_map(flag_advertiser, sorted(by_advertiser)):
+            fh.write(text)
 
 
 def _report_meta(cfg: PipelineConfig) -> dict:

@@ -7,7 +7,7 @@ are two-sided; reports emitted by the pipeline record that choice.
 
 ``chi_square_independence`` tests one table.  ``chi_square_against`` runs
 the same test for many sparse count vectors against one shared control row,
-as change flagging does for every record of an (advertiser, run), on one
+as change flagging needs for every record of an (advertiser, run), on one
 dense block per batch of records.  The block's columns are the control's
 support plus every column some record fills to ``min_expected`` on its own.
 Any other column has control count 0 and a record count below
@@ -18,12 +18,22 @@ not depend on summation order, the per-cell expressions are those of
 ``chi_square_independence``, and each record's statistic is one pairwise
 sum over its cells laid out in that function's order: the results are
 bit-identical to one ``chi_square_independence`` call per record.
+
+``flags_against`` gives only what change flagging keeps, ``p < alpha``, from
+the same block.  Per df, ``critical_bracket`` bisects ``chi2_sf`` once for
+``lo < hi`` with ``chi2_sf(lo) >= alpha > chi2_sf(hi)``.  Each record's
+statistic comes from one ``np.add.reduceat`` over the block's cells: below
+``lo`` by more than a relative 1e-9 it is not flagged, above ``hi`` by more
+it is, and only a statistic in between is summed as ``chi_square_against``
+sums it and passed to ``chi2_sf``.  The flags equal those of
+``chi_square_against``, which stays the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -175,8 +185,87 @@ def chi_square_against(control: Mapping[int, int], vectors: Sequence[Mapping[int
                                             config.min_expected)]
 
 
+def flags_against(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
+                  config: StatConfig = StatConfig()) -> list[bool]:
+    """``[r is not None and r.p_value < config.alpha for r in
+    chi_square_against(control, vectors, config)]``, decided from critical
+    values: a record's statistic is compared with its df's bracket from
+    ``critical_bracket``, and only a statistic within ``_BAND`` of the
+    bracket gets its exact sum and a ``chi2_sf`` call."""
+    return [flag for start in range(0, len(vectors), _BATCH_RECORDS)
+            for flag in _flags_from_cells(
+                *_block_cells(control, vectors[start:start + _BATCH_RECORDS],
+                              config.min_expected), config.alpha)]
+
+
+@lru_cache(maxsize=None)
+def critical_bracket(df: int, alpha: float) -> tuple[float, float]:
+    """(lo, hi) with lo < hi and chi2_sf(lo, df) >= alpha > chi2_sf(hi, df),
+    hi - lo at most 1e-12 hi, bisected on ``chi2_sf`` itself."""
+    lo, hi = 0.0, float(df)
+    while chi2_sf(hi, df) >= alpha:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if chi2_sf(mid, df) >= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# Relative margin around a bracket.  A record's cells are non-negative, so
+# any two summation orders of its 2k cells agree within a relative 2k * 2^-52:
+# below 1e-9 for any table under 10^6 columns.  A statistic summed one way
+# and below lo * (1 - _BAND) is below lo summed the other way, and one above
+# hi * (1 + _BAND) is above hi.
+_BAND = 1e-9
+
+
+def _flags_from_cells(contrib: np.ndarray, n_cols: np.ndarray, alpha: float) -> list[bool]:
+    """Per record, whether its p-value is below ``alpha``; ``contrib`` and
+    ``n_cols`` as ``_block_cells`` returns them."""
+    flags = np.zeros(n_cols.size, dtype=bool)
+    tested = np.flatnonzero(n_cols)
+    if tested.size == 0:
+        return flags.tolist()
+    k = n_cols[tested]
+    ends = np.cumsum(2 * k)
+    starts = ends - 2 * k
+    statistic = np.add.reduceat(contrib, starts)
+    lo, hi = np.empty(k.max() + 1), np.empty(k.max() + 1)
+    for cols in set(k.tolist()):
+        lo[cols], hi[cols] = critical_bracket(cols - 1, alpha)
+    above = statistic > hi[k] * (1.0 + _BAND)
+    band = ~above & (statistic >= lo[k] * (1.0 - _BAND))
+    for i in np.flatnonzero(band).tolist():
+        exact = float(contrib[starts[i]:ends[i]].sum())
+        above[i] = chi2_sf(exact, float(k[i] - 1)) < alpha
+    flags[tested] = above
+    return flags.tolist()
+
+
 def _chi_square_block(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
                       min_expected: float) -> list[TestResult | None]:
+    contrib, n_cols = _block_cells(control, vectors, min_expected)
+    out: list[TestResult | None] = []
+    end = 0
+    for k in n_cols.tolist():
+        if not k:
+            out.append(None)
+            continue
+        start, end = end, end + 2 * k
+        statistic = float(contrib[start:end].sum())
+        df = float(k - 1)
+        out.append(TestResult(statistic, df, chi2_sf(statistic, df)))
+    return out
+
+
+def _block_cells(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
+                 min_expected: float) -> tuple[np.ndarray, np.ndarray]:
+    """(contrib, n_cols): per record, its table's effective column count,
+    0 where the table is degenerate, and the per-cell chi-squared terms of
+    every testable record, 2 * n_cols of them each, in record order."""
     n = len(vectors)
     sizes = [len(v) for v in vectors]
     ctrl_cols = np.fromiter(control.keys(), dtype=np.int64, count=len(control))
@@ -225,14 +314,4 @@ def _chi_square_block(control: Mapping[int, int], vectors: Sequence[Mapping[int,
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = (observed - expected) ** 2 / expected
     contrib[expected == 0.0] = 0.0  # zero row: O == E == 0
-    out: list[TestResult | None] = []
-    end = 0
-    for ok, k in zip(testable.tolist(), n_cols.tolist()):
-        if not ok:
-            out.append(None)
-            continue
-        start, end = end, end + 2 * k
-        statistic = float(contrib[start:end].sum())
-        df = float(k - 1)
-        out.append(TestResult(statistic, df, chi2_sf(statistic, df)))
-    return out
+    return contrib, np.where(testable, n_cols, 0)

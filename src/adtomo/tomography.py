@@ -13,11 +13,13 @@ column collapsing, e.g. because the advertiser won few or no auctions for
 that persona) is flagged False.  Not winning auctions is noise, not evidence.
 
 The records of one (advertiser, run) share their pooled control row, so they
-are tested together by ``stattest.chi_square_against``: one dense block per
+are flagged together by ``stattest.flags_against``: one dense block per
 batch over the control's support plus the columns some record fills to
 ``min_expected`` alone.  Every other column is low-mass in every record's
 table and goes straight into that record's residual, so each record gets the
-statistic its own 2 x V table would give, bit for bit.
+flag its own 2 x V table would give.  ``collate`` and ``flag_changes`` need
+only one advertiser's ads, given the whole log's personas and runs, so the
+flag stage runs them per advertiser in separate processes.
 
 The forest sees one advertiser's records as arrays (X, y, personas), built
 once for the cross-validation set and once for the holdout set.  The rows
@@ -50,7 +52,7 @@ from .forest import cross_validate_grid  # noqa: F401
 from .parallel import fork_map
 from .ecosim.types import DeliveredAd
 from .rng import substream, substream_key
-from .stattest import StatConfig, TestResult, chi_square_against, welch_t_test
+from .stattest import StatConfig, TestResult, flags_against, welch_t_test
 from .textvec import Corpus, add_tokens, cosine_similarity
 
 
@@ -84,15 +86,22 @@ class H1Result:
     tests: dict[tuple[str, str], TestResult]   # within-vs-across Welch tests
 
 
-def collate(adlog: Iterable[DeliveredAd], corpus: Corpus) -> list[VectorRecord]:
+def collate(adlog: Iterable[DeliveredAd], corpus: Corpus,
+            personas: Sequence[str] | None = None,
+            runs: Sequence[int] | None = None) -> list[VectorRecord]:
     """One record per (advertiser, persona, run) with the tokens of all its
     creatives counted into one vector.  The grid is the full cross product of
-    the advertisers, personas, and runs observed in the log, so advertisers
-    that won nothing for some (persona, run) contribute an empty vector."""
+    the advertisers observed in the log with ``personas`` and ``runs``, in
+    the order given, which default to the sorted personas and runs observed
+    in the log, so advertisers that won nothing for some (persona, run)
+    contribute an empty vector.  To collate part of a log on the whole log's
+    grid, pass the whole log's personas and runs."""
     ads = list(adlog)
     advertisers = sorted({a.advertiser for a in ads})
-    personas = sorted({a.persona for a in ads})
-    runs = sorted({a.run for a in ads})
+    if personas is None:
+        personas = sorted({a.persona for a in ads})
+    if runs is None:
+        runs = sorted({a.run for a in ads})
     merged: dict[tuple[str, str, int], dict[int, int]] = {}
     for ad in ads:
         key = (ad.advertiser, ad.persona, ad.run)
@@ -116,7 +125,7 @@ def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[Vect
     Each record is tested on the 2 x V table over the union of the two
     supports, columns in ascending index order: a column both rows leave at
     zero has zero mass, so low-mass collapsing would drop it anyway.  The
-    records of one (advertiser, run) are tested in one ``chi_square_against``
+    records of one (advertiser, run) are flagged in one ``flags_against``
     call.  Records whose table is degenerate are flagged False.
     """
     pooled: dict[tuple[str, int], dict[int, int]] = {}
@@ -132,8 +141,7 @@ def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[Vect
                 f"no control record for advertiser {rec.advertiser!r} run {rec.run}")
         groups.setdefault(key, []).append(rec.vector)
     # Each group's flags in record order, consumed below in that order.
-    flags = {key: iter([r is not None and r.p_value < config.alpha
-                        for r in chi_square_against(pooled[key], vectors, config)])
+    flags = {key: iter(flags_against(pooled[key], vectors, config))
              for key, vectors in groups.items()}
     return [VectorRecord(rec.advertiser, rec.persona, rec.run, rec.vector,
                          next(flags[(rec.advertiser, rec.run)]))

@@ -129,7 +129,11 @@ class TestExitCodes:
         (lambda doc: doc["grid"].update(n_trees=[20, 20]), "grid: grid dimension n_trees"),
         (lambda doc: doc["grid"].update(max_depth=[None, 3, None]),
          "grid: grid dimension max_depth"),
-    ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth"])
+        (lambda doc: doc["sim"].update(bogus=1), "sim.bogus: unknown key"),
+        (lambda doc: doc["sim"]["run"].update(bogus=1), "sim.run.bogus: unknown key"),
+        (lambda doc: doc["sim"]["world"].update(bogus=1), "sim.world.bogus: unknown key"),
+    ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth",
+            "unknown_sim_key", "unknown_sim_run_key", "unknown_sim_world_key"])
     def test_unknown_key_or_repeated_grid_value_names_it(self, tmp_path, edit, named):
         doc = load_config("mini")
         edit(doc)

@@ -1,13 +1,15 @@
 import hashlib
+import json
 import multiprocessing
 import os
 import random
+import shutil
 import threading
 import time
 
 import pytest
 
-from adtomo import parallel, pipeline, tomography
+from adtomo import cli, parallel, pipeline, tomography
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_importance, \
     train_forest
@@ -129,6 +131,48 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     with pytest.raises(ConfigError, match="score failed"):
         pipeline.stage_infer(cfg, out)
     assert multiprocessing.active_children() == []
+
+
+
+@pytest.mark.parametrize("profile", ["mini", "small"])
+def test_flag_stage_artifacts_do_not_depend_on_worker_count(tmp_path, monkeypatch, profile):
+    cfg = load_pipeline_config(load_config(profile, seed=7))
+    pipeline.stage_simulate(cfg, tmp_path / "sim")
+    flagged = {}
+    for cpus in ({0}, {0, 1}):
+        out = tmp_path / f"cpus-{len(cpus)}"
+        shutil.copytree(tmp_path / "sim", out)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        pipeline.stage_flag(cfg, out)
+        assert multiprocessing.active_children() == []
+        flagged[len(cpus)] = [(out / name).read_bytes() for name in ("corpus.json",
+                                                                      "records.jsonl")]
+    assert flagged[1] == flagged[2]
+
+
+def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys):
+    doc = load_config("mini", seed=3)
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    pipeline.stage_simulate(load_pipeline_config(doc), out)
+    real = pipeline.flag_changes
+
+    def failing_flag(records, controls, stats):
+        if records[0].advertiser == "dsp-2":
+            raise ConfigError("cannot flag dsp-2", "records.jsonl")
+        return real(records, controls, stats)
+
+    monkeypatch.setattr(pipeline, "flag_changes", failing_flag)
+    stderr = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert cli.main(["flag", "--config", str(config), "--out", str(out)]) == 2
+        assert multiprocessing.active_children() == []
+        stderr[len(cpus)] = capsys.readouterr().err
+    assert stderr[1] == stderr[2] == "adtomo: config error: records.jsonl: cannot flag dsp-2\n"
+    assert not (out / "records.jsonl").exists()
+    assert not list(out.glob(".*.tmp"))
 
 
 def _random_inference_case(seed):

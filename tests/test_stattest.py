@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from adtomo import stattest
 from adtomo.special import regularized_gamma_q, regularized_incomplete_beta
 from adtomo.stattest import (
+    _BAND,
     _BATCH_RECORDS,
     DegenerateTableError,
     StatConfig,
@@ -13,6 +15,8 @@ from adtomo.stattest import (
     chi_square_against,
     chi_square_independence,
     collapse_low_mass_columns,
+    critical_bracket,
+    flags_against,
     student_t_sf,
     welch_t_test,
 )
@@ -273,6 +277,62 @@ class TestChiSquareAgainst:
     def test_negative_counts_rejected(self, control, vector):
         with pytest.raises(StatError, match="non-negative"):
             chi_square_against(control, [{0: 1}, vector])
+
+
+
+class TestFlagsAgainst:
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_randomized_groups_match_chi_square_against(self, alpha):
+        rng = np.random.default_rng(31)
+        flagged = tested = 0
+        for trial in range(60):
+            control, vectors = random_group(rng, int(rng.integers(1, 301)))
+            config = StatConfig(alpha=alpha, min_expected=float([1, 5, 12][trial % 3]))
+            results = chi_square_against(control, vectors, config)
+            got = flags_against(control, vectors, config)
+            assert got == [r is not None and r.p_value < alpha for r in results]
+            flagged += sum(got)
+            tested += sum(r is not None for r in results)
+        assert 0 < flagged < tested
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_bracket_holds_for_df_1_to_400(self, alpha):
+        for df in range(1, 401):
+            lo, hi = critical_bracket(df, alpha)
+            assert lo < hi and hi - lo <= 1e-12 * hi
+            assert chi2_sf(lo, df) >= alpha > chi2_sf(hi, df)
+            # chi2_sf keeps the same side of alpha just outside the band.
+            assert chi2_sf(lo * (1 - _BAND), df) >= alpha
+            assert chi2_sf(hi * (1 + _BAND), df) < alpha
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_planted_statistics_take_their_path(self, alpha, monkeypatch):
+        df = 2
+        lo, hi = critical_bracket(df, alpha)
+        # (statistic, flag, decided by chi2_sf), each planted as the first of
+        # a (df + 1)-column table's 2 (df + 1) cells.
+        planted = [
+            (lo * (1 - 2 * _BAND), False, False),
+            (lo, False, True),
+            (0.5 * (lo + hi), chi2_sf(0.5 * (lo + hi), df) < alpha, True),
+            (hi, True, True),
+            (hi * (1 + 2 * _BAND), True, False),
+            (0.0, False, False),
+            (10 * hi, True, False),
+        ]
+        records = [None, *planted[:2], None, *planted[2:]]  # None: a degenerate table
+        n_cols = np.array([0 if r is None else df + 1 for r in records])
+        contrib = np.concatenate([[stat] + [0.0] * (2 * df + 1) for stat, _, _ in planted])
+        calls = []
+
+        def spy(x, k):
+            calls.append((x, k))
+            return chi2_sf(x, k)
+
+        monkeypatch.setattr(stattest, "chi2_sf", spy)
+        got = stattest._flags_from_cells(contrib, n_cols, alpha)
+        assert got == [r is not None and r[1] for r in records]
+        assert calls == [(stat, float(df)) for stat, _, exact in planted if exact]
 
 
 def test_t_sf_basic_values():

@@ -10,7 +10,7 @@ from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
 from adtomo.pipeline import load_pipeline_config
-from adtomo.stattest import StatConfig
+from adtomo.stattest import StatConfig, chi_square_against
 from adtomo.textvec import Corpus, build_corpus
 from adtomo.tomography import (
     MissingControlError,
@@ -131,18 +131,19 @@ class TestCollate:
 def flag_with_results(records, control, config=StatConfig()):
     """flag_changes output, plus the chi-squared TestResult (None where the
     table is degenerate) of every record, in record order.  flag_changes must
-    make one chi_square_against call per (advertiser, run), in order of first
-    appearance, over the vectors of that group's records in record order."""
+    make one flags_against call per (advertiser, run), in order of first
+    appearance, over the vectors of that group's records in record order;
+    each call's results are chi_square_against's over the same arguments."""
     calls = []
-    real = tomography.chi_square_against
+    real = tomography.flags_against
 
     def spy(pooled, vectors, cfg):
-        results = real(pooled, vectors, cfg)
-        calls.append((list(vectors), results))
-        return results
+        flags = real(pooled, vectors, cfg)
+        calls.append((list(vectors), chi_square_against(pooled, vectors, cfg)))
+        return flags
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tomography, "chi_square_against", spy)
+        mp.setattr(tomography, "flags_against", spy)
         out = flag_changes(records, control, config)
     groups = {}
     for i, rec in enumerate(records):

@@ -191,8 +191,19 @@ def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
     """The ads of ``adlog.jsonl``, each built as its line is read.  Their
     strings are interned: a log repeats a few thousand distinct tokens, and
     one string object per occurrence would take most of the ads' memory."""
+    def check(r, lineno: int) -> str | None:
+        if type(r["run"]) is not int:
+            return "field 'run' must be a JSON integer"
+        for field in ("persona", "slot", "advertiser"):
+            if type(r[field]) is not str:
+                return f"field {field!r} must be a JSON string"
+        tokens = r["tokens"]
+        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+            return "field 'tokens' must be a JSON list of strings"
+        return None
+
     return read_jsonl(out_dir / "adlog.jsonl",
-                      fields=("run", "persona", "slot", "advertiser", "tokens"),
+                      fields=("run", "persona", "slot", "advertiser", "tokens"), check=check,
                       build=lambda r: DeliveredAd(
                           r["run"], intern(r["persona"]), intern(r["slot"]),
                           intern(r["advertiser"]), tuple(map(intern, r["tokens"]))))

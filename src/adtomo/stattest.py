@@ -169,8 +169,8 @@ def chi_square_independence(table, config: StatConfig = StatConfig()) -> TestRes
     return TestResult(statistic, df, chi2_sf(statistic, df))
 
 
-# Records per dense block in chi_square_against: bounds the block's memory
-# (records x 2 x columns floats) whatever the group size.
+# Records per batch in chi_square_against and flags_against: bounds a
+# batch's memory (records x 2 x columns floats) whatever the group size.
 _BATCH_RECORDS = 64
 
 

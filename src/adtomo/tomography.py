@@ -86,22 +86,16 @@ class H1Result:
     tests: dict[tuple[str, str], TestResult]   # within-vs-across Welch tests
 
 
-def collate(adlog: Iterable[DeliveredAd], corpus: Corpus,
-            personas: Sequence[str] | None = None,
-            runs: Sequence[int] | None = None) -> list[VectorRecord]:
+def collate(adlog: Iterable[DeliveredAd], corpus: Corpus, personas: Sequence[str],
+            runs: Sequence[int]) -> list[VectorRecord]:
     """One record per (advertiser, persona, run) with the tokens of all its
     creatives counted into one vector.  The grid is the full cross product of
-    the advertisers observed in the log with ``personas`` and ``runs``, in
-    the order given, which default to the sorted personas and runs observed
-    in the log, so advertisers that won nothing for some (persona, run)
+    the advertisers observed in ``adlog`` with ``personas`` and ``runs``, in
+    the order given, so advertisers that won nothing for some (persona, run)
     contribute an empty vector.  To collate part of a log on the whole log's
     grid, pass the whole log's personas and runs."""
     ads = list(adlog)
     advertisers = sorted({a.advertiser for a in ads})
-    if personas is None:
-        personas = sorted({a.persona for a in ads})
-    if runs is None:
-        runs = sorted({a.run for a in ads})
     merged: dict[tuple[str, str, int], dict[int, int]] = {}
     for ad in ads:
         key = (ad.advertiser, ad.persona, ad.run)

@@ -370,6 +370,31 @@ class TestExitCodes:
             assert "adlog.jsonl" in proc.stderr and "'ghost'" in proc.stderr, stage
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("stage", ["flag", "h1"])
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param({"persona": 5}, "field 'persona' must be a JSON string", id="int_persona"),
+        pytest.param({"persona": None}, "field 'persona' must be a JSON string",
+                     id="null_persona"),
+        pytest.param({"slot": 3}, "field 'slot' must be a JSON string", id="int_slot"),
+        pytest.param({"run": True}, "field 'run' must be a JSON integer", id="bool_run"),
+        pytest.param({"tokens": ["a", 7]}, "field 'tokens' must be a JSON list of strings",
+                     id="int_token"),
+        pytest.param({"tokens": "ab"}, "field 'tokens' must be a JSON list of strings",
+                     id="tokens_string"),
+    ])
+    def test_ad_log_field_of_wrong_type_names_file_and_line(self, mini_run, tmp_path, stage,
+                                                            edit, problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        adlog = out / "adlog.jsonl"
+        lines = adlog.read_text().splitlines()
+        with adlog.open("a") as fh:
+            fh.write(json.dumps({**json.loads(lines[0]), **edit}) + "\n")
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"adlog.jsonl:{len(lines) + 1}: {problem}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("corpus, problem", [
         pytest.param({"words": []}, "missing field 'tokens'", id="no_tokens_field"),
         pytest.param({"tokens": "abc"}, "field 'tokens' must be a JSON list", id="tokens_string"),

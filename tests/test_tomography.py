@@ -69,24 +69,29 @@ def corpus_of(*tokens):
     return Corpus({t: i for i, t in enumerate(sorted(tokens))})
 
 
+def collate_observed(ads, corpus):
+    """``collate`` on the grid of the personas and runs observed in ``ads``."""
+    return collate(ads, corpus, sorted({a.persona for a in ads}), sorted({a.run for a in ads}))
+
+
 class TestCollate:
     def test_merges_per_advertiser_persona_run(self):
         corpus = corpus_of("a", "b")
         ads = [DeliveredAd(1, "p1", "s1", "adv", ("a", "b")),
                DeliveredAd(1, "p1", "s2", "adv", ("a",))]
-        records = collate(ads, corpus)
+        records = collate_observed(ads, corpus)
         assert len(records) == 1
         assert records[0].vector == {corpus.word_index["a"]: 2,
                                      corpus.word_index["b"]: 1}
 
     def test_empty_log(self):
-        assert collate([], corpus_of("a")) == []
+        assert collate_observed([], corpus_of("a")) == []
 
     def test_cross_product_includes_zero_vectors(self):
         corpus = corpus_of("a")
         ads = [DeliveredAd(0, "p1", "s1", "adv1", ("a",)),
                DeliveredAd(0, "p2", "s1", "adv2", ("a",))]
-        records = collate(ads, corpus)
+        records = collate_observed(ads, corpus)
         assert len(records) == 4
         zero = [r for r in records if r.advertiser == "adv1" and r.persona == "p2"]
         assert zero[0].vector == {}
@@ -101,7 +106,7 @@ class TestCollate:
                 int(rng.integers(3)), f"p{rng.integers(4)}", f"s{rng.integers(2)}",
                 f"adv{rng.integers(3)}",
                 tuple(tokens[i] for i in rng.integers(0, 40, size=6))))
-        records = collate(ads, corpus)
+        records = collate_observed(ads, corpus)
         oracle = {}
         for ad in ads:
             key = (ad.advertiser, ad.persona, ad.run)
@@ -118,7 +123,7 @@ class TestCollate:
                            f"adv{rng.integers(2)}",
                            tuple(tokens[i] for i in rng.integers(0, 10, size=5)))
                for _ in range(200)]
-        records = collate(ads, corpus)
+        records = collate_observed(ads, corpus)
         for persona in {a.persona for a in ads}:
             for run in {a.run for a in ads}:
                 log_mass = sum(len(a.tokens) for a in ads
@@ -297,7 +302,7 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
     cfg = load_pipeline_config(load_config("small", seed=seed))
     logs = run_simulation(build_world(cfg.sim, cfg.seed), cfg.sim.personas,
                           cfg.sim.runs, cfg.seed)
-    records = collate(logs.ads, build_corpus(a.tokens for a in logs.ads))
+    records = collate_observed(logs.ads, build_corpus(a.tokens for a in logs.ads))
     controls = {p.id for p in cfg.sim.personas if p.is_control}
     flagged = flag_changes([r for r in records if r.persona not in controls],
                            [r for r in records if r.persona in controls], cfg.stats)

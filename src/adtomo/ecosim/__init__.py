@@ -6,12 +6,11 @@ from .config import (
     make_blocking,
     sim_config_from_dict,
 )
-from .sim import SimLogs, generate_creative, knowledge_state, prepare_simulation, run_simulation
+from .sim import generate_creative, knowledge_state, prepare_simulation
 from .types import (
     AdCreative,
     Advertiser,
     AuctionSlot,
-    BidRecord,
     BlockingConfig,
     DeliveredAd,
     InterestGroup,
@@ -25,11 +24,11 @@ from .types import (
 )
 
 __all__ = [
-    "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot", "BidRecord",
+    "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot",
     "BlockingConfig", "DeliveredAd", "InterestGroup", "Persona",
-    "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig", "SimLogs",
+    "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
     "build_world", "enumerate_personas", "generate_creative",
-    "knowledge_state", "make_blocking", "prepare_simulation", "run_simulation",
+    "knowledge_state", "make_blocking", "prepare_simulation",
     "sim_config_from_dict",
 ]

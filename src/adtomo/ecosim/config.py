@@ -12,8 +12,10 @@ enumeration spec ``{"group": g, "controls": c}`` that creates one persona per
 blocked-tracker combination (2^k of them, ids ``p-<bitmask>``) plus ``c``
 unblocked control personas (ids ``ctrl-<i>``).
 
-Every validation failure raises ConfigError carrying the offending field
-path, e.g. ``world.trackers[1].observe_prob``.
+Every entry of a ``world`` list and of an explicit ``run.personas`` list is
+an object holding only the keys its kind knows.  Every validation failure
+raises ConfigError carrying the offending field path, e.g.
+``world.trackers[1].observe_prob``.
 """
 
 from __future__ import annotations
@@ -44,14 +46,35 @@ class SimConfig:
     seed: int
 
 
+def _typed(value, kind, path):
+    """``value`` when it is a ``kind``; a JSON bool is not an int."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", path)
+    return value
+
+
 def _require(mapping, key, path, kind=None):
     if key not in mapping:
         raise ConfigError("missing required field", f"{path}.{key}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}",
-                          f"{path}.{key}")
+    return value if kind is None else _typed(value, kind, f"{path}.{key}")
+
+
+def _strings(value, path) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError("expected a list of strings", path)
     return value
+
+
+def _entries(items, path, known):
+    """(path, entry) for each entry of the list ``items``, each an object
+    holding only keys in ``known``."""
+    for i, entry in enumerate(items):
+        where = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"expected an object, got {type(entry).__name__}", where)
+        check_known_keys(entry, known, where + ".")
+        yield where, entry
 
 
 def _probability(value, path):
@@ -82,12 +105,13 @@ def _unique_ids(items, path):
 
 
 def _parse_world(w: dict, seed: int) -> World:
-    pool = tuple(sorted(set(_require(w, "generic_pool", "world", list))))
+    pool = tuple(sorted(set(_strings(_require(w, "generic_pool", "world"),
+                                      "world.generic_pool"))))
 
     groups = []
-    for i, g in enumerate(_require(w, "groups", "world", list)):
-        path = f"world.groups[{i}]"
-        vocab_raw = _require(g, "vocabulary", path, list)
+    for path, g in _entries(_require(w, "groups", "world", list), "world.groups",
+                            ("id", "vocabulary")):
+        vocab_raw = _strings(_require(g, "vocabulary", path), f"{path}.vocabulary")
         if not vocab_raw:
             raise ConfigError("vocabulary must be non-empty", f"{path}.vocabulary")
         vocab = tuple(sorted(set(vocab_raw)))
@@ -97,9 +121,11 @@ def _parse_world(w: dict, seed: int) -> World:
     group_ids = _unique_ids(groups, "world.groups")
 
     websites = []
-    for i, s in enumerate(_require(w, "websites", "world", list)):
-        path = f"world.websites[{i}]"
+    for path, s in _entries(_require(w, "websites", "world", list), "world.websites",
+                            ("id", "group")):
         group = s.get("group")
+        if group is not None and not isinstance(group, str):
+            raise ConfigError("expected a string or null", f"{path}.group")
         if group is not None and group not in group_ids:
             raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
         websites.append(Website(_require(s, "id", path, str), group))
@@ -107,9 +133,10 @@ def _parse_world(w: dict, seed: int) -> World:
     site_ids = _unique_ids(websites, "world.websites")
 
     trackers = []
-    for i, t in enumerate(_require(w, "trackers", "world", list)):
-        path = f"world.trackers[{i}]"
-        coverage = tuple(sorted(set(_require(t, "site_coverage", path, list))))
+    for path, t in _entries(_require(w, "trackers", "world", list), "world.trackers",
+                            ("id", "site_coverage", "observe_prob")):
+        coverage = tuple(sorted(set(_strings(_require(t, "site_coverage", path),
+                                             f"{path}.site_coverage"))))
         for site in coverage:
             if site not in site_ids:
                 raise ConfigError(f"dangling website reference {site!r}",
@@ -121,8 +148,9 @@ def _parse_world(w: dict, seed: int) -> World:
     tracker_ids = _unique_ids(trackers, "world.trackers")
 
     advertisers = []
-    for i, a in enumerate(_require(w, "advertisers", "world", list)):
-        path = f"world.advertisers[{i}]"
+    for path, a in _entries(_require(w, "advertisers", "world", list), "world.advertisers",
+                            ("id", "base_bid", "knowledge_boost", "bid_noise_sd",
+                             "creative_length")):
         length = _require(a, "creative_length", path, int)
         if length < 1:
             raise ConfigError(f"creative_length must be >= 1, got {length}",
@@ -144,8 +172,8 @@ def _parse_world(w: dict, seed: int) -> World:
 
     edges = []
     edge_pairs = set()
-    for i, e in enumerate(w.get("edges", [])):
-        path = f"world.edges[{i}]"
+    for path, e in _entries(_typed(w.get("edges", []), list, "world.edges"), "world.edges",
+                            ("tracker", "advertiser", "reliability")):
         tracker = _require(e, "tracker", path, str)
         advertiser = _require(e, "advertiser", path, str)
         if tracker not in tracker_ids:
@@ -162,16 +190,16 @@ def _parse_world(w: dict, seed: int) -> World:
     edges.sort(key=lambda e: (e.tracker, e.advertiser))
 
     slots = []
-    for i, s in enumerate(_require(w, "slots", "world", list)):
-        path = f"world.slots[{i}]"
+    for path, s in _entries(_require(w, "slots", "world", list), "world.slots",
+                            ("id", "website", "floor_price", "mechanism", "timeout", "tiers")):
         website = _require(s, "website", path, str)
         if website not in site_ids:
             raise ConfigError(f"dangling website reference {website!r}", f"{path}.website")
         tiers = s.get("tiers")
         if tiers is not None:
             parsed_tiers = []
-            for j, tier in enumerate(tiers):
-                for aid in tier:
+            for j, tier in enumerate(_typed(tiers, list, f"{path}.tiers")):
+                for aid in _strings(tier, f"{path}.tiers[{j}]"):
                     if aid not in advertiser_ids:
                         raise ConfigError(f"dangling advertiser reference {aid!r}",
                                           f"{path}.tiers[{j}]")
@@ -189,9 +217,9 @@ def _parse_world(w: dict, seed: int) -> World:
 
     sync_pairs = []
     known_domains = tracker_ids | advertiser_ids
-    for i, pair in enumerate(w.get("sync_pairs", [])):
+    for i, pair in enumerate(_typed(w.get("sync_pairs", []), list, "world.sync_pairs")):
         path = f"world.sync_pairs[{i}]"
-        if len(pair) != 2:
+        if len(_strings(pair, path)) != 2:
             raise ConfigError("expected [initiator, receiver]", path)
         src, dst = pair
         if src == dst:
@@ -209,16 +237,16 @@ def _parse_world(w: dict, seed: int) -> World:
         seed=seed)
 
 
-def make_blocking(blocked, tracker_ids: tuple[str, ...]) -> BlockingConfig:
+def make_blocking(blocked, tracker_ids: tuple[str, ...], path: str) -> BlockingConfig:
     """BlockingConfig with the bitmask laid out over the lexicographic
-    tracker universe."""
+    tracker universe; ``path`` names ``blocked`` in errors."""
     blocked = tuple(sorted(set(blocked)))
     mask = 0
     for t in blocked:
         try:
             mask |= 1 << tracker_ids.index(t)
         except ValueError:
-            raise ConfigError(f"dangling tracker reference {t!r}", "personas.blocked") from None
+            raise ConfigError(f"dangling tracker reference {t!r}", path) from None
     return BlockingConfig(blocked, mask)
 
 
@@ -243,9 +271,10 @@ def enumerate_personas(world: World, group: str, controls: int) -> tuple[Persona
 
 def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
     if isinstance(spec, dict):
+        check_known_keys(spec, ("group", "controls"), "run.personas.")
         group = _require(spec, "group", "run.personas", str)
-        controls = spec.get("controls", 0)
-        if not isinstance(controls, int) or controls < 0:
+        controls = _typed(spec.get("controls", 0), int, "run.personas.controls")
+        if controls < 0:
             raise ConfigError("controls must be a non-negative integer",
                               "run.personas.controls")
         return enumerate_personas(world, group, controls)
@@ -254,8 +283,7 @@ def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
                           "run.personas")
     personas = []
     seen = set()
-    for i, p in enumerate(spec):
-        path = f"run.personas[{i}]"
+    for path, p in _entries(spec, "run.personas", ("id", "group", "blocked", "is_control")):
         pid = _require(p, "id", path, str)
         if pid in seen:
             raise ConfigError(f"duplicate id {pid!r}", f"{path}.id")
@@ -263,10 +291,11 @@ def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
         group = _require(p, "group", path, str)
         if group not in world.group_by_id:
             raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
+        blocked = _strings(p.get("blocked", []), f"{path}.blocked")
         personas.append(Persona(
             id=pid, group=group,
-            blocking=make_blocking(p.get("blocked", []), world.tracker_ids),
-            is_control=bool(p.get("is_control", False))))
+            blocking=make_blocking(blocked, world.tracker_ids, f"{path}.blocked"),
+            is_control=_typed(p.get("is_control", False), bool, f"{path}.is_control")))
     return tuple(sorted(personas, key=lambda p: p.id))
 
 
@@ -289,9 +318,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     runs = _require(run_section, "runs", "run", int)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}", "run.runs")
-    seed = run_section.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer", "run.seed")
+    seed = _typed(run_section.get("seed", 0), int, "run.seed")
     world = _parse_world(world_section, seed)
     personas = _parse_personas(_require(run_section, "personas", "run"), world)
     return SimConfig(world=world, personas=personas, runs=runs, seed=seed)

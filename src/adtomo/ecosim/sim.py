@@ -8,6 +8,9 @@ persona) pair owns a hash-derived random substream, which makes the outputs
 independent of persona scheduling; logs are emitted in canonical
 (run, persona, slot) order.
 
+A round's logs come out as rows: dicts whose keys follow the field order of
+``adlog.jsonl``, ``requestlog.jsonl`` and ``bidlog.jsonl``, ready to encode.
+
 Draw order.  Every artifact depends byte for byte on the order in which a
 (run, persona) substream is consumed:
 
@@ -27,7 +30,6 @@ pins these identities of numpy's ``Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
 
@@ -38,22 +40,15 @@ from ..rng import substream
 from .auctions import auction_hb, auction_rtb
 from .types import (
     AdCreative,
-    BidRecord,
-    DeliveredAd,
     InterestGroup,
     Persona,
-    RequestLogEntry,
     SharingEdge,
     TrackerOrg,
     World,
 )
 
-
-@dataclass
-class SimLogs:
-    ads: list[DeliveredAd] = field(default_factory=list)
-    requests: list[RequestLogEntry] = field(default_factory=list)
-    bids: list[BidRecord] = field(default_factory=list)
+# One collection round's (adlog, requestlog, bidlog) rows.
+RunLogs = tuple[list[dict], list[dict], list[dict]]
 
 
 def _incoming(world: World, advertiser: str) -> tuple[tuple[TrackerOrg, SharingEdge], ...]:
@@ -96,13 +91,13 @@ def knowledge_state(advertiser: str, persona: Persona, world: World,
 
 
 def _creative_tokens(length: int, known: bool, group: InterestGroup, world: World,
-                     rng: np.random.Generator) -> tuple[str, ...]:
+                     rng: np.random.Generator) -> list[str]:
     """The tokens of ``generate_creative`` for an advertiser whose creatives
     are ``length`` tokens long."""
     source = group.vocabulary if known else world.generic_pool
     if not source:
         raise ConfigError("empty vocabulary" if known else "empty generic pool")
-    return tuple([source[i] for i in rng.integers(0, len(source), size=length).tolist()])
+    return [source[i] for i in rng.integers(0, len(source), size=length).tolist()]
 
 
 def generate_creative(advertiser: str, known: bool, group: InterestGroup,
@@ -115,7 +110,7 @@ def generate_creative(advertiser: str, known: bool, group: InterestGroup,
     if adv is None:
         raise ConfigError(f"unknown advertiser {advertiser!r}")
     return AdCreative(
-        advertiser, _creative_tokens(adv.creative_length, known, group, world, rng),
+        advertiser, tuple(_creative_tokens(adv.creative_length, known, group, world, rng)),
         slot, run)
 
 
@@ -149,13 +144,20 @@ def _validate_personas(world: World, personas) -> list[Persona]:
 
 
 def prepare_simulation(world: World, personas, seed: int | None = None
-                       ) -> Callable[[int], SimLogs]:
-    """The body of one collection round, ``simulate_run(run) -> SimLogs``,
-    after validating the personas and preparing what every round shares:
-    the incoming edges and draw offsets of each advertiser, the auction tiers
-    of each slot and the redirect hops.  Rounds share no state, because each
-    (run, persona) draws from its own substream, so they may run in any
-    order or process."""
+                       ) -> Callable[[int], RunLogs]:
+    """The body of one collection round, ``simulate_run(run)``, after
+    validating the personas and preparing what every round shares: the
+    incoming edges and draw offsets of each advertiser, the auction tiers of
+    each slot and the redirect hops.
+
+    Per persona in id order, ``simulate_run`` resolves knowledge per
+    advertiser, emits the redirect chain, then auctions every slot in id
+    order (bid = base + boost*known + N(0, sd), truncated at 0) and logs the
+    winner's creative.  Client-side HB slots also log every on-time bid;
+    server-side HB suppresses the bid log.  It returns the round's adlog,
+    requestlog and bidlog rows.  Rounds share no state, because each (run,
+    persona) draws from its own substream, so they may run in any order or
+    process."""
     if not world.slots:
         raise ConfigError("no ad-collection slots configured")
     if seed is None:
@@ -177,8 +179,10 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                 for s in slots]
     hops = _chain_hops(world, slots)
 
-    def simulate_run(run: int) -> SimLogs:
-        logs = SimLogs()
+    def simulate_run(run: int) -> RunLogs:
+        ads: list[dict] = []
+        requests: list[dict] = []
+        bids: list[dict] = []
         for persona in personas:
             pid = persona.id
             rng = substream(seed, "sim", run, pid)
@@ -190,8 +194,10 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                      for edges, lo, hi in zip(incoming, offsets, offsets[1:])]
             level = [a.base_bid + (a.knowledge_boost if k else 0.0)
                      for a, k in zip(advertisers, known)]
-            logs.requests.extend(RequestLogEntry(run, pid, pos, *hop)
-                                 for pos, hop in enumerate(hops))
+            requests.extend({"run": run, "persona": pid, "chain_position": pos,
+                             "source_domain": src, "destination_domain": dst,
+                             "cookie_sent": cookie, "uid_param": uid}
+                            for pos, (src, dst, cookie, uid) in enumerate(hops))
             for slot, tiers in zip(slots, tiers_of):
                 z = rng.standard_normal(len(ids)).tolist()
                 bid = [max(0.0, lv + (0.0 + sd * x)) for lv, sd, x in zip(level, noise_sd, z)]
@@ -202,36 +208,15 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                     outcome, recorded = auction_hb(
                         slot, [(aid, b, 0.0) for aid, b in zip(ids, bid)], slot.timeout)
                     if slot.mechanism == "hb_client":
-                        logs.bids.extend(BidRecord(run, pid, slot.id, aid, value)
-                                         for aid, value in recorded)
+                        bids.extend({"run": run, "persona": pid, "slot": slot.id,
+                                     "advertiser": aid, "bid": value}
+                                    for aid, value in recorded)
                 if outcome.filled:
                     w = position[outcome.winner]
-                    logs.ads.append(DeliveredAd(
-                        run, pid, slot.id, outcome.winner,
-                        _creative_tokens(advertisers[w].creative_length, known[w],
-                                         group, world, rng)))
-        return logs
+                    ads.append({"run": run, "persona": pid, "slot": slot.id,
+                                "advertiser": outcome.winner,
+                                "tokens": _creative_tokens(advertisers[w].creative_length,
+                                                           known[w], group, world, rng)})
+        return ads, requests, bids
 
     return simulate_run
-
-
-def run_simulation(world: World, personas, runs: int, seed: int | None = None) -> SimLogs:
-    """Simulate ``runs`` collection rounds for every persona.
-
-    Per (run, persona): resolve knowledge per advertiser, emit the redirect
-    chain, then auction every slot (bid = base + boost*known + N(0, sd),
-    truncated at 0) and log the winner's creative.  Client-side HB slots also
-    log all on-time bids; server-side HB suppresses the bid log.  Runs,
-    personas, slots and advertisers are taken in id order, so the logs come
-    out in canonical order.
-    """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
-    simulate_run = prepare_simulation(world, personas, seed)
-    logs = SimLogs()
-    for run in range(runs):
-        part = simulate_run(run)
-        logs.ads.extend(part.ads)
-        logs.requests.extend(part.requests)
-        logs.bids.extend(part.bids)
-    return logs

@@ -138,15 +138,6 @@ class RequestLogEntry:
 
 
 @dataclass(frozen=True)
-class BidRecord:
-    run: int
-    persona: str
-    slot: str
-    advertiser: str
-    bid: float
-
-
-@dataclass(frozen=True)
 class World:
     """Immutable simulation world. The static part is fully determined by the
     configuration; ``seed`` only names the default random stream family and is

@@ -69,11 +69,6 @@ def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
         yield encode(rec) + "\n"
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
-    with open_atomic(path) as fh:
-        fh.writelines(jsonl_lines(records))
-
-
 def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
     return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
 

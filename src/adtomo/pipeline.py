@@ -26,15 +26,11 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from sys import intern
 
-from .ecosim import SimConfig, SimLogs, build_world, prepare_simulation, sim_config_from_dict
-# perfbench's tracer looks run_simulation up here; no stage calls it.
-from .ecosim import run_simulation  # noqa: F401
+from .ecosim import SimConfig, build_world, prepare_simulation, sim_config_from_dict
 from .ecosim.types import DeliveredAd, RequestLogEntry
 from .errors import ConfigError, check_known_keys
 from .forest import HyperGrid
 from .jsonio import jsonl_lines, open_atomic, read_json, read_jsonl, write_json
-# perfbench's tracer looks write_jsonl up here; no stage calls it.
-from .jsonio import write_jsonl  # noqa: F401
 from .parallel import fork_map
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
@@ -92,6 +88,11 @@ def _parse_grid(d: dict) -> HyperGrid:
         raise ConfigError(str(e), "grid") from None
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; a JSON bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_pipeline_config(source) -> PipelineConfig:
     """Build a validated PipelineConfig from a dict or a JSON file path."""
     doc = read_json(source) if not isinstance(source, dict) else source
@@ -110,19 +111,20 @@ def load_pipeline_config(source) -> PipelineConfig:
     holdout_runs = doc.get("holdout_runs", 2)
     threshold = doc.get("accuracy_threshold", 0.6)
     seed = doc.get("seed", sim.seed)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer", "seed")
-    if not isinstance(holdout_runs, int) or not 0 <= holdout_runs < sim.runs:
+    if not _is_int(holdout_runs) or not 0 <= holdout_runs < sim.runs:
         raise ConfigError(
             f"holdout_runs must be in [0, runs={sim.runs}), got {holdout_runs}",
             "holdout_runs")
     cv_runs = sim.runs - holdout_runs
-    if not isinstance(folds, int) or folds < 2:
+    if not _is_int(folds) or folds < 2:
         raise ConfigError(f"folds must be an integer >= 2, got {folds}", "folds")
     if cv_runs % folds != 0:
         raise ConfigError(
             f"folds must divide runs - holdout_runs = {cv_runs}, got {folds}", "folds")
-    if not isinstance(threshold, (int, float)) or not 0 < threshold <= 1:
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not 0 < threshold <= 1):
         raise ConfigError(f"accuracy_threshold must be in (0, 1], got {threshold}",
                           "accuracy_threshold")
     resolved = dict(doc)
@@ -211,9 +213,21 @@ def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
 
 def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
     """The entries of ``requestlog.jsonl``, each built as its line is read."""
+    def check(r, lineno: int) -> str | None:
+        for field in ("run", "chain_position"):
+            if type(r[field]) is not int:
+                return f"field {field!r} must be a JSON integer"
+        for field in ("persona", "source_domain", "destination_domain"):
+            if type(r[field]) is not str:
+                return f"field {field!r} must be a JSON string"
+        for field in ("cookie_sent", "uid_param"):
+            if r[field] is not None and type(r[field]) is not str:
+                return f"field {field!r} must be a JSON string or null"
+        return None
+
     return read_jsonl(out_dir / "requestlog.jsonl",
                       fields=("run", "persona", "chain_position", "source_domain",
-                              "destination_domain", "cookie_sent", "uid_param"),
+                              "destination_domain", "cookie_sent", "uid_param"), check=check,
                       build=lambda r: RequestLogEntry(
                           r["run"], r["persona"], r["chain_position"], r["source_domain"],
                           r["destination_domain"], r["cookie_sent"], r["uid_param"]))
@@ -269,35 +283,22 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
 # stages
 # --------------------------------------------------------------------------
 
-def _encode_run(logs: SimLogs) -> tuple[str, str, str]:
-    """The adlog, requestlog and bidlog lines of one run's logs."""
-    return (
-        "".join(jsonl_lines({"run": a.run, "persona": a.persona, "slot": a.slot,
-                             "advertiser": a.advertiser, "tokens": a.tokens}
-                            for a in logs.ads)),
-        "".join(jsonl_lines({"run": e.run, "persona": e.persona,
-                             "chain_position": e.chain_position,
-                             "source_domain": e.source_domain,
-                             "destination_domain": e.destination_domain,
-                             "cookie_sent": e.cookie_sent, "uid_param": e.uid_param}
-                            for e in logs.requests)),
-        "".join(jsonl_lines({"run": b.run, "persona": b.persona, "slot": b.slot,
-                             "advertiser": b.advertiser, "bid": b.bid}
-                            for b in logs.bids)),
-    )
-
-
 def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
     """Simulate the runs in a process pool, each worker encoding its run's
-    log lines.  Each run's lines are appended to the three logs as they
-    arrive, in run order, so the logs hold ``run_simulation``'s records."""
+    adlog, requestlog and bidlog rows as lines.  Each run's lines are
+    appended to the three logs as they arrive, in run order, so the logs
+    come out in canonical (run, persona, slot) order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     world = build_world(cfg.sim, cfg.seed)
     simulate_run = prepare_simulation(world, cfg.sim.personas, cfg.seed)
+
+    def encode_run(run: int) -> tuple[str, ...]:
+        return tuple("".join(jsonl_lines(rows)) for rows in simulate_run(run))
+
     with (open_atomic(out_dir / "adlog.jsonl") as adlog,
           open_atomic(out_dir / "requestlog.jsonl") as requestlog,
           open_atomic(out_dir / "bidlog.jsonl") as bidlog):
-        for lines in fork_map(lambda run: _encode_run(simulate_run(run)), range(cfg.sim.runs)):
+        for lines in fork_map(encode_run, range(cfg.sim.runs)):
             for fh, text in zip((adlog, requestlog, bidlog), lines):
                 fh.write(text)
     write_json(out_dir / "personas.json", _persona_manifest(cfg))

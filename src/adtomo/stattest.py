@@ -5,28 +5,26 @@ of independence over 2 x V count tables with low-mass column collapsing, and
 the population mean/std used by the relationship-inference rule.  All tests
 are two-sided; reports emitted by the pipeline record that choice.
 
-``chi_square_independence`` tests one table.  ``chi_square_against`` runs
-the same test for many sparse count vectors against one shared control row,
-as change flagging needs for every record of an (advertiser, run), on one
+``chi_square_independence`` tests one table.  ``flags_against`` decides, for
+many sparse count vectors against one shared control row, whether each
+vector's table (control over vector) differs at ``alpha``, as change
+flagging needs for every record of an (advertiser, run).  It works on one
 dense block per batch of records.  The block's columns are the control's
 support plus every column some record fills to ``min_expected`` on its own.
 Any other column has control count 0 and a record count below
 ``min_expected`` for every record, so it is folded into the residual in
 every record's table; its counts go straight into the record's residual.
 All counts are integers held exactly in float64, so totals and residuals do
-not depend on summation order, the per-cell expressions are those of
-``chi_square_independence``, and each record's statistic is one pairwise
-sum over its cells laid out in that function's order: the results are
-bit-identical to one ``chi_square_independence`` call per record.
+not depend on summation order, and the per-cell expressions are those of
+``chi_square_independence``, laid out in that function's order.
 
-``flags_against`` gives only what change flagging keeps, ``p < alpha``, from
-the same block.  Per df, ``critical_bracket`` bisects ``chi2_sf`` once for
-``lo < hi`` with ``chi2_sf(lo) >= alpha > chi2_sf(hi)``.  Each record's
-statistic comes from one ``np.add.reduceat`` over the block's cells: below
-``lo`` by more than a relative 1e-9 it is not flagged, above ``hi`` by more
-it is, and only a statistic in between is summed as ``chi_square_against``
-sums it and passed to ``chi2_sf``.  The flags equal those of
-``chi_square_against``, which stays the reference.
+Per df, ``critical_bracket`` bisects ``chi2_sf`` once for ``lo < hi`` with
+``chi2_sf(lo) >= alpha > chi2_sf(hi)``.  Each record's statistic comes from
+one ``np.add.reduceat`` over the block's cells: below ``lo`` by more than a
+relative 1e-9 it is not flagged, above ``hi`` by more it is, and only a
+statistic in between gets one pairwise sum over its cells, bit-identical to
+``chi_square_independence``'s, and a ``chi2_sf`` call.  So each flag is the
+one a ``chi_square_independence`` call on the record's own table gives.
 """
 
 from __future__ import annotations
@@ -70,7 +68,8 @@ class StatConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise StatError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.min_expected) and self.min_expected > 0):
+        if isinstance(self.min_expected, bool) or not (
+                math.isfinite(self.min_expected) and self.min_expected > 0):
             raise StatError(f"min_expected must be positive and finite, got {self.min_expected}")
 
 
@@ -169,27 +168,19 @@ def chi_square_independence(table, config: StatConfig = StatConfig()) -> TestRes
     return TestResult(statistic, df, chi2_sf(statistic, df))
 
 
-# Records per batch in chi_square_against and flags_against: bounds a
-# batch's memory (records x 2 x columns floats) whatever the group size.
+# Records per batch in flags_against: bounds a batch's memory (records x 2 x
+# columns floats) whatever the group size.
 _BATCH_RECORDS = 64
-
-
-def chi_square_against(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
-                       config: StatConfig = StatConfig()) -> list[TestResult | None]:
-    """``chi_square_independence`` of the 2 x V table (control over vector)
-    for each sparse count vector (column -> count), in input order, with
-    None where the table is degenerate.  Columns both rows leave at zero are
-    left out, which changes nothing: they have no mass to keep."""
-    return [result for start in range(0, len(vectors), _BATCH_RECORDS)
-            for result in _chi_square_block(control, vectors[start:start + _BATCH_RECORDS],
-                                            config.min_expected)]
 
 
 def flags_against(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
                   config: StatConfig = StatConfig()) -> list[bool]:
-    """``[r is not None and r.p_value < config.alpha for r in
-    chi_square_against(control, vectors, config)]``, decided from critical
-    values: a record's statistic is compared with its df's bracket from
+    """Per sparse count vector (column -> count), in input order, whether
+    ``chi_square_independence`` of its 2 x V table (control over vector)
+    gives ``p < config.alpha``; False where the table is degenerate.
+    Columns both rows leave at zero are left out, which changes nothing:
+    they have no mass to keep.  The flags are decided from critical values:
+    a record's statistic is compared with its df's bracket from
     ``critical_bracket``, and only a statistic within ``_BAND`` of the
     bracket gets its exact sum and a ``chi2_sf`` call."""
     return [flag for start in range(0, len(vectors), _BATCH_RECORDS)
@@ -243,22 +234,6 @@ def _flags_from_cells(contrib: np.ndarray, n_cols: np.ndarray, alpha: float) -> 
         above[i] = chi2_sf(exact, float(k[i] - 1)) < alpha
     flags[tested] = above
     return flags.tolist()
-
-
-def _chi_square_block(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],
-                      min_expected: float) -> list[TestResult | None]:
-    contrib, n_cols = _block_cells(control, vectors, min_expected)
-    out: list[TestResult | None] = []
-    end = 0
-    for k in n_cols.tolist():
-        if not k:
-            out.append(None)
-            continue
-        start, end = end, end + 2 * k
-        statistic = float(contrib[start:end].sum())
-        df = float(k - 1)
-        out.append(TestResult(statistic, df, chi2_sf(statistic, df)))
-    return out
 
 
 def _block_cells(control: Mapping[int, int], vectors: Sequence[Mapping[int, int]],

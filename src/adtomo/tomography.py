@@ -46,9 +46,6 @@ from .forest import (
     fold_masks,
     train_forest,
 )
-# perfbench's tracer looks cross_validate_grid up here; run_inference
-# composes its parts itself.
-from .forest import cross_validate_grid  # noqa: F401
 from .parallel import fork_map
 from .ecosim.types import DeliveredAd
 from .rng import substream, substream_key

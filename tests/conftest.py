@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+from adtomo.ecosim import prepare_simulation
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -14,3 +16,14 @@ def load_config(name: str, seed: int | None = None) -> dict:
     if seed is not None:
         doc["seed"] = seed
     return doc
+
+
+def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, list]:
+    """(ads, requests, bids): the adlog, requestlog and bidlog rows of runs
+    0 .. runs - 1 in run order, as ``stage_simulate`` writes them."""
+    simulate_run = prepare_simulation(world, personas, seed)
+    logs = ([], [], [])
+    for run in range(runs):
+        for log, rows in zip(logs, simulate_run(run)):
+            log.extend(rows)
+    return logs

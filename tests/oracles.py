@@ -15,14 +15,15 @@ two must agree node for node.
 The flagging oracle pools the controls into dense vectors the width of the
 corpus and tests every record on the full dense 2 x V table, the way the
 flagging code once did; the sparse tables must give the same floats.  The
-batched chi-squared test is checked against one ``chi_square_independence``
-call per record on the table over the union of the two supports, the way
-flagging tested each record before it was batched.
+batched flags of ``stattest.flags_against`` are checked against one
+``chi_square_independence`` call per record on the table over the union of
+the two supports, the way flagging tested each record before it was
+batched.
 
 The simulation oracle draws every knowledge uniform, bid noise and creative
 token with its own scalar numpy call, in the order the simulator's draw
 contract states, and sorts the logs into canonical order at the end; the
-batched simulator must give equal logs.
+batched simulator must give equal log rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from adtomo.ecosim import BidRecord, DeliveredAd, RequestLogEntry, auction_hb, auction_rtb
+from adtomo.ecosim import auction_hb, auction_rtb
 from adtomo.rng import GAMMA, MASK64, substream
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 
@@ -256,7 +257,7 @@ def chi2_by_dense_tables(records, control_records, size: int, config) -> list:
 
 
 def chi2_by_union_tables(control, vectors, config) -> list:
-    """Per-record reference for ``stattest.chi_square_against``: the
+    """Per-record reference for ``stattest.flags_against``: the
     TestResult of each vector's 2 x V table (control over vector) over the
     union of the two supports, columns ascending, or None where the table is
     degenerate."""
@@ -273,7 +274,8 @@ def chi2_by_union_tables(control, vectors, config) -> list:
 
 
 def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
-    """(ads, bids, requests) of ``run_simulation``, one scalar draw at a time."""
+    """(ads, requests, bids): the adlog, requestlog and bidlog rows of runs
+    0 .. runs - 1, one scalar draw at a time."""
     ads, bids, requests = [], [], []
     advertisers = sorted(world.advertisers, key=lambda a: a.id)
     slots = sorted(world.slots, key=lambda s: s.id)
@@ -295,7 +297,10 @@ def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
             hops = [(s.website, t.id, f"c:{t.id}", None)
                     for s in slots for t in world.trackers if s.website in t.site_coverage]
             hops += [(src, dst, f"c:{dst}", f"uid:{src}") for src, dst in world.sync_pairs]
-            requests += [RequestLogEntry(run, persona.id, i, *hop) for i, hop in enumerate(hops)]
+            requests += [{"run": run, "persona": persona.id, "chain_position": i,
+                          "source_domain": src, "destination_domain": dst,
+                          "cookie_sent": cookie, "uid_param": uid}
+                         for i, (src, dst, cookie, uid) in enumerate(hops)]
             for slot in slots:
                 bid = {}
                 for a in advertisers:
@@ -309,15 +314,16 @@ def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
                     outcome, recorded = auction_hb(slot, [(a.id, bid[a.id], 0.0) for a in advertisers],
                                                    slot.timeout)
                     if slot.mechanism == "hb_client":
-                        bids += [BidRecord(run, persona.id, slot.id, aid, v) for aid, v in recorded]
+                        bids += [{"run": run, "persona": persona.id, "slot": slot.id,
+                                  "advertiser": aid, "bid": v} for aid, v in recorded]
                 if outcome.filled:
                     winner = world.advertiser_by_id[outcome.winner]
                     source = (world.group_by_id[persona.group].vocabulary if known[winner.id]
                               else world.generic_pool)
                     picks = rng.choice(len(source), size=winner.creative_length, replace=True)
-                    ads.append(DeliveredAd(run, persona.id, slot.id, winner.id,
-                                           tuple(source[i] for i in picks)))
-    ads.sort(key=lambda r: (r.run, r.persona, r.slot))
-    bids.sort(key=lambda r: (r.run, r.persona, r.slot, r.advertiser))
-    requests.sort(key=lambda r: (r.run, r.persona, r.chain_position))
-    return ads, bids, requests
+                    ads.append({"run": run, "persona": persona.id, "slot": slot.id,
+                                "advertiser": winner.id, "tokens": [source[i] for i in picks]})
+    ads.sort(key=lambda r: (r["run"], r["persona"], r["slot"]))
+    bids.sort(key=lambda r: (r["run"], r["persona"], r["slot"], r["advertiser"]))
+    requests.sort(key=lambda r: (r["run"], r["persona"], r["chain_position"]))
+    return ads, requests, bids

@@ -15,16 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from adtomo.ecosim import (
-    build_world, enumerate_personas, run_simulation, sim_config_from_dict)
+from adtomo.ecosim import RequestLogEntry, build_world, enumerate_personas, sim_config_from_dict
 from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
-from adtomo.stattest import chi_square_against, chi_square_independence, welch_t_test
+from adtomo.stattest import StatConfig, chi_square_independence, flags_against, welch_t_test
 from adtomo.syncdetect import detect_cookie_sync
 from adtomo.tomography import infer_relationships
 
 import oracles
-from conftest import load_config
+from conftest import load_config, simulate_logs
 
 
 def report(name, detail):
@@ -34,8 +33,8 @@ def report(name, detail):
 def test_criterion_1_statistical_oracle_equivalence():
     """Welch t and chi-squared match the quadrature oracle to 1e-9 on 100
     random inputs each, plus the fixed cases; under 10 s.  Each chi-squared
-    table is also tested as a one-record ``chi_square_against`` group, the
-    call flagging makes."""
+    table is also flagged as a one-record ``flags_against`` group, the call
+    flagging makes, at alpha 0.05 and 0.01."""
     t0 = time.monotonic()
     rng = np.random.default_rng(20240801)
 
@@ -68,12 +67,9 @@ def test_criterion_1_statistical_oracle_equivalence():
         assert abs(r.p_value - p_ref) <= 1e-9
         worst_c = max(worst_c, abs(r.p_value - p_ref))
         control, vector = ({j: int(c) for j, c in enumerate(row) if c} for row in table)
-        (g,) = chi_square_against(control, [vector])
-        assert g is not None
-        assert abs(g.statistic - stat_ref) <= 1e-9
-        assert g.df == df_ref
-        assert abs(g.p_value - p_ref) <= 1e-9
-        worst_c = max(worst_c, abs(g.p_value - p_ref))
+        for alpha in (0.05, 0.01):
+            assert flags_against(control, [vector], StatConfig(alpha=alpha)) == [
+                r.p_value < alpha]
         n_checked += 1
 
     fixed = chi_square_independence([[50, 10], [10, 50]])
@@ -255,8 +251,8 @@ def test_criterion_7_cookie_sync_oracle():
                     "runs": 3, "seed": seed},
         })
         world = build_world(cfg, seed)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed)
-        detected = detect_cookie_sync(logs.requests).pair_keys()
+        _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
+        detected = detect_cookie_sync([RequestLogEntry(**row) for row in requests]).pair_keys()
         assert detected == pairs, f"seed {seed}: {detected} != {pairs}"
     report("criterion 7 (cookie-sync oracle)", "exact recovery on 10 random worlds")
 

@@ -132,13 +132,68 @@ class TestExitCodes:
         (lambda doc: doc["sim"].update(bogus=1), "sim.bogus: unknown key"),
         (lambda doc: doc["sim"]["run"].update(bogus=1), "sim.run.bogus: unknown key"),
         (lambda doc: doc["sim"]["world"].update(bogus=1), "sim.world.bogus: unknown key"),
+        (lambda doc: doc["sim"]["world"]["advertisers"][0].update(creative_lenght=8),
+         "world.advertisers[0].creative_lenght: unknown key"),
+        (lambda doc: doc["sim"]["run"].update(personas=[
+            {"id": "ctrl", "group": "g1", "is_control": True},
+            {"id": "p1", "group": "g1", "blocks": ["t1"]}]),
+         "run.personas[1].blocks: unknown key"),
     ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth",
-            "unknown_sim_key", "unknown_sim_run_key", "unknown_sim_world_key"])
+            "unknown_sim_key", "unknown_sim_run_key", "unknown_sim_world_key",
+            "unknown_world_entry_key", "unknown_persona_key"])
     def test_unknown_key_or_repeated_grid_value_names_it(self, tmp_path, edit, named):
         doc = load_config("mini")
         edit(doc)
         out = tmp_path / "out"
         proc = run_cli("run", "--config", str(write_config(tmp_path, doc)), "--out", str(out))
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda doc: doc["sim"]["world"]["trackers"].__setitem__(0, 5),
+                     "world.trackers[0]: expected an object", id="tracker_not_object"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(personas=[5]),
+                     "run.personas[0]: expected an object", id="persona_not_object"),
+        pytest.param(lambda doc: doc["sim"]["world"]["slots"][0].update(tiers=5),
+                     "world.slots[0].tiers: expected list", id="tiers_not_list"),
+        pytest.param(lambda doc: doc["sim"]["world"].update(sync_pairs=[5]),
+                     "world.sync_pairs[0]: expected a list of strings", id="sync_pair_not_list"),
+        pytest.param(lambda doc: doc["sim"]["world"].update(edges=5),
+                     "world.edges: expected list", id="edges_not_list"),
+        pytest.param(lambda doc: doc["sim"]["world"]["groups"][0].update(vocabulary=[1, "a"]),
+                     "world.groups[0].vocabulary: expected a list of strings",
+                     id="int_in_vocabulary"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
+            {"id": "ctrl", "group": "g1", "is_control": True},
+            {"id": "p1", "group": "g1", "is_control": "no"}]),
+                     "run.personas[1].is_control: expected bool", id="is_control_string"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
+            {"id": "ctrl", "group": "g1", "is_control": True},
+            {"id": "p1", "group": "g1", "blocked": "t1"}]),
+                     "run.personas[1].blocked: expected a list of strings",
+                     id="blocked_string"),
+        pytest.param(lambda doc: doc.update(seed=True), "seed: seed must be an integer",
+                     id="bool_seed"),
+        pytest.param(lambda doc: doc.update(holdout_runs=True), "holdout_runs:",
+                     id="bool_holdout_runs"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(runs=True), "run.runs: expected int",
+                     id="bool_runs"),
+        pytest.param(lambda doc: doc["sim"]["world"]["advertisers"][0].update(
+            creative_length=True), "world.advertisers[0].creative_length: expected int",
+                     id="bool_creative_length"),
+        pytest.param(lambda doc: doc.update(accuracy_threshold=True), "accuracy_threshold:",
+                     id="bool_threshold"),
+        pytest.param(lambda doc: doc["stats"].update(min_expected=True), "stats:",
+                     id="bool_min_expected"),
+    ])
+    def test_malformed_config_value_names_its_path(self, tmp_path, edit, named):
+        doc = load_config("mini")
+        edit(doc)
+        out = tmp_path / "out"
+        proc = run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
+                       "--out", str(out))
         assert proc.returncode == 2
         assert named in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -272,6 +327,32 @@ class TestExitCodes:
         assert "'chain_position'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param({"cookie_sent": 5}, "field 'cookie_sent' must be a JSON string or null",
+                     id="int_cookie"),
+        pytest.param({"uid_param": 7}, "field 'uid_param' must be a JSON string or null",
+                     id="int_uid"),
+        pytest.param({"chain_position": "0"}, "field 'chain_position' must be a JSON integer",
+                     id="string_position"),
+        pytest.param({"run": "0"}, "field 'run' must be a JSON integer", id="string_run"),
+        pytest.param({"persona": None}, "field 'persona' must be a JSON string",
+                     id="null_persona"),
+        pytest.param({"source_domain": 5}, "field 'source_domain' must be a JSON string",
+                     id="int_source"),
+    ])
+    def test_request_log_field_of_wrong_type_names_file_and_line(self, mini_run, tmp_path,
+                                                                 edit, problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), **edit})
+        requestlog.write_text("\n".join(lines) + "\n")
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"requestlog.jsonl:1: {problem}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("counts", [
         pytest.param(lambda c: {**c, next(iter(c)): 0}, id="zero_count"),

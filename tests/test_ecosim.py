@@ -9,11 +9,11 @@ from adtomo.ecosim import (
     build_world,
     generate_creative,
     knowledge_state,
-    run_simulation,
     sim_config_from_dict,
 )
 from adtomo.errors import ConfigError
 from adtomo.rng import substream
+from conftest import simulate_logs
 from oracles import simulate_by_scalar_draws
 
 
@@ -224,20 +224,20 @@ class TestRunSimulation:
     def test_empty_graph_all_generic(self):
         cfg = make_config(runs=3)
         world = build_world(cfg, seed=2)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=2)
+        ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=2)
         vocab = set(world.group_by_id["g1"].vocabulary)
-        assert logs.ads  # the sole advertiser clears the floor
-        for ad in logs.ads:
-            assert not set(ad.tokens) & vocab
+        assert ads  # the sole advertiser clears the floor
+        for ad in ads:
+            assert not set(ad["tokens"]) & vocab
 
     def test_deterministic_single_edge_targets_vocabulary(self):
         cfg = make_config(edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 1.0}], runs=3)
         world = build_world(cfg, seed=3)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=3)
+        ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=3)
         vocab = set(world.group_by_id["g1"].vocabulary)
-        for ad in logs.ads:
-            assert set(ad.tokens) <= vocab
+        for ad in ads:
+            assert set(ad["tokens"]) <= vocab
 
     def test_blockade_soundness(self):
         # A persona blocking every tracker into a1 never sees a1's targeted ads.
@@ -249,30 +249,28 @@ class TestRunSimulation:
                     "runs": 5, "seed": 4},
         })
         world = build_world(cfg, seed=4)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=4)
-        for ad in logs.ads:
-            assert not set(ad.tokens) & set(vocab_only)
+        ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=4)
+        for ad in ads:
+            assert not set(ad["tokens"]) & set(vocab_only)
 
     def test_persona_order_does_not_change_logs(self):
         personas = [{"id": f"p{i}", "group": "g1", "blocked": []} for i in range(6)]
         cfg = make_config(personas=personas, runs=2)
         world = build_world(cfg, seed=6)
-        logs1 = run_simulation(world, cfg.personas, cfg.runs, seed=6)
-        logs2 = run_simulation(world, tuple(reversed(cfg.personas)), cfg.runs, seed=6)
-        assert logs1.ads == logs2.ads
-        assert logs1.requests == logs2.requests
-        assert logs1.bids == logs2.bids
+        logs1 = simulate_logs(world, cfg.personas, cfg.runs, seed=6)
+        logs2 = simulate_logs(world, tuple(reversed(cfg.personas)), cfg.runs, seed=6)
+        assert logs1 == logs2
 
     def test_same_seed_identical_different_seed_differs(self):
         cfg = make_config(runs=2, advertisers=[
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.5, "creative_length": 4},
             {"id": "a2", "base_bid": 1.0, "bid_noise_sd": 0.5, "creative_length": 4}])
         world = build_world(cfg, seed=7)
-        logs1 = run_simulation(world, cfg.personas, cfg.runs, seed=7)
-        logs2 = run_simulation(world, cfg.personas, cfg.runs, seed=7)
-        logs3 = run_simulation(world, cfg.personas, cfg.runs, seed=8)
-        assert logs1.ads == logs2.ads
-        assert logs1.ads != logs3.ads
+        ads1, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=7)
+        ads2, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=7)
+        ads3, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=8)
+        assert ads1 == ads2
+        assert ads1 != ads3
 
     def test_one_outcome_per_slot(self):
         personas = [{"id": f"p{i}", "group": "g1", "blocked": []} for i in range(4)]
@@ -283,8 +281,8 @@ class TestRunSimulation:
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.3, "creative_length": 4},
             {"id": "a2", "base_bid": 1.0, "bid_noise_sd": 0.3, "creative_length": 4}])
         world = build_world(cfg, seed=8)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=8)
-        keys = [(a.run, a.persona, a.slot) for a in logs.ads]
+        ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=8)
+        keys = [(a["run"], a["persona"], a["slot"]) for a in ads]
         assert len(keys) == len(set(keys))
         assert len(keys) <= 3 * 4 * 3
 
@@ -293,17 +291,17 @@ class TestRunSimulation:
                   "mechanism": "hb_server"}]
         cfg = make_config(slots=slots)
         world = build_world(cfg, seed=9)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=9)
-        assert logs.bids == []
-        assert logs.ads  # delivery still happens
+        ads, _, bids = simulate_logs(world, cfg.personas, cfg.runs, seed=9)
+        assert bids == []
+        assert ads  # delivery still happens
 
     def test_hb_client_logs_all_bids(self):
         cfg = make_config(advertisers=[
             {"id": "a1", "base_bid": 1.0, "creative_length": 4},
             {"id": "a2", "base_bid": 0.9, "creative_length": 4}])
         world = build_world(cfg, seed=10)
-        logs = run_simulation(world, cfg.personas, 1, seed=10)
-        assert {b.advertiser for b in logs.bids} == {"a1", "a2"}
+        _, _, bids = simulate_logs(world, cfg.personas, 1, seed=10)
+        assert {b["advertiser"] for b in bids} == {"a1", "a2"}
 
     def test_zero_slots_rejected(self):
         cfg = sim_config_from_dict({
@@ -312,7 +310,7 @@ class TestRunSimulation:
         })
         world = build_world(cfg, seed=1)
         with pytest.raises(ConfigError, match="slot"):
-            run_simulation(world, cfg.personas, 1, seed=1)
+            simulate_logs(world, cfg.personas, 1, seed=1)
 
     def test_batched_draws_match_scalar_oracle(self):
         # Random worlds with every mechanism, RTB tiers (including none),
@@ -358,10 +356,11 @@ class TestRunSimulation:
                                      for j in range(rand.randint(1, 4))],
                         "runs": rand.randint(1, 3), "seed": case}})
             world = build_world(cfg, seed=case)
-            logs = run_simulation(world, cfg.personas, cfg.runs, seed=case)
+            logs = simulate_logs(world, cfg.personas, cfg.runs, seed=case)
             expected = simulate_by_scalar_draws(world, cfg.personas, cfg.runs, case)
-            assert (logs.ads, logs.bids, logs.requests) == expected, case
-            assert repr(logs.bids) == repr(expected[1]), case
+            assert logs == expected, case
+            # Bids float for float, and every row's keys in field order.
+            assert repr(logs) == repr(expected), case
 
     def test_winner_bid_clears_floor(self):
         # With hb_client slots the winning bid is visible in the bid log.
@@ -371,9 +370,10 @@ class TestRunSimulation:
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.4, "creative_length": 4}],
             runs=30)
         world = build_world(cfg, seed=11)
-        logs = run_simulation(world, cfg.personas, cfg.runs, seed=11)
-        bids = {(b.run, b.persona, b.slot, b.advertiser): b.bid for b in logs.bids}
-        assert logs.ads
-        assert len(logs.ads) < 30  # some rounds must go unfilled at this floor
-        for ad in logs.ads:
-            assert bids[(ad.run, ad.persona, ad.slot, ad.advertiser)] >= 1.2
+        ads, _, bid_rows = simulate_logs(world, cfg.personas, cfg.runs, seed=11)
+        key = ("run", "persona", "slot", "advertiser")
+        bids = {tuple(b[k] for k in key): b["bid"] for b in bid_rows}
+        assert ads
+        assert len(ads) < 30  # some rounds must go unfilled at this floor
+        for ad in ads:
+            assert bids[tuple(ad[k] for k in key)] >= 1.2

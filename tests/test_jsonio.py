@@ -3,7 +3,7 @@ import json
 import pytest
 
 from adtomo import jsonio
-from adtomo.jsonio import dumps_line, open_atomic, write_json, write_jsonl
+from adtomo.jsonio import dumps_line, jsonl_lines, open_atomic, write_json
 
 RECORDS = [
     {"token": "créative-ß", "emoji": "\U0001f600", "quote": "a\"b\\c\n\t "},
@@ -13,6 +13,12 @@ RECORDS = [
     {"bool": True, "none": None, "": "", "ключ": "значение"},
     {},
 ]
+
+
+def write_jsonl(path, records):
+    """A JSON-lines file written the way the stages write theirs."""
+    with open_atomic(path) as fh:
+        fh.writelines(jsonl_lines(records))
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=range(len(RECORDS)))
@@ -30,7 +36,7 @@ def test_write_jsonl_writes_one_dumps_line_per_record(tmp_path):
 
 @pytest.mark.parametrize("accelerated", [True, False], ids=["c_encoder", "no_json_module"])
 def test_write_jsonl_lines_equal_dumps_line(tmp_path, monkeypatch, accelerated):
-    # write_jsonl builds its C encoder once per file; without the _json
+    # jsonl_lines builds its C encoder once per file; without the _json
     # accelerator it falls back to dumps_line.  Both write the same bytes.
     if not accelerated:
         monkeypatch.setattr(jsonio, "c_make_encoder", None)

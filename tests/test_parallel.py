@@ -114,11 +114,11 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     pipeline.stage_flag(cfg, out)
     adlog = (out / "adlog.jsonl").read_bytes()
 
-    def failing_encode(logs):
-        raise ConfigError("encode failed")
+    def failing_run(run):
+        raise ConfigError("simulate failed")
 
-    monkeypatch.setattr(pipeline, "_encode_run", failing_encode)
-    with pytest.raises(ConfigError, match="encode failed"):
+    monkeypatch.setattr(pipeline, "prepare_simulation", lambda *args: failing_run)
+    with pytest.raises(ConfigError, match="simulate failed"):
         pipeline.stage_simulate(cfg, out)
     assert multiprocessing.active_children() == []
     assert (out / "adlog.jsonl").read_bytes() == adlog

@@ -12,7 +12,6 @@ from adtomo.stattest import (
     StatConfig,
     StatError,
     chi2_sf,
-    chi_square_against,
     chi_square_independence,
     collapse_low_mass_columns,
     critical_bracket,
@@ -221,22 +220,39 @@ def random_group(rng, n, columns=40):
     return control, vectors
 
 
+def assert_flags_match_oracle(control, vectors, min_expected):
+    """``flags_against`` equals the per-record oracle's ``p < alpha`` at
+    alpha 0.05, at 0.01 and at one tested record's own oracle p-value, which
+    puts that record's statistic inside the band.  Returns the oracle's
+    results and that record's index (None when no record has 0 < p < 1)."""
+    expected = oracles.chi2_by_union_tables(control, vectors,
+                                            StatConfig(min_expected=min_expected))
+    inner = [i for i, r in enumerate(expected) if r is not None and 0 < r.p_value < 1]
+    own = inner[len(inner) // 2] if inner else None
+    alphas = [0.05, 0.01] + ([] if own is None else [expected[own].p_value])
+    for alpha in alphas:
+        got = flags_against(control, vectors, StatConfig(alpha=alpha, min_expected=min_expected))
+        assert got == [r is not None and r.p_value < alpha for r in expected], alpha
+    return expected, own
+
+
 class TestChiSquareAgainst:
+    """The chi-squared test of many records against one shared control, as
+    ``flags_against`` decides it, checked against the per-record oracle."""
+
     def test_randomized_groups_match_per_record_tables(self):
         rng = np.random.default_rng(31)
         seen = {"degenerate": 0, "outside_kept": 0, "empty_control_tested": 0}
         for trial in range(60):
             n = int(rng.integers(1, 301))
             control, vectors = random_group(rng, n)
-            config = StatConfig(min_expected=float([1, 5, 12][trial % 3]))
-            got = chi_square_against(control, vectors, config)
-            expected = oracles.chi2_by_union_tables(control, vectors, config)
-            assert got == expected
+            min_expected = float([1, 5, 12][trial % 3])
+            expected, _ = assert_flags_match_oracle(control, vectors, min_expected)
             for vector, result in zip(vectors, expected):
                 seen["degenerate"] += result is None
                 if result is not None:
                     seen["outside_kept"] += any(
-                        c >= config.min_expected for i, c in vector.items() if i not in control)
+                        c >= min_expected for i, c in vector.items() if i not in control)
                     seen["empty_control_tested"] += not control
         assert all(seen.values()), seen
 
@@ -245,10 +261,8 @@ class TestChiSquareAgainst:
     def test_group_sizes_around_batch_cap(self, n):
         rng = np.random.default_rng(n)
         control, vectors = random_group(rng, n)
-        config = StatConfig(min_expected=5)
-        got = chi_square_against(control, vectors, config)
-        assert len(got) == n
-        assert got == oracles.chi2_by_union_tables(control, vectors, config)
+        assert len(flags_against(control, vectors)) == n
+        assert_flags_match_oracle(control, vectors, 5.0)
 
     @pytest.mark.parametrize("control", [{0: 30, 1: 2, 3: 40}, {}], ids=["control", "empty_control"])
     def test_mixed_group_edge_cases(self, control):
@@ -260,39 +274,47 @@ class TestChiSquareAgainst:
             {4: 2, 5: 2, 6: 2, 0: 12},    # out-of-block columns only in the residual
             {},
         ]
-        config = StatConfig(min_expected=5)
-        got = chi_square_against(control, vectors, config)
-        assert got == oracles.chi2_by_union_tables(control, vectors, config)
+        expected, _ = assert_flags_match_oracle(control, vectors, 5.0)
         # An empty record against a control is a zero row: statistic 0, p 1.
-        assert got[0] == got[5] and (got[0] is None) == (not control)
+        assert expected[0] == expected[5] and (expected[0] is None) == (not control)
         if control:
-            assert (got[0].statistic, got[0].p_value) == (0.0, 1.0)
-        assert got[2] is not None and got[3] is not None
+            assert (expected[0].statistic, expected[0].p_value) == (0.0, 1.0)
+        assert expected[2] is not None and expected[3] is not None
 
     def test_no_vectors(self):
-        assert chi_square_against({0: 5}, []) == []
+        assert flags_against({0: 5}, []) == []
 
     @pytest.mark.parametrize("control, vector", [({0: 5, 1: -1}, {0: 5}),
                                                  ({0: 5}, {0: 5, 2: -3})])
     def test_negative_counts_rejected(self, control, vector):
         with pytest.raises(StatError, match="non-negative"):
-            chi_square_against(control, [{0: 1}, vector])
-
+            flags_against(control, [{0: 1}, vector])
 
 
 class TestFlagsAgainst:
     @pytest.mark.parametrize("alpha", [0.05, 0.01])
-    def test_randomized_groups_match_chi_square_against(self, alpha):
+    def test_randomized_groups_match_chi_square_against(self, alpha, monkeypatch):
+        # The reference is one chi_square_independence call per record.  At
+        # a record's own p-value, chi2_sf decides that record from its exact
+        # statistic: real tables reach the band, not only planted cells.
+        calls = []
+
+        def spy(x, k):
+            calls.append((x, k))
+            return chi2_sf(x, k)
+
+        monkeypatch.setattr(stattest, "chi2_sf", spy)
         rng = np.random.default_rng(31)
         flagged = tested = 0
         for trial in range(60):
             control, vectors = random_group(rng, int(rng.integers(1, 301)))
-            config = StatConfig(alpha=alpha, min_expected=float([1, 5, 12][trial % 3]))
-            results = chi_square_against(control, vectors, config)
-            got = flags_against(control, vectors, config)
-            assert got == [r is not None and r.p_value < alpha for r in results]
-            flagged += sum(got)
-            tested += sum(r is not None for r in results)
+            calls.clear()
+            expected, own = assert_flags_match_oracle(control, vectors,
+                                                      float([1, 5, 12][trial % 3]))
+            if own is not None:
+                assert (expected[own].statistic, expected[own].df) in calls
+            flagged += sum(r is not None and r.p_value < alpha for r in expected)
+            tested += sum(r is not None for r in expected)
         assert 0 < flagged < tested
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01])

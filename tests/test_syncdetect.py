@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from adtomo.ecosim import build_world, run_simulation, sim_config_from_dict
+from adtomo.ecosim import build_world, sim_config_from_dict
 from adtomo.ecosim.types import RequestLogEntry
 from adtomo.syncdetect import MalformedChainError, detect_cookie_sync
+
+from conftest import simulate_logs
 
 
 def hop(pos, src, dst, cookie=None, uid=None, run=0, persona="p1"):
@@ -88,7 +90,8 @@ class TestSimulatorRecovery:
                     "runs": 2, "seed": seed},
         })
         world = build_world(cfg, seed)
-        return run_simulation(world, cfg.personas, cfg.runs, seed)
+        _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
+        return [RequestLogEntry(**row) for row in requests]
 
     def test_exact_recovery_on_random_worlds(self):
         rng = np.random.default_rng(123)
@@ -99,6 +102,6 @@ class TestSimulatorRecovery:
             while len(pairs) < n_pairs:
                 a, b = rng.choice(trackers, size=2, replace=False)
                 pairs.add((str(a), str(b)))
-            logs = self._run_world([list(p) for p in sorted(pairs)], seed=seed)
-            report = detect_cookie_sync(logs.requests)
+            requests = self._run_world([list(p) for p in sorted(pairs)], seed=seed)
+            report = detect_cookie_sync(requests)
             assert report.pair_keys() == pairs, f"seed {seed}"

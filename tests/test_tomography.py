@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from adtomo import tomography
-from adtomo.ecosim import build_world, enumerate_personas, run_simulation, sim_config_from_dict
+from adtomo.ecosim import build_world, enumerate_personas, sim_config_from_dict
 from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
 from adtomo.pipeline import load_pipeline_config
-from adtomo.stattest import StatConfig, chi_square_against
+from adtomo.stattest import StatConfig
 from adtomo.textvec import Corpus, build_corpus
 from adtomo.tomography import (
     MissingControlError,
@@ -24,8 +24,8 @@ from adtomo.tomography import (
     segment_records,
 )
 
-from conftest import load_config
-from oracles import chi2_by_dense_tables
+from conftest import load_config, simulate_logs
+from oracles import chi2_by_dense_tables, chi2_by_union_tables
 
 
 def blocking_configs(trackers):
@@ -138,13 +138,14 @@ def flag_with_results(records, control, config=StatConfig()):
     table is degenerate) of every record, in record order.  flag_changes must
     make one flags_against call per (advertiser, run), in order of first
     appearance, over the vectors of that group's records in record order;
-    each call's results are chi_square_against's over the same arguments."""
+    each call's results are the per-record oracle's over the same
+    arguments."""
     calls = []
     real = tomography.flags_against
 
     def spy(pooled, vectors, cfg):
         flags = real(pooled, vectors, cfg)
-        calls.append((list(vectors), chi_square_against(pooled, vectors, cfg)))
+        calls.append((list(vectors), chi2_by_union_tables(pooled, vectors, cfg)))
         return flags
 
     with pytest.MonkeyPatch.context() as mp:
@@ -300,9 +301,10 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
     # Digests of collate + flag_changes on the simulated small profile,
     # captured from the dense-table flagging code.
     cfg = load_pipeline_config(load_config("small", seed=seed))
-    logs = run_simulation(build_world(cfg.sim, cfg.seed), cfg.sim.personas,
-                          cfg.sim.runs, cfg.seed)
-    records = collate_observed(logs.ads, build_corpus(a.tokens for a in logs.ads))
+    rows, _, _ = simulate_logs(build_world(cfg.sim, cfg.seed), cfg.sim.personas,
+                               cfg.sim.runs, cfg.seed)
+    ads = [DeliveredAd(**row) for row in rows]
+    records = collate_observed(ads, build_corpus(a.tokens for a in ads))
     controls = {p.id for p in cfg.sim.personas if p.is_control}
     flagged = flag_changes([r for r in records if r.persona not in controls],
                            [r for r in records if r.persona in controls], cfg.stats)

@@ -8,8 +8,11 @@ persona) pair owns a hash-derived random substream, which makes the outputs
 independent of persona scheduling; logs are emitted in canonical
 (run, persona, slot) order.
 
-A round's logs come out as rows: dicts whose keys follow the field order of
-``adlog.jsonl``, ``requestlog.jsonl`` and ``bidlog.jsonl``, ready to encode.
+A round's logs come out as the text of ``adlog.jsonl``, ``requestlog.jsonl``
+and ``bidlog.jsonl``: the bytes ``jsonio.jsonl_lines`` would write for their
+rows, built from fragments encoded once per world.  Every id and token is
+encoded once, and the requestlog text after a line's persona is the same for
+every persona and round, so a round encodes only its bids.
 
 Draw order.  Every artifact depends byte for byte on the order in which a
 (run, persona) substream is consumed:
@@ -31,11 +34,12 @@ pins these identities of numpy's ``Generator``.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..jsonio import encode_float, encode_int, encode_scalar, encode_str
 from ..rng import substream
 from .auctions import auction_hb, auction_rtb
 from .types import (
@@ -47,8 +51,8 @@ from .types import (
     World,
 )
 
-# One collection round's (adlog, requestlog, bidlog) rows.
-RunLogs = tuple[list[dict], list[dict], list[dict]]
+# One collection round's (adlog, requestlog, bidlog) text.
+RunLogs = tuple[str, str, str]
 
 
 def _incoming(world: World, advertiser: str) -> tuple[tuple[TrackerOrg, SharingEdge], ...]:
@@ -90,11 +94,11 @@ def knowledge_state(advertiser: str, persona: Persona, world: World,
                   rng.random(2 * len(incoming)).tolist())
 
 
-def _creative_tokens(length: int, known: bool, group: InterestGroup, world: World,
+def _creative_tokens(length: int, known: bool, source: Sequence[str],
                      rng: np.random.Generator) -> list[str]:
-    """The tokens of ``generate_creative`` for an advertiser whose creatives
-    are ``length`` tokens long."""
-    source = group.vocabulary if known else world.generic_pool
+    """``length`` creative tokens drawn from ``source``, the group
+    vocabulary when ``known`` and the generic pool otherwise, or from their
+    encoded tokens."""
     if not source:
         raise ConfigError("empty vocabulary" if known else "empty generic pool")
     return [source[i] for i in rng.integers(0, len(source), size=length).tolist()]
@@ -110,7 +114,9 @@ def generate_creative(advertiser: str, known: bool, group: InterestGroup,
     if adv is None:
         raise ConfigError(f"unknown advertiser {advertiser!r}")
     return AdCreative(
-        advertiser, tuple(_creative_tokens(adv.creative_length, known, group, world, rng)),
+        advertiser,
+        tuple(_creative_tokens(adv.creative_length, known,
+                               group.vocabulary if known else world.generic_pool, rng)),
         slot, run)
 
 
@@ -148,14 +154,14 @@ def prepare_simulation(world: World, personas, seed: int | None = None
     """The body of one collection round, ``simulate_run(run)``, after
     validating the personas and preparing what every round shares: the
     incoming edges and draw offsets of each advertiser, the auction tiers of
-    each slot and the redirect hops.
+    each slot, and the encoded ids, tokens and redirect hops.
 
     Per persona in id order, ``simulate_run`` resolves knowledge per
     advertiser, emits the redirect chain, then auctions every slot in id
     order (bid = base + boost*known + N(0, sd), truncated at 0) and logs the
     winner's creative.  Client-side HB slots also log every on-time bid;
     server-side HB suppresses the bid log.  It returns the round's adlog,
-    requestlog and bidlog rows.  Rounds share no state, because each (run,
+    requestlog and bidlog text.  Rounds share no state, because each (run,
     persona) draws from its own substream, so they may run in any order or
     process."""
     if not world.slots:
@@ -177,16 +183,29 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                 else [range(len(ids))] if s.tiers is None
                 else [[position[aid] for aid in tier] for tier in s.tiers]
                 for s in slots]
-    hops = _chain_hops(world, slots)
+    # Every line starts '{"run":R,"persona":P'.  What follows P: per hop, the
+    # rest of its requestlog line; per slot and advertiser, the adlog line
+    # up to the first token and the bidlog line up to the bid.
+    request_tails = [f',"chain_position":{encode_int(pos)},"source_domain":{encode_str(src)},'
+                     f'"destination_domain":{encode_str(dst)},'
+                     f'"cookie_sent":{encode_scalar(cookie)},"uid_param":{encode_scalar(uid)}}}\n'
+                     for pos, (src, dst, cookie, uid) in enumerate(_chain_hops(world, slots))]
+    ad_heads = [[f',"slot":{encode_str(s.id)},"advertiser":{encode_str(aid)},"tokens":['
+                 for aid in ids] for s in slots]
+    bid_heads = [{aid: f',"slot":{encode_str(s.id)},"advertiser":{encode_str(aid)},"bid":'
+                  for aid in ids} for s in slots]
+    generic = [encode_str(t) for t in world.generic_pool]
+    vocabulary = {g.id: [encode_str(t) for t in g.vocabulary] for g in world.groups}
+    persona_ids = [encode_str(p.id) for p in personas]
 
     def simulate_run(run: int) -> RunLogs:
-        ads: list[dict] = []
-        requests: list[dict] = []
-        bids: list[dict] = []
-        for persona in personas:
-            pid = persona.id
-            rng = substream(seed, "sim", run, pid)
-            group = world.group_by_id[persona.group]
+        ads: list[str] = []
+        requests: list[str] = []
+        bids: list[str] = []
+        run_head = f'{{"run":{encode_int(run)},"persona":'
+        for persona, pid in zip(personas, persona_ids):
+            head = run_head + pid
+            rng = substream(seed, "sim", run, persona.id)
             visited = world.visited_sites(persona.group)
             blocked = frozenset(persona.blocking.blocked)
             draws = rng.random(offsets[-1]).tolist()
@@ -194,11 +213,8 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                      for edges, lo, hi in zip(incoming, offsets, offsets[1:])]
             level = [a.base_bid + (a.knowledge_boost if k else 0.0)
                      for a, k in zip(advertisers, known)]
-            requests.extend({"run": run, "persona": pid, "chain_position": pos,
-                             "source_domain": src, "destination_domain": dst,
-                             "cookie_sent": cookie, "uid_param": uid}
-                            for pos, (src, dst, cookie, uid) in enumerate(hops))
-            for slot, tiers in zip(slots, tiers_of):
+            requests.extend(head + tail for tail in request_tails)
+            for slot, tiers, ad_head, bid_head in zip(slots, tiers_of, ad_heads, bid_heads):
                 z = rng.standard_normal(len(ids)).tolist()
                 bid = [max(0.0, lv + (0.0 + sd * x)) for lv, sd, x in zip(level, noise_sd, z)]
                 if tiers is not None:
@@ -208,15 +224,14 @@ def prepare_simulation(world: World, personas, seed: int | None = None
                     outcome, recorded = auction_hb(
                         slot, [(aid, b, 0.0) for aid, b in zip(ids, bid)], slot.timeout)
                     if slot.mechanism == "hb_client":
-                        bids.extend({"run": run, "persona": pid, "slot": slot.id,
-                                     "advertiser": aid, "bid": value}
+                        bids.extend(f"{head}{bid_head[aid]}{encode_float(value)}}}\n"
                                     for aid, value in recorded)
                 if outcome.filled:
                     w = position[outcome.winner]
-                    ads.append({"run": run, "persona": pid, "slot": slot.id,
-                                "advertiser": outcome.winner,
-                                "tokens": _creative_tokens(advertisers[w].creative_length,
-                                                           known[w], group, world, rng)})
-        return ads, requests, bids
+                    source = vocabulary[persona.group] if known[w] else generic
+                    tokens = _creative_tokens(advertisers[w].creative_length, known[w],
+                                              source, rng)
+                    ads.append(f"{head}{ad_head[w]}{','.join(tokens)}]}}\n")
+        return "".join(ads), "".join(requests), "".join(bids)
 
     return simulate_run

@@ -5,16 +5,23 @@ separators for JSON-lines, and no timestamps or environment-dependent
 content, so identical inputs produce byte-identical files.  Every writer
 replaces its file atomically: an interrupted write leaves the previous
 artifact in place, never a truncated one.
+
+This module owns the byte format.  ``jsonl_lines`` encodes whole records;
+hot writers that build many lines of one shape from a few values encode
+each value once with ``encode_str``, ``encode_int``, ``encode_float`` or
+``encode_scalar`` and join the fragments, which gives the bytes
+``jsonl_lines`` would.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -44,16 +51,50 @@ def _line_encoder() -> Callable[[dict], str]:
     return lambda record: "".join(encode(record, 0))
 
 
+# The line encoder's value encodings, for lines built from fragments: a
+# string goes through the encoder's own escaping function, an int is its
+# repr.
+encode_str = encode_basestring
+encode_int = int.__repr__
+
+
+def encode_float(value: float) -> str:
+    """A float as the line encoder writes it: its repr when finite, else
+    ``NaN``, ``Infinity`` or ``-Infinity``."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def encode_scalar(value) -> str:
+    """A JSON scalar (str, int, float, bool or None) as the line encoder
+    writes it."""
+    if isinstance(value, str):
+        return encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return encode_int(value)
+    if isinstance(value, float):
+        return encode_float(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
 @contextmanager
-def open_atomic(path, newline: str = "\n") -> Iterator[TextIO]:
-    """A UTF-8 text file to write ``path`` through: it is written beside
-    ``path`` under a temporary name and moved into place by ``os.replace``
-    when the block ends.  If the block raises, the temporary file is removed
-    and ``path`` keeps its previous content."""
+def open_atomic(path, newline: str = "\n", binary: bool = False) -> Iterator[IO]:
+    """A UTF-8 text file, or with ``binary`` a byte file, to write ``path``
+    through: it is written beside ``path`` under a temporary name and moved
+    into place by ``os.replace`` when the block ends.  If the block raises,
+    the temporary file is removed and ``path`` keeps its previous content."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+        with (tmp.open("wb") if binary
+              else tmp.open("w", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

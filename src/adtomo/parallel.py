@@ -11,6 +11,9 @@ option chooses the worker count.
 workers inherit them: only item indices travel to the workers and only
 results travel back, and ``fn`` may be a closure.  Anything ``fn`` records
 in module state inside a worker stays in that worker.
+
+A worker that dies mid-task (killed, or out of memory) fails the map with
+``BrokenProcessPool`` instead of leaving it waiting for the lost result.
 """
 
 from __future__ import annotations
@@ -31,26 +34,25 @@ def _call(i: int):
 
 def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """``fn(item)`` for each item, in item order.  The first item, in item
-    order, that raises re-raises its exception here.  The pool is closed and
-    joined after the last result, and terminated if an item raises or the
-    caller stops early."""
+    order, that raises re-raises its exception here.  The pool is shut down
+    after the last result; if an item raises or the caller stops early, the
+    items not yet started are cancelled and the running ones are waited
+    for."""
     global _TASK
     workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
         yield from map(fn, items)
         return
-    import multiprocessing  # ~20 ms to import; an in-process run never pays it
+    # ~20 ms to import; an in-process run never pays it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     _TASK = (fn, items)
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            yield from pool.imap(_call, range(len(items)), chunksize=1)
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
+            yield from pool.map(_call, range(len(items)))
         finally:
-            pool.join()
+            pool.shutdown(cancel_futures=True)
     finally:
         _TASK = None

@@ -17,20 +17,29 @@ Every stage reads and writes fixed-name artifacts under one output directory:
 ``run`` composes simulate -> flag -> infer -> syncdetect -> evaluate through
 these same functions, so running stages individually over the emitted
 intermediates reproduces its artifacts byte for byte.
+
+``simulate`` and ``flag`` build their JSON-lines artifacts in pooled tasks
+from fragments encoded once (``jsonio.encode_*``); each task writes its part
+to disk and the parent splices the parts in item order (``_write_pooled``),
+so the artifacts' text never passes between processes.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from sys import intern
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .ecosim import SimConfig, build_world, prepare_simulation, sim_config_from_dict
 from .ecosim.types import DeliveredAd, RequestLogEntry
 from .errors import ConfigError, check_known_keys
 from .forest import HyperGrid
-from .jsonio import jsonl_lines, open_atomic, read_json, read_jsonl, write_json
+from .jsonio import (encode_int, encode_scalar, encode_str, open_atomic, read_json,
+                     read_jsonl, write_json)
 from .parallel import fork_map
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
@@ -44,6 +53,8 @@ from .tomography import (
     run_inference,
     segment_records,
 )
+
+T = TypeVar("T")
 
 ARTIFACTS = ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl", "personas.json",
              "world.json", "corpus.json", "records.jsonl", "report.json",
@@ -165,13 +176,14 @@ def _check_strings(values: list, field: str, where: str) -> None:
 
 
 def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
-    """Persona entries of ``personas.json``; each ``blocked`` list must name
-    trackers of the config."""
+    """Persona entries of ``personas.json``, one per persona id; each
+    ``blocked`` list must name trackers of the config."""
     path = out_dir / "personas.json"
     personas = read_json(path)
     if not isinstance(personas, list):
         raise ConfigError("expected a JSON list of persona entries", str(path))
     known = set(trackers)
+    first_entry: dict[str, int] = {}
     for i, entry in enumerate(personas):
         where = f"{path}: entry {i}"
         _check_fields(entry, _PERSONA_FIELDS, where)
@@ -179,6 +191,10 @@ def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
         unknown = [t for t in entry["blocked"] if t not in known]
         if unknown:
             raise ConfigError(f"blocked tracker {unknown[0]!r} is not a tracker of the config",
+                              where)
+        first = first_entry.setdefault(entry["id"], i)
+        if first != i:
+            raise ConfigError(f"duplicate persona {entry['id']!r}, first seen at entry {first}",
                               where)
     return personas
 
@@ -238,7 +254,11 @@ def _read_corpus(out_dir: Path) -> Corpus:
     doc = read_json(path)
     _check_fields(doc, {"tokens": list}, str(path))
     _check_strings(doc["tokens"], "tokens", str(path))
-    return Corpus({t: i for i, t in enumerate(doc["tokens"])})
+    index: dict[str, int] = {}
+    for i, token in enumerate(doc["tokens"]):
+        if index.setdefault(token, i) != i:
+            raise ConfigError(f"duplicate token {token!r}", str(path))
+    return Corpus(index)
 
 
 def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
@@ -283,24 +303,64 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
 # stages
 # --------------------------------------------------------------------------
 
+def _write_pooled(out_dir: Path, names: Sequence[str],
+                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
+    """Write the artifacts ``names`` under ``out_dir``, each the
+    concatenation, in item order, of one of the texts ``texts_of(item)``
+    yields per item (one per name).  The items run through ``fork_map``.
+    Each task writes its texts, UTF-8 encoded, to part files of its own
+    under ``out_dir`` and returns only their sizes; the parent appends each
+    part to its artifact with ``os.sendfile`` and deletes it, so no process
+    holds more than one item's text and the parent opens one part at a time.
+    The artifacts are replaced only when every part is appended; if anything
+    fails, every part file is deleted and the artifacts keep their previous
+    content."""
+    pid = os.getpid()
+
+    def part(name: str, i: int) -> Path:
+        return out_dir / f".{name}.{pid}.{i}.part"
+
+    def write_parts(i: int) -> list[int]:
+        sizes = []
+        for name, text in zip(names, texts_of(items[i])):
+            with part(name, i).open("wb") as fh:
+                sizes.append(fh.write(text.encode("utf-8")))
+        return sizes
+
+    results = fork_map(write_parts, range(len(items)))
+    try:
+        with ExitStack() as stack:
+            outs = [stack.enter_context(open_atomic(out_dir / name, binary=True))
+                    for name in names]
+            for i, sizes in enumerate(results):
+                for name, out, size in zip(names, outs, sizes):
+                    with part(name, i).open("rb") as src:
+                        offset = 0
+                        while offset < size:
+                            sent = os.sendfile(out.fileno(), src.fileno(), offset,
+                                               size - offset)
+                            if not sent:
+                                raise OSError(f"{src.name}: {size - offset} bytes short")
+                            offset += sent
+                    part(name, i).unlink()
+    except BaseException:
+        results.close()  # the pool is shut down: no task writes a part any more
+        for i in range(len(items)):
+            for name in names:
+                part(name, i).unlink(missing_ok=True)
+        raise
+
+
 def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
-    """Simulate the runs in a process pool, each worker encoding its run's
-    adlog, requestlog and bidlog rows as lines.  Each run's lines are
-    appended to the three logs as they arrive, in run order, so the logs
-    come out in canonical (run, persona, slot) order."""
+    """Simulate the runs in a process pool.  Each task writes its run's
+    adlog, requestlog and bidlog text to part files that are appended to
+    the three logs in run order, so the logs come out in canonical (run,
+    persona, slot) order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     world = build_world(cfg.sim, cfg.seed)
     simulate_run = prepare_simulation(world, cfg.sim.personas, cfg.seed)
-
-    def encode_run(run: int) -> tuple[str, ...]:
-        return tuple("".join(jsonl_lines(rows)) for rows in simulate_run(run))
-
-    with (open_atomic(out_dir / "adlog.jsonl") as adlog,
-          open_atomic(out_dir / "requestlog.jsonl") as requestlog,
-          open_atomic(out_dir / "bidlog.jsonl") as bidlog):
-        for lines in fork_map(encode_run, range(cfg.sim.runs)):
-            for fh, text in zip((adlog, requestlog, bidlog), lines):
-                fh.write(text)
+    _write_pooled(out_dir, ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl"), simulate_run,
+                  range(cfg.sim.runs))
     write_json(out_dir / "personas.json", _persona_manifest(cfg))
     write_json(out_dir / "world.json", world.canonical_dict())
 
@@ -308,8 +368,10 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     """Collate, flag and encode each advertiser's records in a process pool,
     one task per advertiser.  Every task collates on the whole log's
-    (persona, run) grid and returns its lines, appended to ``records.jsonl``
-    in advertiser order, so no process holds every record."""
+    (persona, run) grid and writes its lines to a part file appended to
+    ``records.jsonl`` in advertiser order, so no process holds every record.
+    Each line is built from the corpus tokens and persona ids, encoded once
+    before the pool forks."""
     ads = _read_adlog(out_dir)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     seen_personas = sorted({a.persona for a in ads})
@@ -325,20 +387,24 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     by_advertiser: dict[str, list[DeliveredAd]] = {}
     for ad in ads:
         by_advertiser.setdefault(ad.advertiser, []).append(ad)
+    # '"token":' per corpus column, and ',"persona":P,"run":' per persona.
+    token_keys = [encode_str(t) + ":" for t in tokens]
+    persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in seen_personas}
 
-    def flag_advertiser(advertiser: str) -> str:
+    def flag_advertiser(advertiser: str) -> tuple[str]:
         records = collate(by_advertiser[advertiser], corpus, seen_personas, runs)
         flagged = flag_changes([r for r in records if not is_control[r.persona]],
                                [r for r in records if is_control[r.persona]], cfg.stats)
-        return "".join(jsonl_lines(
-            {"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
-             "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
-             "is_different_from_control": r.is_different_from_control}
-            for r in flagged))
+        head = '{"advertiser":' + encode_str(advertiser)
 
-    with open_atomic(out_dir / "records.jsonl") as fh:
-        for text in fork_map(flag_advertiser, sorted(by_advertiser)):
-            fh.write(text)
+        def line(r: VectorRecord) -> str:
+            counts = ",".join([token_keys[i] + encode_int(c) for i, c in sorted(r.vector.items())])
+            return (f'{head}{persona_heads[r.persona]}{encode_int(r.run)},"counts":{{{counts}}},'
+                    f'"is_different_from_control":{encode_scalar(r.is_different_from_control)}}}\n')
+
+        return ("".join(map(line, flagged)),)
+
+    _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, sorted(by_advertiser))
 
 
 def _report_meta(cfg: PipelineConfig) -> dict:

@@ -18,12 +18,20 @@ def load_config(name: str, seed: int | None = None) -> dict:
     return doc
 
 
-def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, list]:
-    """(ads, requests, bids): the adlog, requestlog and bidlog rows of runs
-    0 .. runs - 1 in run order, as ``stage_simulate`` writes them."""
+def simulate_texts(world, personas, runs: int, seed: int) -> tuple[str, str, str]:
+    """The adlog, requestlog and bidlog text of runs 0 .. runs - 1 in run
+    order, as ``stage_simulate`` writes them."""
     simulate_run = prepare_simulation(world, personas, seed)
     logs = ([], [], [])
     for run in range(runs):
-        for log, rows in zip(logs, simulate_run(run)):
-            log.extend(rows)
-    return logs
+        for log, text in zip(logs, simulate_run(run)):
+            log.append(text)
+    return tuple("".join(log) for log in logs)
+
+
+def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, list]:
+    """(ads, requests, bids): the rows of the three logs of
+    ``simulate_texts``, one per line.  Lines end at LF only: a string may
+    hold U+2028, which the encoder does not escape."""
+    return tuple([json.loads(line) for line in text.split("\n")[:-1]]
+                 for text in simulate_texts(world, personas, runs, seed))

@@ -387,6 +387,24 @@ class TestExitCodes:
         assert repr(field) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("stage", ["flag", "infer", "h1"])
+    def test_duplicate_persona_names_both_entries(self, mini_run, tmp_path, stage):
+        # A second entry for p-000 with is_control flipped used to give a
+        # silently different report: the later entry won.
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        personas = json.loads((out / "personas.json").read_text())
+        assert personas[0]["id"] == "p-000"
+        personas.append({**personas[0], "is_control": not personas[0]["is_control"]})
+        (out / "personas.json").write_text(json.dumps(personas))
+        before = read_artifacts(out)
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert (f"personas.json: entry {len(personas) - 1}: duplicate persona 'p-000', "
+                "first seen at entry 0") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert read_artifacts(out) == before
+
     @pytest.mark.parametrize("blocked, problem", [
         pytest.param([["t1"]], "field 'blocked' must be a JSON list of strings", id="nested"),
         pytest.param(["tZZ"], "blocked tracker 'tZZ' is not a tracker of the config",
@@ -481,6 +499,7 @@ class TestExitCodes:
         pytest.param({"tokens": "abc"}, "field 'tokens' must be a JSON list", id="tokens_string"),
         pytest.param({"tokens": ["a", 7]}, "list of strings", id="non_string_token"),
         pytest.param(["a", "b"], "expected a JSON object", id="list_not_object"),
+        pytest.param({"tokens": ["a", "b", "a"]}, "duplicate token 'a'", id="duplicate_token"),
     ])
     def test_bad_corpus_names_file(self, mini_run, tmp_path, corpus, problem):
         cfg_path, out = mini_run

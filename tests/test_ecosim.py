@@ -12,8 +12,9 @@ from adtomo.ecosim import (
     sim_config_from_dict,
 )
 from adtomo.errors import ConfigError
+from adtomo.jsonio import jsonl_lines
 from adtomo.rng import substream
-from conftest import simulate_logs
+from conftest import simulate_logs, simulate_texts
 from oracles import simulate_by_scalar_draws
 
 
@@ -42,6 +43,16 @@ def make_config(personas=None, runs=2, seed=5, **kw):
         "run": {"personas": personas or [{"id": "p1", "group": "g1", "blocked": []}],
                 "runs": runs, "seed": seed},
     })
+
+
+def assert_texts_match_scalar_oracle(world, personas, runs, seed):
+    """The simulator's log texts are the lines ``jsonl_lines`` encodes from
+    the rows of the scalar-draw oracle: the same rows, floats and keys in
+    field order, and the same bytes.  Returns the texts."""
+    texts = simulate_texts(world, personas, runs, seed)
+    expected = simulate_by_scalar_draws(world, personas, runs, seed)
+    assert texts == tuple("".join(jsonl_lines(rows)) for rows in expected), seed
+    return texts
 
 
 def persona(pid="p1", blocked=(), control=False, tracker_ids=("t1",)):
@@ -355,12 +366,39 @@ class TestRunSimulation:
                                                              rand.randint(0, len(trackers)))}
                                      for j in range(rand.randint(1, 4))],
                         "runs": rand.randint(1, 3), "seed": case}})
-            world = build_world(cfg, seed=case)
-            logs = simulate_logs(world, cfg.personas, cfg.runs, seed=case)
-            expected = simulate_by_scalar_draws(world, cfg.personas, cfg.runs, case)
-            assert logs == expected, case
-            # Bids float for float, and every row's keys in field order.
-            assert repr(logs) == repr(expected), case
+            assert_texts_match_scalar_oracle(build_world(cfg, seed=case), cfg.personas,
+                                             cfg.runs, case)
+
+    def test_escaped_ids_and_tokens_match_scalar_oracle(self):
+        # Every id and token that reaches a log holds a character the
+        # encoder escapes, most also one it writes raw; config loading
+        # accepts them all.
+        esc = ['"', "\\", "\x01", "\x1f"]
+        raw = ["\u2028", "é", "\U0001f600"]
+        groups = [{"id": 'g"1', "vocabulary": [f"v{c}{i}" for i, c in enumerate(esc + raw)]}]
+        websites = [{"id": "site\\1", "group": 'g"1'}, {"id": 'collect"é', "group": None}]
+        trackers = [{"id": 't"1', "site_coverage": ["site\\1", 'collect"é'], "observe_prob": 1.0},
+                    {"id": "t\x01\u20282", "site_coverage": ['collect"é'], "observe_prob": 0.5}]
+        advertisers = [{"id": f"a{e}{i}", "base_bid": 1.0, "knowledge_boost": 0.4,
+                        "bid_noise_sd": 0.5, "creative_length": 5}
+                       for i, e in enumerate(esc[:3])]
+        slots = [{"id": f"s{e}{r}{i}", "website": 'collect"é', "floor_price": 0.5, "mechanism": m}
+                 for i, (e, r, m) in enumerate(zip(esc, raw, ["hb_client", "rtb_waterfall",
+                                                               "hb_server"]))]
+        cfg = sim_config_from_dict({
+            "world": world_dict(
+                groups=groups, websites=websites, trackers=trackers, advertisers=advertisers,
+                slots=slots, pool=[f"gen{c}{i}" for i, c in enumerate(raw + esc)],
+                edges=[{"tracker": 't"1', "advertiser": 'a"0', "reliability": 1.0}],
+                sync_pairs=[['t"1', "t\x01\u20282"], ["t\x01\u20282", "a\\1"]]),
+            "run": {"personas": [{"id": 'p"0', "group": 'g"1', "blocked": []},
+                                 {"id": "p\\\U0001f6001", "group": 'g"1', "blocked": ['t"1']},
+                                 {"id": "pé\x002", "group": 'g"1', "is_control": True}],
+                    "runs": 3, "seed": 1}})
+        texts = assert_texts_match_scalar_oracle(build_world(cfg, seed=1), cfg.personas,
+                                                 cfg.runs, 1)
+        for text in texts:  # each log holds escaped and raw characters
+            assert all(c in text for c in ('\\"', "\\u0000", "\u2028", "é")), text
 
     def test_winner_bid_clears_floor(self):
         # With hb_client slots the winning bid is visible in the bid log.

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from adtomo import jsonio
-from adtomo.jsonio import dumps_line, jsonl_lines, open_atomic, write_json
+from adtomo.jsonio import (dumps_line, encode_float, encode_int, encode_scalar, encode_str,
+                           jsonl_lines, open_atomic, write_json)
 
 RECORDS = [
     {"token": "créative-ß", "emoji": "\U0001f600", "quote": "a\"b\\c\n\t "},
@@ -13,6 +14,38 @@ RECORDS = [
     {"bool": True, "none": None, "": "", "ключ": "значение"},
     {},
 ]
+
+
+# Values whose encodings are easy to get wrong: every escape the encoder
+# writes (quote, backslash, each control character), characters it writes
+# raw (U+2028, non-ASCII, an astral-plane emoji), floats at the edges of
+# repr, non-finite floats, and the JSON literals.
+SCALARS = [
+    "", "plain", 'a"b', "back\\slash", "".join(map(chr, range(0x20))), "\x7f",
+    "line\u2028sep\u2029", "créative-ß ключ", "\U0001f600",
+    0, -7, 2 ** 70, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7, 123456789.0,
+    float("nan"), float("inf"), float("-inf"), True, False, None,
+]
+
+
+@pytest.mark.parametrize("python_encoder", [False, True], ids=["c_encoder", "python_encoder"])
+@pytest.mark.parametrize("value", SCALARS, ids=range(len(SCALARS)))
+def test_fragments_equal_the_line_encoder(monkeypatch, python_encoder, value):
+    if python_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    typed = {str: encode_str, int: encode_int, float: encode_float}.get(type(value))
+    for fragment in ([encode_scalar(value)] + ([typed(value)] if typed else [])):
+        assert dumps_line([value]) == f"[{fragment}]"
+        assert dumps_line({"k": value}) == f'{{"k":{fragment}}}'
+        assert next(jsonl_lines([[value, value]])) == f"[{fragment},{fragment}]\n"
+    if isinstance(value, str):
+        assert dumps_line({value: 1}) == f"{{{encode_str(value)}:1}}"
+
+
+def test_encode_scalar_rejects_containers():
+    for value in ([], {}, (1,), b"x"):
+        with pytest.raises(TypeError):
+            encode_scalar(value)
 
 
 def write_jsonl(path, records):

@@ -4,8 +4,13 @@ import multiprocessing
 import os
 import random
 import shutil
+import signal
+import subprocess
+import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -97,12 +102,23 @@ def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch, profile):
     assert _digests(tmp_path / "pooled") == _digests(tmp_path / "serial")
 
 
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _leftovers(out):
+    """Part and temporary files: every writer names them with a leading dot."""
+    return sorted(p.name for p in out.glob(".*"))
+
+
 def test_no_worker_outlives_a_stage(tmp_path, two_cpus, monkeypatch):
     cfg = load_pipeline_config(load_config("mini", seed=3))
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
     assert multiprocessing.active_children() == []
+    assert _leftovers(out) == []
     pipeline.stage_flag(cfg, out)
+    assert _leftovers(out) == []
     pipeline.stage_infer(cfg, out)
     assert multiprocessing.active_children() == []
 
@@ -112,17 +128,25 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
     pipeline.stage_flag(cfg, out)
-    adlog = (out / "adlog.jsonl").read_bytes()
+    before = _files(out)
+    real = pipeline.prepare_simulation
 
-    def failing_run(run):
-        raise ConfigError("simulate failed")
+    def failing_run(*args):
+        simulate_run = real(*args)
 
-    monkeypatch.setattr(pipeline, "prepare_simulation", lambda *args: failing_run)
+        def run_texts(run):  # run 2 fails after writing its adlog part
+            texts = simulate_run(run)
+            yield texts[0]
+            if run == 2:
+                raise ConfigError("simulate failed")
+            yield from texts[1:]
+        return run_texts
+
+    monkeypatch.setattr(pipeline, "prepare_simulation", failing_run)
     with pytest.raises(ConfigError, match="simulate failed"):
         pipeline.stage_simulate(cfg, out)
     assert multiprocessing.active_children() == []
-    assert (out / "adlog.jsonl").read_bytes() == adlog
-    assert not list(out.glob(".*.tmp"))
+    assert _files(out) == before
 
     def failing_score(X, y, test, params, gi, seed):
         raise ConfigError("score failed")
@@ -156,6 +180,7 @@ def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys
     config.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     pipeline.stage_simulate(load_pipeline_config(doc), out)
+    simulated = _files(out)
     real = pipeline.flag_changes
 
     def failing_flag(records, controls, stats):
@@ -172,7 +197,85 @@ def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys
         stderr[len(cpus)] = capsys.readouterr().err
     assert stderr[1] == stderr[2] == "adtomo: config error: records.jsonl: cannot flag dsp-2\n"
     assert not (out / "records.jsonl").exists()
-    assert not list(out.glob(".*.tmp"))
+    assert _leftovers(out) == []
+    assert {name: (out / name).read_bytes() for name in simulated} == simulated
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("stage", ["simulate", "flag"])
+def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeypatch, stage):
+    cfg = load_pipeline_config(load_config("mini", seed=3))
+    out = tmp_path / "out"
+    pipeline.stage_simulate(cfg, out)
+    pipeline.stage_flag(cfg, out)
+    before = _files(out)
+    if stage == "simulate":
+        real = pipeline.prepare_simulation
+
+        def dying_run(*args):
+            simulate_run = real(*args)
+
+            def run_texts(run):  # run 2's worker dies after writing its adlog part
+                texts = simulate_run(run)
+                yield texts[0]
+                if run == 2:
+                    _kill_self()
+                yield from texts[1:]
+            return run_texts
+
+        monkeypatch.setattr(pipeline, "prepare_simulation", dying_run)
+    else:
+        real_flag = pipeline.flag_changes
+
+        def dying_flag(records, controls, stats):
+            if records[0].advertiser == "dsp-2":
+                _kill_self()
+            return real_flag(records, controls, stats)
+
+        monkeypatch.setattr(pipeline, "flag_changes", dying_flag)
+    def hung(signum, frame):
+        raise TimeoutError("the stage is still waiting on the dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            getattr(pipeline, f"stage_{stage}")(cfg, out)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    assert _leftovers(out) == []
+    assert _files(out) == before
+
+
+def test_open_files_do_not_grow_with_the_runs(tmp_path):
+    # 82 runs through the pool with at most 64 open files: the parent opens
+    # one part at a time.
+    doc = load_config("mini", seed=3)
+    doc["sim"]["run"]["runs"] = 82
+    script = f"""
+import resource, sys
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from adtomo import parallel, pipeline
+parallel.os.sched_getaffinity = lambda pid: {{0, 1}}
+cfg = pipeline.load_pipeline_config({doc!r})
+pipeline.stage_simulate(cfg, Path({str(tmp_path / "out")!r}))
+"""
+    src = Path(pipeline.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "out" / "adlog.jsonl").read_text().splitlines()
+    assert {json.loads(line)["run"] for line in lines} == set(range(82))
+    assert _leftovers(tmp_path / "out") == []
+    assert elapsed < 2.0
 
 
 def _random_inference_case(seed):

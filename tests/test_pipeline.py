@@ -3,8 +3,12 @@ import json
 
 import pytest
 
+from adtomo import pipeline
 from adtomo.errors import ConfigError
+from adtomo.jsonio import jsonl_lines
 from adtomo.pipeline import load_pipeline_config, run_pipeline
+from adtomo.textvec import build_corpus
+from adtomo.tomography import collate, flag_changes
 
 from conftest import load_config
 
@@ -95,6 +99,43 @@ def test_records_artifact_round_trips(tmp_path):
         assert isinstance(rec["is_different_from_control"], bool)
         assert set(rec["counts"]) <= corpus_tokens
         assert all(c >= 1 for c in rec["counts"].values())
+
+
+def _odd_tokens_and_advertisers(doc: dict) -> dict:
+    """``doc`` with a quote, a backslash, non-ASCII, U+2028 or an emoji in
+    every token and advertiser id."""
+    text = json.dumps(doc)
+    for plain, odd in (("w-", 'w\\"\u2028-'), ("gen-", "gen\\\\é-"),
+                       ("dsp-", 'dsp\\"\U0001f600-')):
+        text = text.replace(plain, odd)
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["small", "small_odd_strings"])
+def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
+    # records.jsonl is built from pre-encoded fragments; it must hold the
+    # lines jsonl_lines encodes from each flagged record as a dict.
+    doc = load_config("small", seed=7)
+    cfg = load_pipeline_config(_odd_tokens_and_advertisers(doc) if odd else doc)
+    out = tmp_path / "out"
+    pipeline.stage_simulate(cfg, out)
+    pipeline.stage_flag(cfg, out)
+    ads = pipeline._read_adlog(out)
+    corpus = build_corpus(a.tokens for a in ads)
+    tokens = corpus.tokens()
+    if odd:
+        assert all('"' in t or "\\" in t for t in tokens)
+    is_control = {p.id: p.is_control for p in cfg.sim.personas}
+    records = collate(ads, corpus, sorted({a.persona for a in ads}),
+                      sorted({a.run for a in ads}))
+    flagged = flag_changes([r for r in records if not is_control[r.persona]],
+                           [r for r in records if is_control[r.persona]], cfg.stats)
+    expected = "".join(jsonl_lines(
+        {"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
+         "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
+         "is_different_from_control": r.is_different_from_control}
+        for r in flagged))
+    assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
 
 
 def test_control_records_feed_flags_but_not_inference(tmp_path):

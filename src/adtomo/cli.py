@@ -3,7 +3,8 @@
 Subcommands: simulate, flag, infer, h1, syncdetect, evaluate, run.  Each
 reads --config (a pipeline JSON document), writes artifacts under --out
 (default: the config's output_dir), and honors --seed as an override of the
-config seed.  Exit codes: 0 success, 2 usage/config error, 3 I/O error.
+config seed.  Exit codes: 0 success, 2 usage/config error, 3 I/O error or a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, WorkerLostError
 from .pipeline import (
     load_pipeline_config,
     run_pipeline,
@@ -91,6 +92,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"adtomo: i/o error: {exc}", file=sys.stderr)
+        return 3
+    except WorkerLostError as exc:
+        print(f"adtomo: {args.command}: a worker process died: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,7 +1,6 @@
 from .auctions import AuctionOutcome, auction_hb, auction_rtb
 from .config import (
     SimConfig,
-    build_world,
     enumerate_personas,
     make_blocking,
     sim_config_from_dict,
@@ -28,7 +27,7 @@ __all__ = [
     "BlockingConfig", "DeliveredAd", "InterestGroup", "Persona",
     "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
-    "build_world", "enumerate_personas", "generate_creative",
+    "enumerate_personas", "generate_creative",
     "knowledge_state", "make_blocking", "prepare_simulation",
     "sim_config_from_dict",
 ]

@@ -40,7 +40,7 @@ from .types import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    world: World          # validated static world (seed 0 placeholder)
+    world: World          # validated static world
     personas: tuple[Persona, ...]
     runs: int
     seed: int
@@ -104,7 +104,7 @@ def _unique_ids(items, path):
     return seen
 
 
-def _parse_world(w: dict, seed: int) -> World:
+def _parse_world(w: dict) -> World:
     pool = tuple(sorted(set(_strings(_require(w, "generic_pool", "world"),
                                       "world.generic_pool"))))
 
@@ -233,8 +233,7 @@ def _parse_world(w: dict, seed: int) -> World:
     return World(
         groups=tuple(groups), websites=tuple(websites), trackers=tuple(trackers),
         advertisers=tuple(advertisers), graph=SharingGraph(tuple(edges)),
-        slots=tuple(slots), sync_pairs=tuple(sync_pairs), generic_pool=pool,
-        seed=seed)
+        slots=tuple(slots), sync_pairs=tuple(sync_pairs), generic_pool=pool)
 
 
 def make_blocking(blocked, tracker_ids: tuple[str, ...], path: str) -> BlockingConfig:
@@ -319,17 +318,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}", "run.runs")
     seed = _typed(run_section.get("seed", 0), int, "run.seed")
-    world = _parse_world(world_section, seed)
+    world = _parse_world(world_section)
     personas = _parse_personas(_require(run_section, "personas", "run"), world)
     return SimConfig(world=world, personas=personas, runs=runs, seed=seed)
 
-
-def build_world(config: SimConfig, seed: int) -> World:
-    """World for the given stream seed.  The static content depends only on
-    the config: identical configs give byte-identical canonical serializations
-    for any seed."""
-    w = config.world
-    return World(
-        groups=w.groups, websites=w.websites, trackers=w.trackers,
-        advertisers=w.advertisers, graph=w.graph, slots=w.slots,
-        sync_pairs=w.sync_pairs, generic_pool=w.generic_pool, seed=seed)

@@ -149,8 +149,7 @@ def _validate_personas(world: World, personas) -> list[Persona]:
     return sorted(personas, key=lambda p: p.id)
 
 
-def prepare_simulation(world: World, personas, seed: int | None = None
-                       ) -> Callable[[int], RunLogs]:
+def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], RunLogs]:
     """The body of one collection round, ``simulate_run(run)``, after
     validating the personas and preparing what every round shares: the
     incoming edges and draw offsets of each advertiser, the auction tiers of
@@ -166,8 +165,6 @@ def prepare_simulation(world: World, personas, seed: int | None = None
     process."""
     if not world.slots:
         raise ConfigError("no ad-collection slots configured")
-    if seed is None:
-        seed = world.seed
     personas = _validate_personas(world, personas)
     advertisers = sorted(world.advertisers, key=lambda a: a.id)
     ids = [a.id for a in advertisers]

@@ -139,9 +139,7 @@ class RequestLogEntry:
 
 @dataclass(frozen=True)
 class World:
-    """Immutable simulation world. The static part is fully determined by the
-    configuration; ``seed`` only names the default random stream family and is
-    excluded from the canonical serialization."""
+    """Immutable simulation world, fully determined by the configuration."""
 
     groups: tuple[InterestGroup, ...]
     websites: tuple[Website, ...]
@@ -151,7 +149,6 @@ class World:
     slots: tuple[AuctionSlot, ...]
     sync_pairs: tuple[tuple[str, str], ...]
     generic_pool: tuple[str, ...]
-    seed: int
 
     @cached_property
     def group_by_id(self) -> dict[str, InterestGroup]:
@@ -179,7 +176,7 @@ class World:
         return self.visited_by_group[group_id]
 
     def canonical_dict(self) -> dict:
-        """Static world content in a fixed order (seed excluded)."""
+        """World content in a fixed order."""
         return {
             "groups": [{"id": g.id, "vocabulary": list(g.vocabulary),
                         "generic_overlap": g.generic_overlap} for g in self.groups],

@@ -9,6 +9,11 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+class WorkerLostError(RuntimeError):
+    """A pool worker process died (killed, or out of memory) before it
+    returned its task's result."""
+
+
 def check_known_keys(d: dict, known, prefix: str = "") -> None:
     """ConfigError naming ``prefix`` plus the first unknown key of ``d``, in
     sorted order, unless every key of ``d`` is in ``known``."""

@@ -2,7 +2,6 @@ from .model import (
     ForestModel,
     ForestParams,
     HyperGrid,
-    Tree,
     accuracy,
     best_point,
     cross_validate_grid,
@@ -15,7 +14,7 @@ from .model import (
 from . import kernels
 
 __all__ = [
-    "ForestModel", "ForestParams", "HyperGrid", "Tree",
+    "ForestModel", "ForestParams", "HyperGrid",
     "accuracy", "best_point", "cross_validate_grid", "cv_score", "feature_importance",
     "fold_masks", "predict_batch", "train_forest", "kernels",
 ]

@@ -34,20 +34,36 @@ forest.
 So a forest is a pure function of its inputs and tree seeds, whatever batch
 it grows in.
 
-Trees are stored flat: parallel arrays indexed by node id, with feature == -1
-marking a leaf.  Node 0 is the root; children of a split follow the X == 0
-branch on the left.
+A forest is stored as ``Nodes``: flat arrays indexed by (tree, node id).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..rng import splitmix64_draws
 
 UNBOUNDED_DEPTH = 1 << 20
+
+
+class Nodes(NamedTuple):
+    """The trees of a forest as (trees, width) node arrays, one row per
+    tree, indexed by node id.  Tree t has ``count[t]`` nodes; past them its
+    row is padded with leaves (feature -1, label 0).  Node 0 is the root;
+    feature == -1 marks a leaf, and the children of a split follow the
+    X == 0 branch on the left.  ``n_samples`` counts a node's training rows
+    and ``gain`` is a split's information gain."""
+
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n_samples: np.ndarray
+    gain: np.ndarray
+    label: np.ndarray
+    count: np.ndarray
 
 
 def entropy01(pos: int, n: int) -> float:
@@ -126,9 +142,8 @@ def _samples(cells, rows, seeds, bootstrap, n_cells):
 
 
 def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap, train=None):
-    """Grow a batch of forests in lockstep; returns the flat node arrays
-    (feature, left, right, n, gain, label), one row per tree, and the node
-    count of each tree.
+    """Grow a batch of forests in lockstep; returns their trees as
+    ``Nodes``, tree after tree.
 
     Forest f trains on the rows of (X, y) where ``train[f]`` is set, in the
     order given; ``train`` None means one forest on all rows.  The trees of
@@ -368,7 +383,7 @@ def _split(node, score, cand, elements, patterns_t, depth_cap, min_leaf, feat, g
 
 
 def _renumber(rec, feat, gain, label, n_trees):
-    """Flat node arrays with each tree's depth-first node ids, from the node
+    """``Nodes`` with each tree's depth-first node ids, from the node
     records (START, PARENT, TREE, NN) in the order the nodes were taken."""
     tree = rec[:, 2]
     split = feat >= 0
@@ -391,7 +406,7 @@ def _renumber(rec, feat, gain, label, n_trees):
     rank = rank[split]
     left_a[at] = 1 + 2 * rank
     right_a[at] = 2 + 2 * rank
-    return feat_a, left_a, right_a, n_a, gain_a, label_a, node_count
+    return Nodes(feat_a, left_a, right_a, n_a, gain_a, label_a, node_count)
 
 
 def _preorder(rec, split, n_splits):
@@ -416,13 +431,15 @@ def _preorder(rec, split, n_splits):
     return rank, node_id
 
 
-def predict_votes(feat_a, left_a, right_a, label_a, X):
-    """Majority vote over trees for each row of X; ties resolve to 0.
+def predict_votes(nodes: Nodes, X):
+    """Majority vote over the trees of ``nodes`` for each row of X; ties
+    resolve to 0.
 
     Walks every tree for every distinct row at once, one level per round; a
     path never splits one feature twice, so no walk outlasts k rounds.
     """
     X = np.ascontiguousarray(X, dtype=np.uint8)
+    feat_a, left_a, right_a, label_a = nodes.feature, nodes.left, nodes.right, nodes.label
     n_trees = feat_a.shape[0]
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     trees = np.arange(n_trees)[:, None]

@@ -89,46 +89,14 @@ class HyperGrid:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """Flat node arrays; feature == -1 marks a leaf, children of a split
-    follow the feature == 0 branch on the left."""
-
-    feature: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    n_samples: np.ndarray
-    gain: np.ndarray
-    label: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    def _node_dict(self, node: int) -> dict:
-        if self.feature[node] < 0:
-            return {"kind": "leaf", "n": int(self.n_samples[node]),
-                    "label": bool(self.label[node])}
-        return {
-            "kind": "split",
-            "feature": int(self.feature[node]),
-            "n": int(self.n_samples[node]),
-            "gain": float(self.gain[node]),
-            "left": self._node_dict(int(self.left[node])),
-            "right": self._node_dict(int(self.right[node])),
-        }
-
-    def to_dict(self) -> dict:
-        return {"n_samples": int(self.n_samples[0]), "root": self._node_dict(0)}
-
-
-@dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[Tree, ...]
+    nodes: kernels.Nodes
     params: ForestParams
     seed: int
     n_features: int
 
     def to_dict(self) -> dict:
+        n = self.nodes
         return {
             "params": {
                 "n_trees": self.params.n_trees,
@@ -138,8 +106,20 @@ class ForestModel:
             },
             "seed": self.seed,
             "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [_tree_dict(*(a.tolist() for a in tree))
+                      for tree in zip(n.feature, n.left, n.right, n.n_samples, n.gain, n.label)],
         }
+
+
+def _tree_dict(feature, left, right, n_samples, gain, label) -> dict:
+    """One tree's node lists as nested dicts from the root down."""
+    def node(i: int) -> dict:
+        if feature[i] < 0:
+            return {"kind": "leaf", "n": n_samples[i], "label": bool(label[i])}
+        return {"kind": "split", "feature": feature[i], "n": n_samples[i], "gain": gain[i],
+                "left": node(left[i]), "right": node(right[i])}
+
+    return {"n_samples": n_samples[0], "root": node(0)}
 
 
 def _rows(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -168,29 +148,10 @@ def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
     """Bagged forest: each tree trains on a same-size bootstrap resample of
     the rows, drawn from its own seed-derived substream."""
     X, y = _rows(X, y)
-    *fields, node_count = kernels.build_forest(
+    nodes = kernels.build_forest(
         X, y, _tree_seeds([seed], params.n_trees), params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
-    # build_forest returns the node arrays in Tree's field order.
-    trees = tuple(Tree(*(a[t, :k].copy() for a in fields))
-                  for t, k in enumerate(node_count.tolist()))
-    return ForestModel(trees, params, seed, X.shape[1])
-
-
-def _stacked(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    width = max(t.n_nodes for t in model.trees)
-    n_trees = len(model.trees)
-    feat_a = np.full((n_trees, width), -1, dtype=np.int32)
-    left_a = np.full((n_trees, width), -1, dtype=np.int32)
-    right_a = np.full((n_trees, width), -1, dtype=np.int32)
-    label_a = np.zeros((n_trees, width), dtype=np.uint8)
-    for t, tree in enumerate(model.trees):
-        k = tree.n_nodes
-        feat_a[t, :k] = tree.feature
-        left_a[t, :k] = tree.left
-        right_a[t, :k] = tree.right
-        label_a[t, :k] = tree.label
-    return feat_a, left_a, right_a, label_a
+    return ForestModel(nodes, params, seed, X.shape[1])
 
 
 def predict_batch(model: ForestModel, X) -> np.ndarray:
@@ -198,8 +159,7 @@ def predict_batch(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.uint8)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features, got {X.shape}")
-    feat_a, left_a, right_a, label_a = _stacked(model)
-    return kernels.predict_votes(feat_a, left_a, right_a, label_a, X)
+    return kernels.predict_votes(model.nodes, X)
 
 
 def accuracy(model: ForestModel, X, y) -> float:
@@ -210,15 +170,13 @@ def accuracy(model: ForestModel, X, y) -> float:
 def feature_importance(model: ForestModel) -> np.ndarray:
     """Per-feature importance: sum over split nodes of (node fraction x gain),
     averaged over trees, normalized to sum 1.  All-zero if no tree splits."""
+    n = model.nodes
+    # The mask takes tree after tree, each in node-id order: the order a
+    # per-tree sum would add in.
+    split = n.feature >= 0
     totals = np.zeros(model.n_features, dtype=float)
-    for tree in model.trees:
-        root_n = float(tree.n_samples[0])
-        split = tree.feature >= 0
-        if not split.any():
-            continue
-        contrib = (tree.n_samples[split] / root_n) * tree.gain[split]
-        np.add.at(totals, tree.feature[split], contrib)
-    totals /= len(model.trees)
+    np.add.at(totals, n.feature[split], (n.n_samples / n.n_samples[:, :1])[split] * n.gain[split])
+    totals /= len(n.count)
     mass = totals.sum()
     if mass > 0:
         totals /= mass
@@ -265,14 +223,14 @@ def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParam
     may be scored in any order or process."""
     folds = len(test)
     seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
-    feat_a, left_a, right_a, _, _, label_a, _ = kernels.build_forest(
+    nodes = kernels.build_forest(
         X, y, _tree_seeds(seeds, params.n_trees), params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
     accs = []
     for k in range(folds):
         trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
-        votes = kernels.predict_votes(feat_a[trees], left_a[trees], right_a[trees],
-                                      label_a[trees], X[test[k]])
+        fold = kernels.Nodes(*(a[trees] for a in nodes))
+        votes = kernels.predict_votes(fold, X[test[k]])
         accs.append(float((votes == y[test[k]]).mean()))
     return float(np.mean(accs))
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -33,22 +33,6 @@ _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 def dumps_line(record: dict) -> str:
     return _LINE_ENCODER.encode(record)
-
-
-def _line_encoder() -> Callable[[dict], str]:
-    """A function equal to ``dumps_line``.  ``JSONEncoder.encode`` builds a
-    new C encoder inside ``iterencode`` on every call; this builds one, with
-    the arguments ``iterencode`` passes, for all the lines of a file.  Each
-    file gets its own circular-reference markers: a record that fails
-    mid-encode leaves its marker set, and a later file must not see it.
-    Without the ``_json`` accelerator it is ``dumps_line``."""
-    if c_make_encoder is None:
-        return dumps_line
-    enc = _LINE_ENCODER
-    encode = c_make_encoder({}, enc.default, encode_basestring, enc.indent,
-                            enc.key_separator, enc.item_separator, enc.sort_keys,
-                            enc.skipkeys, enc.allow_nan)
-    return lambda record: "".join(encode(record, 0))
 
 
 # The line encoder's value encodings, for lines built from fragments: a
@@ -104,10 +88,9 @@ def open_atomic(path, newline: str = "\n", binary: bool = False) -> Iterator[IO]
 
 def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
     """Each record as one JSON line, newline included: the lines of a
-    JSON-lines file, one encoder for all of them."""
-    encode = _line_encoder()
+    JSON-lines file."""
     for rec in records:
-        yield encode(rec) + "\n"
+        yield dumps_line(rec) + "\n"
 
 
 def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:

@@ -13,13 +13,15 @@ results travel back, and ``fn`` may be a closure.  Anything ``fn`` records
 in module state inside a worker stays in that worker.
 
 A worker that dies mid-task (killed, or out of memory) fails the map with
-``BrokenProcessPool`` instead of leaving it waiting for the lost result.
+``errors.WorkerLostError`` instead of leaving it waiting for the lost result.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Callable, Iterator, Sequence, TypeVar
+
+from .errors import WorkerLostError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,13 +47,15 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         return
     # ~20 ms to import; an in-process run never pays it
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     _TASK = (fn, items)
     try:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             yield from pool.map(_call, range(len(items)))
+        except BrokenProcessPool as exc:
+            raise WorkerLostError(str(exc)) from exc
         finally:
             pool.shutdown(cancel_futures=True)
     finally:

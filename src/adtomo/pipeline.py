@@ -34,7 +34,7 @@ from pathlib import Path
 from sys import intern
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .ecosim import SimConfig, build_world, prepare_simulation, sim_config_from_dict
+from .ecosim import SimConfig, prepare_simulation, sim_config_from_dict
 from .ecosim.types import DeliveredAd, RequestLogEntry
 from .errors import ConfigError, check_known_keys
 from .forest import HyperGrid
@@ -138,12 +138,15 @@ def load_pipeline_config(source) -> PipelineConfig:
             or not 0 < threshold <= 1):
         raise ConfigError(f"accuracy_threshold must be in (0, 1], got {threshold}",
                           "accuracy_threshold")
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"must be a string, got {output_dir!r}", "output_dir")
     resolved = dict(doc)
     resolved["seed"] = seed
     return PipelineConfig(
         sim=sim, stats=stats, grid=grid, folds=folds, holdout_runs=holdout_runs,
         accuracy_threshold=float(threshold), seed=seed,
-        output_dir=doc.get("output_dir", "out"), resolved=resolved)
+        output_dir=output_dir, resolved=resolved)
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +360,7 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
     the three logs in run order, so the logs come out in canonical (run,
     persona, slot) order."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    world = build_world(cfg.sim, cfg.seed)
+    world = cfg.sim.world
     simulate_run = prepare_simulation(world, cfg.sim.personas, cfg.seed)
     _write_pooled(out_dir, ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl"), simulate_run,
                   range(cfg.sim.runs))

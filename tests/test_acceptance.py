@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from adtomo.ecosim import RequestLogEntry, build_world, enumerate_personas, sim_config_from_dict
+from adtomo.ecosim import RequestLogEntry, enumerate_personas, sim_config_from_dict
 from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
 from adtomo.stattest import StatConfig, chi_square_independence, flags_against, welch_t_test
@@ -250,7 +250,7 @@ def test_criterion_7_cookie_sync_oracle():
                                  {"id": "p2", "group": "g1"}],
                     "runs": 3, "seed": seed},
         })
-        world = build_world(cfg, seed)
+        world = cfg.world
         _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
         detected = detect_cookie_sync([RequestLogEntry(**row) for row in requests]).pair_keys()
         assert detected == pairs, f"seed {seed}: {detected} != {pairs}"

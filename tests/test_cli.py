@@ -187,6 +187,10 @@ class TestExitCodes:
                      id="bool_threshold"),
         pytest.param(lambda doc: doc["stats"].update(min_expected=True), "stats:",
                      id="bool_min_expected"),
+        pytest.param(lambda doc: doc.update(output_dir=5),
+                     "output_dir: must be a string, got 5", id="int_output_dir"),
+        pytest.param(lambda doc: doc.update(output_dir=None),
+                     "output_dir: must be a string, got None", id="null_output_dir"),
     ])
     def test_malformed_config_value_names_its_path(self, tmp_path, edit, named):
         doc = load_config("mini")

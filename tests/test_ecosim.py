@@ -6,15 +6,15 @@ import pytest
 from adtomo.ecosim import (
     BlockingConfig,
     Persona,
-    build_world,
     generate_creative,
     knowledge_state,
     sim_config_from_dict,
 )
 from adtomo.errors import ConfigError
 from adtomo.jsonio import jsonl_lines
+from adtomo.pipeline import load_pipeline_config, stage_simulate
 from adtomo.rng import substream
-from conftest import simulate_logs, simulate_texts
+from conftest import load_config, simulate_logs, simulate_texts
 from oracles import simulate_by_scalar_draws
 
 
@@ -73,12 +73,15 @@ class TestConfigValidation:
         assert len(cfg.world.trackers) == 10
         assert len(cfg.world.advertisers) == 9
 
-    def test_world_serialization_independent_of_seed(self):
-        cfg = make_config()
-        w1 = build_world(cfg, seed=1)
-        w2 = build_world(cfg, seed=2)
-        assert json.dumps(w1.canonical_dict()) == json.dumps(w2.canonical_dict())
-        assert w1.seed != w2.seed
+    def test_world_serialization_independent_of_seed(self, tmp_path):
+        worlds = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            stage_simulate(load_pipeline_config(load_config("mini", seed=seed)), out)
+            worlds.append((out / "world.json").read_bytes())
+            adlog = (out / "adlog.jsonl").read_bytes()
+        assert worlds[0] == worlds[1]
+        assert adlog != (tmp_path / "1" / "adlog.jsonl").read_bytes()  # the seeds differ
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -133,7 +136,7 @@ class TestKnowledgeState:
     def test_full_blockade_never_knows(self):
         cfg = make_config(edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 1.0}])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         p = persona(blocked=("t1",))
         rng = substream(1, "k")
         assert all(not knowledge_state("a1", p, world, rng) for _ in range(200))
@@ -141,7 +144,7 @@ class TestKnowledgeState:
     def test_deterministic_edge_always_knows(self):
         cfg = make_config(edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 1.0}])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         p = persona()
         rng = substream(2, "k")
         assert all(knowledge_state("a1", p, world, rng) for _ in range(200))
@@ -149,7 +152,7 @@ class TestKnowledgeState:
     def test_reliability_rate_matches_bernoulli(self):
         cfg = make_config(edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 0.8}])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         p = persona()
         rng = substream(3, "k")
         hits = sum(knowledge_state("a1", p, world, rng) for _ in range(10_000))
@@ -159,7 +162,7 @@ class TestKnowledgeState:
         cfg = make_config(trackers=[{"id": "t1", "site_coverage": ["collect1"]}],
                           edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 1.0}])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         # collect1 has no group, so g1 personas never visit it during training.
         assert not knowledge_state("a1", persona(), world, substream(4, "k"))
 
@@ -177,14 +180,14 @@ class TestKnowledgeState:
                                   "reliability": 0.5}])
         p = persona(tracker_ids=("t1", "t2"))
         n = 10_000
-        rate1 = sum(knowledge_state("a1", p, build_world(one, 1), substream(5, "k", i))
+        rate1 = sum(knowledge_state("a1", p, one.world, substream(5, "k", i))
                     for i in range(n)) / n
-        rate2 = sum(knowledge_state("a1", p, build_world(two, 1), substream(5, "k", i))
+        rate2 = sum(knowledge_state("a1", p, two.world, substream(5, "k", i))
                     for i in range(n)) / n
         assert rate2 >= rate1 - 0.02
 
     def test_unknown_advertiser_rejected(self):
-        world = build_world(make_config(), seed=1)
+        world = make_config().world
         with pytest.raises(ConfigError):
             knowledge_state("ghost", persona(), world, substream(6, "k"))
 
@@ -192,7 +195,7 @@ class TestKnowledgeState:
 class TestGenerateCreative:
     def test_known_draws_only_vocabulary(self):
         cfg = make_config(pool=[f"gen{i}" for i in range(30)])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         group = world.group_by_id["g1"]
         rng = substream(7, "c")
         for _ in range(50):
@@ -201,7 +204,7 @@ class TestGenerateCreative:
 
     def test_unknown_draws_only_pool(self):
         cfg = make_config()
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         group = world.group_by_id["g1"]
         rng = substream(8, "c")
         for _ in range(50):
@@ -210,7 +213,7 @@ class TestGenerateCreative:
             assert not set(creative.tokens) & set(group.vocabulary)
 
     def test_creative_length_invariant(self):
-        world = build_world(make_config(), seed=1)
+        world = make_config().world
         creative = generate_creative("a1", True, world.group_by_id["g1"], world,
                                      substream(9, "c"))
         assert len(creative.tokens) == world.advertiser_by_id["a1"].creative_length
@@ -223,7 +226,7 @@ class TestGenerateCreative:
         cfg = make_config(groups=[{"id": "g1", "vocabulary": vocab}], pool=pool,
                           advertisers=[{"id": "a1", "base_bid": 1.0,
                                         "creative_length": 10_000}])
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         group = world.group_by_id["g1"]
         assert group.generic_overlap == 0.5
         creative = generate_creative("a1", True, group, world, substream(10, "c"))
@@ -234,7 +237,7 @@ class TestGenerateCreative:
 class TestRunSimulation:
     def test_empty_graph_all_generic(self):
         cfg = make_config(runs=3)
-        world = build_world(cfg, seed=2)
+        world = cfg.world
         ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=2)
         vocab = set(world.group_by_id["g1"].vocabulary)
         assert ads  # the sole advertiser clears the floor
@@ -244,7 +247,7 @@ class TestRunSimulation:
     def test_deterministic_single_edge_targets_vocabulary(self):
         cfg = make_config(edges=[{"tracker": "t1", "advertiser": "a1",
                                   "reliability": 1.0}], runs=3)
-        world = build_world(cfg, seed=3)
+        world = cfg.world
         ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=3)
         vocab = set(world.group_by_id["g1"].vocabulary)
         for ad in ads:
@@ -259,7 +262,7 @@ class TestRunSimulation:
             "run": {"personas": [{"id": "pb", "group": "g1", "blocked": ["t1"]}],
                     "runs": 5, "seed": 4},
         })
-        world = build_world(cfg, seed=4)
+        world = cfg.world
         ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=4)
         for ad in ads:
             assert not set(ad["tokens"]) & set(vocab_only)
@@ -267,7 +270,7 @@ class TestRunSimulation:
     def test_persona_order_does_not_change_logs(self):
         personas = [{"id": f"p{i}", "group": "g1", "blocked": []} for i in range(6)]
         cfg = make_config(personas=personas, runs=2)
-        world = build_world(cfg, seed=6)
+        world = cfg.world
         logs1 = simulate_logs(world, cfg.personas, cfg.runs, seed=6)
         logs2 = simulate_logs(world, tuple(reversed(cfg.personas)), cfg.runs, seed=6)
         assert logs1 == logs2
@@ -276,7 +279,7 @@ class TestRunSimulation:
         cfg = make_config(runs=2, advertisers=[
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.5, "creative_length": 4},
             {"id": "a2", "base_bid": 1.0, "bid_noise_sd": 0.5, "creative_length": 4}])
-        world = build_world(cfg, seed=7)
+        world = cfg.world
         ads1, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=7)
         ads2, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=7)
         ads3, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=8)
@@ -291,7 +294,7 @@ class TestRunSimulation:
         cfg = make_config(personas=personas, runs=3, slots=slots, advertisers=[
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.3, "creative_length": 4},
             {"id": "a2", "base_bid": 1.0, "bid_noise_sd": 0.3, "creative_length": 4}])
-        world = build_world(cfg, seed=8)
+        world = cfg.world
         ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=8)
         keys = [(a["run"], a["persona"], a["slot"]) for a in ads]
         assert len(keys) == len(set(keys))
@@ -301,7 +304,7 @@ class TestRunSimulation:
         slots = [{"id": "s1", "website": "collect1", "floor_price": 0.1,
                   "mechanism": "hb_server"}]
         cfg = make_config(slots=slots)
-        world = build_world(cfg, seed=9)
+        world = cfg.world
         ads, _, bids = simulate_logs(world, cfg.personas, cfg.runs, seed=9)
         assert bids == []
         assert ads  # delivery still happens
@@ -310,7 +313,7 @@ class TestRunSimulation:
         cfg = make_config(advertisers=[
             {"id": "a1", "base_bid": 1.0, "creative_length": 4},
             {"id": "a2", "base_bid": 0.9, "creative_length": 4}])
-        world = build_world(cfg, seed=10)
+        world = cfg.world
         _, _, bids = simulate_logs(world, cfg.personas, 1, seed=10)
         assert {b["advertiser"] for b in bids} == {"a1", "a2"}
 
@@ -319,7 +322,7 @@ class TestRunSimulation:
             "world": {**world_dict(), "slots": []},
             "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1, "seed": 1},
         })
-        world = build_world(cfg, seed=1)
+        world = cfg.world
         with pytest.raises(ConfigError, match="slot"):
             simulate_logs(world, cfg.personas, 1, seed=1)
 
@@ -366,7 +369,7 @@ class TestRunSimulation:
                                                              rand.randint(0, len(trackers)))}
                                      for j in range(rand.randint(1, 4))],
                         "runs": rand.randint(1, 3), "seed": case}})
-            assert_texts_match_scalar_oracle(build_world(cfg, seed=case), cfg.personas,
+            assert_texts_match_scalar_oracle(cfg.world, cfg.personas,
                                              cfg.runs, case)
 
     def test_escaped_ids_and_tokens_match_scalar_oracle(self):
@@ -395,7 +398,7 @@ class TestRunSimulation:
                                  {"id": "p\\\U0001f6001", "group": 'g"1', "blocked": ['t"1']},
                                  {"id": "pé\x002", "group": 'g"1', "is_control": True}],
                     "runs": 3, "seed": 1}})
-        texts = assert_texts_match_scalar_oracle(build_world(cfg, seed=1), cfg.personas,
+        texts = assert_texts_match_scalar_oracle(cfg.world, cfg.personas,
                                                  cfg.runs, 1)
         for text in texts:  # each log holds escaped and raw characters
             assert all(c in text for c in ('\\"', "\\u0000", "\u2028", "é")), text
@@ -407,7 +410,7 @@ class TestRunSimulation:
         cfg = make_config(slots=slots, advertisers=[
             {"id": "a1", "base_bid": 1.0, "bid_noise_sd": 0.4, "creative_length": 4}],
             runs=30)
-        world = build_world(cfg, seed=11)
+        world = cfg.world
         ads, _, bid_rows = simulate_logs(world, cfg.personas, cfg.runs, seed=11)
         key = ("run", "persona", "slot", "advertiser")
         bids = {tuple(b[k] for k in key): b["bid"] for b in bid_rows}

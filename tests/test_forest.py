@@ -9,7 +9,6 @@ from adtomo.forest import (
     ForestModel,
     ForestParams,
     HyperGrid,
-    Tree,
     accuracy,
     cross_validate_grid,
     feature_importance,
@@ -33,27 +32,33 @@ def separable_rows(n=64, n_features=5, seed=0):
 
 
 def train_tree(X, y, params, seed):
-    """One greedy tree on the rows as given (no bootstrap)."""
+    """One greedy tree on the rows as given (no bootstrap), as the one-tree
+    ``Nodes`` of the kernel."""
     X, y = rows(X, y)
-    *fields, node_count = kernels.build_forest(
+    return kernels.build_forest(
         X, y, np.array([seed], dtype=np.uint64), params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=False)
-    return Tree(*(a[0, :int(node_count[0])].copy() for a in fields))
+
+
+def n_nodes(tree):
+    return int(tree.count[0])
 
 
 def depth(tree):
+    feature, left, right = tree.feature[0], tree.left[0], tree.right[0]
     depths = {0: 0}
-    for node in range(tree.n_nodes):
-        if tree.feature[node] >= 0:
-            depths[int(tree.left[node])] = depths[int(tree.right[node])] = depths[node] + 1
+    for node in range(n_nodes(tree)):
+        if feature[node] >= 0:
+            depths[int(left[node])] = depths[int(right[node])] = depths[node] + 1
     return max(depths.values())
 
 
 def leaf_label(tree, row):
+    feature, left, right = tree.feature[0], tree.left[0], tree.right[0]
     node = 0
-    while tree.feature[node] >= 0:
-        node = tree.left[node] if row[tree.feature[node]] == 0 else tree.right[node]
-    return int(tree.label[node])
+    while feature[node] >= 0:
+        node = left[node] if row[feature[node]] == 0 else right[node]
+    return int(tree.label[0, node])
 
 
 def predict_one(model, row):
@@ -86,12 +91,12 @@ class TestTrainTree:
     def test_single_perfect_split(self):
         tree = train_tree(*separable_rows(), ALL_FEATURES, seed=1)
         assert depth(tree) == 1
-        assert int(tree.feature[0]) == 0
+        assert int(tree.feature[0, 0]) == 0
 
     def test_pure_labels_single_leaf(self):
         tree = train_tree(*rows([(0, 1), (1, 0), (1, 1)], [1, 1, 1]), ALL_FEATURES, seed=1)
-        assert tree.n_nodes == 1
-        assert bool(tree.label[0]) is True
+        assert n_nodes(tree) == 1
+        assert bool(tree.label[0, 0]) is True
 
     def test_xor_learnable_at_depth_two(self):
         # Exhaustive oracle: best training accuracy of any depth-d stump tree.
@@ -134,12 +139,12 @@ class TestTrainTree:
         params = ForestParams(n_trees=1, max_depth=None, features_per_split="all",
                               min_leaf=2)
         tree = train_tree(*rows([(0,), (1,), (1,), (1,)], [0, 1, 1, 1]), params, seed=0)
-        assert tree.n_nodes == 1  # the only split would leave a 1-sample side
+        assert n_nodes(tree) == 1  # the only split would leave a 1-sample side
 
     def test_leaf_counts_sum_to_sample_size(self):
         tree = train_tree(*separable_rows(n=50, seed=3), ALL_FEATURES, seed=9)
-        leaves = tree.feature < 0
-        assert int(tree.n_samples[leaves].sum()) == 50
+        leaves = tree.feature[0, :n_nodes(tree)] < 0
+        assert int(tree.n_samples[0, :n_nodes(tree)][leaves].sum()) == 50
 
     def test_consistent_duplicate_free_data_fit_exactly(self):
         rng = np.random.default_rng(11)
@@ -166,7 +171,9 @@ class TestForest:
             state, draw = splitmix64(state)
             boot.append(draw % len(X))
         direct = train_tree(X[boot], y[boot], params, seed=0)  # seed unused: no subset draws
-        assert json.dumps(model.trees[0].to_dict()) == json.dumps(direct.to_dict())
+        direct_model = ForestModel(direct, params, 0, X.shape[1])
+        assert (json.dumps(model.to_dict()["trees"][0])
+                == json.dumps(direct_model.to_dict()["trees"][0]))
 
     def test_separable_holdout_perfect(self):
         train = separable_rows(n=64, seed=5)
@@ -209,21 +216,25 @@ class TestForest:
         assert predict_one(model, (0, 1, 1, 1, 1)) is False
 
     def test_vote_counting_on_hand_built_trees(self):
-        def leaf(label):
-            return Tree(feature=np.array([-1], dtype=np.int32),
-                        left=np.array([-1], dtype=np.int32),
-                        right=np.array([-1], dtype=np.int32),
-                        n_samples=np.array([4], dtype=np.int32),
-                        gain=np.zeros(1), label=np.array([label], dtype=np.uint8))
+        def leaves(*labels):
+            """One single-leaf tree per label."""
+            n = len(labels)
+            return kernels.Nodes(feature=np.full((n, 1), -1, dtype=np.int32),
+                                 left=np.full((n, 1), -1, dtype=np.int32),
+                                 right=np.full((n, 1), -1, dtype=np.int32),
+                                 n_samples=np.full((n, 1), 4, dtype=np.int32),
+                                 gain=np.zeros((n, 1)),
+                                 label=np.array(labels, dtype=np.uint8)[:, None],
+                                 count=np.ones(n, dtype=np.int32))
 
         params = ForestParams(n_trees=1, features_per_split="all")
-        single = ForestModel((leaf(1),), params, seed=0, n_features=2)
+        single = ForestModel(leaves(1), params, seed=0, n_features=2)
         assert predict_one(single, (0, 1)) is True  # the one tree's leaf label
 
-        votes_ttf = ForestModel((leaf(1), leaf(1), leaf(0)), params, 0, 2)
+        votes_ttf = ForestModel(leaves(1, 1, 0), params, 0, 2)
         assert predict_one(votes_ttf, (0, 0)) is True  # {T, T, F} -> majority true
 
-        tied = ForestModel((leaf(1), leaf(0)), params, 0, 2)
+        tied = ForestModel(leaves(1, 0), params, 0, 2)
         assert predict_one(tied, (0, 0)) is False  # exact tie resolves to false
 
     def test_prediction_invariant_under_tree_permutation(self):
@@ -235,8 +246,9 @@ class TestForest:
         X = rng.integers(0, 2, (100, 4)).astype(np.uint8)
         base = predict_batch(model, X)
         for _ in range(5):
-            perm = rng.permutation(len(model.trees))
-            shuffled = dataclasses.replace(model, trees=tuple(model.trees[i] for i in perm))
+            perm = rng.permutation(len(model.nodes.count))
+            nodes = kernels.Nodes(*(a[perm] for a in model.nodes))
+            shuffled = dataclasses.replace(model, nodes=nodes)
             assert np.array_equal(predict_batch(shuffled, X), base)
 
     def test_feature_length_mismatch(self):
@@ -276,13 +288,13 @@ class TestImportance:
         # with gain 1 over half the samples each: raw = [0, 2 * (2/4) * 1].
         expected = np.array([0.0, 1.0])
         raw = np.zeros(2)
-        for node in range(tree.n_nodes):
-            if tree.feature[node] >= 0:
-                raw[tree.feature[node]] += (tree.n_samples[node] / tree.n_samples[0]
-                                            ) * tree.gain[node]
+        feature, n_samples, gain = tree.feature[0], tree.n_samples[0], tree.gain[0]
+        for node in range(n_nodes(tree)):
+            if feature[node] >= 0:
+                raw[feature[node]] += (n_samples[node] / n_samples[0]) * gain[node]
         assert raw == pytest.approx(expected, abs=1e-9)
         # feature_importance applies the same bookkeeping to a forest's trees.
-        model = ForestModel((tree,), params, seed=0, n_features=2)
+        model = ForestModel(tree, params, seed=0, n_features=2)
         assert feature_importance(model) == pytest.approx(expected / expected.sum(), abs=1e-12)
 
     def test_importances_sum_to_one(self):

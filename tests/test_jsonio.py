@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from adtomo import jsonio
 from adtomo.jsonio import (dumps_line, encode_float, encode_int, encode_scalar, encode_str,
                            jsonl_lines, open_atomic, write_json)
 
@@ -67,12 +66,7 @@ def test_write_jsonl_writes_one_dumps_line_per_record(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("accelerated", [True, False], ids=["c_encoder", "no_json_module"])
-def test_write_jsonl_lines_equal_dumps_line(tmp_path, monkeypatch, accelerated):
-    # jsonl_lines builds its C encoder once per file; without the _json
-    # accelerator it falls back to dumps_line.  Both write the same bytes.
-    if not accelerated:
-        monkeypatch.setattr(jsonio, "c_make_encoder", None)
+def test_write_jsonl_lines_equal_dumps_line(tmp_path):
     path = tmp_path / "out.jsonl"
     records = RECORDS + [(1, "x"), "top-level string", 2.5, None]
     write_jsonl(path, iter(records))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from adtomo.forest import (
-    ForestParams, HyperGrid, Tree, cross_validate_grid, kernels, predict_batch, train_forest,
+    ForestModel, ForestParams, HyperGrid, cross_validate_grid, kernels, predict_batch,
+    train_forest,
 )
 from adtomo.rng import splitmix64_draws
 
@@ -80,10 +81,11 @@ def _same_pattern_samples(n=60):
 def test_tree_golden_digest():
     # One tree grown on the rows as given: the bootstrap=False path.
     X, y = _random_samples(34)
-    *fields, node_count = kernels.build_forest(
+    nodes = kernels.build_forest(
         X, y, np.array([3], dtype=np.uint64), None, 2, 1, bootstrap=False)
-    tree = Tree(*(a[0, :int(node_count[0])] for a in fields))
-    assert _digest(tree) == "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854"
+    tree = ForestModel(nodes, ForestParams(n_trees=1), 3, X.shape[1]).to_dict()["trees"][0]
+    assert hashlib.sha256(json.dumps(tree).encode()).hexdigest() == (
+        "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854")
 
 
 @pytest.mark.parametrize("case,digest", [
@@ -116,7 +118,7 @@ def test_edge_case_predictions_golden_digest(case, digest):
         X = np.random.default_rng(39).integers(0, 2, (300, 7)).astype(np.uint8)
     else:
         model = train_forest(*_same_pattern_samples(), ForestParams(n_trees=9), seed=10)
-        assert all(tree.n_nodes == 1 for tree in model.trees)
+        assert model.nodes.count.tolist() == [1] * 9
         X = np.random.default_rng(40).integers(0, 2, (50, 5)).astype(np.uint8)
     assert hashlib.sha256(predict_batch(model, X).tobytes()).hexdigest() == digest
 
@@ -133,6 +135,14 @@ def test_entropy01_shared_formula():
     assert kernels.entropy01(0, 5) == 0.0
     assert kernels.entropy01(5, 5) == 0.0
     assert kernels.entropy01(5, 10) == 1.0
+
+
+def _node_rows(nodes):
+    """Each tree of ``nodes`` as a list of (feature, left, right, n_samples,
+    gain, label) node tuples, the form of ``oracles.forest_by_rows``."""
+    fields = (nodes.feature, nodes.left, nodes.right, nodes.n_samples, nodes.gain, nodes.label)
+    return [list(zip(*(a[t, :c].tolist() for a in fields)))
+            for t, c in enumerate(nodes.count.tolist())]
 
 
 def test_kernels_match_row_wise_reference():
@@ -152,17 +162,14 @@ def test_kernels_match_row_wise_reference():
         seeds = rng.integers(0, 1 << 64, int(rng.integers(1, 6)), dtype=np.uint64)
         params = (case, n, k, max_depth, n_sub, min_leaf, bootstrap)
 
-        *fields, node_count = kernels.build_forest(
-            X, y, seeds, max_depth, n_sub, min_leaf, bootstrap)
-        got = [list(zip(*(a[t, :c].tolist() for a in fields)))
-               for t, c in enumerate(node_count.tolist())]
+        nodes = kernels.build_forest(X, y, seeds, max_depth, n_sub, min_leaf, bootstrap)
+        got = _node_rows(nodes)
         want = oracles.forest_by_rows(X.tolist(), y.tolist(), seeds.tolist(),
                                       max_depth, n_sub, min_leaf, bootstrap)
         assert got == want, params
 
-        feat_a, left_a, right_a, _, _, label_a = fields
         Xt = rng.integers(0, 2, (int(rng.integers(0, 40)), k)).astype(np.uint8)
-        votes = kernels.predict_votes(feat_a, left_a, right_a, label_a, Xt)
+        votes = kernels.predict_votes(nodes, Xt)
         assert votes.dtype == np.uint8
         assert votes.tolist() == oracles.votes_by_rows(want, Xt.tolist()), params
 
@@ -210,10 +217,8 @@ def test_lockstep_batches_match_row_wise_reference():
         seeds = rng.integers(0, 1 << 64, n_forests * per_forest, dtype=np.uint64)
         params = (case, k, max_depth, n_sub, min_leaf, bootstrap)
 
-        *fields, node_count = kernels.build_forest(
-            X, y, seeds, max_depth, n_sub, min_leaf, bootstrap, train=train)
-        got = [list(zip(*(a[t, :c].tolist() for a in fields)))
-               for t, c in enumerate(node_count.tolist())]
+        got = _node_rows(kernels.build_forest(
+            X, y, seeds, max_depth, n_sub, min_leaf, bootstrap, train=train))
         for f in range(n_forests):
             trees = slice(f * per_forest, (f + 1) * per_forest)
             want = oracles.forest_by_rows(
@@ -254,5 +259,5 @@ def test_unbounded_all_features_golden_digest():
     y = (rng.random(300) < 0.2 + 0.5 * X[:, 4]).astype(np.uint8)
     model = train_forest(X, y, ForestParams(n_trees=20, max_depth=None,
                                             features_per_split="all"), seed=11)
-    assert max(tree.n_nodes for tree in model.trees) == 181
+    assert int(model.nodes.count.max()) == 181
     assert _digest(model) == "04f5e9d81ab8e6d8aa50160c7cb3745cc38950e8796f5c303addad20cdeeefed"

@@ -9,13 +9,12 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 from adtomo import cli, parallel, pipeline, tomography
-from adtomo.errors import ConfigError
+from adtomo.errors import ConfigError, WorkerLostError
 from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_importance, \
     train_forest
 from adtomo.parallel import fork_map
@@ -242,7 +241,7 @@ def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeyp
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerLostError):
             getattr(pipeline, f"stage_{stage}")(cfg, out)
     finally:
         signal.alarm(0)
@@ -250,6 +249,30 @@ def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeyp
     assert multiprocessing.active_children() == []
     assert _leftovers(out) == []
     assert _files(out) == before
+
+
+def test_cli_reports_a_killed_worker_in_one_line(tmp_path, two_cpus, monkeypatch, capsys):
+    doc = load_config("mini", seed=3)
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    pipeline.stage_simulate(load_pipeline_config(doc), out)
+    real = pipeline.flag_changes
+
+    def dying_flag(records, controls, stats):
+        if records[0].advertiser == "dsp-2":
+            _kill_self()
+        return real(records, controls, stats)
+
+    monkeypatch.setattr(pipeline, "flag_changes", dying_flag)
+    capsys.readouterr()
+    assert cli.main(["flag", "--config", str(config), "--out", str(out)]) == 3
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert err.startswith("adtomo: flag: a worker process died: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "records.jsonl").exists()
+    assert _leftovers(out) == []
 
 
 def test_open_files_do_not_grow_with_the_runs(tmp_path):

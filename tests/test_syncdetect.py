@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adtomo.ecosim import build_world, sim_config_from_dict
+from adtomo.ecosim import sim_config_from_dict
 from adtomo.ecosim.types import RequestLogEntry
 from adtomo.syncdetect import MalformedChainError, detect_cookie_sync
 
@@ -89,7 +89,7 @@ class TestSimulatorRecovery:
                                  {"id": "p2", "group": "g1"}],
                     "runs": 2, "seed": seed},
         })
-        world = build_world(cfg, seed)
+        world = cfg.world
         _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
         return [RequestLogEntry(**row) for row in requests]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adtomo import tomography
-from adtomo.ecosim import build_world, enumerate_personas, sim_config_from_dict
+from adtomo.ecosim import enumerate_personas, sim_config_from_dict
 from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
@@ -301,7 +301,7 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
     # Digests of collate + flag_changes on the simulated small profile,
     # captured from the dense-table flagging code.
     cfg = load_pipeline_config(load_config("small", seed=seed))
-    rows, _, _ = simulate_logs(build_world(cfg.sim, cfg.seed), cfg.sim.personas,
+    rows, _, _ = simulate_logs(cfg.sim.world, cfg.sim.personas,
                                cfg.sim.runs, cfg.seed)
     ads = [DeliveredAd(**row) for row in rows]
     records = collate_observed(ads, build_corpus(a.tokens for a in ads))

@@ -26,11 +26,9 @@ from .pipeline import (
 )
 from .stattest import StatError
 from .syncdetect import MalformedChainError
-from .textvec import OutOfCorpusError
 from .tomography import MissingControlError
 
-_INPUT_ERRORS = (ConfigError, StatError, MissingControlError, MalformedChainError,
-                 OutOfCorpusError)
+_INPUT_ERRORS = (ConfigError, StatError, MissingControlError, MalformedChainError)
 
 _STAGES = {
     "simulate": stage_simulate,

@@ -11,7 +11,6 @@ from .types import (
     Advertiser,
     AuctionSlot,
     BlockingConfig,
-    DeliveredAd,
     InterestGroup,
     Persona,
     RequestLogEntry,
@@ -24,7 +23,7 @@ from .types import (
 
 __all__ = [
     "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot",
-    "BlockingConfig", "DeliveredAd", "InterestGroup", "Persona",
+    "BlockingConfig", "InterestGroup", "Persona",
     "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
     "enumerate_personas", "generate_creative",

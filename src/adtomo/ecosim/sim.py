@@ -9,8 +9,8 @@ independent of persona scheduling; logs are emitted in canonical
 (run, persona, slot) order.
 
 A round's logs come out as the text of ``adlog.jsonl``, ``requestlog.jsonl``
-and ``bidlog.jsonl``: the bytes ``jsonio.jsonl_lines`` would write for their
-rows, built from fragments encoded once per world.  Every id and token is
+and ``bidlog.jsonl``: one JSON line per row in the byte format ``jsonio``
+defines, built from fragments encoded once per world.  Every id and token is
 encoded once, and the requestlog text after a line's persona is the same for
 every persona and round, so a round encodes only its bids.
 

@@ -116,17 +116,6 @@ class AdCreative:
 
 
 @dataclass(frozen=True)
-class DeliveredAd:
-    """AdLog record: the winning creative plus the persona it was shown to."""
-
-    run: int
-    persona: str
-    slot: str
-    advertiser: str
-    tokens: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RequestLogEntry:
     run: int
     persona: str

@@ -6,11 +6,11 @@ content, so identical inputs produce byte-identical files.  Every writer
 replaces its file atomically: an interrupted write leaves the previous
 artifact in place, never a truncated one.
 
-This module owns the byte format.  ``jsonl_lines`` encodes whole records;
-hot writers that build many lines of one shape from a few values encode
-each value once with ``encode_str``, ``encode_int``, ``encode_float`` or
-``encode_scalar`` and join the fragments, which gives the bytes
-``jsonl_lines`` would.
+This module owns the byte format.  A JSON line is what ``json.dumps``
+gives with ``ensure_ascii=False`` and ``separators=(",", ":")``, followed by
+LF.  The writers build many lines of one shape from a few values: they
+encode each value once with ``encode_str``, ``encode_int``, ``encode_float``
+or ``encode_scalar`` and join the fragments, which gives those bytes.
 """
 
 from __future__ import annotations
@@ -26,24 +26,14 @@ from typing import IO, Callable, Iterable, Iterator
 from .errors import ConfigError
 
 
-# One encoder for every JSON line: json.dumps with these arguments builds a
-# new encoder per call.  The encoder holds no state between calls.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-
-
-def dumps_line(record: dict) -> str:
-    return _LINE_ENCODER.encode(record)
-
-
-# The line encoder's value encodings, for lines built from fragments: a
-# string goes through the encoder's own escaping function, an int is its
-# repr.
+# The line encoding of a value, for lines built from fragments: a string
+# goes through the encoder's own escaping function, an int is its repr.
 encode_str = encode_basestring
 encode_int = int.__repr__
 
 
 def encode_float(value: float) -> str:
-    """A float as the line encoder writes it: its repr when finite, else
+    """A float as a JSON line holds it: its repr when finite, else
     ``NaN``, ``Infinity`` or ``-Infinity``."""
     if math.isfinite(value):
         return float.__repr__(value)
@@ -51,8 +41,8 @@ def encode_float(value: float) -> str:
 
 
 def encode_scalar(value) -> str:
-    """A JSON scalar (str, int, float, bool or None) as the line encoder
-    writes it."""
+    """A JSON scalar (str, int, float, bool or None) as a JSON line holds
+    it."""
     if isinstance(value, str):
         return encode_str(value)
     if value is None:
@@ -86,27 +76,17 @@ def open_atomic(path, newline: str = "\n", binary: bool = False) -> Iterator[IO]
         raise
 
 
-def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
-    """Each record as one JSON line, newline included: the lines of a
-    JSON-lines file."""
-    for rec in records:
-        yield dumps_line(rec) + "\n"
-
-
 def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
     return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
 
 
-def read_jsonl(path, fields: Iterable[str] = (),
-               check: Callable[[dict, int], str | None] | None = None,
-               build: Callable[[dict], object] | None = None) -> list:
-    """Records of a JSON-lines file, each passed through ``build`` as it is
-    read when one is given.  A malformed line, a line that is not an object
-    holding every name in ``fields``, or a record for which
-    ``check(record, lineno)`` returns a message raises ConfigError naming the
-    file and line."""
+def iter_jsonl(path, fields: Iterable[str] = (),
+               check: Callable[[dict, int], str | None] | None = None) -> Iterator[dict]:
+    """The records of a JSON-lines file, each yielded as its line is read.
+    A malformed line, a line that is not an object holding every name in
+    ``fields``, or a record for which ``check(record, lineno)`` returns a
+    message raises ConfigError naming the file and line."""
     required = set(fields)
-    out = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -120,8 +100,16 @@ def read_jsonl(path, fields: Iterable[str] = (),
                 problem = check(record, lineno) if check else None
                 if problem:
                     raise ConfigError(problem, f"{path}:{lineno}")
-                out.append(build(record) if build else record)
-    return out
+                yield record
+
+
+def read_jsonl(path, fields: Iterable[str] = (),
+               check: Callable[[dict, int], str | None] | None = None,
+               build: Callable[[dict], object] | None = None) -> list:
+    """The records of ``iter_jsonl``, each passed through ``build`` as it is
+    read when one is given."""
+    records = iter_jsonl(path, fields, check)
+    return list(map(build, records) if build else records)
 
 
 def _field_error(path, lineno: int, record, required: set) -> ConfigError:

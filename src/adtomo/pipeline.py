@@ -28,27 +28,32 @@ from __future__ import annotations
 
 import csv
 import os
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
-from sys import intern
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from .ecosim import SimConfig, prepare_simulation, sim_config_from_dict
-from .ecosim.types import DeliveredAd, RequestLogEntry
+from .ecosim.types import RequestLogEntry
 from .errors import ConfigError, check_known_keys
 from .forest import HyperGrid
-from .jsonio import (encode_int, encode_scalar, encode_str, open_atomic, read_json,
-                     read_jsonl, write_json)
+from .jsonio import (encode_int, encode_scalar, encode_str, iter_jsonl, open_atomic,
+                     read_json, read_jsonl, write_json)
 from .parallel import fork_map
 from .stattest import StatConfig, StatError
 from .syncdetect import detect_cookie_sync
-from .textvec import Corpus, build_corpus, vectorize_tokens
+from .textvec import Corpus
 from .tomography import (
+    AdLog,
     VectorRecord,
     collate,
+    corpus_columns,
     evaluate,
     flag_changes,
+    group_run_vectors,
     h1_similarity_matrix,
     run_inference,
     segment_records,
@@ -208,26 +213,48 @@ def _check_known_personas(used, personas: list[dict], path: Path) -> None:
         raise ConfigError(f"persona {unknown[0]!r} is missing from personas.json", str(path))
 
 
-def _read_adlog(out_dir: Path) -> list[DeliveredAd]:
-    """The ads of ``adlog.jsonl``, each built as its line is read.  Their
-    strings are interned: a log repeats a few thousand distinct tokens, and
-    one string object per occurrence would take most of the ads' memory."""
+class _Ids(dict):
+    """Name -> id, ids numbered in order of first lookup."""
+
+    def __missing__(self, name) -> int:
+        self[name] = i = len(self)
+        return i
+
+
+def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
+    """``adlog.jsonl`` as integer columns, each line checked and appended as
+    it is read.  No object per ad or per token occurrence is kept: each
+    persona, advertiser and token string is held once, in its id map."""
+    path = out_dir / "adlog.jsonl"
+    persona_ids, advertiser_ids, token_ids = _Ids(), _Ids(), _Ids()
+    run, persona, advertiser, token = (array("i") for _ in range(4))
+    offsets = array("q", [0])
+
     def check(r, lineno: int) -> str | None:
         if type(r["run"]) is not int:
             return "field 'run' must be a JSON integer"
+        if not 0 <= r["run"] < runs:
+            return f"field 'run' must be in [0, runs={runs}), got {r['run']}"
         for field in ("persona", "slot", "advertiser"):
             if type(r[field]) is not str:
                 return f"field {field!r} must be a JSON string"
         tokens = r["tokens"]
-        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+        if type(tokens) is not list or not set(map(type, tokens)) <= {str}:
             return "field 'tokens' must be a JSON list of strings"
         return None
 
-    return read_jsonl(out_dir / "adlog.jsonl",
-                      fields=("run", "persona", "slot", "advertiser", "tokens"), check=check,
-                      build=lambda r: DeliveredAd(
-                          r["run"], intern(r["persona"]), intern(r["slot"]),
-                          intern(r["advertiser"]), tuple(map(intern, r["tokens"]))))
+    for r in iter_jsonl(path, fields=("run", "persona", "slot", "advertiser", "tokens"),
+                        check=check):
+        run.append(r["run"])
+        persona.append(persona_ids[r["persona"]])
+        advertiser.append(advertiser_ids[r["advertiser"]])
+        token.extend(map(token_ids.__getitem__, r["tokens"]))
+        offsets.append(len(token))
+    if not run:
+        raise ConfigError("holds no ads", str(path))
+    return AdLog(*(np.frombuffer(column, dtype=column.typecode)
+                   for column in (run, persona, advertiser, offsets, token)),
+                 list(persona_ids), list(advertiser_ids), list(token_ids))
 
 
 def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
@@ -370,34 +397,30 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     """Collate, flag and encode each advertiser's records in a process pool,
-    one task per advertiser.  Every task collates on the whole log's
-    (persona, run) grid and writes its lines to a part file appended to
-    ``records.jsonl`` in advertiser order, so no process holds every record.
-    Each line is built from the corpus tokens and persona ids, encoded once
-    before the pool forks."""
-    ads = _read_adlog(out_dir)
+    one task per advertiser.  The parent reads ``adlog.jsonl`` into integer
+    columns (``_read_ad_columns``) that every task inherits and none copies.
+    Every task collates on the whole log's (persona, run) grid and writes
+    its lines to a part file appended to ``records.jsonl`` in advertiser
+    order, so no process holds every record.  Each line is built from the
+    corpus tokens and persona ids, encoded once before the pool forks."""
+    log = _read_ad_columns(out_dir, cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    seen_personas = sorted({a.persona for a in ads})
-    _check_known_personas(seen_personas, personas, out_dir / "adlog.jsonl")
+    _check_known_personas(log.personas, personas, out_dir / "adlog.jsonl")
     is_control = {p["id"]: p["is_control"] for p in personas}
     if not any(is_control.values()):
         raise ConfigError("flag stage requires at least one control persona",
                           "run.personas")
-    corpus = build_corpus(a.tokens for a in ads)
-    tokens = corpus.tokens()
+    tokens, column = corpus_columns(log.tokens)
     write_json(out_dir / "corpus.json", {"tokens": tokens})
-    runs = sorted({a.run for a in ads})
-    by_advertiser: dict[str, list[DeliveredAd]] = {}
-    for ad in ads:
-        by_advertiser.setdefault(ad.advertiser, []).append(ad)
     # '"token":' per corpus column, and ',"persona":P,"run":' per persona.
     token_keys = [encode_str(t) + ":" for t in tokens]
-    persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in seen_personas}
+    persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in log.personas}
 
     def flag_advertiser(advertiser: str) -> tuple[str]:
-        records = collate(by_advertiser[advertiser], corpus, seen_personas, runs)
+        records = collate(log, advertiser, column)
         flagged = flag_changes([r for r in records if not is_control[r.persona]],
                                [r for r in records if is_control[r.persona]], cfg.stats)
+        del records  # the flagged records share its vectors; the rest can go
         head = '{"advertiser":' + encode_str(advertiser)
 
         def line(r: VectorRecord) -> str:
@@ -407,7 +430,7 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
 
         return ("".join(map(line, flagged)),)
 
-    _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, sorted(by_advertiser))
+    _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, sorted(log.advertisers))
 
 
 def _report_meta(cfg: PipelineConfig) -> dict:
@@ -495,15 +518,10 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
-    ads = _read_adlog(out_dir)
+    log = _read_ad_columns(out_dir, cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas({a.persona for a in ads}, personas, out_dir / "adlog.jsonl")
-    group_of = {p["id"]: p["group"] for p in personas}
-    corpus = build_corpus(a.tokens for a in ads)
-    grouped: dict[tuple[str, int], list[str]] = {}
-    for ad in ads:
-        grouped.setdefault((group_of[ad.persona], ad.run), []).extend(ad.tokens)
-    vectors = {key: vectorize_tokens(toks, corpus) for key, toks in grouped.items()}
+    _check_known_personas(log.personas, personas, out_dir / "adlog.jsonl")
+    vectors = group_run_vectors(log, {p["id"]: p["group"] for p in personas})
     result = h1_similarity_matrix(vectors)
     with open_atomic(out_dir / "h1_matrix.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

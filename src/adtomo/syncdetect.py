@@ -36,9 +36,6 @@ class SyncReport:
     pairs: tuple[SyncPair, ...]
     weak_candidates: tuple[SyncPair, ...]
 
-    def pair_keys(self) -> set[tuple[str, str]]:
-        return {(p.initiator, p.receiver) for p in self.pairs}
-
 
 def _owner(value: str | None, prefix: str) -> str | None:
     """Domain that owns a structured identifier, else None (unknown)."""

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-
-class OutOfCorpusError(KeyError):
-    pass
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -32,32 +28,6 @@ class Corpus:
         for token, idx in self.word_index.items():
             out[idx] = token
         return out
-
-
-def build_corpus(token_lists: Iterable[Iterable[str]]) -> Corpus:
-    """Corpus over the union of all tokens, indexed lexicographically."""
-    vocab = set()
-    for tokens in token_lists:
-        vocab.update(tokens)
-    return Corpus({token: i for i, token in enumerate(sorted(vocab))})
-
-
-def add_tokens(counts: dict[int, int], tokens: Iterable[str], corpus: Corpus) -> None:
-    """Add one count per token to its column in ``counts``."""
-    index = corpus.word_index
-    for token in tokens:
-        try:
-            idx = index[token]
-        except KeyError:
-            raise OutOfCorpusError(token) from None
-        counts[idx] = counts.get(idx, 0) + 1
-
-
-def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> dict[int, int]:
-    """Token frequencies over the corpus: column index -> count."""
-    counts: dict[int, int] = {}
-    add_tokens(counts, tokens, corpus)
-    return counts
 
 
 def cosine_similarity(x: Mapping[int, int], y: Mapping[int, int]) -> float:

@@ -17,9 +17,14 @@ are flagged together by ``stattest.flags_against``: one dense block per
 batch over the control's support plus the columns some record fills to
 ``min_expected`` alone.  Every other column is low-mass in every record's
 table and goes straight into that record's residual, so each record gets the
-flag its own 2 x V table would give.  ``collate`` and ``flag_changes`` need
-only one advertiser's ads, given the whole log's personas and runs, so the
-flag stage runs them per advertiser in separate processes.
+flag its own 2 x V table would give.
+
+The ad log is read once into integer columns (``AdLog``).  ``collate``
+selects one advertiser's ads from them, keys each token occurrence by
+(record, corpus column), sorts the keys once and run-length encodes them,
+so each record's vector comes from its own slice of the runs.  It and
+``flag_changes`` need only one advertiser's ads, so the flag stage runs them
+per advertiser in separate processes that share the parent's columns.
 
 The forest sees one advertiser's records as arrays (X, y, personas), built
 once for the cross-validation set and once for the holdout set.  The rows
@@ -31,7 +36,7 @@ depend on the order of the records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,17 +52,16 @@ from .forest import (
     train_forest,
 )
 from .parallel import fork_map
-from .ecosim.types import DeliveredAd
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, flags_against, welch_t_test
-from .textvec import Corpus, add_tokens, cosine_similarity
+from .textvec import cosine_similarity
 
 
 class MissingControlError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorRecord:
     advertiser: str
     persona: str
@@ -83,28 +87,96 @@ class H1Result:
     tests: dict[tuple[str, str], TestResult]   # within-vs-across Welch tests
 
 
-def collate(adlog: Iterable[DeliveredAd], corpus: Corpus, personas: Sequence[str],
-            runs: Sequence[int]) -> list[VectorRecord]:
-    """One record per (advertiser, persona, run) with the tokens of all its
-    creatives counted into one vector.  The grid is the full cross product of
-    the advertisers observed in ``adlog`` with ``personas`` and ``runs``, in
-    the order given, so advertisers that won nothing for some (persona, run)
-    contribute an empty vector.  To collate part of a log on the whole log's
-    grid, pass the whole log's personas and runs."""
-    ads = list(adlog)
-    advertisers = sorted({a.advertiser for a in ads})
-    merged: dict[tuple[str, str, int], dict[int, int]] = {}
-    for ad in ads:
-        key = (ad.advertiser, ad.persona, ad.run)
-        counts = merged.get(key)
-        if counts is None:
-            counts = merged[key] = {}
-        add_tokens(counts, ad.tokens, corpus)
+class AdLog(NamedTuple):
+    """``adlog.jsonl`` as integer columns, one entry per ad in file order.
+    Persona, advertiser and token ids index the name lists, which hold each
+    name once, in order of first appearance."""
+
+    run: np.ndarray          # int32
+    persona: np.ndarray      # int32 index into ``personas``
+    advertiser: np.ndarray   # int32 index into ``advertisers``
+    offsets: np.ndarray      # int64, one more than ads: ad i's tokens are
+                             # token[offsets[i]:offsets[i + 1]]
+    token: np.ndarray        # int32 index into ``tokens``, per token occurrence
+    personas: list[str]
+    advertisers: list[str]
+    tokens: list[str]
+
+
+def corpus_columns(tokens: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """(corpus tokens, column): the distinct tokens of a log, sorted into
+    corpus column order, and the corpus column of each token id."""
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+    column = np.empty(len(tokens), dtype=np.int64)
+    column[order] = np.arange(len(tokens))
+    return [tokens[i] for i in order], column
+
+
+def _ranks(names: Sequence[str], order: Sequence[str]) -> np.ndarray:
+    """Position of each name in ``order``."""
+    rank = {name: i for i, name in enumerate(order)}
+    return np.array([rank[name] for name in names], dtype=np.int64)
+
+
+def _count_vectors(log: AdLog, ads: np.ndarray, record: np.ndarray, column: np.ndarray,
+                   n_records: int) -> list[dict[int, int]]:
+    """Per record r < ``n_records``, the column -> count vector of the tokens
+    of the ads ``ads[i]`` with ``record[i] == r``.  The (record, column) keys
+    are sorted once and run-length encoded; each record's vector is built
+    from its own slice of the runs."""
+    first = log.offsets[ads]
+    length = log.offsets[ads + 1] - first
+    occurrence = np.repeat(first - (np.cumsum(length) - length), length)
+    occurrence += np.arange(occurrence.size)
+    key = column[log.token[occurrence]]
+    del occurrence
+    width = len(column)
+    key += np.repeat(record * width, length)
+    key.sort()
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, key.size))
+    key = key[starts]
+    owner = key // width
+    columns = key - owner * width
+    bounds = np.searchsorted(owner, np.arange(n_records + 1)).tolist()
     empty: dict[int, int] = {}  # shared by every empty record; nothing mutates a record's vector
-    return [
-        VectorRecord(a, p, r, merged.get((a, p, r), empty))
-        for a in advertisers for p in personas for r in runs
-    ]
+    return [dict(zip(columns[lo:hi].tolist(), counts[lo:hi].tolist())) if hi > lo else empty
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def collate(log: AdLog, advertiser: str, column: np.ndarray) -> list[VectorRecord]:
+    """One record of ``advertiser`` per (persona, run) of the whole log's
+    grid, its personas sorted and the runs that hold an ad ascending, with
+    the tokens of all its creatives counted into one vector over the corpus
+    columns ``column`` (per token id).  A (persona, run) the advertiser won
+    nothing for gets an empty vector."""
+    personas = sorted(log.personas)
+    held = np.bincount(log.run) > 0
+    runs = np.flatnonzero(held).tolist()
+    ads = np.flatnonzero(log.advertiser == log.advertisers.index(advertiser))
+    record = (_ranks(log.personas, personas)[log.persona[ads]] * len(runs)
+              + (np.cumsum(held) - 1)[log.run[ads]])
+    vectors = _count_vectors(log, ads, record, column, len(personas) * len(runs))
+    return [VectorRecord(advertiser, p, r, vectors[i * len(runs) + j])
+            for i, p in enumerate(personas) for j, r in enumerate(runs)]
+
+
+def group_run_vectors(log: AdLog, group_of: Mapping[str, str]
+                      ) -> dict[tuple[str, int], dict[int, int]]:
+    """Per (group, run) that holds an ad, the token-id -> count vector of its
+    ads' tokens, the persona's group given by ``group_of``.  Token ids stand
+    in for corpus columns: cosine similarity does not depend on the column
+    order."""
+    groups = sorted(set(group_of.values()))
+    n_runs = int(log.run.max()) + 1
+    record = (_ranks([group_of[p] for p in log.personas], groups)[log.persona] * n_runs
+              + log.run)
+    vectors = _count_vectors(log, np.arange(log.run.size), record,
+                             np.arange(len(log.tokens)), len(groups) * n_runs)
+    held = np.flatnonzero(np.bincount(record, minlength=len(groups) * n_runs)).tolist()
+    return {(groups[r // n_runs], r % n_runs): vectors[r] for r in held}
 
 
 def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[VectorRecord],

@@ -2,7 +2,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from adtomo.ecosim import prepare_simulation
+from adtomo.tomography import AdLog
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -35,3 +38,20 @@ def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, li
     hold U+2028, which the encoder does not escape."""
     return tuple([json.loads(line) for line in text.split("\n")[:-1]]
                  for text in simulate_texts(world, personas, runs, seed))
+
+
+def ad_log(ads) -> AdLog:
+    """The columns of the ads ``ads`` (objects with ``run``, ``persona``,
+    ``advertiser`` and ``tokens``), ids numbered in order of first
+    appearance, built one row at a time."""
+    names: tuple[dict, dict, dict] = ({}, {}, {})
+    runs, personas, advertisers, tokens, offsets = [], [], [], [], [0]
+    for ad in ads:
+        runs.append(ad.run)
+        personas.append(names[0].setdefault(ad.persona, len(names[0])))
+        advertisers.append(names[1].setdefault(ad.advertiser, len(names[1])))
+        tokens += [names[2].setdefault(t, len(names[2])) for t in ad.tokens]
+        offsets.append(len(tokens))
+    return AdLog(np.array(runs, dtype=np.int32), np.array(personas, dtype=np.int32),
+                 np.array(advertisers, dtype=np.int32), np.array(offsets, dtype=np.int64),
+                 np.array(tokens, dtype=np.int32), *(list(n) for n in names))

@@ -24,17 +24,30 @@ The simulation oracle draws every knowledge uniform, bid noise and creative
 token with its own scalar numpy call, in the order the simulator's draw
 contract states, and sorts the logs into canonical order at the end; the
 batched simulator must give equal log rows.
+
+The collation oracle builds one ``DeliveredAd`` per ad and counts each
+creative's tokens into a per-(advertiser, persona, run) dict, token by
+token, over a ``build_corpus`` corpus, the way the flag stage collated
+before it read the ad log into columns; the columnar collation must give
+equal records.  ``jsonl_lines`` encodes whole records with one
+``json.JSONEncoder``; the stages' fragment-built lines must equal it.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from adtomo.ecosim import auction_hb, auction_rtb
 from adtomo.rng import GAMMA, MASK64, substream
 from adtomo.stattest import DegenerateTableError, chi_square_independence
+from adtomo.syncdetect import SyncReport
+from adtomo.textvec import Corpus
+from adtomo.tomography import VectorRecord
 
 _U_MAX = 1.0 - 1e-12
 
@@ -327,3 +340,82 @@ def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
     bids.sort(key=lambda r: (r["run"], r["persona"], r["slot"], r["advertiser"]))
     requests.sort(key=lambda r: (r["run"], r["persona"], r["chain_position"]))
     return ads, requests, bids
+
+
+@dataclass(frozen=True)
+class DeliveredAd:
+    """One ``adlog.jsonl`` line: the winning creative plus the persona it was
+    shown to."""
+
+    run: int
+    persona: str
+    slot: str
+    advertiser: str
+    tokens: tuple[str, ...]
+
+
+class OutOfCorpusError(KeyError):
+    pass
+
+
+def build_corpus(token_lists: Iterable[Iterable[str]]) -> Corpus:
+    """Corpus over the union of all tokens, indexed lexicographically."""
+    vocab = set()
+    for tokens in token_lists:
+        vocab.update(tokens)
+    return Corpus({token: i for i, token in enumerate(sorted(vocab))})
+
+
+def add_tokens(counts: dict[int, int], tokens: Iterable[str], corpus: Corpus) -> None:
+    """Add one count per token to its column in ``counts``."""
+    index = corpus.word_index
+    for token in tokens:
+        try:
+            idx = index[token]
+        except KeyError:
+            raise OutOfCorpusError(token) from None
+        counts[idx] = counts.get(idx, 0) + 1
+
+
+def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> dict[int, int]:
+    """Token frequencies over the corpus: column index -> count."""
+    counts: dict[int, int] = {}
+    add_tokens(counts, tokens, corpus)
+    return counts
+
+
+def collate(adlog: Iterable[DeliveredAd], corpus: Corpus, personas: Sequence[str],
+            runs: Sequence[int]) -> list[VectorRecord]:
+    """Per-ad reference for ``tomography.collate``: one record per
+    (advertiser, persona, run), advertisers sorted, over the cross product
+    of the advertisers observed in ``adlog`` with ``personas`` and ``runs``
+    in the order given; a cell without an ad gets an empty vector."""
+    ads = list(adlog)
+    advertisers = sorted({a.advertiser for a in ads})
+    merged: dict[tuple[str, str, int], dict[int, int]] = {}
+    for ad in ads:
+        add_tokens(merged.setdefault((ad.advertiser, ad.persona, ad.run), {}), ad.tokens,
+                   corpus)
+    return [VectorRecord(a, p, r, merged.get((a, p, r), {}))
+            for a in advertisers for p in personas for r in runs]
+
+
+# One encoder for every JSON line: json.dumps with these arguments builds a
+# new encoder per call.  The encoder holds no state between calls.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+def dumps_line(record) -> str:
+    return _LINE_ENCODER.encode(record)
+
+
+def jsonl_lines(records: Iterable) -> Iterator[str]:
+    """Each record as one JSON line, newline included: the lines of a
+    JSON-lines file."""
+    for rec in records:
+        yield dumps_line(rec) + "\n"
+
+
+def pair_keys(report: SyncReport) -> set[tuple[str, str]]:
+    """The (initiator, receiver) of every detected cookie-sync pair."""
+    return {(p.initiator, p.receiver) for p in report.pairs}

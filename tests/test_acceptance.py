@@ -252,7 +252,8 @@ def test_criterion_7_cookie_sync_oracle():
         })
         world = cfg.world
         _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
-        detected = detect_cookie_sync([RequestLogEntry(**row) for row in requests]).pair_keys()
+        detected = oracles.pair_keys(
+            detect_cookie_sync([RequestLogEntry(**row) for row in requests]))
         assert detected == pairs, f"seed {seed}: {detected} != {pairs}"
     report("criterion 7 (cookie-sync oracle)", "exact recovery on 10 random worlds")
 

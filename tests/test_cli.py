@@ -484,6 +484,10 @@ class TestExitCodes:
                      id="int_token"),
         pytest.param({"tokens": "ab"}, "field 'tokens' must be a JSON list of strings",
                      id="tokens_string"),
+        pytest.param({"tokens": [["a"]]}, "field 'tokens' must be a JSON list of strings",
+                     id="nested_token"),
+        pytest.param({"run": 42}, "field 'run' must be in [0, runs=6), got 42",
+                     id="run_out_of_range"),
     ])
     def test_ad_log_field_of_wrong_type_names_file_and_line(self, mini_run, tmp_path, stage,
                                                             edit, problem):
@@ -497,6 +501,32 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"adlog.jsonl:{len(lines) + 1}: {problem}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["zero_bytes", "blank_lines"])
+    def test_ad_log_without_ads_names_file(self, mini_run, tmp_path, text):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        (out / "adlog.jsonl").write_text(text)
+        for stage in ("flag", "h1"):
+            proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+            assert proc.returncode == 2, stage
+            assert "adlog.jsonl: holds no ads" in proc.stderr, stage
+            assert "Traceback" not in proc.stderr
+
+    def test_flag_and_infer_do_not_import_numpy_ma(self, mini_run, tmp_path):
+        # np.unique and np.union1d import numpy.ma on first use, about 14 ms
+        # that every CLI process running the stage would pay.  One CPU, so
+        # the flag and infer tasks run in the CLI process itself.
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        code = ("import os, sys; os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); "
+                "from adtomo import cli; "
+                "code = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        for stage in ("flag", "infer"):
+            proc = subprocess.run([sys.executable, "-c", code, stage, str(cfg_path), str(out)],
+                                  capture_output=True, text=True)
+            assert proc.stdout.split() == ["0", "False"], (stage, proc.stderr)
 
     @pytest.mark.parametrize("corpus, problem", [
         pytest.param({"words": []}, "missing field 'tokens'", id="no_tokens_field"),

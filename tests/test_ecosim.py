@@ -11,11 +11,10 @@ from adtomo.ecosim import (
     sim_config_from_dict,
 )
 from adtomo.errors import ConfigError
-from adtomo.jsonio import jsonl_lines
 from adtomo.pipeline import load_pipeline_config, stage_simulate
 from adtomo.rng import substream
 from conftest import load_config, simulate_logs, simulate_texts
-from oracles import simulate_by_scalar_draws
+from oracles import jsonl_lines, simulate_by_scalar_draws
 
 
 def world_dict(*, groups=None, trackers=None, advertisers=None, edges=None,

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from adtomo.jsonio import (dumps_line, encode_float, encode_int, encode_scalar, encode_str,
-                           jsonl_lines, open_atomic, write_json)
+from adtomo.jsonio import encode_float, encode_int, encode_scalar, encode_str, open_atomic, \
+    write_json
+
+from oracles import dumps_line, jsonl_lines
 
 RECORDS = [
     {"token": "créative-ß", "emoji": "\U0001f600", "quote": "a\"b\\c\n\t "},

@@ -5,12 +5,11 @@ import pytest
 
 from adtomo import pipeline
 from adtomo.errors import ConfigError
-from adtomo.jsonio import jsonl_lines
 from adtomo.pipeline import load_pipeline_config, run_pipeline
-from adtomo.textvec import build_corpus
-from adtomo.tomography import collate, flag_changes
+from adtomo.tomography import collate, corpus_columns, flag_changes
 
-from conftest import load_config
+from conftest import ad_log, load_config
+from oracles import DeliveredAd, build_corpus, jsonl_lines
 
 
 def run_to_dir(doc, tmp_path, name):
@@ -120,14 +119,17 @@ def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
     pipeline.stage_flag(cfg, out)
-    ads = pipeline._read_adlog(out)
-    corpus = build_corpus(a.tokens for a in ads)
-    tokens = corpus.tokens()
+    ads = [DeliveredAd(**json.loads(line))
+           for line in (out / "adlog.jsonl").read_text(encoding="utf-8").split("\n")[:-1]]
+    tokens = build_corpus(a.tokens for a in ads).tokens()
     if odd:
         assert all('"' in t or "\\" in t for t in tokens)
+    log = ad_log(ads)
+    log_tokens, column = corpus_columns(log.tokens)
+    assert log_tokens == tokens
     is_control = {p.id: p.is_control for p in cfg.sim.personas}
-    records = collate(ads, corpus, sorted({a.persona for a in ads}),
-                      sorted({a.run for a in ads}))
+    records = [r for advertiser in sorted(log.advertisers)
+               for r in collate(log, advertiser, column)]
     flagged = flag_changes([r for r in records if not is_control[r.persona]],
                            [r for r in records if is_control[r.persona]], cfg.stats)
     expected = "".join(jsonl_lines(

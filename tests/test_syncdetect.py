@@ -6,6 +6,7 @@ from adtomo.ecosim.types import RequestLogEntry
 from adtomo.syncdetect import MalformedChainError, detect_cookie_sync
 
 from conftest import simulate_logs
+from oracles import pair_keys
 
 
 def hop(pos, src, dst, cookie=None, uid=None, run=0, persona="p1"):
@@ -15,33 +16,33 @@ def hop(pos, src, dst, cookie=None, uid=None, run=0, persona="p1"):
 class TestDetection:
     def test_full_handshake_detected(self):
         report = detect_cookie_sync([hop(0, "t1", "t2", cookie="c:t2", uid="uid:t1")])
-        assert report.pair_keys() == {("t1", "t2")}
+        assert pair_keys(report) == {("t1", "t2")}
         assert report.pairs[0].evidence == ((0, "p1", 0),)
 
     def test_bare_hop_ignored(self):
         report = detect_cookie_sync([hop(0, "t1", "t2")])
-        assert report.pair_keys() == set()
+        assert pair_keys(report) == set()
         assert report.weak_candidates == ()
 
     def test_chain_of_two_syncs(self):
         log = [hop(0, "t1", "t2", cookie="c:t2", uid="uid:t1"),
                hop(1, "t2", "t3", cookie="c:t3", uid="uid:t2")]
-        assert detect_cookie_sync(log).pair_keys() == {("t1", "t2"), ("t2", "t3")}
+        assert pair_keys(detect_cookie_sync(log)) == {("t1", "t2"), ("t2", "t3")}
 
     def test_cookie_only_is_weak_candidate(self):
         report = detect_cookie_sync([hop(0, "site", "t2", cookie="c:t2")])
-        assert report.pair_keys() == set()
+        assert pair_keys(report) == set()
         assert {(p.initiator, p.receiver) for p in report.weak_candidates} == {("site", "t2")}
 
     def test_foreign_cookie_not_counted(self):
         # A cookie owned by neither endpoint is not a delivery to its owner.
         report = detect_cookie_sync([hop(0, "t1", "t2", cookie="c:t9", uid="uid:t1")])
-        assert report.pair_keys() == set()
+        assert pair_keys(report) == set()
 
     def test_unstructured_identifiers_use_http_semantics(self):
         report = detect_cookie_sync([hop(0, "t1", "t2", cookie="opaque123",
                                          uid="u-abc")])
-        assert report.pair_keys() == {("t1", "t2")}
+        assert pair_keys(report) == {("t1", "t2")}
 
     def test_evidence_accumulates_across_chains(self):
         log = [hop(0, "t1", "t2", cookie="c:t2", uid="uid:t1", run=0),
@@ -104,4 +105,4 @@ class TestSimulatorRecovery:
                 pairs.add((str(a), str(b)))
             requests = self._run_world([list(p) for p in sorted(pairs)], seed=seed)
             report = detect_cookie_sync(requests)
-            assert report.pair_keys() == pairs, f"seed {seed}"
+            assert pair_keys(report) == pairs, f"seed {seed}"

@@ -4,28 +4,31 @@ import json
 import numpy as np
 import pytest
 
-from adtomo import tomography
+from adtomo import pipeline, tomography
 from adtomo.ecosim import enumerate_personas, sim_config_from_dict
-from adtomo.ecosim.types import DeliveredAd
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
 from adtomo.pipeline import load_pipeline_config
 from adtomo.stattest import StatConfig
-from adtomo.textvec import Corpus, build_corpus
+from adtomo.textvec import Corpus
 from adtomo.tomography import (
     MissingControlError,
     VectorRecord,
     collate,
+    corpus_columns,
     evaluate,
     flag_changes,
+    group_run_vectors,
     h1_similarity_matrix,
     infer_relationships,
     run_inference,
     segment_records,
 )
 
-from conftest import load_config, simulate_logs
-from oracles import chi2_by_dense_tables, chi2_by_union_tables
+from conftest import ad_log, load_config, simulate_logs
+from oracles import (DeliveredAd, build_corpus, chi2_by_dense_tables, chi2_by_union_tables,
+                     vectorize_tokens)
+from oracles import collate as collate_by_ads
 
 
 def blocking_configs(trackers):
@@ -70,8 +73,11 @@ def corpus_of(*tokens):
 
 
 def collate_observed(ads, corpus):
-    """``collate`` on the grid of the personas and runs observed in ``ads``."""
-    return collate(ads, corpus, sorted({a.persona for a in ads}), sorted({a.run for a in ads}))
+    """``collate`` of every advertiser of ``ads``, advertisers sorted, over
+    the columns of ``corpus``."""
+    log = ad_log(ads)
+    column = np.array([corpus.word_index[t] for t in log.tokens], dtype=np.int64)
+    return [r for advertiser in sorted(log.advertisers) for r in collate(log, advertiser, column)]
 
 
 class TestCollate:
@@ -131,6 +137,56 @@ class TestCollate:
                 rec_mass = sum(sum(r.vector.values()) for r in records
                                if r.persona == persona and r.run == run)
                 assert rec_mass == log_mass
+
+
+# (advertisers, personas, runs, ads, vocabulary, string prefix) per case: a
+# few ads per (advertiser, persona, run) cell, so many cells hold none, and
+# creatives of up to 8 tokens from a small vocabulary, so most repeat one.
+# The odd prefix is the quote, U+2028, backslash, non-ASCII and emoji of
+# ``test_pipeline._odd_tokens_and_advertisers``.
+COLLATE_CASES = {
+    "random": (4, 7, 3, 60, 6, ""),
+    "one_advertiser": (1, 5, 4, 25, 5, ""),
+    "odd_strings": (3, 4, 3, 40, 6, 'w"\u2028\\é\U0001f600-'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLATE_CASES))
+def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
+    n_adv, n_personas, n_runs, n_ads, n_vocab, prefix = COLLATE_CASES[case]
+    rng = np.random.default_rng(sorted(COLLATE_CASES).index(case))
+    vocab = [f"{prefix}t{i}" for i in range(n_vocab)]
+    # Even runs only: the grid holds the runs with an ad, not 0 .. runs - 1.
+    ads = [DeliveredAd(2 * int(rng.integers(n_runs)), f"p{rng.integers(n_personas)}", "s1",
+                       f"{prefix}adv{rng.integers(n_adv)}",
+                       tuple(vocab[i] for i in rng.integers(0, n_vocab,
+                                                            size=rng.integers(0, 9))))
+           for _ in range(n_ads)]
+    assert any(len(set(a.tokens)) < len(a.tokens) for a in ads)
+    with (tmp_path / "adlog.jsonl").open("w", encoding="utf-8") as fh:
+        for a in ads:
+            fh.write(json.dumps(vars(a), ensure_ascii=False) + "\n")
+    log = pipeline._read_ad_columns(tmp_path, 2 * n_runs)
+    assert all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in zip(log, ad_log(ads)))
+    corpus = build_corpus(a.tokens for a in ads)
+    tokens, column = corpus_columns(log.tokens)
+    assert tokens == corpus.tokens()
+    personas, runs = sorted({a.persona for a in ads}), sorted({a.run for a in ads})
+    records = [r for advertiser in sorted(log.advertisers)
+               for r in collate(log, advertiser, column)]
+    assert records == collate_by_ads(ads, corpus, personas, runs)
+    assert any(not r.vector for r in records)
+
+    group_of = {p: f"g{int(p[1:]) % 3}" for p in personas}
+    grouped: dict[tuple[str, int], list[str]] = {}
+    for a in ads:
+        grouped.setdefault((group_of[a.persona], a.run), []).extend(a.tokens)
+    expected = {key: {tokens[i]: c for i, c in vectorize_tokens(toks, corpus).items()}
+                for key, toks in grouped.items()}
+    vectors = group_run_vectors(log, group_of)
+    assert {key: {log.tokens[i]: c for i, c in v.items()}
+            for key, v in vectors.items()} == expected
 
 
 def flag_with_results(records, control, config=StatConfig()):

@@ -5,39 +5,41 @@ reads --config (a pipeline JSON document), writes artifacts under --out
 (default: the config's output_dir), and honors --seed as an override of the
 config seed.  Exit codes: 0 success, 2 usage/config error, 3 I/O error or a
 worker process that died.
+
+A command imports only the module of its stage, when it runs it:
+``pipeline`` for simulate, flag, infer, h1 and run, ``syncdetect`` and
+``evaluation`` for the other two, which need no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, WorkerLostError
-from .pipeline import (
-    load_pipeline_config,
-    run_pipeline,
-    stage_evaluate,
-    stage_flag,
-    stage_h1,
-    stage_infer,
-    stage_simulate,
-    stage_syncdetect,
-)
-from .stattest import StatError
-from .syncdetect import MalformedChainError
-from .tomography import MissingControlError
+from .config import PipelineConfig, load_pipeline_config
+from .errors import (ConfigError, MalformedChainError, MissingControlError, StatError,
+                     WorkerLostError)
 
 _INPUT_ERRORS = (ConfigError, StatError, MissingControlError, MalformedChainError)
 
+
+def _stage(module: str, name: str):
+    """The function ``name`` of ``adtomo.<module>``, imported on the call."""
+    def run(cfg: PipelineConfig, out_dir: Path) -> None:
+        getattr(importlib.import_module(f".{module}", __package__), name)(cfg, out_dir)
+    return run
+
+
 _STAGES = {
-    "simulate": stage_simulate,
-    "flag": stage_flag,
-    "infer": stage_infer,
-    "h1": stage_h1,
-    "syncdetect": stage_syncdetect,
-    "evaluate": stage_evaluate,
-    "run": run_pipeline,
+    "simulate": _stage("pipeline", "stage_simulate"),
+    "flag": _stage("pipeline", "stage_flag"),
+    "infer": _stage("pipeline", "stage_infer"),
+    "h1": _stage("pipeline", "stage_h1"),
+    "syncdetect": _stage("syncdetect", "stage_syncdetect"),
+    "evaluate": _stage("evaluation", "stage_evaluate"),
+    "run": _stage("pipeline", "run_pipeline"),
 }
 
 _DESCRIPTIONS = {
@@ -71,9 +73,15 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"adtomo: config file not found: {args.config}", file=sys.stderr)
         return 2
+    except IsADirectoryError:
+        print(f"adtomo: config path is a directory: {args.config}", file=sys.stderr)
+        return 2
     except (ConfigError, StatError) as exc:
         print(f"adtomo: config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"adtomo: i/o error: {exc}", file=sys.stderr)
+        return 3
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)

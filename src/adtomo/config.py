@@ -1,0 +1,177 @@
+"""The pipeline config: its parameter dataclasses and ``load_pipeline_config``.
+
+A pipeline config is one JSON document:
+
+    {"sim": {...}, "stats": {...}, "grid": {...}, "folds": F,
+     "holdout_runs": H, "accuracy_threshold": A, "seed": S, "output_dir": D}
+
+``sim`` is the simulation config (``ecosim.sim_config_from_dict``), ``stats``
+a ``StatConfig``, ``grid`` a ``HyperGrid`` of ``ForestParams``.  Loading and
+validating one needs no numpy, so a CLI command whose stage needs none
+starts without it; ``stattest``, ``forest`` and ``pipeline`` import these
+names from here.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, fields as dataclass_fields, replace
+
+from .ecosim import SimConfig, sim_config_from_dict
+from .errors import ConfigError, StatError, check_known_keys
+from .jsonio import read_json
+
+
+@dataclass(frozen=True)
+class StatConfig:
+    """alpha is the significance level; min_expected the smallest column mass
+    a chi-squared column may carry without being folded into the residual."""
+
+    alpha: float = 0.05
+    min_expected: float = 5.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise StatError(f"alpha must be in (0, 1), got {self.alpha}")
+        if isinstance(self.min_expected, bool) or not (
+                math.isfinite(self.min_expected) and self.min_expected > 0):
+            raise StatError(f"min_expected must be positive and finite, got {self.min_expected}")
+
+
+@dataclass(frozen=True)
+class ForestParams:
+    n_trees: int = 100
+    max_depth: int | None = None
+    features_per_split: str = "sqrt"  # "sqrt" or "all"
+    min_leaf: int = 1
+
+    def __post_init__(self):
+        _positive_int("n_trees", self.n_trees)
+        if self.max_depth is not None:
+            _positive_int("max_depth", self.max_depth, " or None")
+        if self.features_per_split not in ("sqrt", "all"):
+            raise ValueError(f"unknown features_per_split {self.features_per_split!r}")
+        _positive_int("min_leaf", self.min_leaf)
+
+
+def _positive_int(name: str, value, alternative: str = "") -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1{alternative}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class HyperGrid:
+    """Candidate hyperparameter sets for the grid search."""
+
+    n_trees: tuple[int, ...] = (50, 100, 200)
+    max_depth: tuple[int | None, ...] = (3, 5, None)
+    features_per_split: tuple[str, ...] = ("sqrt", "all")
+    min_leaf: tuple[int, ...] = (1, 2)
+
+    def __post_init__(self):
+        for name in ("n_trees", "max_depth", "features_per_split", "min_leaf"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"grid dimension {name} is empty")
+            # Each value alone, so points() never meets a value it cannot sort.
+            for value in values:
+                ForestParams(**{name: value})
+            # A repeated value would grow and score the same grid point twice.
+            if len(set(values)) != len(values):
+                raise ValueError(f"grid dimension {name} repeats a value: {list(values)}")
+
+    def points(self) -> list[ForestParams]:
+        """Grid points in canonical (lexicographic-parameter) order."""
+        depths = sorted(self.max_depth, key=lambda d: math.inf if d is None else d)
+        combos = itertools.product(
+            sorted(self.n_trees), depths, sorted(self.features_per_split), sorted(self.min_leaf))
+        return [ForestParams(*c) for c in combos]
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    sim: SimConfig
+    stats: StatConfig
+    grid: HyperGrid
+    folds: int
+    holdout_runs: int
+    accuracy_threshold: float
+    seed: int
+    output_dir: str
+    resolved: dict  # the config document as loaded, with the effective seed
+
+    def with_seed(self, seed: int) -> "PipelineConfig":
+        resolved = dict(self.resolved)
+        resolved["seed"] = seed
+        return replace(self, seed=seed, resolved=resolved)
+
+
+_CONFIG_KEYS = ("sim", "stats", "grid", "folds", "holdout_runs", "accuracy_threshold",
+                "seed", "output_dir")
+
+
+def _parse_grid(d: dict) -> HyperGrid:
+    if not isinstance(d, dict):
+        raise ConfigError("expected an object", "grid")
+    check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
+    dims = {}
+    for dim in dataclass_fields(HyperGrid):
+        values = d.get(dim.name, dim.default)
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"{dim.name} must be a list, got {values!r}", "grid")
+        dims[dim.name] = tuple(values)
+    try:
+        return HyperGrid(**dims)
+    except ValueError as e:
+        raise ConfigError(str(e), "grid") from None
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; a JSON bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_pipeline_config(source) -> PipelineConfig:
+    """Build a validated PipelineConfig from a dict or a JSON file path."""
+    doc = read_json(source) if not isinstance(source, dict) else source
+    if not isinstance(doc, dict):
+        raise ConfigError("expected a JSON object", str(source))
+    check_known_keys(doc, _CONFIG_KEYS)
+    if "sim" not in doc:
+        raise ConfigError("missing required field", "sim")
+    sim = sim_config_from_dict(doc["sim"])
+    try:
+        stats = StatConfig(**doc.get("stats", {}))
+    except (TypeError, StatError) as e:
+        raise ConfigError(str(e), "stats") from None
+    grid = _parse_grid(doc.get("grid", {}))
+    folds = doc.get("folds", 4)
+    holdout_runs = doc.get("holdout_runs", 2)
+    threshold = doc.get("accuracy_threshold", 0.6)
+    seed = doc.get("seed", sim.seed)
+    if not _is_int(seed):
+        raise ConfigError("seed must be an integer", "seed")
+    if not _is_int(holdout_runs) or not 0 <= holdout_runs < sim.runs:
+        raise ConfigError(
+            f"holdout_runs must be in [0, runs={sim.runs}), got {holdout_runs}",
+            "holdout_runs")
+    cv_runs = sim.runs - holdout_runs
+    if not _is_int(folds) or folds < 2:
+        raise ConfigError(f"folds must be an integer >= 2, got {folds}", "folds")
+    if cv_runs % folds != 0:
+        raise ConfigError(
+            f"folds must divide runs - holdout_runs = {cv_runs}, got {folds}", "folds")
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not 0 < threshold <= 1):
+        raise ConfigError(f"accuracy_threshold must be in (0, 1], got {threshold}",
+                          "accuracy_threshold")
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"must be a string, got {output_dir!r}", "output_dir")
+    resolved = dict(doc)
+    resolved["seed"] = seed
+    return PipelineConfig(
+        sim=sim, stats=stats, grid=grid, folds=folds, holdout_runs=holdout_runs,
+        accuracy_threshold=float(threshold), seed=seed,
+        output_dir=output_dir, resolved=resolved)

@@ -1,3 +1,11 @@
+"""The ad-ecosystem simulator.
+
+The package exports the world types, config parsing and auctions, none of
+which needs numpy.  The simulation itself (``prepare_simulation``,
+``generate_creative``, ``knowledge_state``) is in ``adtomo.ecosim.sim``,
+imported by the stages that simulate.
+"""
+
 from .auctions import AuctionOutcome, auction_hb, auction_rtb
 from .config import (
     SimConfig,
@@ -5,7 +13,6 @@ from .config import (
     make_blocking,
     sim_config_from_dict,
 )
-from .sim import generate_creative, knowledge_state, prepare_simulation
 from .types import (
     AdCreative,
     Advertiser,
@@ -26,7 +33,5 @@ __all__ = [
     "BlockingConfig", "InterestGroup", "Persona",
     "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
-    "enumerate_personas", "generate_creative",
-    "knowledge_state", "make_blocking", "prepare_simulation",
-    "sim_config_from_dict",
+    "enumerate_personas", "make_blocking", "sim_config_from_dict",
 ]

@@ -1,7 +1,6 @@
+from ..config import ForestParams, HyperGrid
 from .model import (
     ForestModel,
-    ForestParams,
-    HyperGrid,
     accuracy,
     best_point,
     cross_validate_grid,

@@ -27,65 +27,15 @@ separates its samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..config import ForestParams, HyperGrid
 from ..rng import substream, substream_key
 from . import kernels
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    max_depth: int | None = None
-    features_per_split: str = "sqrt"  # "sqrt" or "all"
-    min_leaf: int = 1
-
-    def __post_init__(self):
-        _positive_int("n_trees", self.n_trees)
-        if self.max_depth is not None:
-            _positive_int("max_depth", self.max_depth, " or None")
-        if self.features_per_split not in ("sqrt", "all"):
-            raise ValueError(f"unknown features_per_split {self.features_per_split!r}")
-        _positive_int("min_leaf", self.min_leaf)
-
-
-def _positive_int(name: str, value, alternative: str = "") -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1{alternative}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class HyperGrid:
-    """Candidate hyperparameter sets for the grid search."""
-
-    n_trees: tuple[int, ...] = (50, 100, 200)
-    max_depth: tuple[int | None, ...] = (3, 5, None)
-    features_per_split: tuple[str, ...] = ("sqrt", "all")
-    min_leaf: tuple[int, ...] = (1, 2)
-
-    def __post_init__(self):
-        for name in ("n_trees", "max_depth", "features_per_split", "min_leaf"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"grid dimension {name} is empty")
-            # Each value alone, so points() never meets a value it cannot sort.
-            for value in values:
-                ForestParams(**{name: value})
-            # A repeated value would grow and score the same grid point twice.
-            if len(set(values)) != len(values):
-                raise ValueError(f"grid dimension {name} repeats a value: {list(values)}")
-
-    def points(self) -> list[ForestParams]:
-        """Grid points in canonical (lexicographic-parameter) order."""
-        depths = sorted(self.max_depth, key=lambda d: math.inf if d is None else d)
-        combos = itertools.product(
-            sorted(self.n_trees), depths, sorted(self.features_per_split), sorted(self.min_leaf))
-        return [ForestParams(*c) for c in combos]
 
 
 @dataclass(frozen=True)

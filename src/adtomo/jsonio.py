@@ -80,27 +80,46 @@ def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
     return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
 
 
+def _utf8_error(path) -> ConfigError:
+    """ConfigError naming the first line of ``path`` that is not UTF-8.  The
+    text readers decode ahead of the line they yield, so the line is found
+    by reading the file again as bytes, only once a read has failed."""
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ConfigError(f"invalid UTF-8 (byte 0x{line[exc.start]:02x} at byte "
+                                   f"{exc.start + 1} of the line)", f"{path}:{lineno}")
+    return ConfigError("invalid UTF-8", str(path))
+
+
 def iter_jsonl(path, fields: Iterable[str] = (),
                check: Callable[[dict, int], str | None] | None = None) -> Iterator[dict]:
     """The records of a JSON-lines file, each yielded as its line is read.
-    A malformed line, a line that is not an object holding every name in
-    ``fields``, or a record for which ``check(record, lineno)`` returns a
-    message raises ConfigError naming the file and line."""
+    A line that is not UTF-8 or not JSON, a line that is not an object
+    holding every name in ``fields``, or a record for which
+    ``check(record, lineno)`` returns a message raises ConfigError naming
+    the file and line."""
     required = set(fields)
     with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise _decode_error(path, lineno, exc) from None
-                if required and not (isinstance(record, dict) and record.keys() >= required):
-                    raise _field_error(path, lineno, record, required)
-                problem = check(record, lineno) if check else None
-                if problem:
-                    raise ConfigError(problem, f"{path}:{lineno}")
-                yield record
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise _decode_error(path, lineno, exc) from None
+                    if required and not (isinstance(record, dict)
+                                         and record.keys() >= required):
+                        raise _field_error(path, lineno, record, required)
+                    problem = check(record, lineno) if check else None
+                    if problem:
+                        raise ConfigError(problem, f"{path}:{lineno}")
+                    yield record
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
 
 
 def read_jsonl(path, fields: Iterable[str] = (),
@@ -126,8 +145,29 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
+    """The JSON document of ``path``; a file that is not UTF-8 or not JSON
+    raises ConfigError naming the file and line."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise _decode_error(path, exc.lineno, exc) from None
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+
+
+def _check_fields(entry, fields: dict[str, type], where: str) -> None:
+    """ConfigError at ``where`` unless ``entry`` is a JSON object holding
+    every field of ``fields`` with its type."""
+    if not isinstance(entry, dict):
+        raise ConfigError("expected a JSON object", where)
+    for field, kind in fields.items():
+        if field not in entry:
+            raise ConfigError(f"missing field {field!r}", where)
+        if not isinstance(entry[field], kind):
+            raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}", where)
+
+
+def _check_strings(values: list, field: str, where: str) -> None:
+    if not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"field {field!r} must be a JSON list of strings", where)

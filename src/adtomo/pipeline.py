@@ -18,6 +18,13 @@ Every stage reads and writes fixed-name artifacts under one output directory:
 these same functions, so running stages individually over the emitted
 intermediates reproduces its artifacts byte for byte.
 
+The stages that need no numpy live in their own modules
+(``syncdetect.stage_syncdetect``, ``evaluation.stage_evaluate``) and the
+config in ``config``, so the CLI can run them without importing this one.
+This module imports them, and every module any stage calls, when it is
+imported: an in-process caller pays all imports before its first stage,
+never inside one.
+
 ``simulate`` and ``flag`` build their JSON-lines artifacts in pooled tasks
 from fragments encoded once (``jsonio.encode_*``); each task writes its part
 to disk and the parent splices the parts in item order (``_write_pooled``),
@@ -30,28 +37,25 @@ import csv
 import os
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .ecosim import SimConfig, prepare_simulation, sim_config_from_dict
-from .ecosim.types import RequestLogEntry
-from .errors import ConfigError, check_known_keys
-from .forest import HyperGrid
-from .jsonio import (encode_int, encode_scalar, encode_str, iter_jsonl, open_atomic,
-                     read_json, read_jsonl, write_json)
+from .config import PipelineConfig, load_pipeline_config
+from .ecosim.sim import prepare_simulation
+from .errors import ConfigError
+from .evaluation import stage_evaluate
+from .jsonio import (_check_fields, _check_strings, encode_int, encode_scalar, encode_str,
+                     iter_jsonl, open_atomic, read_json, read_jsonl, write_json)
 from .parallel import fork_map
-from .stattest import StatConfig, StatError
-from .syncdetect import detect_cookie_sync
+from .syncdetect import stage_syncdetect
 from .textvec import Corpus
 from .tomography import (
     AdLog,
     VectorRecord,
     collate,
     corpus_columns,
-    evaluate,
     flag_changes,
     group_run_vectors,
     h1_similarity_matrix,
@@ -66,94 +70,6 @@ ARTIFACTS = ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl", "personas.json",
              "report.csv", "sync_pairs.json", "evaluation.json")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    sim: SimConfig
-    stats: StatConfig
-    grid: HyperGrid
-    folds: int
-    holdout_runs: int
-    accuracy_threshold: float
-    seed: int
-    output_dir: str
-    resolved: dict  # the config document as loaded, with the effective seed
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        resolved = dict(self.resolved)
-        resolved["seed"] = seed
-        return replace(self, seed=seed, resolved=resolved)
-
-
-_CONFIG_KEYS = ("sim", "stats", "grid", "folds", "holdout_runs", "accuracy_threshold",
-                "seed", "output_dir")
-
-
-def _parse_grid(d: dict) -> HyperGrid:
-    if not isinstance(d, dict):
-        raise ConfigError("expected an object", "grid")
-    check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
-    dims = {}
-    for dim in dataclass_fields(HyperGrid):
-        values = d.get(dim.name, dim.default)
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"{dim.name} must be a list, got {values!r}", "grid")
-        dims[dim.name] = tuple(values)
-    try:
-        return HyperGrid(**dims)
-    except ValueError as e:
-        raise ConfigError(str(e), "grid") from None
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; a JSON bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def load_pipeline_config(source) -> PipelineConfig:
-    """Build a validated PipelineConfig from a dict or a JSON file path."""
-    doc = read_json(source) if not isinstance(source, dict) else source
-    if not isinstance(doc, dict):
-        raise ConfigError("expected a JSON object", str(source))
-    check_known_keys(doc, _CONFIG_KEYS)
-    if "sim" not in doc:
-        raise ConfigError("missing required field", "sim")
-    sim = sim_config_from_dict(doc["sim"])
-    try:
-        stats = StatConfig(**doc.get("stats", {}))
-    except (TypeError, StatError) as e:
-        raise ConfigError(str(e), "stats") from None
-    grid = _parse_grid(doc.get("grid", {}))
-    folds = doc.get("folds", 4)
-    holdout_runs = doc.get("holdout_runs", 2)
-    threshold = doc.get("accuracy_threshold", 0.6)
-    seed = doc.get("seed", sim.seed)
-    if not _is_int(seed):
-        raise ConfigError("seed must be an integer", "seed")
-    if not _is_int(holdout_runs) or not 0 <= holdout_runs < sim.runs:
-        raise ConfigError(
-            f"holdout_runs must be in [0, runs={sim.runs}), got {holdout_runs}",
-            "holdout_runs")
-    cv_runs = sim.runs - holdout_runs
-    if not _is_int(folds) or folds < 2:
-        raise ConfigError(f"folds must be an integer >= 2, got {folds}", "folds")
-    if cv_runs % folds != 0:
-        raise ConfigError(
-            f"folds must divide runs - holdout_runs = {cv_runs}, got {folds}", "folds")
-    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-            or not 0 < threshold <= 1):
-        raise ConfigError(f"accuracy_threshold must be in (0, 1], got {threshold}",
-                          "accuracy_threshold")
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"must be a string, got {output_dir!r}", "output_dir")
-    resolved = dict(doc)
-    resolved["seed"] = seed
-    return PipelineConfig(
-        sim=sim, stats=stats, grid=grid, folds=folds, holdout_runs=holdout_runs,
-        accuracy_threshold=float(threshold), seed=seed,
-        output_dir=output_dir, resolved=resolved)
-
-
 # --------------------------------------------------------------------------
 # artifact (de)serialization
 # --------------------------------------------------------------------------
@@ -164,23 +80,6 @@ def _persona_manifest(cfg: PipelineConfig) -> list[dict]:
 
 
 _PERSONA_FIELDS = {"id": str, "group": str, "blocked": list, "is_control": bool}
-
-
-def _check_fields(entry, fields: dict[str, type], where: str) -> None:
-    """ConfigError at ``where`` unless ``entry`` is a JSON object holding
-    every field of ``fields`` with its type."""
-    if not isinstance(entry, dict):
-        raise ConfigError("expected a JSON object", where)
-    for field, kind in fields.items():
-        if field not in entry:
-            raise ConfigError(f"missing field {field!r}", where)
-        if not isinstance(entry[field], kind):
-            raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}", where)
-
-
-def _check_strings(values: list, field: str, where: str) -> None:
-    if not all(isinstance(v, str) for v in values):
-        raise ConfigError(f"field {field!r} must be a JSON list of strings", where)
 
 
 def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
@@ -255,28 +154,6 @@ def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
     return AdLog(*(np.frombuffer(column, dtype=column.typecode)
                    for column in (run, persona, advertiser, offsets, token)),
                  list(persona_ids), list(advertiser_ids), list(token_ids))
-
-
-def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
-    """The entries of ``requestlog.jsonl``, each built as its line is read."""
-    def check(r, lineno: int) -> str | None:
-        for field in ("run", "chain_position"):
-            if type(r[field]) is not int:
-                return f"field {field!r} must be a JSON integer"
-        for field in ("persona", "source_domain", "destination_domain"):
-            if type(r[field]) is not str:
-                return f"field {field!r} must be a JSON string"
-        for field in ("cookie_sent", "uid_param"):
-            if r[field] is not None and type(r[field]) is not str:
-                return f"field {field!r} must be a JSON string or null"
-        return None
-
-    return read_jsonl(out_dir / "requestlog.jsonl",
-                      fields=("run", "persona", "chain_position", "source_domain",
-                              "destination_domain", "cookie_sent", "uid_param"), check=check,
-                      build=lambda r: RequestLogEntry(
-                          r["run"], r["persona"], r["chain_position"], r["source_domain"],
-                          r["destination_domain"], r["cookie_sent"], r["uid_param"]))
 
 
 def _read_corpus(out_dir: Path) -> Corpus:
@@ -480,41 +357,6 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
                 writer.writerow([
                     r.advertiser, repr(r.cv_accuracy), repr(r.holdout_accuracy), t,
                     repr(r.gains[t]), t in r.inferred, (t, r.advertiser) in truth])
-
-
-def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
-    report = detect_cookie_sync(_read_requestlog(out_dir))
-
-    def rows(pairs):
-        return [{"initiator": p.initiator, "receiver": p.receiver,
-                 "evidence": [list(e) for e in p.evidence]} for p in pairs]
-
-    write_json(out_dir / "sync_pairs.json",
-               {"pairs": rows(report.pairs),
-                "weak_candidates": rows(report.weak_candidates)})
-
-
-def _read_inferred_edges(out_dir: Path) -> set[tuple[str, str]]:
-    path = out_dir / "report.json"
-    report = read_json(path)
-    _check_fields(report, {"advertisers": list}, str(path))
-    for i, row in enumerate(report["advertisers"]):
-        where = f"{path}: advertisers entry {i}"
-        _check_fields(row, {"advertiser": str, "inferred": list}, where)
-        _check_strings(row["inferred"], "inferred", where)
-    return {(t, row["advertiser"]) for row in report["advertisers"] for t in row["inferred"]}
-
-
-def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    inferred = _read_inferred_edges(out_dir)
-    truth = cfg.sim.world.graph.as_pairs()
-    precision, recall = evaluate(inferred, truth)
-    write_json(out_dir / "evaluation.json", {
-        "precision": precision,
-        "recall": recall,
-        "inferred_edges": sorted(list(e) for e in inferred),
-        "true_edges": sorted(list(e) for e in truth),
-    })
 
 
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:

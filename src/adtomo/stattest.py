@@ -37,11 +37,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import StatConfig
+from .errors import StatError
 from .special import regularized_gamma_q, regularized_incomplete_beta
-
-
-class StatError(ValueError):
-    pass
 
 
 class DegenerateTableError(StatError):
@@ -55,22 +53,6 @@ class TestResult:
     df: float
     p_value: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class StatConfig:
-    """alpha is the significance level; min_expected the smallest column mass
-    a chi-squared column may carry without being folded into the residual."""
-
-    alpha: float = 0.05
-    min_expected: float = 5.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise StatError(f"alpha must be in (0, 1), got {self.alpha}")
-        if isinstance(self.min_expected, bool) or not (
-                math.isfinite(self.min_expected) and self.min_expected > 0):
-            raise StatError(f"min_expected must be positive and finite, got {self.min_expected}")
 
 
 def student_t_sf(t: float, df: float) -> float:

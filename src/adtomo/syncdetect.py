@@ -10,18 +10,22 @@ result.
 Identifier ownership is read from the structured forms ``c:<domain>`` and
 ``uid:<domain>`` the simulator emits; unstructured identifiers fall back to
 HTTP semantics (a cookie is the destination's, a uid parameter the source's).
+
+``stage_syncdetect`` reads ``requestlog.jsonl`` and writes
+``sync_pairs.json``; it needs no numpy, so ``adtomo syncdetect`` starts
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
+from .config import PipelineConfig
 from .ecosim.types import RequestLogEntry
-
-
-class MalformedChainError(ValueError):
-    pass
+from .errors import MalformedChainError
+from .jsonio import read_jsonl, write_json
 
 
 @dataclass(frozen=True)
@@ -85,3 +89,37 @@ def detect_cookie_sync(log: Iterable[RequestLogEntry]) -> SyncReport:
                      for (src, dst), ev in sorted(found.items()))
 
     return SyncReport(pairs=as_pairs(strict), weak_candidates=as_pairs(weak))
+
+
+def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
+    """The entries of ``requestlog.jsonl``, each built as its line is read."""
+    def check(r, lineno: int) -> str | None:
+        for field in ("run", "chain_position"):
+            if type(r[field]) is not int:
+                return f"field {field!r} must be a JSON integer"
+        for field in ("persona", "source_domain", "destination_domain"):
+            if type(r[field]) is not str:
+                return f"field {field!r} must be a JSON string"
+        for field in ("cookie_sent", "uid_param"):
+            if r[field] is not None and type(r[field]) is not str:
+                return f"field {field!r} must be a JSON string or null"
+        return None
+
+    return read_jsonl(out_dir / "requestlog.jsonl",
+                      fields=("run", "persona", "chain_position", "source_domain",
+                              "destination_domain", "cookie_sent", "uid_param"), check=check,
+                      build=lambda r: RequestLogEntry(
+                          r["run"], r["persona"], r["chain_position"], r["source_domain"],
+                          r["destination_domain"], r["cookie_sent"], r["uid_param"]))
+
+
+def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
+    report = detect_cookie_sync(_read_requestlog(out_dir))
+
+    def rows(pairs):
+        return [{"initiator": p.initiator, "receiver": p.receiver,
+                 "evidence": [list(e) for e in p.evidence]} for p in pairs]
+
+    write_json(out_dir / "sync_pairs.json",
+               {"pairs": rows(report.pairs),
+                "weak_candidates": rows(report.weak_candidates)})

@@ -4,7 +4,8 @@ Stages: collate per-(advertiser, persona, run) count-vector records ->
 chi-squared change flagging against the pooled control -> run segmentation
 into cross-validation and holdout sets -> per-advertiser grid-searched random
 forest -> holdout-gated mean-plus-sigma information-gain rule ->
-precision/recall against the planted graph.  The personas, one per
+precision/recall against the planted graph (``evaluation.evaluate``, which
+needs no numpy and is imported here).  The personas, one per
 blocked-tracker combination, are enumerated by ``ecosim.enumerate_personas``.
 
 Flagging is deliberately conservative: a record whose table cannot support a
@@ -40,7 +41,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MissingControlError
+from .evaluation import evaluate
 from .forest import (
     ForestParams,
     HyperGrid,
@@ -55,10 +57,6 @@ from .parallel import fork_map
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, flags_against, welch_t_test
 from .textvec import cosine_similarity
-
-
-class MissingControlError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,21 +336,6 @@ def run_inference(cv_records: Sequence[VectorRecord], holdout_records: Sequence[
             gains={t: float(g) for t, g in zip(trackers, gains)},
             inferred=inferred))
     return reports
-
-
-def evaluate(inferred: Iterable[tuple[str, str]],
-             truth: Iterable[tuple[str, str]]) -> tuple[float, float]:
-    """Precision and recall of inferred (tracker, advertiser) edges.
-
-    An empty side scores 1.0 by convention: no inferences means no false
-    positives, an empty truth set means nothing was missed.
-    """
-    inferred = set(inferred)
-    truth = set(truth)
-    hits = len(inferred & truth)
-    precision = hits / len(inferred) if inferred else 1.0
-    recall = hits / len(truth) if truth else 1.0
-    return precision, recall
 
 
 def h1_similarity_matrix(vectors: Mapping[tuple[str, int], Mapping[int, int]]) -> H1Result:

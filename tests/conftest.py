@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adtomo.ecosim import prepare_simulation
+from adtomo.ecosim.sim import prepare_simulation
 from adtomo.tomography import AdLog
 
 sys.path.insert(0, str(Path(__file__).parent))

@@ -8,7 +8,7 @@ import pytest
 
 from adtomo.pipeline import ARTIFACTS
 
-from conftest import load_config
+from conftest import CONFIG_DIR, load_config
 
 
 def run_cli(*args):
@@ -213,6 +213,44 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
+
+    def test_config_directory_is_config_error(self, tmp_path):
+        proc = run_cli("simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"adtomo: config path is a directory: {tmp_path}\n"
+
+    def test_config_os_error_is_io_error(self, tmp_path):
+        # a path through a regular file: neither missing nor a directory
+        path = write_config(tmp_path, load_config("mini")) / "config.json"
+        proc = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("adtomo: i/o error: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage, name", [
+        ("flag", "adlog.jsonl"),
+        ("infer", "records.jsonl"),
+        ("infer", "personas.json"),
+        ("infer", "corpus.json"),
+        ("syncdetect", "requestlog.jsonl"),
+        ("evaluate", "report.json"),
+        ("simulate", "config.json"),
+    ])
+    def test_input_not_utf8_names_file_and_line(self, mini_run, tmp_path, stage, name):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        cfg_path = shutil.copy(cfg_path, tmp_path / "config.json")
+        path = tmp_path / name if name == "config.json" else out / name
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        data[middle] = 0xFF
+        path.write_bytes(data)
+        line = data[:middle].count(b"\n") + 1
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"{path}:{line}: invalid UTF-8 (byte 0xff at byte " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_subcommand_usage_error(self):
         proc = run_cli("frobnicate", "--config", "x.json")
@@ -574,6 +612,41 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "report.json: missing field 'advertisers'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestImports:
+    """A CLI process imports what its command runs; the in-process entry
+    point ``adtomo.pipeline`` imports every stage's modules up front."""
+
+    @staticmethod
+    def python(code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_cli_loads_config_without_numpy(self):
+        code = ("import sys; from adtomo import cli; "
+                "cli.load_pipeline_config(sys.argv[1]); print('numpy' in sys.modules)")
+        assert self.python(code, CONFIG_DIR / "desk.json") == ["False"]
+
+    @pytest.mark.parametrize("stage, artifact", [("syncdetect", "sync_pairs.json"),
+                                                 ("evaluate", "evaluation.json")])
+    def test_stage_runs_without_numpy(self, mini_run, tmp_path, stage, artifact):
+        cfg_path, out = mini_run
+        staged = shutil.copytree(out, tmp_path / "out")
+        (staged / artifact).unlink()
+        code = ("import sys; from adtomo import cli; "
+                "code = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
+                "print(code, 'numpy' in sys.modules)")
+        assert self.python(code, stage, cfg_path, staged) == ["0", "False"]
+        assert (staged / artifact).read_bytes() == (out / artifact).read_bytes()
+
+    def test_pipeline_import_loads_every_stage_module(self):
+        modules = ["numpy", "adtomo.forest.kernels", "adtomo.tomography", "adtomo.stattest",
+                   "adtomo.ecosim.sim", "adtomo.syncdetect", "adtomo.evaluation"]
+        code = "import sys, adtomo.pipeline; print(*[m in sys.modules for m in sys.argv[1:]])"
+        assert self.python(code, *modules) == ["True"] * len(modules)
 
 
 class TestH1Command:

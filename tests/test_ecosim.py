@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from adtomo.ecosim import (
-    BlockingConfig,
-    Persona,
-    generate_creative,
-    knowledge_state,
-    sim_config_from_dict,
-)
+from adtomo.ecosim import BlockingConfig, Persona, sim_config_from_dict
+from adtomo.ecosim.sim import generate_creative, knowledge_state
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, stage_simulate
 from adtomo.rng import substream

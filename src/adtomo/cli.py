@@ -19,10 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_pipeline_config
-from .errors import (ConfigError, MalformedChainError, MissingControlError, StatError,
-                     WorkerLostError)
-
-_INPUT_ERRORS = (ConfigError, StatError, MissingControlError, MalformedChainError)
+from .errors import ConfigError, StatError, WorkerLostError
 
 
 def _stage(module: str, name: str):
@@ -44,7 +41,7 @@ _STAGES = {
 
 _DESCRIPTIONS = {
     "simulate": "build the world and emit ad/request/bid logs",
-    "flag": "collate vector records and flag changes against the control",
+    "flag": "count each record's creatives and flag changes against the controls",
     "infer": "fit per-advertiser models and infer sharing relationships",
     "h1": "similarity matrix of per-(group, run) ad documents",
     "syncdetect": "detect cookie-sync pairs in the request log",
@@ -88,7 +85,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _STAGES[args.command](cfg, out_dir)
-    except _INPUT_ERRORS as exc:
+    except (ConfigError, StatError) as exc:
         print(f"adtomo: config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

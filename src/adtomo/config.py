@@ -149,12 +149,12 @@ def load_pipeline_config(source) -> PipelineConfig:
     folds = doc.get("folds", 4)
     holdout_runs = doc.get("holdout_runs", 2)
     threshold = doc.get("accuracy_threshold", 0.6)
-    seed = doc.get("seed", sim.seed)
+    seed = doc.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("seed must be an integer", "seed")
-    if not _is_int(holdout_runs) or not 0 <= holdout_runs < sim.runs:
+    if not _is_int(holdout_runs) or not 1 <= holdout_runs < sim.runs:
         raise ConfigError(
-            f"holdout_runs must be in [0, runs={sim.runs}), got {holdout_runs}",
+            f"holdout_runs must be in [1, runs={sim.runs}), got {holdout_runs}",
             "holdout_runs")
     cv_runs = sim.runs - holdout_runs
     if not _is_int(folds) or folds < 2:

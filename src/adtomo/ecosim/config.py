@@ -5,7 +5,7 @@ The canonical encoding is one JSON document:
     {"world": {"generic_pool": [...], "groups": [...], "websites": [...],
                "trackers": [...], "advertisers": [...], "edges": [...],
                "slots": [...], "sync_pairs": [...]},
-     "run":   {"personas": ..., "runs": N, "seed": S}}
+     "run":   {"personas": ..., "runs": N}}
 
 ``run.personas`` is either an explicit list of persona objects or an
 enumeration spec ``{"group": g, "controls": c}`` that creates one persona per
@@ -43,7 +43,6 @@ class SimConfig:
     world: World          # validated static world
     personas: tuple[Persona, ...]
     runs: int
-    seed: int
 
 
 def _typed(value, kind, path):
@@ -299,7 +298,7 @@ def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
 
 
 _SIM_KEYS = ("world", "run")
-_RUN_KEYS = ("personas", "runs", "seed")
+_RUN_KEYS = ("personas", "runs")
 _WORLD_KEYS = ("generic_pool", "groups", "websites", "trackers", "advertisers", "edges",
                "slots", "sync_pairs")
 
@@ -317,8 +316,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     runs = _require(run_section, "runs", "run", int)
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}", "run.runs")
-    seed = _typed(run_section.get("seed", 0), int, "run.seed")
     world = _parse_world(world_section)
     personas = _parse_personas(_require(run_section, "personas", "run"), world)
-    return SimConfig(world=world, personas=personas, runs=runs, seed=seed)
+    return SimConfig(world=world, personas=personas, runs=runs)
 

@@ -13,14 +13,6 @@ class StatError(ValueError):
     """Invalid statistical parameters or input to a statistical test."""
 
 
-class MissingControlError(ValueError):
-    """A record to flag has no control record for its (advertiser, run)."""
-
-
-class MalformedChainError(ValueError):
-    """A redirect chain of the request log has a negative or missing position."""
-
-
 class WorkerLostError(RuntimeError):
     """A pool worker process died (killed, or out of memory) before it
     returned its task's result."""

@@ -37,6 +37,7 @@ import csv
 import os
 from array import array
 from contextlib import ExitStack
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -53,10 +54,9 @@ from .syncdetect import stage_syncdetect
 from .textvec import Corpus
 from .tomography import (
     AdLog,
-    VectorRecord,
-    collate,
+    FlaggedRecord,
     corpus_columns,
-    flag_changes,
+    flag_records,
     group_run_vectors,
     h1_similarity_matrix,
     run_inference,
@@ -168,11 +168,11 @@ def _read_corpus(out_dir: Path) -> Corpus:
     return Corpus(index)
 
 
-def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
+def _read_records(out_dir: Path, corpus: Corpus) -> list[FlaggedRecord]:
     """The records of ``records.jsonl``, every field checked and every token
-    checked against the corpus.  Inference reads no counts, so each record
-    is built with an empty vector as its line is read: the decoded counts
-    are never all held at once."""
+    checked against the corpus.  Inference reads no counts, so a record
+    keeps only its key and flag: the decoded counts are never all held at
+    once.  A ``null`` flag is a record the flag stage did not write."""
     index = corpus.word_index
     first_line: dict[tuple[str, str, int], int] = {}
 
@@ -183,8 +183,10 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
         if type(r["run"]) is not int:
             return "field 'run' must be a JSON integer"
         flag = r["is_different_from_control"]
-        if flag is not None and not isinstance(flag, bool):
-            return "field 'is_different_from_control' must be a JSON bool or null"
+        if flag is None:
+            return "flag stage required: field 'is_different_from_control' is null"
+        if not isinstance(flag, bool):
+            return "field 'is_different_from_control' must be a JSON bool"
         if not isinstance(r["counts"], dict):
             return "'counts' must be a JSON object of token -> count"
         for token, c in r["counts"].items():
@@ -202,8 +204,8 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[VectorRecord]:
     return read_jsonl(out_dir / "records.jsonl",
                       fields=("advertiser", "persona", "run", "counts",
                               "is_different_from_control"), check=check,
-                      build=lambda r: VectorRecord(r["advertiser"], r["persona"], r["run"], {},
-                                                   r["is_different_from_control"]))
+                      build=lambda r: FlaggedRecord(r["advertiser"], r["persona"], r["run"],
+                                                    r["is_different_from_control"]))
 
 
 # --------------------------------------------------------------------------
@@ -273,20 +275,20 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
-    """Collate, flag and encode each advertiser's records in a process pool,
-    one task per advertiser.  The parent reads ``adlog.jsonl`` into integer
-    columns (``_read_ad_columns``) that every task inherits and none copies.
-    Every task collates on the whole log's (persona, run) grid and writes
-    its lines to a part file appended to ``records.jsonl`` in advertiser
-    order, so no process holds every record.  Each line is built from the
-    corpus tokens and persona ids, encoded once before the pool forks."""
+    """Flag and encode each advertiser's records in a process pool, one task
+    per advertiser (``flag_records``).  The parent reads ``adlog.jsonl`` into
+    integer columns (``_read_ad_columns``) that every task inherits and none
+    copies.  Each task writes its lines to a part file appended to
+    ``records.jsonl`` in advertiser order, so no process holds every record.
+    Each line is built from the corpus tokens and persona ids, encoded once
+    before the pool forks."""
     log = _read_ad_columns(out_dir, cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     _check_known_personas(log.personas, personas, out_dir / "adlog.jsonl")
     is_control = {p["id"]: p["is_control"] for p in personas}
-    if not any(is_control.values()):
-        raise ConfigError("flag stage requires at least one control persona",
-                          "run.personas")
+    if not any(is_control[p] for p in log.personas):
+        raise ConfigError("flag stage requires a control persona with at least one ad",
+                          str(out_dir / "adlog.jsonl"))
     tokens, column = corpus_columns(log.tokens)
     write_json(out_dir / "corpus.json", {"tokens": tokens})
     # '"token":' per corpus column, and ',"persona":P,"run":' per persona.
@@ -294,18 +296,15 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in log.personas}
 
     def flag_advertiser(advertiser: str) -> tuple[str]:
-        records = collate(log, advertiser, column)
-        flagged = flag_changes([r for r in records if not is_control[r.persona]],
-                               [r for r in records if is_control[r.persona]], cfg.stats)
-        del records  # the flagged records share its vectors; the rest can go
         head = '{"advertiser":' + encode_str(advertiser)
 
-        def line(r: VectorRecord) -> str:
-            counts = ",".join([token_keys[i] + encode_int(c) for i, c in sorted(r.vector.items())])
-            return (f'{head}{persona_heads[r.persona]}{encode_int(r.run)},"counts":{{{counts}}},'
-                    f'"is_different_from_control":{encode_scalar(r.is_different_from_control)}}}\n')
+        def line(persona: str, run: int, vector: dict[int, int], flag: bool) -> str:
+            counts = ",".join([token_keys[i] + encode_int(c) for i, c in sorted(vector.items())])
+            return (f'{head}{persona_heads[persona]}{encode_int(run)},"counts":{{{counts}}},'
+                    f'"is_different_from_control":{encode_scalar(flag)}}}\n')
 
-        return ("".join(map(line, flagged)),)
+        return ("".join(starmap(line, flag_records(log, advertiser, column, is_control,
+                                                   cfg.stats))),)
 
     _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, sorted(log.advertisers))
 
@@ -325,8 +324,6 @@ def _report_meta(cfg: PipelineConfig) -> dict:
 def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
     corpus = _read_corpus(out_dir)
     records = _read_records(out_dir, corpus)
-    if any(r.is_different_from_control is None for r in records):
-        raise ConfigError("flag stage required: records carry no flags", "records")
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
     _check_known_personas({r.persona for r in records}, personas, out_dir / "records.jsonl")
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .config import PipelineConfig
 from .ecosim.types import RequestLogEntry
-from .errors import MalformedChainError
+from .errors import ConfigError
 from .jsonio import read_jsonl, write_json
 
 
@@ -51,15 +51,18 @@ def _owner(value: str | None, prefix: str) -> str | None:
 
 
 def _validate_chains(entries: list[RequestLogEntry]) -> None:
+    """ConfigError naming ``requestlog.jsonl`` and the chain unless every
+    (run, persona) chain holds the positions 0 .. n - 1 once each."""
     chains: dict[tuple[int, str], list[int]] = {}
     for e in entries:
         if e.chain_position < 0:
-            raise MalformedChainError(
-                f"negative chain position in chain {(e.run, e.persona)}")
+            raise ConfigError(f"negative position in chain (run {e.run}, persona {e.persona!r})",
+                              "requestlog.jsonl")
         chains.setdefault((e.run, e.persona), []).append(e.chain_position)
-    for chain_id, positions in chains.items():
+    for (run, persona), positions in chains.items():
         if sorted(positions) != list(range(len(positions))):
-            raise MalformedChainError(f"position gaps in chain {chain_id}")
+            raise ConfigError(f"position gaps in chain (run {run}, persona {persona!r})",
+                              "requestlog.jsonl")
 
 
 def detect_cookie_sync(log: Iterable[RequestLogEntry]) -> SyncReport:

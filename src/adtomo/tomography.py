@@ -1,7 +1,7 @@
 """The tomography pipeline: from ad logs to inferred sharing edges.
 
-Stages: collate per-(advertiser, persona, run) count-vector records ->
-chi-squared change flagging against the pooled control -> run segmentation
+Stages: per-(advertiser, persona, run) count vectors, each flagged by a
+chi-squared test against the run's pooled control -> run segmentation
 into cross-validation and holdout sets -> per-advertiser grid-searched random
 forest -> holdout-gated mean-plus-sigma information-gain rule ->
 precision/recall against the planted graph (``evaluation.evaluate``, which
@@ -20,12 +20,15 @@ batch over the control's support plus the columns some record fills to
 table and goes straight into that record's residual, so each record gets the
 flag its own 2 x V table would give.
 
-The ad log is read once into integer columns (``AdLog``).  ``collate``
-selects one advertiser's ads from them, keys each token occurrence by
-(record, corpus column), sorts the keys once and run-length encodes them,
-so each record's vector comes from its own slice of the runs.  It and
-``flag_changes`` need only one advertiser's ads, so the flag stage runs them
-per advertiser in separate processes that share the parent's columns.
+The ad log is read once into integer columns (``AdLog``).  ``flag_records``
+selects one advertiser's ads from them and keys each token occurrence by
+(row, corpus column).  A row is a (non-control persona, run) or, for every
+control persona alike, the run's pooled control.  The keys are sorted once
+and run-length encoded, so each record's vector and each run's pooled
+control come from their own slices of the runs.  It needs only one
+advertiser's ads, so the flag stage runs it per advertiser in separate
+processes that share the parent's columns.  Inference reads the flags
+back as ``FlaggedRecord``s, which keep no counts.
 
 The forest sees one advertiser's records as arrays (X, y, personas), built
 once for the cross-validation set and once for the holdout set.  The rows
@@ -41,7 +44,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MissingControlError
+from .errors import ConfigError
 from .evaluation import evaluate
 from .forest import (
     ForestParams,
@@ -60,12 +63,14 @@ from .textvec import cosine_similarity
 
 
 @dataclass(frozen=True, slots=True)
-class VectorRecord:
+class FlaggedRecord:
+    """One line of ``records.jsonl`` as inference reads it: its counts are
+    not kept."""
+
     advertiser: str
     persona: str
     run: int
-    vector: dict[int, int]          # column index -> count (>= 1 only)
-    is_different_from_control: bool | None = None
+    is_different_from_control: bool
 
 
 @dataclass(frozen=True)
@@ -144,23 +149,6 @@ def _count_vectors(log: AdLog, ads: np.ndarray, record: np.ndarray, column: np.n
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def collate(log: AdLog, advertiser: str, column: np.ndarray) -> list[VectorRecord]:
-    """One record of ``advertiser`` per (persona, run) of the whole log's
-    grid, its personas sorted and the runs that hold an ad ascending, with
-    the tokens of all its creatives counted into one vector over the corpus
-    columns ``column`` (per token id).  A (persona, run) the advertiser won
-    nothing for gets an empty vector."""
-    personas = sorted(log.personas)
-    held = np.bincount(log.run) > 0
-    runs = np.flatnonzero(held).tolist()
-    ads = np.flatnonzero(log.advertiser == log.advertisers.index(advertiser))
-    record = (_ranks(log.personas, personas)[log.persona[ads]] * len(runs)
-              + (np.cumsum(held) - 1)[log.run[ads]])
-    vectors = _count_vectors(log, ads, record, column, len(personas) * len(runs))
-    return [VectorRecord(advertiser, p, r, vectors[i * len(runs) + j])
-            for i, p in enumerate(personas) for j, r in enumerate(runs)]
-
-
 def group_run_vectors(log: AdLog, group_of: Mapping[str, str]
                       ) -> dict[tuple[str, int], dict[int, int]]:
     """Per (group, run) that holds an ad, the token-id -> count vector of its
@@ -177,40 +165,35 @@ def group_run_vectors(log: AdLog, group_of: Mapping[str, str]
     return {(groups[r // n_runs], r % n_runs): vectors[r] for r in held}
 
 
-def flag_changes(records: Sequence[VectorRecord], control_records: Sequence[VectorRecord],
-                 config: StatConfig = StatConfig()) -> list[VectorRecord]:
-    """Flag each record whose count vector is statistically dependent on its
-    source (persona vs pooled control) at the configured alpha.
-
-    Controls are pooled per (advertiser, run) across all control personas.
-    Each record is tested on the 2 x V table over the union of the two
-    supports, columns in ascending index order: a column both rows leave at
-    zero has zero mass, so low-mass collapsing would drop it anyway.  The
-    records of one (advertiser, run) are flagged in one ``flags_against``
-    call.  Records whose table is degenerate are flagged False.
-    """
-    pooled: dict[tuple[str, int], dict[int, int]] = {}
-    for rec in control_records:
-        control = pooled.setdefault((rec.advertiser, rec.run), {})
-        for idx, c in rec.vector.items():
-            control[idx] = control.get(idx, 0) + c
-    groups: dict[tuple[str, int], list[dict[int, int]]] = {}
-    for rec in records:
-        key = (rec.advertiser, rec.run)
-        if key not in pooled:
-            raise MissingControlError(
-                f"no control record for advertiser {rec.advertiser!r} run {rec.run}")
-        groups.setdefault(key, []).append(rec.vector)
-    # Each group's flags in record order, consumed below in that order.
-    flags = {key: iter(flags_against(pooled[key], vectors, config))
-             for key, vectors in groups.items()}
-    return [VectorRecord(rec.advertiser, rec.persona, rec.run, rec.vector,
-                         next(flags[(rec.advertiser, rec.run)]))
-            for rec in records]
+def flag_records(log: AdLog, advertiser: str, column: np.ndarray,
+                 is_control: Mapping[str, bool], config: StatConfig = StatConfig()
+                 ) -> list[tuple[str, int, dict[int, int], bool]]:
+    """(persona, run, vector, flag) of ``advertiser`` per non-control persona
+    of the log, personas sorted, and per run that holds an ad, runs
+    ascending.  The vector counts the tokens of the advertiser's creatives
+    for that (persona, run) over the corpus columns ``column`` (per token
+    id), empty where it won nothing.  Every control persona maps to one
+    pooled row per run, so the sort that builds the vectors also sums the
+    controls, and each run's vectors are flagged against that row in one
+    ``flags_against`` call: flag True when the record's 2 x V table gives
+    ``p < config.alpha``, False where the table is degenerate."""
+    personas = sorted(p for p in log.personas if not is_control[p])
+    held = np.bincount(log.run) > 0
+    runs = np.flatnonzero(held).tolist()
+    rank = {p: i for i, p in enumerate(personas)}
+    row = np.array([rank.get(p, len(personas)) for p in log.personas], dtype=np.int64)
+    ads = np.flatnonzero(log.advertiser == log.advertisers.index(advertiser))
+    record = row[log.persona[ads]] * len(runs) + (np.cumsum(held) - 1)[log.run[ads]]
+    n = len(personas) * len(runs)  # the runs' pooled controls follow the n records
+    vectors = _count_vectors(log, ads, record, column, n + len(runs))
+    flags = [flags_against(vectors[n + j], vectors[j:n:len(runs)], config)
+             for j in range(len(runs))]
+    return [(p, r, vectors[i * len(runs) + j], flags[j][i])
+            for i, p in enumerate(personas) for j, r in enumerate(runs)]
 
 
-def segment_records(records: Sequence[VectorRecord], runs: int, holdout_runs: int,
-                    seed: int) -> tuple[list[VectorRecord], list[VectorRecord]]:
+def segment_records(records: Sequence[FlaggedRecord], runs: int, holdout_runs: int,
+                    seed: int) -> tuple[list[FlaggedRecord], list[FlaggedRecord]]:
     """Split records by run index into (cross-validation, holdout) sets.
 
     The holdout runs are one seed-derived draw shared by every (advertiser,
@@ -253,15 +236,12 @@ def infer_relationships(gains, holdout_accuracy: float, accuracy_threshold: floa
     return tuple(t for t, g in zip(tracker_ids, gains) if g > cutoff)
 
 
-def _design(records: Sequence[VectorRecord], trackers: Sequence[str],
+def _design(records: Sequence[FlaggedRecord], trackers: Sequence[str],
             blocking_by_persona: Mapping[str, Iterable[str]]
             ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(X, y, personas) of one advertiser's records, rows sorted by (persona,
     flag): X[i, j] is 1 when the row's persona blocks ``trackers[j]``, y[i]
     is its change flag."""
-    if any(rec.is_different_from_control is None for rec in records):
-        raise ConfigError("flag stage required: records carry no "
-                          "is_different_from_control flags")
     ordered = sorted(records, key=lambda r: (r.persona, r.is_different_from_control))
     personas = [rec.persona for rec in ordered]
     rows: dict[str, list[bool]] = {}
@@ -274,8 +254,9 @@ def _design(records: Sequence[VectorRecord], trackers: Sequence[str],
     return X, y, personas
 
 
-def run_inference(cv_records: Sequence[VectorRecord], holdout_records: Sequence[VectorRecord],
-                  grid: HyperGrid, folds: int, seed: int, trackers: Sequence[str],
+def run_inference(cv_records: Sequence[FlaggedRecord],
+                  holdout_records: Sequence[FlaggedRecord], grid: HyperGrid, folds: int,
+                  seed: int, trackers: Sequence[str],
                   blocking_by_persona: Mapping[str, Iterable[str]],
                   accuracy_threshold: float = 0.6) -> list[AdvertiserReport]:
     """Fit one model per advertiser and apply the inference rule.
@@ -287,12 +268,20 @@ def run_inference(cv_records: Sequence[VectorRecord], holdout_records: Sequence[
     does not depend on the worker count.  Every advertiser appears in the
     output with its accuracies even when the holdout gate empties its
     inferred set.
+
+    One task per advertiser, grid search and final fit together, saves the
+    second pool's start-up and was measured on 2 vCPU.  It is faster on small
+    inputs: ``small`` infer 0.539 -> 0.505 s (median of 7 alternating runs),
+    ``mini`` 24 -> 16 ms.  But full ``desk`` infer went from 90.1 to 102.0 s
+    (median of 2): nine advertiser tasks do not split evenly over 2 workers.
+    So the (advertiser, grid point) tasks stay.  Every ``report.json`` was
+    byte-identical either way.
     """
     trackers = tuple(sorted(trackers))
-    by_advertiser: dict[str, list[VectorRecord]] = {}
+    by_advertiser: dict[str, list[FlaggedRecord]] = {}
     for rec in cv_records:
         by_advertiser.setdefault(rec.advertiser, []).append(rec)
-    holdout_by_advertiser: dict[str, list[VectorRecord]] = {}
+    holdout_by_advertiser: dict[str, list[FlaggedRecord]] = {}
     for rec in holdout_records:
         holdout_by_advertiser.setdefault(rec.advertiser, []).append(rec)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from adtomo.rng import GAMMA, MASK64, substream
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 from adtomo.syncdetect import SyncReport
 from adtomo.textvec import Corpus
-from adtomo.tomography import VectorRecord
 
 _U_MAX = 1.0 - 1e-12
 
@@ -244,10 +243,20 @@ def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
     return out
 
 
+class VectorRecord(NamedTuple):
+    """The count vector of one (advertiser, persona, run) record."""
+
+    advertiser: str
+    persona: str
+    run: int
+    vector: dict[int, int]   # column index -> count (>= 1 only)
+
+
 def chi2_by_dense_tables(records, control_records, size: int, config) -> list:
-    """Dense reference for ``tomography.flag_changes``: per record, the
-    chi-squared TestResult on the dense 2 x ``size`` table of pooled control
-    over record, or None where the table is degenerate."""
+    """Dense reference for the flags of ``tomography.flag_records``: per
+    record, the chi-squared TestResult on the dense 2 x ``size`` table of
+    its (advertiser, run)'s pooled control records over the record, or None
+    where the table is degenerate."""
 
     def to_dense(counts):
         dense = np.zeros(size, dtype=float)
@@ -386,10 +395,11 @@ def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> dict[int, int]:
 
 def collate(adlog: Iterable[DeliveredAd], corpus: Corpus, personas: Sequence[str],
             runs: Sequence[int]) -> list[VectorRecord]:
-    """Per-ad reference for ``tomography.collate``: one record per
-    (advertiser, persona, run), advertisers sorted, over the cross product
-    of the advertisers observed in ``adlog`` with ``personas`` and ``runs``
-    in the order given; a cell without an ad gets an empty vector."""
+    """Per-ad reference for the vectors of ``tomography.flag_records``: one
+    record per (advertiser, persona, run), advertisers sorted, over the
+    cross product of the advertisers observed in ``adlog`` with ``personas``
+    and ``runs`` in the order given; a cell without an ad gets an empty
+    vector."""
     ads = list(adlog)
     advertisers = sorted({a.advertiser for a in ads})
     merged: dict[tuple[str, str, int], dict[int, int]] = {}

@@ -248,7 +248,7 @@ def test_criterion_7_cookie_sync_oracle():
             },
             "run": {"personas": [{"id": "p1", "group": "g1"},
                                  {"id": "p2", "group": "g1"}],
-                    "runs": 3, "seed": seed},
+                    "runs": 3},
         })
         world = cfg.world
         _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)

@@ -131,6 +131,7 @@ class TestExitCodes:
          "grid: grid dimension max_depth"),
         (lambda doc: doc["sim"].update(bogus=1), "sim.bogus: unknown key"),
         (lambda doc: doc["sim"]["run"].update(bogus=1), "sim.run.bogus: unknown key"),
+        (lambda doc: doc["sim"]["run"].update(seed=7), "sim.run.seed: unknown key"),
         (lambda doc: doc["sim"]["world"].update(bogus=1), "sim.world.bogus: unknown key"),
         (lambda doc: doc["sim"]["world"]["advertisers"][0].update(creative_lenght=8),
          "world.advertisers[0].creative_lenght: unknown key"),
@@ -139,7 +140,7 @@ class TestExitCodes:
             {"id": "p1", "group": "g1", "blocks": ["t1"]}]),
          "run.personas[1].blocks: unknown key"),
     ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth",
-            "unknown_sim_key", "unknown_sim_run_key", "unknown_sim_world_key",
+            "unknown_sim_key", "unknown_sim_run_key", "sim_run_seed", "unknown_sim_world_key",
             "unknown_world_entry_key", "unknown_persona_key"])
     def test_unknown_key_or_repeated_grid_value_names_it(self, tmp_path, edit, named):
         doc = load_config("mini")
@@ -178,6 +179,9 @@ class TestExitCodes:
                      id="bool_seed"),
         pytest.param(lambda doc: doc.update(holdout_runs=True), "holdout_runs:",
                      id="bool_holdout_runs"),
+        pytest.param(lambda doc: doc.update(holdout_runs=0),
+                     "holdout_runs: holdout_runs must be in [1, runs=6), got 0",
+                     id="zero_holdout_runs"),
         pytest.param(lambda doc: doc["sim"]["run"].update(runs=True), "run.runs: expected int",
                      id="bool_runs"),
         pytest.param(lambda doc: doc["sim"]["world"]["advertisers"][0].update(
@@ -281,7 +285,8 @@ class TestExitCodes:
         (out / "records.jsonl").write_text("\n".join(nulled) + "\n")
         proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
-        assert "flag stage required" in proc.stderr
+        assert "records.jsonl:1: flag stage required" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_output_path_collision_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini"))
@@ -310,6 +315,21 @@ class TestExitCodes:
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         assert "gap" in proc.stderr
+
+    def test_request_log_chain_gap_names_file_and_chain(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("small"))  # mini's chains are one hop
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        chain = [(e["run"], e["persona"]) for e in map(json.loads, lines[:3])]
+        assert chain[0] == chain[1] == chain[2]  # line 2 lies inside the first chain
+        requestlog.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        run, persona = chain[0]
+        assert proc.stderr == (f"adtomo: config error: requestlog.jsonl: position gaps in "
+                               f"chain (run {run}, persona {persona!r})\n")
 
     def test_truncated_ad_log_names_file_and_line(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini"))
@@ -465,8 +485,8 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("field, value, problem", [
-        pytest.param("is_different_from_control", "false", "must be a JSON bool or null",
-                     id="flag_string"),
+        pytest.param("is_different_from_control", "false",
+                     "field 'is_different_from_control' must be a JSON bool", id="flag_string"),
         pytest.param("run", "0", "field 'run' must be a JSON integer", id="run_string"),
         pytest.param("persona", ["p-001"], "field 'persona' must be a JSON string",
                      id="persona_list"),

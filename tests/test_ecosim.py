@@ -31,11 +31,11 @@ def world_dict(*, groups=None, trackers=None, advertisers=None, edges=None,
     }
 
 
-def make_config(personas=None, runs=2, seed=5, **kw):
+def make_config(personas=None, runs=2, **kw):
     return sim_config_from_dict({
         "world": world_dict(**kw),
         "run": {"personas": personas or [{"id": "p1", "group": "g1", "blocked": []}],
-                "runs": runs, "seed": seed},
+                "runs": runs},
     })
 
 
@@ -254,7 +254,7 @@ class TestRunSimulation:
             "world": world_dict(edges=[{"tracker": "t1", "advertiser": "a1",
                                         "reliability": 1.0}]),
             "run": {"personas": [{"id": "pb", "group": "g1", "blocked": ["t1"]}],
-                    "runs": 5, "seed": 4},
+                    "runs": 5},
         })
         world = cfg.world
         ads, _, _ = simulate_logs(world, cfg.personas, cfg.runs, seed=4)
@@ -314,7 +314,7 @@ class TestRunSimulation:
     def test_zero_slots_rejected(self):
         cfg = sim_config_from_dict({
             "world": {**world_dict(), "slots": []},
-            "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1, "seed": 1},
+            "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1},
         })
         world = cfg.world
         with pytest.raises(ConfigError, match="slot"):
@@ -362,7 +362,7 @@ class TestRunSimulation:
                                       "blocked": rand.sample([t["id"] for t in trackers],
                                                              rand.randint(0, len(trackers)))}
                                      for j in range(rand.randint(1, 4))],
-                        "runs": rand.randint(1, 3), "seed": case}})
+                        "runs": rand.randint(1, 3)}})
             assert_texts_match_scalar_oracle(cfg.world, cfg.personas,
                                              cfg.runs, case)
 
@@ -391,7 +391,7 @@ class TestRunSimulation:
             "run": {"personas": [{"id": 'p"0', "group": 'g"1', "blocked": []},
                                  {"id": "p\\\U0001f6001", "group": 'g"1', "blocked": ['t"1']},
                                  {"id": "pé\x002", "group": 'g"1', "is_control": True}],
-                    "runs": 3, "seed": 1}})
+                    "runs": 3}})
         texts = assert_texts_match_scalar_oracle(cfg.world, cfg.personas,
                                                  cfg.runs, 1)
         for text in texts:  # each log holds escaped and raw characters

@@ -17,7 +17,7 @@ from adtomo.forest import (
     train_forest,
 )
 from adtomo.forest.model import _fold_assignment, _n_sub
-from adtomo.tomography import VectorRecord, run_inference
+from adtomo.tomography import FlaggedRecord, run_inference
 
 
 def rows(X, y):
@@ -196,8 +196,7 @@ class TestForest:
         blocking = {f"p-{m}": tuple(t for i, t in enumerate(trackers) if m >> i & 1)
                     for m in range(8)}
         rng = random.Random(8)
-        records = [VectorRecord("adv", pid, run, {0: 1},
-                                rng.random() < 0.3 + 0.4 * ("t2" in blocked))
+        records = [FlaggedRecord("adv", pid, run, rng.random() < 0.3 + 0.4 * ("t2" in blocked))
                    for pid, blocked in blocking.items() for run in range(6)]
         cv = [r for r in records if r.run < 4]
         holdout = [r for r in records if r.run >= 4]

@@ -20,7 +20,7 @@ from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_impo
 from adtomo.parallel import fork_map
 from adtomo.pipeline import ARTIFACTS, load_pipeline_config, run_pipeline
 from adtomo.rng import substream_key
-from adtomo.tomography import VectorRecord, run_inference
+from adtomo.tomography import FlaggedRecord, run_inference
 
 from conftest import load_config
 
@@ -180,14 +180,14 @@ def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     pipeline.stage_simulate(load_pipeline_config(doc), out)
     simulated = _files(out)
-    real = pipeline.flag_changes
+    real = pipeline.flag_records
 
-    def failing_flag(records, controls, stats):
-        if records[0].advertiser == "dsp-2":
+    def failing_flag(log, advertiser, *args):
+        if advertiser == "dsp-2":
             raise ConfigError("cannot flag dsp-2", "records.jsonl")
-        return real(records, controls, stats)
+        return real(log, advertiser, *args)
 
-    monkeypatch.setattr(pipeline, "flag_changes", failing_flag)
+    monkeypatch.setattr(pipeline, "flag_records", failing_flag)
     stderr = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -227,14 +227,14 @@ def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeyp
 
         monkeypatch.setattr(pipeline, "prepare_simulation", dying_run)
     else:
-        real_flag = pipeline.flag_changes
+        real_flag = pipeline.flag_records
 
-        def dying_flag(records, controls, stats):
-            if records[0].advertiser == "dsp-2":
+        def dying_flag(log, advertiser, *args):
+            if advertiser == "dsp-2":
                 _kill_self()
-            return real_flag(records, controls, stats)
+            return real_flag(log, advertiser, *args)
 
-        monkeypatch.setattr(pipeline, "flag_changes", dying_flag)
+        monkeypatch.setattr(pipeline, "flag_records", dying_flag)
     def hung(signum, frame):
         raise TimeoutError("the stage is still waiting on the dead worker")
 
@@ -257,14 +257,14 @@ def test_cli_reports_a_killed_worker_in_one_line(tmp_path, two_cpus, monkeypatch
     config.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     pipeline.stage_simulate(load_pipeline_config(doc), out)
-    real = pipeline.flag_changes
+    real = pipeline.flag_records
 
-    def dying_flag(records, controls, stats):
-        if records[0].advertiser == "dsp-2":
+    def dying_flag(log, advertiser, *args):
+        if advertiser == "dsp-2":
             _kill_self()
-        return real(records, controls, stats)
+        return real(log, advertiser, *args)
 
-    monkeypatch.setattr(pipeline, "flag_changes", dying_flag)
+    monkeypatch.setattr(pipeline, "flag_records", dying_flag)
     capsys.readouterr()
     assert cli.main(["flag", "--config", str(config), "--out", str(out)]) == 3
     assert multiprocessing.active_children() == []
@@ -309,7 +309,7 @@ def _random_inference_case(seed):
     advertisers = [f"a{i}" for i in range(rng.randint(1, 4))]
     folds = rng.choice([2, 4])
     runs = folds * rng.randint(1, 2) + 1
-    records = [VectorRecord(a, p, r, {}, rng.random() < 0.5)
+    records = [FlaggedRecord(a, p, r, rng.random() < 0.5)
                for a in advertisers for p in personas for r in range(runs)]
     cv = [rec for rec in records if rec.run < runs - 1]
     holdout = [rec for rec in records if rec.run == runs - 1]

@@ -6,7 +6,7 @@ import pytest
 from adtomo import pipeline
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, run_pipeline
-from adtomo.tomography import collate, corpus_columns, flag_changes
+from adtomo.tomography import corpus_columns, flag_records
 
 from conftest import ad_log, load_config
 from oracles import DeliveredAd, build_corpus, jsonl_lines
@@ -128,15 +128,13 @@ def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
     log_tokens, column = corpus_columns(log.tokens)
     assert log_tokens == tokens
     is_control = {p.id: p.is_control for p in cfg.sim.personas}
-    records = [r for advertiser in sorted(log.advertisers)
-               for r in collate(log, advertiser, column)]
-    flagged = flag_changes([r for r in records if not is_control[r.persona]],
-                           [r for r in records if is_control[r.persona]], cfg.stats)
     expected = "".join(jsonl_lines(
-        {"advertiser": r.advertiser, "persona": r.persona, "run": r.run,
-         "counts": {tokens[i]: r.vector[i] for i in sorted(r.vector)},
-         "is_different_from_control": r.is_different_from_control}
-        for r in flagged))
+        {"advertiser": advertiser, "persona": persona, "run": run,
+         "counts": {tokens[i]: vector[i] for i in sorted(vector)},
+         "is_different_from_control": flag}
+        for advertiser in sorted(log.advertisers)
+        for persona, run, vector, flag in flag_records(log, advertiser, column, is_control,
+                                                       cfg.stats)))
     assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
 
 
@@ -181,6 +179,9 @@ def test_cross_field_validation_paths():
     doc = load_config("mini")
     doc["holdout_runs"] = 6  # == runs
     with pytest.raises(ConfigError, match="holdout_runs"):
+        load_pipeline_config(doc)
+    doc["holdout_runs"] = 0  # infer would find no holdout records
+    with pytest.raises(ConfigError, match=r"holdout_runs must be in \[1, runs=6\), got 0"):
         load_pipeline_config(doc)
     doc = load_config("mini")
     doc["accuracy_threshold"] = 1.5

@@ -3,7 +3,8 @@ import pytest
 
 from adtomo.ecosim import sim_config_from_dict
 from adtomo.ecosim.types import RequestLogEntry
-from adtomo.syncdetect import MalformedChainError, detect_cookie_sync
+from adtomo.errors import ConfigError
+from adtomo.syncdetect import detect_cookie_sync
 
 from conftest import simulate_logs
 from oracles import pair_keys
@@ -62,7 +63,7 @@ class TestDetection:
 
     def test_position_gap_rejected(self):
         log = [hop(0, "a", "b"), hop(2, "b", "c")]
-        with pytest.raises(MalformedChainError, match="gap"):
+        with pytest.raises(ConfigError, match="^requestlog.jsonl: position gaps in chain"):
             detect_cookie_sync(log)
 
     def test_gap_detection_is_per_chain(self):
@@ -88,7 +89,7 @@ class TestSimulatorRecovery:
             },
             "run": {"personas": [{"id": "p1", "group": "g1"},
                                  {"id": "p2", "group": "g1"}],
-                    "runs": 2, "seed": seed},
+                    "runs": 2},
         })
         world = cfg.world
         _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)

@@ -12,12 +12,10 @@ from adtomo.pipeline import load_pipeline_config
 from adtomo.stattest import StatConfig
 from adtomo.textvec import Corpus
 from adtomo.tomography import (
-    MissingControlError,
-    VectorRecord,
-    collate,
+    FlaggedRecord,
     corpus_columns,
     evaluate,
-    flag_changes,
+    flag_records,
     group_run_vectors,
     h1_similarity_matrix,
     infer_relationships,
@@ -26,8 +24,8 @@ from adtomo.tomography import (
 )
 
 from conftest import ad_log, load_config, simulate_logs
-from oracles import (DeliveredAd, build_corpus, chi2_by_dense_tables, chi2_by_union_tables,
-                     vectorize_tokens)
+from oracles import (DeliveredAd, VectorRecord, build_corpus, chi2_by_dense_tables,
+                     chi2_by_union_tables, vectorize_tokens)
 from oracles import collate as collate_by_ads
 
 
@@ -42,7 +40,7 @@ def blocking_configs(trackers):
         "edges": [], "sync_pairs": [],
         "slots": [{"id": "s1", "website": "collect1", "floor_price": 0.1,
                    "mechanism": "hb_client"}],
-    }, "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1, "seed": 0}}).world
+    }, "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1}}).world
     return [p.blocking for p in enumerate_personas(world, "g1", controls=0)]
 
 
@@ -72,12 +70,31 @@ def corpus_of(*tokens):
     return Corpus({t: i for i, t in enumerate(sorted(tokens))})
 
 
-def collate_observed(ads, corpus):
-    """``collate`` of every advertiser of ``ads``, advertisers sorted, over
-    the columns of ``corpus``."""
+def flag_log(log, column, controls=(), config=StatConfig()):
+    """``flag_records`` of every advertiser of ``log``, advertisers sorted,
+    as (advertiser, persona, run, vector, flag) rows; the personas in
+    ``controls`` are the control personas."""
+    is_control = {p: p in controls for p in log.personas}
+    return [(advertiser, *row) for advertiser in sorted(log.advertisers)
+            for row in flag_records(log, advertiser, column, is_control, config)]
+
+
+def summed_vectors(records, advertiser, run):
+    """The elementwise sum of the vectors of the (advertiser, run) records."""
+    summed: dict[int, int] = {}
+    for r in records:
+        if (r.advertiser, r.run) == (advertiser, run):
+            for i, c in r.vector.items():
+                summed[i] = summed.get(i, 0) + c
+    return summed
+
+
+def collate_observed(ads, corpus, controls=()):
+    """The vector records of ``flag_log`` over the ads ``ads`` and the
+    columns of ``corpus``."""
     log = ad_log(ads)
     column = np.array([corpus.word_index[t] for t in log.tokens], dtype=np.int64)
-    return [r for advertiser in sorted(log.advertisers) for r in collate(log, advertiser, column)]
+    return [VectorRecord(a, p, r, v) for a, p, r, v, _ in flag_log(log, column, controls)]
 
 
 class TestCollate:
@@ -173,10 +190,28 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
     tokens, column = corpus_columns(log.tokens)
     assert tokens == corpus.tokens()
     personas, runs = sorted({a.persona for a in ads}), sorted({a.run for a in ads})
-    records = [r for advertiser in sorted(log.advertisers)
-               for r in collate(log, advertiser, column)]
-    assert records == collate_by_ads(ads, corpus, personas, runs)
+    controls = set(personas[:2])
+    pooled = []
+    real = tomography.flags_against
+
+    def spy(control, vectors, cfg):
+        pooled.append(control)
+        return real(control, vectors, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tomography, "flags_against", spy)
+        records = [VectorRecord(a, p, r, v) for a, p, r, v, _ in flag_log(log, column, controls)]
+    oracle = collate_by_ads(ads, corpus, personas, runs)
+    assert records == [r for r in oracle if r.persona not in controls]
     assert any(not r.vector for r in records)
+    # One flags_against call per (advertiser, run), advertisers sorted and
+    # runs ascending, against the elementwise sum of its control records.
+    keys = [(a, r) for a in sorted(log.advertisers) for r in runs]
+    assert len(pooled) == len(keys)
+    oracle_controls = [r for r in oracle if r.persona in controls]
+    for (advertiser, run), control in zip(keys, pooled):
+        assert control == summed_vectors(oracle_controls, advertiser, run)
+    assert any(pooled)
 
     group_of = {p: f"g{int(p[1:]) % 3}" for p in personas}
     grouped: dict[tuple[str, int], list[str]] = {}
@@ -189,82 +224,104 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
             for key, v in vectors.items()} == expected
 
 
+def vector_log(records):
+    """(log, column): an ad log holding one ad per record, its tokens the
+    record's vector spelled out (``c<i>`` ``count`` times per column i; an
+    empty vector gives an ad without tokens), and the corpus columns that
+    send ``c<i>`` to column i."""
+    log = ad_log([DeliveredAd(r.run, r.persona, "s1", r.advertiser,
+                              tuple(f"c{i}" for i, c in sorted(r.vector.items())
+                                    for _ in range(c)))
+                  for r in records])
+    used = [int(t[1:]) for t in log.tokens]
+    width = max(used, default=-1) + 1
+    # The unused columns go to token ids no ad holds: each column is one id's.
+    column = np.array(used + sorted(set(range(width)) - set(used)), dtype=np.int64)
+    return log, column
+
+
 def flag_with_results(records, control, config=StatConfig()):
-    """flag_changes output, plus the chi-squared TestResult (None where the
-    table is degenerate) of every record, in record order.  flag_changes must
-    make one flags_against call per (advertiser, run), in order of first
-    appearance, over the vectors of that group's records in record order;
-    each call's results are the per-record oracle's over the same
+    """(flags, results): the flag ``flag_records`` gives each of ``records``
+    against its (advertiser, run)'s pooled ``control`` records, and the
+    chi-squared TestResult (None where the table is degenerate) of each,
+    in record order.  The records must fill the log's (advertiser,
+    non-control persona, run) grid.  flag_records must make one
+    flags_against call per (advertiser, run), advertisers sorted and runs
+    ascending, over the elementwise sum of that run's control records and
+    the vectors of its records, personas sorted, and return the vectors it
+    passed; each call's results are the per-record oracle's over the same
     arguments."""
     calls = []
     real = tomography.flags_against
 
     def spy(pooled, vectors, cfg):
-        flags = real(pooled, vectors, cfg)
-        calls.append((list(vectors), chi2_by_union_tables(pooled, vectors, cfg)))
-        return flags
+        calls.append((pooled, list(vectors), chi2_by_union_tables(pooled, vectors, cfg)))
+        return real(pooled, vectors, cfg)
 
+    log, column = vector_log([*records, *control])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tomography, "flags_against", spy)
-        out = flag_changes(records, control, config)
-    groups = {}
-    for i, rec in enumerate(records):
-        groups.setdefault((rec.advertiser, rec.run), []).append(i)
+        out = flag_log(log, column, {r.persona for r in control}, config)
+    assert len(out) == len(records)
+    index = {(r.advertiser, r.persona, r.run): i for i, r in enumerate(records)}
+    groups: dict[tuple[str, int], list] = {}
+    for row in out:
+        groups.setdefault((row[0], row[2]), []).append(row)
     assert len(calls) == len(groups)
-    seen = [None] * len(records)
-    for members, (vectors, results) in zip(groups.values(), calls):
-        assert len(vectors) == len(results) == len(members)
-        for i, vector, result in zip(members, vectors, results):
-            assert vector is records[i].vector
-            seen[i] = result
-    return out, seen
+    flags, seen = [None] * len(records), [None] * len(records)
+    for ((advertiser, run), rows), (pooled, vectors, results) in zip(sorted(groups.items()),
+                                                                      calls):
+        assert pooled == summed_vectors(control, advertiser, run)
+        assert len(vectors) == len(results) == len(rows)
+        for (a, p, r, vector, flag), passed, result in zip(rows, vectors, results):
+            i = index[(a, p, r)]
+            assert passed is vector and vector == records[i].vector
+            flags[i], seen[i] = flag, result
+    return flags, seen
 
 
 def assert_matches_dense(records, control, config=StatConfig(), size=6):
-    out, seen = flag_with_results(records, control, config)
+    flags, seen = flag_with_results(records, control, config)
     expected = chi2_by_dense_tables(records, control, size, config)
     assert seen == expected
-    assert [r.is_different_from_control for r in out] == [
-        e is not None and e.p_value < config.alpha for e in expected]
-    return out
+    assert flags == [e is not None and e.p_value < config.alpha for e in expected]
+    return flags
 
 
 class TestFlagChanges:
     def test_proportional_to_control_not_flagged(self):
         control = [VectorRecord("adv", "ctrl", 0, {0: 30, 1: 60})]
         records = [VectorRecord("adv", "p1", 0, {0: 10, 1: 20})]
-        out = flag_changes(records, control)
-        assert out[0].is_different_from_control is False
+        assert flag_with_results(records, control)[0] == [False]
 
     def test_identical_to_control_not_flagged(self):
         control = [VectorRecord("adv", "ctrl", 0, {0: 20, 1: 20})]
         records = [VectorRecord("adv", "p1", 0, {0: 20, 1: 20})]
-        assert flag_changes(records, control)[0].is_different_from_control is False
+        assert flag_with_results(records, control)[0] == [False]
 
     def test_disjoint_vocabulary_flagged(self):
         # Hand check: columns {0,1} control-only, {2,3} persona-only, all mass
         # >= min_expected; chi-squared is far beyond the df=3 critical value.
         control = [VectorRecord("adv", "ctrl", 0, {0: 30, 1: 30})]
         records = [VectorRecord("adv", "p1", 0, {2: 20, 3: 20})]
-        assert flag_changes(records, control)[0].is_different_from_control is True
+        assert flag_with_results(records, control)[0] == [True]
 
     def test_degenerate_table_flags_false(self):
         control = [VectorRecord("adv", "ctrl", 0, {})]
         records = [VectorRecord("adv", "p1", 0, {0: 1})]
-        assert flag_changes(records, control)[0].is_different_from_control is False
+        assert flag_with_results(records, control)[0] == [False]
 
     def test_zero_ad_advertiser_flags_false(self):
         control = [VectorRecord("adv", "ctrl", 0, {0: 50, 1: 50})]
         records = [VectorRecord("adv", "p1", 0, {})]
-        assert flag_changes(records, control)[0].is_different_from_control is False
+        assert flag_with_results(records, control)[0] == [False]
 
     def test_controls_pooled_across_personas(self):
         # Two thin controls pool into one row with enough mass to test.
         control = [VectorRecord("adv", "c1", 0, {0: 15, 1: 2}),
                    VectorRecord("adv", "c2", 0, {0: 15, 1: 3})]
         records = [VectorRecord("adv", "p1", 0, {1: 25})]
-        out = flag_changes(records, control, StatConfig(min_expected=5))
-        assert out[0].is_different_from_control is True
+        assert flag_with_results(records, control, StatConfig(min_expected=5))[0] == [True]
 
     @pytest.mark.parametrize("controls, record, min_expected", [
         pytest.param([{0: 30, 1: 30}], {}, 5, id="empty_record"),
@@ -331,47 +388,30 @@ class TestFlagChanges:
         assert (flag_with_results(records, control)[1]
                 == flag_with_results(records, control[::-1])[1])
 
-    def test_missing_control_rejected(self):
-        records = [VectorRecord("adv", "p1", 1, {0: 5})]
-        control = [VectorRecord("adv", "ctrl", 0, {0: 5})]
-        with pytest.raises(MissingControlError):
-            flag_changes(records, control)
-
-    def test_missing_control_names_first_uncontrolled_record(self):
-        control = [VectorRecord("adv", "ctrl", r, {0: 5}) for r in (0, 2)]
-        records = [VectorRecord("adv", "p1", 0, {0: 5}),
-                   VectorRecord("adv", "p2", 2, {0: 3}),
-                   VectorRecord("adv", "p1", 1, {0: 5}),
-                   VectorRecord("adv2", "p1", 0, {0: 5}),
-                   VectorRecord("adv", "p2", 3, {})]
-        with pytest.raises(MissingControlError,
-                           match=r"^no control record for advertiser 'adv' run 1$"):
-            flag_changes(records, control)
-
 
 @pytest.mark.parametrize("seed, digest", [
     (0, "aae2b901eae167277b5e99bb8523060ba41ad01003c970ea0d95644096bc3671"),
     (3, "28e90f440170994947751f7407d9356c7646f3b82fbecf7035403df75ab54c98"),
 ])
 def test_flag_changes_golden_digest_on_small(seed, digest):
-    # Digests of collate + flag_changes on the simulated small profile,
-    # captured from the dense-table flagging code.
+    # Digests of the records flag_records gives on the simulated small
+    # profile, captured from the dense-table flagging code.
     cfg = load_pipeline_config(load_config("small", seed=seed))
     rows, _, _ = simulate_logs(cfg.sim.world, cfg.sim.personas,
                                cfg.sim.runs, cfg.seed)
     ads = [DeliveredAd(**row) for row in rows]
-    records = collate_observed(ads, build_corpus(a.tokens for a in ads))
+    corpus = build_corpus(a.tokens for a in ads)
+    log = ad_log(ads)
+    column = np.array([corpus.word_index[t] for t in log.tokens], dtype=np.int64)
     controls = {p.id for p in cfg.sim.personas if p.is_control}
-    flagged = flag_changes([r for r in records if r.persona not in controls],
-                           [r for r in records if r.persona in controls], cfg.stats)
-    payload = json.dumps([[r.advertiser, r.persona, r.run, sorted(r.vector.items()),
-                           r.is_different_from_control] for r in flagged])
+    payload = json.dumps([[a, p, r, sorted(v.items()), flag]
+                          for a, p, r, v, flag in flag_log(log, column, controls, cfg.stats)])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestSegment:
     def _records(self, runs=10, advertisers=2, personas=3):
-        return [VectorRecord(f"a{a}", f"p{p}", r, {0: 1})
+        return [FlaggedRecord(f"a{a}", f"p{p}", r, False)
                 for a in range(advertisers) for p in range(personas)
                 for r in range(runs)]
 
@@ -472,7 +512,7 @@ def _planted_flags(edge_trackers, trackers, personas_per_side=None, runs=10, see
         for run in range(runs):
             cut_off = all(t in blocked for t in edge_trackers)
             flag = cut_off if rng.random() > 0.05 else not cut_off
-            records.append(VectorRecord("adv", pid, run, {0: 1}, flag))
+            records.append(FlaggedRecord("adv", pid, run, flag))
     return records
 
 
@@ -489,7 +529,7 @@ GRID = HyperGrid(n_trees=(20,), max_depth=(3, None), features_per_split=("all",)
 class TestRunInference:
     def test_constant_false_flags_infer_nothing(self):
         trackers = ["t1", "t2", "t3"]
-        records = [VectorRecord("adv", pid, run, {0: 1}, False)
+        records = [FlaggedRecord("adv", pid, run, False)
                    for pid in _blocking_map(trackers) for run in range(10)]
         cv = [r for r in records if r.run < 8]
         holdout = [r for r in records if r.run >= 8]
@@ -524,13 +564,6 @@ class TestRunInference:
             assert inferred <= {"t1", "t3"}
             hits += bool(inferred)
         assert hits == 5
-
-    def test_unflagged_records_rejected(self):
-        trackers = ["t1"]
-        records = [VectorRecord("adv", "p-0", run, {0: 1}, None)
-                   for run in range(10)]
-        with pytest.raises(ConfigError, match="flag stage"):
-            run_inference(records[:8], records[8:], GRID, 4, 1, trackers, {"p-0": ()})
 
     def test_gate_soundness_on_every_report(self):
         trackers = ["t1", "t2"]

@@ -11,6 +11,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import PipelineConfig
+from .ecosim.types import World
+from .errors import ConfigError
 from .jsonio import _check_fields, _check_strings, read_json, write_json
 
 
@@ -29,7 +31,9 @@ def evaluate(inferred: Iterable[tuple[str, str]],
     return precision, recall
 
 
-def _read_inferred_edges(out_dir: Path) -> set[tuple[str, str]]:
+def _read_inferred_edges(out_dir: Path, world: World) -> set[tuple[str, str]]:
+    """The (tracker, advertiser) edges ``report.json`` infers; every
+    advertiser and tracker it names must be one of ``world``."""
     path = out_dir / "report.json"
     report = read_json(path)
     _check_fields(report, {"advertisers": list}, str(path))
@@ -37,11 +41,18 @@ def _read_inferred_edges(out_dir: Path) -> set[tuple[str, str]]:
         where = f"{path}: advertisers entry {i}"
         _check_fields(row, {"advertiser": str, "inferred": list}, where)
         _check_strings(row["inferred"], "inferred", where)
+        if row["advertiser"] not in world.advertiser_by_id:
+            raise ConfigError(f"advertiser {row['advertiser']!r} is not an advertiser of "
+                              "the config", where)
+        unknown = [t for t in row["inferred"] if t not in world.tracker_by_id]
+        if unknown:
+            raise ConfigError(f"inferred tracker {unknown[0]!r} is not a tracker of the config",
+                              where)
     return {(t, row["advertiser"]) for row in report["advertisers"] for t in row["inferred"]}
 
 
 def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    inferred = _read_inferred_edges(out_dir)
+    inferred = _read_inferred_edges(out_dir, cfg.sim.world)
     truth = cfg.sim.world.graph.as_pairs()
     precision, recall = evaluate(inferred, truth)
     write_json(out_dir / "evaluation.json", {

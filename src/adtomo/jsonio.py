@@ -122,15 +122,6 @@ def iter_jsonl(path, fields: Iterable[str] = (),
             raise _utf8_error(path) from None
 
 
-def read_jsonl(path, fields: Iterable[str] = (),
-               check: Callable[[dict, int], str | None] | None = None,
-               build: Callable[[dict], object] | None = None) -> list:
-    """The records of ``iter_jsonl``, each passed through ``build`` as it is
-    read when one is given."""
-    records = iter_jsonl(path, fields, check)
-    return list(map(build, records) if build else records)
-
-
 def _field_error(path, lineno: int, record, required: set) -> ConfigError:
     if not isinstance(record, dict):
         return ConfigError("expected a JSON object", f"{path}:{lineno}")

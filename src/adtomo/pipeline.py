@@ -48,19 +48,18 @@ from .ecosim.sim import prepare_simulation
 from .errors import ConfigError
 from .evaluation import stage_evaluate
 from .jsonio import (_check_fields, _check_strings, encode_int, encode_scalar, encode_str,
-                     iter_jsonl, open_atomic, read_json, read_jsonl, write_json)
+                     iter_jsonl, open_atomic, read_json, write_json)
 from .parallel import fork_map
 from .syncdetect import stage_syncdetect
-from .textvec import Corpus
 from .tomography import (
     AdLog,
-    FlaggedRecord,
+    Flags,
     corpus_columns,
     flag_records,
     group_run_vectors,
     h1_similarity_matrix,
+    holdout_mask,
     run_inference,
-    segment_records,
 )
 
 T = TypeVar("T")
@@ -156,7 +155,8 @@ def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
                  list(persona_ids), list(advertiser_ids), list(token_ids))
 
 
-def _read_corpus(out_dir: Path) -> Corpus:
+def _read_corpus(out_dir: Path) -> dict[str, int]:
+    """Token -> corpus column, as ``corpus.json`` orders the tokens."""
     path = out_dir / "corpus.json"
     doc = read_json(path)
     _check_fields(doc, {"tokens": list}, str(path))
@@ -165,23 +165,29 @@ def _read_corpus(out_dir: Path) -> Corpus:
     for i, token in enumerate(doc["tokens"]):
         if index.setdefault(token, i) != i:
             raise ConfigError(f"duplicate token {token!r}", str(path))
-    return Corpus(index)
+    return index
 
 
-def _read_records(out_dir: Path, corpus: Corpus) -> list[FlaggedRecord]:
-    """The records of ``records.jsonl``, every field checked and every token
-    checked against the corpus.  Inference reads no counts, so a record
-    keeps only its key and flag: the decoded counts are never all held at
-    once.  A ``null`` flag is a record the flag stage did not write."""
-    index = corpus.word_index
-    first_line: dict[tuple[str, str, int], int] = {}
+def _read_records(out_dir: Path, corpus: dict[str, int], runs: int) -> Flags:
+    """The flags of ``records.jsonl``, every field checked, every token
+    checked against the corpus, and every (advertiser, persona, run) cell
+    filled exactly once.  Inference reads no counts, so none are kept, and
+    no object is kept per record: each (advertiser, persona) pair holds the
+    line and the flag of each of its runs.  A ``null`` flag is a record the
+    flag stage did not write."""
+    path = out_dir / "records.jsonl"
+    lines: dict[tuple[str, str], array] = {}  # per pair and run, its line; 0 while unseen
+    flags: dict[tuple[str, str], bytearray] = {}
 
     def check(r, lineno: int) -> str | None:
         for field in ("advertiser", "persona"):
             if not isinstance(r[field], str):
                 return f"field {field!r} must be a JSON string"
-        if type(r["run"]) is not int:
+        run = r["run"]
+        if type(run) is not int:
             return "field 'run' must be a JSON integer"
+        if not 0 <= run < runs:
+            return f"field 'run' must be in [0, runs={runs}), got {run}"
         flag = r["is_different_from_control"]
         if flag is None:
             return "flag stage required: field 'is_different_from_control' is null"
@@ -190,22 +196,34 @@ def _read_records(out_dir: Path, corpus: Corpus) -> list[FlaggedRecord]:
         if not isinstance(r["counts"], dict):
             return "'counts' must be a JSON object of token -> count"
         for token, c in r["counts"].items():
-            if token not in index:
+            if token not in corpus:
                 return f"token {token!r} is missing from corpus.json"
             if type(c) is not int or c < 1:
                 return f"count of token {token!r} must be an integer >= 1, got {c!r}"
-        key = (r["advertiser"], r["persona"], r["run"])
-        first = first_line.setdefault(key, lineno)
-        if first != lineno:
-            return (f"duplicate record for (advertiser, persona, run) {key}, "
+        pair = (r["advertiser"], r["persona"])
+        if pair not in lines:
+            lines[pair], flags[pair] = array("i", [0]) * runs, bytearray(runs)
+        first = lines[pair][run]
+        if first:
+            return (f"duplicate record for (advertiser, persona, run) {(*pair, run)}, "
                     f"first seen at line {first}")
+        lines[pair][run] = lineno
         return None
 
-    return read_jsonl(out_dir / "records.jsonl",
-                      fields=("advertiser", "persona", "run", "counts",
-                              "is_different_from_control"), check=check,
-                      build=lambda r: FlaggedRecord(r["advertiser"], r["persona"], r["run"],
-                                                    r["is_different_from_control"]))
+    for r in iter_jsonl(path, fields=("advertiser", "persona", "run", "counts",
+                                      "is_different_from_control"), check=check):
+        flags[r["advertiser"], r["persona"]][r["run"]] = r["is_different_from_control"]
+    advertisers = sorted({a for a, _ in lines})
+    personas = sorted({p for _, p in lines})
+    flag = np.zeros((len(advertisers), len(personas), runs), dtype=np.uint8)
+    for i, advertiser in enumerate(advertisers):
+        for j, persona in enumerate(personas):
+            seen = lines.get((advertiser, persona), [0])
+            if not all(seen):
+                raise ConfigError("no record for (advertiser, persona, run) "
+                                  f"{(advertiser, persona, seen.index(0))}", str(path))
+            flag[i, j] = np.frombuffer(flags[advertiser, persona], dtype=np.uint8)
+    return Flags(advertisers, personas, flag)
 
 
 # --------------------------------------------------------------------------
@@ -322,14 +340,13 @@ def _report_meta(cfg: PipelineConfig) -> dict:
 
 
 def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
-    corpus = _read_corpus(out_dir)
-    records = _read_records(out_dir, corpus)
+    flags = _read_records(out_dir, _read_corpus(out_dir), cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas({r.persona for r in records}, personas, out_dir / "records.jsonl")
+    _check_known_personas(flags.personas, personas, out_dir / "records.jsonl")
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
     trackers = list(cfg.sim.world.tracker_ids)
-    cv, holdout = segment_records(records, cfg.sim.runs, cfg.holdout_runs, cfg.seed)
-    reports = run_inference(cv, holdout, cfg.grid, cfg.folds, cfg.seed, trackers,
+    holdout = holdout_mask(cfg.sim.runs, cfg.holdout_runs, cfg.seed)
+    reports = run_inference(flags, holdout, cfg.grid, cfg.folds, cfg.seed, trackers,
                             blocking, cfg.accuracy_threshold)
     truth = cfg.sim.world.graph.as_pairs()
     payload = _report_meta(cfg)

@@ -25,7 +25,7 @@ from typing import Iterable
 from .config import PipelineConfig
 from .ecosim.types import RequestLogEntry
 from .errors import ConfigError
-from .jsonio import read_jsonl, write_json
+from .jsonio import iter_jsonl, write_json
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,10 @@ def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
                 return f"field {field!r} must be a JSON string or null"
         return None
 
-    return read_jsonl(out_dir / "requestlog.jsonl",
-                      fields=("run", "persona", "chain_position", "source_domain",
-                              "destination_domain", "cookie_sent", "uid_param"), check=check,
-                      build=lambda r: RequestLogEntry(
-                          r["run"], r["persona"], r["chain_position"], r["source_domain"],
-                          r["destination_domain"], r["cookie_sent"], r["uid_param"]))
+    fields = ("run", "persona", "chain_position", "source_domain", "destination_domain",
+              "cookie_sent", "uid_param")  # RequestLogEntry's field order
+    return [RequestLogEntry(*map(r.__getitem__, fields))
+            for r in iter_jsonl(out_dir / "requestlog.jsonl", fields=fields, check=check)]
 
 
 def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:

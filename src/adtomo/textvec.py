@@ -1,33 +1,16 @@
 """Bag-of-words machinery over ad-creative text.
 
-A corpus maps every token seen anywhere to a dense column index
-(lexicographic, so corpus construction is deterministic).  A count vector is
-a plain ``dict[int, int]`` from column index to frequency, holding only
-counts >= 1; the flagging tables and the similarity analysis read nothing
-else.
+A corpus is a plain ``dict`` from every token seen anywhere to a dense
+column index (lexicographic, so corpus construction is deterministic).  A
+count vector is a plain ``dict[int, int]`` from column index to frequency,
+holding only counts >= 1; the flagging tables and the similarity analysis
+read nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
-
-
-@dataclass(frozen=True)
-class Corpus:
-    word_index: Mapping[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.word_index)
-
-    def tokens(self) -> list[str]:
-        """Tokens in column order."""
-        out = [""] * len(self.word_index)
-        for token, idx in self.word_index.items():
-            out[idx] = token
-        return out
 
 
 def cosine_similarity(x: Mapping[int, int], y: Mapping[int, int]) -> float:

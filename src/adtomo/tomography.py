@@ -1,12 +1,13 @@
 """The tomography pipeline: from ad logs to inferred sharing edges.
 
 Stages: per-(advertiser, persona, run) count vectors, each flagged by a
-chi-squared test against the run's pooled control -> run segmentation
-into cross-validation and holdout sets -> per-advertiser grid-searched random
-forest -> holdout-gated mean-plus-sigma information-gain rule ->
-precision/recall against the planted graph (``evaluation.evaluate``, which
-needs no numpy and is imported here).  The personas, one per
-blocked-tracker combination, are enumerated by ``ecosim.enumerate_personas``.
+chi-squared test against the run's pooled control -> a seed-drawn split
+of the runs into cross-validation and holdout runs (``holdout_mask``) ->
+per-advertiser grid-searched random forest -> holdout-gated
+mean-plus-sigma information-gain rule.  Precision and recall against the
+planted graph are the evaluate stage's (``evaluation.evaluate``).  The
+personas, one per blocked-tracker combination, are enumerated by
+``ecosim.enumerate_personas``.
 
 Flagging is deliberately conservative: a record whose table cannot support a
 valid chi-squared test (too little co-occurring mass after low-expectancy
@@ -28,13 +29,16 @@ and run-length encoded, so each record's vector and each run's pooled
 control come from their own slices of the runs.  It needs only one
 advertiser's ads, so the flag stage runs it per advertiser in separate
 processes that share the parent's columns.  Inference reads the flags
-back as ``FlaggedRecord``s, which keep no counts.
+back as one (advertiser, persona, run) array (``Flags``), which keeps no
+counts.
 
-The forest sees one advertiser's records as arrays (X, y, personas), built
-once for the cross-validation set and once for the holdout set.  The rows
-are sorted by (persona, flag); features are a function of the persona, so
-this is also the (persona, features, label) order, and the report does not
-depend on the order of the records.
+The forest sees one advertiser's flags as arrays (X, y, personas), built
+once for the cross-validation runs and once for the holdout runs.  X is
+each persona's blocking row, repeated once per run, and y is each
+persona's flags over those runs, sorted: the rows are in (persona, flag)
+order.  Features are a function of the persona, so this is also the
+(persona, features, label) order, and the report does not depend on the
+order of the records.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import evaluate
 from .forest import (
     ForestParams,
     HyperGrid,
@@ -60,17 +63,6 @@ from .parallel import fork_map
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, flags_against, welch_t_test
 from .textvec import cosine_similarity
-
-
-@dataclass(frozen=True, slots=True)
-class FlaggedRecord:
-    """One line of ``records.jsonl`` as inference reads it: its counts are
-    not kept."""
-
-    advertiser: str
-    persona: str
-    run: int
-    is_different_from_control: bool
 
 
 @dataclass(frozen=True)
@@ -104,6 +96,16 @@ class AdLog(NamedTuple):
     personas: list[str]
     advertisers: list[str]
     tokens: list[str]
+
+
+class Flags(NamedTuple):
+    """The change flags of ``records.jsonl``: ``flag[a, p, r]`` is the flag
+    of advertiser ``advertisers[a]`` for persona ``personas[p]`` in run
+    ``r``.  Both name lists are sorted."""
+
+    advertisers: list[str]
+    personas: list[str]
+    flag: np.ndarray         # uint8, shape (advertisers, personas, runs)
 
 
 def corpus_columns(tokens: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -192,29 +194,12 @@ def flag_records(log: AdLog, advertiser: str, column: np.ndarray,
             for i, p in enumerate(personas) for j, r in enumerate(runs)]
 
 
-def segment_records(records: Sequence[FlaggedRecord], runs: int, holdout_runs: int,
-                    seed: int) -> tuple[list[FlaggedRecord], list[FlaggedRecord]]:
-    """Split records by run index into (cross-validation, holdout) sets.
-
-    The holdout runs are one seed-derived draw shared by every (advertiser,
-    persona) pair, so each pair contributes exactly ``holdout_runs`` holdout
-    records and ``runs - holdout_runs`` CV records.
-    """
-    if not 0 <= holdout_runs < runs:
-        raise ConfigError(f"holdout_runs must be in [0, runs), got {holdout_runs}")
-    per_pair: dict[tuple[str, str], set[int]] = {}
-    for rec in records:
-        per_pair.setdefault((rec.advertiser, rec.persona), set()).add(rec.run)
-    expected = set(range(runs))
-    for pair, seen in per_pair.items():
-        if seen != expected:
-            raise ConfigError(
-                f"pair {pair} has records for runs {sorted(seen)}, expected 0..{runs - 1}")
-    rng = substream(seed, "segment")
-    holdout_set = set(int(r) for r in rng.permutation(runs)[:holdout_runs])
-    cv = [r for r in records if r.run not in holdout_set]
-    holdout = [r for r in records if r.run in holdout_set]
-    return cv, holdout
+def holdout_mask(runs: int, holdout_runs: int, seed: int) -> np.ndarray:
+    """Per run, True when it is held out: ``holdout_runs`` runs in one
+    seed-derived draw shared by every (advertiser, persona) pair."""
+    mask = np.zeros(runs, dtype=bool)
+    mask[substream(seed, "segment").permutation(runs)[:holdout_runs]] = True
+    return mask
 
 
 def infer_relationships(gains, holdout_accuracy: float, accuracy_threshold: float,
@@ -236,30 +221,13 @@ def infer_relationships(gains, holdout_accuracy: float, accuracy_threshold: floa
     return tuple(t for t, g in zip(tracker_ids, gains) if g > cutoff)
 
 
-def _design(records: Sequence[FlaggedRecord], trackers: Sequence[str],
-            blocking_by_persona: Mapping[str, Iterable[str]]
-            ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(X, y, personas) of one advertiser's records, rows sorted by (persona,
-    flag): X[i, j] is 1 when the row's persona blocks ``trackers[j]``, y[i]
-    is its change flag."""
-    ordered = sorted(records, key=lambda r: (r.persona, r.is_different_from_control))
-    personas = [rec.persona for rec in ordered]
-    rows: dict[str, list[bool]] = {}
-    for persona in personas:
-        if persona not in rows:
-            blocked = set(blocking_by_persona[persona])
-            rows[persona] = [t in blocked for t in trackers]
-    X = np.array([rows[p] for p in personas], dtype=np.uint8)
-    y = np.array([rec.is_different_from_control for rec in ordered], dtype=np.uint8)
-    return X, y, personas
-
-
-def run_inference(cv_records: Sequence[FlaggedRecord],
-                  holdout_records: Sequence[FlaggedRecord], grid: HyperGrid, folds: int,
+def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int,
                   seed: int, trackers: Sequence[str],
                   blocking_by_persona: Mapping[str, Iterable[str]],
                   accuracy_threshold: float = 0.6) -> list[AdvertiserReport]:
-    """Fit one model per advertiser and apply the inference rule.
+    """Fit one model per advertiser of ``flags`` and apply the inference
+    rule.  The model trains on the runs outside the per-run mask ``holdout``
+    (``holdout_mask``) and is scored on the runs inside it.
 
     Each advertiser's choice is ``cross_validate_grid`` followed by
     ``train_forest`` on the chosen params, both on the advertiser's seed.
@@ -278,23 +246,22 @@ def run_inference(cv_records: Sequence[FlaggedRecord],
     byte-identical either way.
     """
     trackers = tuple(sorted(trackers))
-    by_advertiser: dict[str, list[FlaggedRecord]] = {}
-    for rec in cv_records:
-        by_advertiser.setdefault(rec.advertiser, []).append(rec)
-    holdout_by_advertiser: dict[str, list[FlaggedRecord]] = {}
-    for rec in holdout_records:
-        holdout_by_advertiser.setdefault(rec.advertiser, []).append(rec)
+    blocked = [set(blocking_by_persona[p]) for p in flags.personas]
+    blocks = np.array([[t in b for t in trackers] for b in blocked], dtype=np.uint8)
 
+    def design(a: int, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X, y) of advertiser ``a`` over the runs the mask ``runs`` holds,
+        rows sorted by (persona, flag)."""
+        y = np.sort(flags.flag[a][:, runs], axis=1)
+        return np.repeat(blocks, y.shape[1], axis=0), y.ravel()
+
+    cv_runs = int((~holdout).sum())
+    personas = [p for p in flags.personas for _ in range(cv_runs)]
     designs = {}  # advertiser -> (X, y, fold test masks, X_holdout, y_holdout, seed)
-    for advertiser in sorted(by_advertiser):
-        X, y, personas = _design(by_advertiser[advertiser], trackers, blocking_by_persona)
-        holdout = holdout_by_advertiser.get(advertiser, [])
-        if not holdout:
-            raise ConfigError(f"advertiser {advertiser!r} has no holdout records")
-        X_holdout, y_holdout, _ = _design(holdout, trackers, blocking_by_persona)
+    for a, advertiser in enumerate(flags.advertisers):
         adv_seed = substream_key(seed, "infer", advertiser)
-        designs[advertiser] = (X, y, fold_masks(personas, folds, adv_seed),
-                               X_holdout, y_holdout, adv_seed)
+        designs[advertiser] = (*design(a, ~holdout), fold_masks(personas, folds, adv_seed),
+                               *design(a, holdout), adv_seed)
 
     points = grid.points()
 

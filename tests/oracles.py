@@ -25,6 +25,11 @@ token with its own scalar numpy call, in the order the simulator's draw
 contract states, and sorts the logs into canonical order at the end; the
 batched simulator must give equal log rows.
 
+The design oracle builds one advertiser's forest rows from one
+``FlaggedRecord`` per line of ``records.jsonl``, sorted by (persona, flag),
+the way inference did before it read the flags as one array; the rows
+``run_inference`` builds from the array must equal them.
+
 The collation oracle builds one ``DeliveredAd`` per ad and counts each
 creative's tokens into a per-(advertiser, persona, run) dict, token by
 token, over a ``build_corpus`` corpus, the way the flag stage collated
@@ -38,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +51,6 @@ from adtomo.ecosim import auction_hb, auction_rtb
 from adtomo.rng import GAMMA, MASK64, substream
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 from adtomo.syncdetect import SyncReport
-from adtomo.textvec import Corpus
 
 _U_MAX = 1.0 - 1e-12
 
@@ -252,6 +256,33 @@ class VectorRecord(NamedTuple):
     vector: dict[int, int]   # column index -> count (>= 1 only)
 
 
+class FlaggedRecord(NamedTuple):
+    """One line of ``records.jsonl`` without its counts."""
+
+    advertiser: str
+    persona: str
+    run: int
+    is_different_from_control: bool
+
+
+def design_by_records(records: Sequence[FlaggedRecord], trackers: Sequence[str],
+                      blocking_by_persona: Mapping[str, Iterable[str]]
+                      ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(X, y, personas) of one advertiser's records, rows sorted by (persona,
+    flag): X[i, j] is 1 when the row's persona blocks ``trackers[j]``, y[i]
+    is its change flag."""
+    ordered = sorted(records, key=lambda r: (r.persona, r.is_different_from_control))
+    personas = [rec.persona for rec in ordered]
+    rows: dict[str, list[bool]] = {}
+    for persona in personas:
+        if persona not in rows:
+            blocked = set(blocking_by_persona[persona])
+            rows[persona] = [t in blocked for t in trackers]
+    X = np.array([rows[p] for p in personas], dtype=np.uint8)
+    y = np.array([rec.is_different_from_control for rec in ordered], dtype=np.uint8)
+    return X, y, personas
+
+
 def chi2_by_dense_tables(records, control_records, size: int, config) -> list:
     """Dense reference for the flags of ``tomography.flag_records``: per
     record, the chi-squared TestResult on the dense 2 x ``size`` table of
@@ -367,33 +398,34 @@ class OutOfCorpusError(KeyError):
     pass
 
 
-def build_corpus(token_lists: Iterable[Iterable[str]]) -> Corpus:
-    """Corpus over the union of all tokens, indexed lexicographically."""
+def build_corpus(token_lists: Iterable[Iterable[str]]) -> dict[str, int]:
+    """Corpus over the union of all tokens: token -> column, tokens indexed
+    lexicographically."""
     vocab = set()
     for tokens in token_lists:
         vocab.update(tokens)
-    return Corpus({token: i for i, token in enumerate(sorted(vocab))})
+    return {token: i for i, token in enumerate(sorted(vocab))}
 
 
-def add_tokens(counts: dict[int, int], tokens: Iterable[str], corpus: Corpus) -> None:
+def add_tokens(counts: dict[int, int], tokens: Iterable[str],
+               corpus: dict[str, int]) -> None:
     """Add one count per token to its column in ``counts``."""
-    index = corpus.word_index
     for token in tokens:
         try:
-            idx = index[token]
+            idx = corpus[token]
         except KeyError:
             raise OutOfCorpusError(token) from None
         counts[idx] = counts.get(idx, 0) + 1
 
 
-def vectorize_tokens(tokens: Iterable[str], corpus: Corpus) -> dict[int, int]:
+def vectorize_tokens(tokens: Iterable[str], corpus: dict[str, int]) -> dict[int, int]:
     """Token frequencies over the corpus: column index -> count."""
     counts: dict[int, int] = {}
     add_tokens(counts, tokens, corpus)
     return counts
 
 
-def collate(adlog: Iterable[DeliveredAd], corpus: Corpus, personas: Sequence[str],
+def collate(adlog: Iterable[DeliveredAd], corpus: dict[str, int], personas: Sequence[str],
             runs: Sequence[int]) -> list[VectorRecord]:
     """Per-ad reference for the vectors of ``tomography.flag_records``: one
     record per (advertiser, persona, run), advertisers sorted, over the

@@ -518,6 +518,24 @@ class TestExitCodes:
         assert "duplicate record" in proc.stderr and "first seen at line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda lines: lines[1:],
+                     "records.jsonl: no record for (advertiser, persona, run) "
+                     "('dsp-1', 'p-000', 0)", id="missing_record"),
+        pytest.param(lambda lines: [json.dumps({**json.loads(lines[0]), "run": 99}), *lines[1:]],
+                     "records.jsonl:1: field 'run' must be in [0, runs=6), got 99",
+                     id="run_out_of_range"),
+    ])
+    def test_incomplete_record_grid_names_file(self, mini_run, tmp_path, edit, problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        records = out / "records.jsonl"
+        records.write_text("\n".join(edit(records.read_text().splitlines())) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert problem in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_ad_log_persona_missing_from_manifest(self, mini_run, tmp_path):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
@@ -612,6 +630,12 @@ class TestExitCodes:
                      id="inferred_string"),
         pytest.param(lambda row: row.update(inferred=[["tr-1"]]), "list of strings",
                      id="inferred_nested"),
+        pytest.param(lambda row: row.update(advertiser="nope"),
+                     "advertiser 'nope' is not an advertiser of the config",
+                     id="unknown_advertiser"),
+        pytest.param(lambda row: row.update(inferred=["nope"]),
+                     "inferred tracker 'nope' is not a tracker of the config",
+                     id="unknown_tracker"),
     ])
     def test_bad_report_row_names_file_and_entry(self, mini_run, tmp_path, corrupt, problem):
         cfg_path, out = mini_run

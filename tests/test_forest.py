@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from adtomo import pipeline
+from adtomo.config import load_pipeline_config
 from adtomo.forest import (
     ForestModel,
     ForestParams,
@@ -17,7 +19,8 @@ from adtomo.forest import (
     train_forest,
 )
 from adtomo.forest.model import _fold_assignment, _n_sub
-from adtomo.tomography import FlaggedRecord, run_inference
+
+from conftest import load_config
 
 
 def rows(X, y):
@@ -189,24 +192,23 @@ class TestForest:
         m2 = train_forest(X, y, params, seed=3)
         assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
 
-    def test_sample_order_does_not_matter(self):
-        # The forest uses its rows in the order given; run_inference fixes
-        # that order, so shuffled CV and holdout records give the same report.
-        trackers = ["t1", "t2", "t3"]
-        blocking = {f"p-{m}": tuple(t for i, t in enumerate(trackers) if m >> i & 1)
-                    for m in range(8)}
+    def test_sample_order_does_not_matter(self, tmp_path):
+        # The forest uses its rows in the order given; inference fixes that
+        # order, so shuffling the lines of records.jsonl leaves the report
+        # byte-identical.
+        cfg = load_pipeline_config(load_config("mini", seed=4))
+        pipeline.stage_simulate(cfg, tmp_path)
+        pipeline.stage_flag(cfg, tmp_path)
+        pipeline.stage_infer(cfg, tmp_path)
+        want = (tmp_path / "report.json").read_bytes()
+        records = tmp_path / "records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
         rng = random.Random(8)
-        records = [FlaggedRecord("adv", pid, run, rng.random() < 0.3 + 0.4 * ("t2" in blocked))
-                   for pid, blocked in blocking.items() for run in range(6)]
-        cv = [r for r in records if r.run < 4]
-        holdout = [r for r in records if r.run >= 4]
-        grid = HyperGrid(n_trees=(10,), max_depth=(3, None), features_per_split=("sqrt",),
-                         min_leaf=(1,))
-        want = run_inference(cv, holdout, grid, 4, 4, trackers, blocking)
         for _ in range(3):
-            rng.shuffle(cv)
-            rng.shuffle(holdout)
-            assert run_inference(cv, holdout, grid, 4, 4, trackers, blocking) == want
+            rng.shuffle(lines)
+            records.write_text("".join(lines), encoding="utf-8")
+            pipeline.stage_infer(cfg, tmp_path)
+            assert (tmp_path / "report.json").read_bytes() == want
 
     def test_predict_majority_and_tie(self):
         model = train_forest(*separable_rows(n=32, seed=9),

@@ -11,6 +11,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adtomo import cli, parallel, pipeline, tomography
@@ -20,9 +21,10 @@ from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_impo
 from adtomo.parallel import fork_map
 from adtomo.pipeline import ARTIFACTS, load_pipeline_config, run_pipeline
 from adtomo.rng import substream_key
-from adtomo.tomography import FlaggedRecord, run_inference
+from adtomo.tomography import Flags, holdout_mask, run_inference
 
 from conftest import load_config
+from oracles import FlaggedRecord, design_by_records
 
 
 @pytest.fixture
@@ -311,28 +313,29 @@ def _random_inference_case(seed):
     runs = folds * rng.randint(1, 2) + 1
     records = [FlaggedRecord(a, p, r, rng.random() < 0.5)
                for a in advertisers for p in personas for r in range(runs)]
-    cv = [rec for rec in records if rec.run < runs - 1]
-    holdout = [rec for rec in records if rec.run == runs - 1]
+    flags = Flags(advertisers, personas, np.array(
+        [rec.is_different_from_control for rec in records],
+        dtype=np.uint8).reshape(len(advertisers), len(personas), runs))
     grid = HyperGrid(n_trees=(3, 5), max_depth=(2, None), features_per_split=("sqrt", "all"),
                      min_leaf=(1,))
-    return cv, holdout, grid, folds, trackers, blocking
+    return records, flags, holdout_mask(runs, 1, seed), grid, folds, trackers, blocking
 
 
 @pytest.mark.parametrize("case", range(6))
 def test_run_inference_equals_per_advertiser_grid_search(case, two_cpus):
-    cv, holdout, grid, folds, trackers, blocking = _random_inference_case(case)
+    records, flags, holdout, grid, folds, trackers, blocking = _random_inference_case(case)
     seed = 1000 + case
-    reports = run_inference(cv, holdout, grid, folds, seed, trackers, blocking, 0.5)
-    assert [r.advertiser for r in reports] == sorted({rec.advertiser for rec in cv})
+    reports = run_inference(flags, holdout, grid, folds, seed, trackers, blocking, 0.5)
+    assert [r.advertiser for r in reports] == flags.advertisers
     for report in reports:
-        mine = [rec for rec in cv if rec.advertiser == report.advertiser]
-        X, y, personas = tomography._design(mine, sorted(trackers), blocking)
+        mine = [rec for rec in records if rec.advertiser == report.advertiser]
+        X, y, personas = design_by_records([rec for rec in mine if not holdout[rec.run]],
+                                           sorted(trackers), blocking)
         adv_seed = substream_key(seed, "infer", report.advertiser)
         params, cv_acc = cross_validate_grid(X, y, personas, grid, folds, adv_seed)
         model = train_forest(X, y, params, adv_seed)
-        X_h, y_h, _ = tomography._design(
-            [rec for rec in holdout if rec.advertiser == report.advertiser],
-            sorted(trackers), blocking)
+        X_h, y_h, _ = design_by_records([rec for rec in mine if holdout[rec.run]],
+                                        sorted(trackers), blocking)
         assert (report.params, report.cv_accuracy) == (params, cv_acc)
         assert report.holdout_accuracy == accuracy(model, X_h, y_h)
         assert list(report.gains.values()) == feature_importance(model).tolist()

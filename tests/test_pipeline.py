@@ -121,7 +121,7 @@ def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
     pipeline.stage_flag(cfg, out)
     ads = [DeliveredAd(**json.loads(line))
            for line in (out / "adlog.jsonl").read_text(encoding="utf-8").split("\n")[:-1]]
-    tokens = build_corpus(a.tokens for a in ads).tokens()
+    tokens = list(build_corpus(a.tokens for a in ads))
     if odd:
         assert all('"' in t or "\\" in t for t in tokens)
     log = ad_log(ads)

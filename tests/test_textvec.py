@@ -9,18 +9,17 @@ from oracles import OutOfCorpusError, add_tokens, build_corpus, vectorize_tokens
 
 class TestCorpus:
     def test_empty(self):
-        assert build_corpus([]).size == 0
+        assert build_corpus([]) == {}
 
     def test_union_lexicographic(self):
         corpus = build_corpus([["a", "b"], ["b", "c"]])
-        assert corpus.size == 3
-        assert corpus.word_index == {"a": 0, "b": 1, "c": 2}
-        assert corpus.tokens() == ["a", "b", "c"]
+        assert corpus == {"a": 0, "b": 1, "c": 2}
+        assert list(corpus) == ["a", "b", "c"]
 
     def test_union_of_shared_tokens(self):
         tokens = [f"tok{i:04d}" for i in range(1000)]
         corpus = build_corpus([tokens, reversed(tokens)])
-        assert corpus.size == len(set(tokens))
+        assert len(corpus) == len(set(tokens))
 
 
 class TestVectorize:
@@ -52,7 +51,7 @@ class TestVectorize:
         naive = {}
         for t in tokens:
             naive[t] = naive.get(t, 0) + 1
-        assert v == {corpus.word_index[t]: c for t, c in naive.items()}
+        assert v == {corpus[t]: c for t, c in naive.items()}
 
 
 class TestCosine:

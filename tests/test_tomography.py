@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,18 +10,18 @@ from adtomo.ecosim import enumerate_personas, sim_config_from_dict
 from adtomo.errors import ConfigError
 from adtomo.forest import HyperGrid
 from adtomo.pipeline import load_pipeline_config
+from adtomo.rng import substream
 from adtomo.stattest import StatConfig
-from adtomo.textvec import Corpus
+from adtomo.evaluation import evaluate
 from adtomo.tomography import (
-    FlaggedRecord,
+    Flags,
     corpus_columns,
-    evaluate,
     flag_records,
     group_run_vectors,
     h1_similarity_matrix,
+    holdout_mask,
     infer_relationships,
     run_inference,
-    segment_records,
 )
 
 from conftest import ad_log, load_config, simulate_logs
@@ -67,7 +68,7 @@ class TestEnumerate:
 
 
 def corpus_of(*tokens):
-    return Corpus({t: i for i, t in enumerate(sorted(tokens))})
+    return {t: i for i, t in enumerate(sorted(tokens))}
 
 
 def flag_log(log, column, controls=(), config=StatConfig()):
@@ -93,7 +94,7 @@ def collate_observed(ads, corpus, controls=()):
     """The vector records of ``flag_log`` over the ads ``ads`` and the
     columns of ``corpus``."""
     log = ad_log(ads)
-    column = np.array([corpus.word_index[t] for t in log.tokens], dtype=np.int64)
+    column = np.array([corpus[t] for t in log.tokens], dtype=np.int64)
     return [VectorRecord(a, p, r, v) for a, p, r, v, _ in flag_log(log, column, controls)]
 
 
@@ -104,8 +105,8 @@ class TestCollate:
                DeliveredAd(1, "p1", "s2", "adv", ("a",))]
         records = collate_observed(ads, corpus)
         assert len(records) == 1
-        assert records[0].vector == {corpus.word_index["a"]: 2,
-                                     corpus.word_index["b"]: 1}
+        assert records[0].vector == {corpus["a"]: 2,
+                                     corpus["b"]: 1}
 
     def test_empty_log(self):
         assert collate_observed([], corpus_of("a")) == []
@@ -188,7 +189,7 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
                for a, b in zip(log, ad_log(ads)))
     corpus = build_corpus(a.tokens for a in ads)
     tokens, column = corpus_columns(log.tokens)
-    assert tokens == corpus.tokens()
+    assert tokens == list(corpus)
     personas, runs = sorted({a.persona for a in ads}), sorted({a.run for a in ads})
     controls = set(personas[:2])
     pooled = []
@@ -402,7 +403,7 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
     ads = [DeliveredAd(**row) for row in rows]
     corpus = build_corpus(a.tokens for a in ads)
     log = ad_log(ads)
-    column = np.array([corpus.word_index[t] for t in log.tokens], dtype=np.int64)
+    column = np.array([corpus[t] for t in log.tokens], dtype=np.int64)
     controls = {p.id for p in cfg.sim.personas if p.is_control}
     payload = json.dumps([[a, p, r, sorted(v.items()), flag]
                           for a, p, r, v, flag in flag_log(log, column, controls, cfg.stats)])
@@ -410,41 +411,49 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
 
 
 class TestSegment:
-    def _records(self, runs=10, advertisers=2, personas=3):
-        return [FlaggedRecord(f"a{a}", f"p{p}", r, False)
-                for a in range(advertisers) for p in range(personas)
-                for r in range(runs)]
+    """The split of the runs into cross-validation and holdout runs, and
+    the grid of flags it splits."""
 
     def test_default_eight_two_split(self):
-        cv, holdout = segment_records(self._records(), 10, 2, seed=1)
-        for a in range(2):
-            for p in range(3):
-                mine = lambda rs: [r for r in rs if r.advertiser == f"a{a}"
-                                   and r.persona == f"p{p}"]
-                assert len(mine(cv)) == 8
-                assert len(mine(holdout)) == 2
-
-    def test_holdout_runs_shared_across_pairs(self):
-        cv, holdout = segment_records(self._records(), 10, 2, seed=2)
-        runs_by_pair = {}
-        for r in holdout:
-            runs_by_pair.setdefault((r.advertiser, r.persona), set()).add(r.run)
-        assert len(set(map(frozenset, runs_by_pair.values()))) == 1
-
-    def test_zero_holdout(self):
-        cv, holdout = segment_records(self._records(), 10, 0, seed=3)
-        assert holdout == []
-        assert len(cv) == len(self._records())
+        mask = holdout_mask(10, 2, seed=1)
+        assert mask.dtype == bool and mask.shape == (10,)
+        assert (mask.sum(), (~mask).sum()) == (2, 8)
 
     def test_deterministic(self):
-        s1 = segment_records(self._records(), 10, 2, seed=4)
-        s2 = segment_records(self._records(), 10, 2, seed=4)
-        assert s1 == s2
+        assert np.array_equal(holdout_mask(10, 2, seed=4), holdout_mask(10, 2, seed=4))
+        assert len({tuple(holdout_mask(10, 2, seed)) for seed in range(20)}) > 1
 
-    def test_missing_run_rejected(self):
-        records = [r for r in self._records() if not (r.run == 3 and r.persona == "p1")]
-        with pytest.raises(ConfigError, match="runs"):
-            segment_records(records, 10, 2, seed=5)
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11, 12345])
+    def test_equals_segment_permutation_draw(self, seed):
+        # Records were once split by the runs of this draw: the first
+        # holdout_runs of a permutation from the "segment" substream.
+        held = substream(seed, "segment").permutation(10)[:2]
+        assert np.flatnonzero(holdout_mask(10, 2, seed)).tolist() == sorted(held.tolist())
+
+    def test_missing_run_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cells = [(f"a{a}", f"p{p}", r, bool(rng.random() < 0.5))
+                 for a in range(2) for p in range(3) for r in range(10)]
+
+        def read(kept):
+            lines = [json.dumps({"advertiser": a, "persona": p, "run": r, "counts": {},
+                                 "is_different_from_control": f}) for a, p, r, f in kept]
+            (tmp_path / "records.jsonl").write_text("\n".join(lines[::-1]) + "\n")
+            return pipeline._read_records(tmp_path, {}, 10)
+
+        flags = read(cells)
+        assert (flags.advertisers, flags.personas) == (["a0", "a1"], ["p0", "p1", "p2"])
+        assert flags.flag.dtype == np.uint8
+        assert flags.flag.ravel().tolist() == [f for *_, f in cells]
+        # A missing run of a pair, a persona missing for one advertiser, and
+        # two missing cells, of which the first in (advertiser, persona, run)
+        # order is named.
+        for missing, named in [({("a0", "p1", 3)}, ("a0", "p1", 3)),
+                               ({("a1", "p2", r) for r in range(10)}, ("a1", "p2", 0)),
+                               ({("a1", "p0", 1), ("a0", "p2", 9)}, ("a0", "p2", 9))]:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"records.jsonl: no record for (advertiser, persona, run) {named}")):
+                read([c for c in cells if c[:3] not in missing])
 
 
 class TestInferenceRule:
@@ -500,20 +509,18 @@ class TestEvaluate:
         assert evaluate(set(), {("t", "a")}) == (1.0, 0.0)
 
 
-def _planted_flags(edge_trackers, trackers, personas_per_side=None, runs=10, seed=0):
-    """Synthetic flagged records: flag = every edge tracker blocked (the
-    advertiser lost all its data suppliers), plus a little label noise."""
+def _planted_flags(edge_trackers, trackers, runs=10, seed=0):
+    """Synthetic flags of one advertiser, one persona per blocking mask:
+    flag = every edge tracker blocked (the advertiser lost all its data
+    suppliers), plus a little label noise."""
     rng = np.random.default_rng(seed)
-    records = []
     k = len(trackers)
+    flag = []
     for mask in range(1 << k):
         blocked = {trackers[i] for i in range(k) if mask >> i & 1}
-        pid = f"p-{mask:0{k}b}"
-        for run in range(runs):
-            cut_off = all(t in blocked for t in edge_trackers)
-            flag = cut_off if rng.random() > 0.05 else not cut_off
-            records.append(FlaggedRecord("adv", pid, run, flag))
-    return records
+        cut_off = all(t in blocked for t in edge_trackers)
+        flag.append([cut_off if rng.random() > 0.05 else not cut_off for _ in range(runs)])
+    return Flags(["adv"], list(_blocking_map(trackers)), np.array([flag], dtype=np.uint8))
 
 
 def _blocking_map(trackers):
@@ -524,16 +531,14 @@ def _blocking_map(trackers):
 
 GRID = HyperGrid(n_trees=(20,), max_depth=(3, None), features_per_split=("all",),
                  min_leaf=(1,))
+HOLDOUT = np.arange(10) >= 8  # runs 8 and 9
 
 
 class TestRunInference:
     def test_constant_false_flags_infer_nothing(self):
         trackers = ["t1", "t2", "t3"]
-        records = [FlaggedRecord("adv", pid, run, False)
-                   for pid in _blocking_map(trackers) for run in range(10)]
-        cv = [r for r in records if r.run < 8]
-        holdout = [r for r in records if r.run >= 8]
-        reports = run_inference(cv, holdout, GRID, 4, 1, trackers,
+        flags = Flags(["adv"], list(_blocking_map(trackers)), np.zeros((1, 8, 10), np.uint8))
+        reports = run_inference(flags, HOLDOUT, GRID, 4, 1, trackers,
                                 _blocking_map(trackers))
         assert reports[0].holdout_accuracy == 1.0
         assert reports[0].inferred == ()
@@ -541,10 +546,8 @@ class TestRunInference:
 
     def test_single_edge_recovered(self):
         trackers = ["t1", "t2", "t3", "t4"]
-        records = _planted_flags(["t2"], trackers, seed=1)
-        cv = [r for r in records if r.run < 8]
-        holdout = [r for r in records if r.run >= 8]
-        reports = run_inference(cv, holdout, GRID, 4, 2, trackers,
+        flags = _planted_flags(["t2"], trackers, seed=1)
+        reports = run_inference(flags, HOLDOUT, GRID, 4, 2, trackers,
                                 _blocking_map(trackers))
         assert reports[0].inferred == ("t2",)
         assert reports[0].holdout_accuracy >= 0.85
@@ -555,10 +558,8 @@ class TestRunInference:
         trackers = [f"t{i}" for i in range(1, 7)]
         hits = 0
         for seed in range(5):
-            records = _planted_flags(["t1", "t3"], trackers, seed=10 + seed)
-            cv = [r for r in records if r.run < 8]
-            holdout = [r for r in records if r.run >= 8]
-            reports = run_inference(cv, holdout, GRID, 4, seed, trackers,
+            flags = _planted_flags(["t1", "t3"], trackers, seed=10 + seed)
+            reports = run_inference(flags, HOLDOUT, GRID, 4, seed, trackers,
                                     _blocking_map(trackers))
             inferred = set(reports[0].inferred)
             assert inferred <= {"t1", "t3"}
@@ -567,10 +568,8 @@ class TestRunInference:
 
     def test_gate_soundness_on_every_report(self):
         trackers = ["t1", "t2"]
-        records = _planted_flags(["t1"], trackers, seed=3)
-        cv = [r for r in records if r.run < 8]
-        holdout = [r for r in records if r.run >= 8]
-        reports = run_inference(cv, holdout, GRID, 4, 3, trackers,
+        flags = _planted_flags(["t1"], trackers, seed=3)
+        reports = run_inference(flags, HOLDOUT, GRID, 4, 3, trackers,
                                 _blocking_map(trackers), accuracy_threshold=0.999)
         for rep in reports:
             if rep.holdout_accuracy < 0.999:

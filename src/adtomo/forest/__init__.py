@@ -3,8 +3,7 @@ from .model import (
     ForestModel,
     accuracy,
     best_point,
-    cross_validate_grid,
-    cv_score,
+    cv_scores,
     feature_importance,
     fold_masks,
     predict_batch,
@@ -14,6 +13,6 @@ from . import kernels
 
 __all__ = [
     "ForestModel", "ForestParams", "HyperGrid",
-    "accuracy", "best_point", "cross_validate_grid", "cv_score", "feature_importance",
+    "accuracy", "best_point", "cv_scores", "feature_importance",
     "fold_masks", "predict_batch", "train_forest", "kernels",
 ]

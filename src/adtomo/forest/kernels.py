@@ -10,7 +10,10 @@ entropies, gains, tie-breaks, node ids and depth-first order.  A bootstrap
 resample only changes the multiplicities, which are one ``np.bincount`` over
 the drawn row indices.
 
-``build_forest`` grows a batch of trees (the fold forests of one grid point,
+``pattern_cells`` maps rows to their distinct patterns and (pattern, label)
+cells once; ``build_forest`` takes the pattern table and the cells, so a
+caller that grows many batches over one row set pays that ``np.unique``
+once.  It grows a batch of trees (the fold forests of several grid points,
 or one forest) in lockstep, one numpy pass per round over every tree.  The
 batch shares one hyperparameter set; only the training rows differ per
 forest.
@@ -35,6 +38,8 @@ So a forest is a pure function of its inputs and tree seeds, whatever batch
 it grows in.
 
 A forest is stored as ``Nodes``: flat arrays indexed by (tree, node id).
+``tree_labels`` walks every tree of a batch over a pattern table at once;
+``predict_votes`` is the majority over that walk.
 """
 
 from __future__ import annotations
@@ -141,38 +146,45 @@ def _samples(cells, rows, seeds, bootstrap, n_cells):
     return np.concatenate(states), np.concatenate(counts).reshape(len(seeds), -1, 2)
 
 
-def build_forest(X, y, tree_seeds, max_depth, n_sub, min_leaf, bootstrap, train=None):
+def pattern_cells(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns, cells) of the rows (X, y): the distinct rows of X, sorted,
+    and each row's (pattern, label) cell ``2 * pattern + label``.  Features
+    and labels must be 0/1."""
+    X = np.ascontiguousarray(X, dtype=np.uint8)
+    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
+    return patterns, 2 * inverse.reshape(-1) + np.asarray(y, dtype=np.uint8)
+
+
+def build_forest(patterns, cells, tree_seeds, max_depth, n_sub, min_leaf, bootstrap,
+                 train=None):
     """Grow a batch of forests in lockstep; returns their trees as
     ``Nodes``, tree after tree.
 
-    Forest f trains on the rows of (X, y) where ``train[f]`` is set, in the
-    order given; ``train`` None means one forest on all rows.  The trees of
-    forest f are the f-th of len(train) equal runs of ``tree_seeds``.
-    ``max_depth`` (None: unbounded), ``n_sub``, ``min_leaf`` and
-    ``bootstrap`` are one value each for every tree of the batch.  Features
-    and labels must be uint8 0/1.  With ``bootstrap`` each tree trains on a
-    same-size bootstrap resample of its forest's rows, drawn from its seed,
-    else on the rows as given.
+    The rows are ``cells`` over the pattern table ``patterns``
+    (``pattern_cells``).  Forest f trains on the rows where ``train[f]`` is
+    set, in the order given; ``train`` None means one forest on all rows.
+    The trees of forest f are the f-th of len(train) equal runs of
+    ``tree_seeds``.  ``max_depth`` (None: unbounded), ``n_sub``,
+    ``min_leaf`` and ``bootstrap`` are one value each for every tree of the
+    batch.  With ``bootstrap`` each tree trains on a same-size bootstrap
+    resample of its forest's rows, drawn from its seed, else on the rows as
+    given.  A tree depends on the rows' patterns and labels, not on the
+    table's other patterns.
 
     Every tree is grown exactly as a depth-first builder grows it alone (see
     the module docstring): when ``n_sub`` < k, a round takes from each tree
     the next node in its depth-first order that can split, else all pending
     nodes.
     """
-    X = np.ascontiguousarray(X, dtype=np.uint8)
-    y = np.ascontiguousarray(y, dtype=np.uint8)
+    patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
+    cells = np.asarray(cells, dtype=np.int64)
     tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
-    train = np.ones((1, len(X)), dtype=bool) if train is None else np.asarray(train, dtype=bool)
-    n_forests, k = len(train), X.shape[1]
+    train = (np.ones((1, len(cells)), dtype=bool) if train is None
+             else np.asarray(train, dtype=bool))
     n_trees = len(tree_seeds)
-    if n_trees % n_forests:
-        raise ValueError(f"{n_trees} tree seeds do not split into {n_forests} forests")
+    if n_trees % len(train):
+        raise ValueError(f"{n_trees} tree seeds do not split into {len(train)} forests")
     depth_cap = UNBOUNDED_DEPTH if max_depth is None else max_depth
-
-    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-    # (pattern, label) cell of each row: a sample's cell counts are its
-    # (negative, positive) rows per pattern.
-    cells = 2 * inverse.reshape(-1) + y
     # Nested calls: the elements die with _grow, before the output arrays exist.
     return _renumber(*_grow(*_roots(cells, train, tree_seeds, bootstrap, 2 * len(patterns)),
                             patterns, depth_cap, n_sub, min_leaf), n_trees)
@@ -431,27 +443,35 @@ def _preorder(rec, split, n_splits):
     return rank, node_id
 
 
+def tree_labels(nodes: Nodes, patterns) -> np.ndarray:
+    """The leaf label each tree of ``nodes`` gives each row of ``patterns``:
+    a (trees, patterns) uint8 array.
+
+    Walks every tree for every pattern at once, one level per round, each
+    round over the (tree, pattern) pairs not yet at a leaf; a path never
+    splits one feature twice, so no walk outlasts k rounds.
+    """
+    patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
+    n_patterns, k = patterns.shape
+    width = nodes.feature.shape[1]
+    feature, left, right = (a.reshape(-1) for a in (nodes.feature, nodes.left, nodes.right))
+    # Per (tree, pattern) pair, tree after tree: its node as a flat index.
+    node = np.repeat(np.arange(len(nodes.count), dtype=np.intp) * width, n_patterns)
+    live = np.arange(node.size)
+    while live.size:
+        at = node[live]
+        feat = feature[at]
+        split = feat >= 0
+        live, at, feat = live[split], at[split], feat[split]
+        go_right = patterns.reshape(-1)[live % n_patterns * k + feat] != 0
+        node[live] = at - at % width + np.where(go_right, right[at], left[at])
+    return nodes.label.reshape(-1)[node].reshape(len(nodes.count), n_patterns)
+
+
 def predict_votes(nodes: Nodes, X):
     """Majority vote over the trees of ``nodes`` for each row of X; ties
-    resolve to 0.
-
-    Walks every tree for every distinct row at once, one level per round; a
-    path never splits one feature twice, so no walk outlasts k rounds.
-    """
-    X = np.ascontiguousarray(X, dtype=np.uint8)
-    feat_a, left_a, right_a, label_a = nodes.feature, nodes.left, nodes.right, nodes.label
-    n_trees = feat_a.shape[0]
-    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-    trees = np.arange(n_trees)[:, None]
-    cols = np.arange(patterns.shape[0])
-    node = np.zeros((n_trees, patterns.shape[0]), dtype=np.intp)
-    while True:
-        feat = feat_a[trees, node]
-        split = feat >= 0
-        if not split.any():
-            break
-        go_right = patterns[cols, np.where(split, feat, 0)] != 0
-        child = np.where(go_right, right_a[trees, node], left_a[trees, node])
-        node = np.where(split, child, node)
-    votes = label_a[trees, node].sum(axis=0, dtype=np.int64)
-    return (2 * votes[inverse.reshape(-1)] > n_trees).astype(np.uint8)
+    resolve to 0.  Each distinct row is walked once (``tree_labels``)."""
+    patterns, inverse = np.unique(np.ascontiguousarray(X, dtype=np.uint8), axis=0,
+                                  return_inverse=True)
+    votes = tree_labels(nodes, patterns).sum(axis=0, dtype=np.int64)
+    return (2 * votes[inverse.reshape(-1)] > len(nodes.count)).astype(np.uint8)

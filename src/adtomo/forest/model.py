@@ -10,13 +10,15 @@ is deterministic given (X, y), the hyperparameters, and one integer seed.
 The caller fixes the row order: ``tomography.run_inference`` sorts each
 advertiser's records by (persona, flag) before building X and y.
 
-Growth runs in ``kernels.build_forest``.  ``train_forest`` hands it one
-forest; ``cv_score`` hands it the fold forests of one grid point as one
-batch over the shared rows, each fold's training rows a mask, and the
-kernel grows every tree of the batch in lockstep.  Each fold forest is the
-one ``train_forest`` would grow on that fold's rows and seed.
-``cross_validate_grid`` scores every grid point and keeps the best by
-``best_point``.
+Growth runs in ``kernels.build_forest``, over a pattern table and each
+row's (pattern, label) cell (``kernels.pattern_cells``).  ``train_forest``
+computes those from (X, y) and hands the kernel one forest.  ``cv_scores``
+takes them from its caller, computed once for every advertiser, and hands
+the kernel the fold forests of several grid points as one batch, each
+fold's training rows a mask; the kernel grows every tree of the batch in
+lockstep, and one walk of every tree over the pattern table scores them
+all.  Each fold forest is the one ``train_forest`` would grow on that
+fold's rows and seed.  ``best_point`` keeps the best grid point.
 
 A note on zero-gain splits: an impure node is still split when the best
 achievable gain is zero, as long as some feature actually partitions it.
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import ForestParams, HyperGrid
+from ..config import ForestParams
 from ..rng import substream, substream_key
 from . import kernels
 
@@ -99,7 +101,7 @@ def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
     the rows, drawn from its own seed-derived substream."""
     X, y = _rows(X, y)
     nodes = kernels.build_forest(
-        X, y, _tree_seeds([seed], params.n_trees), params.max_depth,
+        *kernels.pattern_cells(X, y), _tree_seeds([seed], params.n_trees), params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
     return ForestModel(nodes, params, seed, X.shape[1])
 
@@ -161,28 +163,51 @@ def fold_masks(personas: Sequence[str], folds: int, seed: int) -> np.ndarray:
     return _fold_assignment(personas, folds, seed) == np.arange(folds)[:, None]
 
 
-def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParams,
-             gi: int, seed: int) -> float:
-    """Mean held-out-fold accuracy of grid point ``gi`` (``params``) over the
-    folds of ``test`` (from ``fold_masks``); X and y as ``_rows`` returns
-    them.
+def cv_scores(patterns: np.ndarray, cells: np.ndarray, test: np.ndarray,
+              units: Sequence[tuple[int, ForestParams, int, int]]) -> list[float]:
+    """Mean held-out-fold accuracy of each unit (r, params, gi, seed): grid
+    point ``gi`` (``params``) on the rows ``cells[r]`` over the pattern table
+    ``patterns`` (``kernels.pattern_cells``), split into the folds
+    ``test[r]`` (``fold_masks``).
 
-    The fold forests grow as one batch; fold k's forest equals
-    train_forest(X[~test[k]], y[~test[k]], params, substream_key(seed, "cv",
-    gi, k)).  Each grid point draws from its own substreams, so the points
-    may be scored in any order or process."""
-    folds = len(test)
-    seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
+    Fold k's forest of a unit equals train_forest(X[~test[r, k]],
+    y[~test[r, k]], params, substream_key(seed, "cv", gi, k)) for the rows
+    (X, y) of ``cells[r]``.  The units must share ``max_depth``,
+    ``features_per_split`` and ``min_leaf``: every fold forest grows in one
+    ``kernels.build_forest`` batch, a forest of n trees as n / g forests of
+    g trees on one row mask (g the gcd of the units' ``n_trees``), and one
+    walk of every tree over the pattern table scores them all.  Each unit
+    draws from its own substreams, so units may be scored in any batch or
+    process."""
+    folds, n_rows = test.shape[1:]
+    first = units[0][1]
+    sizes = np.repeat([params.n_trees for _, params, _, _ in units], folds)
+    g = math.gcd(*sizes.tolist())
+    # Rows of the units' own advertisers only, block i being cells[rows[i]].
+    rows = sorted({r for r, *_ in units})
+    block = {r: i for i, r in enumerate(rows)}
+    train = np.zeros((len(sizes), len(rows), n_rows), dtype=bool)
+    for u, (r, _, _, _) in enumerate(units):
+        train[u * folds:(u + 1) * folds, block[r]] = ~test[r]
+    seeds = np.concatenate([
+        _tree_seeds([substream_key(seed, "cv", gi, k) for k in range(folds)], params.n_trees)
+        for _, params, gi, seed in units])
     nodes = kernels.build_forest(
-        X, y, _tree_seeds(seeds, params.n_trees), params.max_depth,
-        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
-    accs = []
-    for k in range(folds):
-        trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
-        fold = kernels.Nodes(*(a[trees] for a in nodes))
-        votes = kernels.predict_votes(fold, X[test[k]])
-        accs.append(float((votes == y[test[k]]).mean()))
-    return float(np.mean(accs))
+        patterns, cells[rows].reshape(-1), seeds, first.max_depth,
+        _n_sub(first, patterns.shape[1]), first.min_leaf, bootstrap=True,
+        train=np.repeat(train.reshape(len(sizes), -1), sizes // g, axis=0))
+    votes = np.add.reduceat(kernels.tree_labels(nodes, patterns), np.cumsum(sizes) - sizes,
+                            axis=0, dtype=np.int64)
+    majority = 2 * votes > sizes[:, None]
+    scores = []
+    for u, (r, _, _, _) in enumerate(units):
+        accs = []
+        for k in range(folds):
+            held = cells[r, test[r, k]]
+            accs.append(np.count_nonzero(majority[u * folds + k, held >> 1] == (held & 1))
+                        / len(held))
+        scores.append(float(np.mean(accs)))
+    return scores
 
 
 def best_point(points: Sequence[ForestParams], scores) -> tuple[ForestParams, float]:
@@ -195,18 +220,3 @@ def best_point(points: Sequence[ForestParams], scores) -> tuple[ForestParams, fl
             best_acc = acc
             best_params = params
     return best_params, best_acc
-
-
-def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: int,
-                        seed: int) -> tuple[ForestParams, float]:
-    """Persona-balanced k-fold grid search over the rows of (X, y), whose
-    personas are ``personas``.
-
-    Returns the grid point with the highest mean held-out-fold accuracy;
-    exact ties go to the earlier point in canonical parameter order.
-    """
-    test = fold_masks(personas, folds, seed)
-    X, y = _rows(X, y)
-    points = grid.points()
-    return best_point(points, [cv_score(X, y, test, params, gi, seed)
-                               for gi, params in enumerate(points)])

@@ -34,6 +34,12 @@ def _call(i: int):
     return fn(items[i])
 
 
+def cpus() -> int:
+    """The number of CPUs this process may run on: ``fork_map``'s most
+    workers."""
+    return len(os.sched_getaffinity(0))
+
+
 def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """``fn(item)`` for each item, in item order.  The first item, in item
     order, that raises re-raises its exception here.  The pool is shut down
@@ -41,7 +47,7 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     items not yet started are cancelled and the running ones are waited
     for."""
     global _TASK
-    workers = min(len(os.sched_getaffinity(0)), len(items))
+    workers = min(cpus(), len(items))
     if workers < 2:
         yield from map(fn, items)
         return

@@ -342,7 +342,17 @@ def _report_meta(cfg: PipelineConfig) -> dict:
 def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
     flags = _read_records(out_dir, _read_corpus(out_dir), cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas(flags.personas, personas, out_dir / "records.jsonl")
+    records = out_dir / "records.jsonl"
+    _check_known_personas(flags.personas, personas, records)
+    # The flag stage writes every non-control persona and no control one:
+    # a missing persona would shrink the design without notice.
+    control = sorted({p["id"] for p in personas if p["is_control"]} & set(flags.personas))
+    if control:
+        raise ConfigError(f"persona {control[0]!r} is a control persona of personas.json; "
+                          "records hold non-control personas only", str(records))
+    missing = sorted({p["id"] for p in personas if not p["is_control"]} - set(flags.personas))
+    if missing:
+        raise ConfigError(f"no record for persona {missing[0]!r} of personas.json", str(records))
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
     trackers = list(cfg.sim.world.tracker_ids)
     holdout = holdout_mask(cfg.sim.runs, cfg.holdout_runs, cfg.seed)

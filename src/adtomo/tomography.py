@@ -54,12 +54,13 @@ from .forest import (
     HyperGrid,
     accuracy,
     best_point,
-    cv_score,
+    cv_scores,
     feature_importance,
     fold_masks,
+    kernels,
     train_forest,
 )
-from .parallel import fork_map
+from .parallel import cpus, fork_map
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, flags_against, welch_t_test
 from .textvec import cosine_similarity
@@ -221,6 +222,14 @@ def infer_relationships(gains, holdout_accuracy: float, accuracy_threshold: floa
     return tuple(t for t, g in zip(tracker_ids, gains) if g > cutoff)
 
 
+# Trees x patterns of one cross-validation task: units are packed into a
+# task up to this size.  A task's memory grows with it: on 2 vCPU,
+# perfbench small-run peak RSS read 41.8 MB with one unit per task, 42.1 MB
+# at 2^15 and 2^16, and 47.4 MB at 2^17, where the pool workers outgrow
+# the process that forks them.
+_PACK_BUDGET = 1 << 16
+
+
 def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int,
                   seed: int, trackers: Sequence[str],
                   blocking_by_persona: Mapping[str, Iterable[str]],
@@ -229,25 +238,38 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     rule.  The model trains on the runs outside the per-run mask ``holdout``
     (``holdout_mask``) and is scored on the runs inside it.
 
-    Each advertiser's choice is ``cross_validate_grid`` followed by
-    ``train_forest`` on the chosen params, both on the advertiser's seed.
-    The (advertiser, grid point) scores run in one process pool and the
-    final fits in another: each draws from its own substreams, so the report
-    does not depend on the worker count.  Every advertiser appears in the
-    output with its accuracies even when the holdout gate empties its
-    inferred set.
+    Each advertiser's choice is a persona-balanced k-fold grid search, the
+    best grid point by ``best_point``, followed by ``train_forest`` on the
+    chosen params, both on the advertiser's seed.  Every advertiser appears
+    in the output with its accuracies even when the holdout gate empties
+    its inferred set.
+
+    Every advertiser's cross-validation rows share the personas' blocking
+    rows, so the pattern table and each row's (pattern, label) cell are
+    computed once for all of them.  A unit, one (advertiser, grid point)
+    with all its fold forests, is scored by ``cv_scores``.  Units that share
+    (``max_depth``, ``features_per_split``, ``min_leaf``) are packed, in
+    (advertiser, grid point) order, into one task up to ``_PACK_BUDGET``
+    trees x patterns and at most an even share of the work per CPU; a unit
+    over that is a task alone.  A unit's
+    folds never split across tasks: sqrt trees take one node per round, and
+    the fold lockstep is what amortises the rounds.  The tasks run in one
+    process pool and the per-advertiser final fits in another; each unit
+    and fit draws from its own substreams, so the report depends neither on
+    the packing nor on the worker count.
 
     One task per advertiser, grid search and final fit together, saves the
     second pool's start-up and was measured on 2 vCPU.  It is faster on small
     inputs: ``small`` infer 0.539 -> 0.505 s (median of 7 alternating runs),
     ``mini`` 24 -> 16 ms.  But full ``desk`` infer went from 90.1 to 102.0 s
     (median of 2): nine advertiser tasks do not split evenly over 2 workers.
-    So the (advertiser, grid point) tasks stay.  Every ``report.json`` was
-    byte-identical either way.
+    So the cross-validation tasks and the fits stay apart.  Every
+    ``report.json`` was byte-identical either way.
     """
     trackers = tuple(sorted(trackers))
     blocked = [set(blocking_by_persona[p]) for p in flags.personas]
     blocks = np.array([[t in b for t in trackers] for b in blocked], dtype=np.uint8)
+    cv_runs = int((~holdout).sum())
 
     def design(a: int, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) of advertiser ``a`` over the runs the mask ``runs`` holds,
@@ -255,36 +277,56 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
         y = np.sort(flags.flag[a][:, runs], axis=1)
         return np.repeat(blocks, y.shape[1], axis=0), y.ravel()
 
-    cv_runs = int((~holdout).sum())
+    # Per advertiser, the (pattern, label) cells of the rows ``design``
+    # builds over the cross-validation runs: each persona's label-0 cell
+    # repeated per run, plus its flags, sorted.
+    patterns, persona_cell = kernels.pattern_cells(blocks, 0)
+    cells = np.repeat(persona_cell, cv_runs) + np.sort(
+        flags.flag[:, :, ~holdout], axis=2).reshape(len(flags.advertisers), -1)
     personas = [p for p in flags.personas for _ in range(cv_runs)]
-    designs = {}  # advertiser -> (X, y, fold test masks, X_holdout, y_holdout, seed)
-    for a, advertiser in enumerate(flags.advertisers):
-        adv_seed = substream_key(seed, "infer", advertiser)
-        designs[advertiser] = (*design(a, ~holdout), fold_masks(personas, folds, adv_seed),
-                               *design(a, holdout), adv_seed)
+    seeds = [substream_key(seed, "infer", advertiser) for advertiser in flags.advertisers]
+    test = np.stack([fold_masks(personas, folds, adv_seed) for adv_seed in seeds])
 
     points = grid.points()
+    units = [(a, gi) for a in range(len(seeds)) for gi in range(len(points))]
+    sizes = [folds * params.n_trees * len(patterns) for params in points]
+    # No task takes more than an even share of the work per CPU, so a small
+    # input still spreads over every worker.
+    budget = min(_PACK_BUDGET, len(seeds) * sum(sizes) / cpus())
+    tasks: list[list[int]] = []
+    packing: dict[tuple, tuple[list[int], int]] = {}  # group -> (open task, its size)
+    for u, (a, gi) in enumerate(units):
+        params = points[gi]
+        group = (params.max_depth, params.features_per_split, params.min_leaf)
+        task, used = packing.get(group, ([], 0))
+        if task and used + sizes[gi] > budget:
+            tasks.append(task)
+            task, used = [], 0
+        packing[group] = (task + [u], used + sizes[gi])
+    tasks += [task for task, _ in packing.values()]
 
-    def score(task: tuple[str, int]) -> float:
-        advertiser, gi = task
-        X, y, test, _, _, adv_seed = designs[advertiser]
-        return cv_score(X, y, test, points[gi], gi, adv_seed)
+    def score(task: list[int]) -> list[float]:
+        return cv_scores(patterns, cells, test,
+                         [(a, points[gi], gi, seeds[a]) for a, gi in map(units.__getitem__, task)])
 
-    scores = list(fork_map(score, [(a, gi) for a in designs for gi in range(len(points))]))
-    chosen = [best_point(points, scores[i * len(points):(i + 1) * len(points)])
-              for i in range(len(designs))]
+    scores = [0.0] * len(units)
+    for task, got in zip(tasks, fork_map(score, tasks)):
+        for u, acc in zip(task, got):
+            scores[u] = acc
+    chosen = [best_point(points, scores[a * len(points):(a + 1) * len(points)])
+              for a in range(len(seeds))]
 
-    def fit(task: tuple[str, ForestParams]) -> tuple[float, np.ndarray]:
-        advertiser, params = task
-        X, y, _, X_holdout, y_holdout, adv_seed = designs[advertiser]
-        model = train_forest(X, y, params, adv_seed)
-        return accuracy(model, X_holdout, y_holdout), feature_importance(model)
+    def fit(task: tuple[int, ForestParams]) -> tuple[float, np.ndarray]:
+        a, params = task
+        model = train_forest(*design(a, ~holdout), params, seeds[a])
+        return accuracy(model, *design(a, holdout)), feature_importance(model)
 
     # Each task carries its chosen params: a worker sees this process only
     # as it was when the pool forked.
-    fits = list(fork_map(fit, [(a, params) for a, (params, _) in zip(designs, chosen)]))
+    fits = list(fork_map(fit, [(a, params) for a, (params, _) in enumerate(chosen)]))
     reports = []
-    for advertiser, (params, cv_acc), (holdout_acc, gains) in zip(designs, chosen, fits):
+    for advertiser, (params, cv_acc), (holdout_acc, gains) in zip(flags.advertisers, chosen,
+                                                                  fits):
         inferred = infer_relationships(gains, holdout_acc, accuracy_threshold, trackers)
         reports.append(AdvertiserReport(
             advertiser=advertiser, params=params, cv_accuracy=cv_acc,

@@ -25,6 +25,12 @@ token with its own scalar numpy call, in the order the simulator's draw
 contract states, and sorts the logs into canonical order at the end; the
 batched simulator must give equal log rows.
 
+The grid-search oracle scores one grid point at a time: its fold forests
+grow as one batch over the advertiser's own rows, and each fold's held-out
+rows are voted by ``kernels.predict_votes``, the way inference scored
+before it packed (advertiser, grid point) units into shared batches; the
+packed ``forest.cv_scores`` must give equal scores.
+
 The design oracle builds one advertiser's forest rows from one
 ``FlaggedRecord`` per line of ``records.jsonl``, sorted by (persona, flag),
 the way inference did before it read the flags as one array; the rows
@@ -47,8 +53,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from adtomo.config import ForestParams, HyperGrid
 from adtomo.ecosim import auction_hb, auction_rtb
-from adtomo.rng import GAMMA, MASK64, substream
+from adtomo.forest import best_point, fold_masks, kernels
+from adtomo.forest.model import _n_sub, _rows, _tree_seeds
+from adtomo.rng import GAMMA, MASK64, substream, substream_key
 from adtomo.stattest import DegenerateTableError, chi_square_independence
 from adtomo.syncdetect import SyncReport
 
@@ -245,6 +254,40 @@ def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
             votes += nodes[node][5]
         out.append(1 if 2 * votes > len(forest) else 0)
     return out
+
+
+def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParams,
+             gi: int, seed: int) -> float:
+    """Mean held-out-fold accuracy of grid point ``gi`` (``params``) over the
+    folds of ``test`` (from ``fold_masks``); X and y as ``_rows`` returns
+    them.  The fold forests grow as one batch; fold k's forest equals
+    train_forest(X[~test[k]], y[~test[k]], params, substream_key(seed, "cv",
+    gi, k))."""
+    folds = len(test)
+    seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
+    nodes = kernels.build_forest(
+        *kernels.pattern_cells(X, y), _tree_seeds(seeds, params.n_trees), params.max_depth,
+        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
+    accs = []
+    for k in range(folds):
+        trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
+        fold = kernels.Nodes(*(a[trees] for a in nodes))
+        votes = kernels.predict_votes(fold, X[test[k]])
+        accs.append(float((votes == y[test[k]]).mean()))
+    return float(np.mean(accs))
+
+
+def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: int,
+                        seed: int) -> tuple[ForestParams, float]:
+    """Persona-balanced k-fold grid search over the rows of (X, y), whose
+    personas are ``personas``: the grid point with the highest mean
+    held-out-fold accuracy, one ``cv_score`` per point; exact ties go to the
+    earlier point in canonical parameter order."""
+    test = fold_masks(personas, folds, seed)
+    X, y = _rows(X, y)
+    points = grid.points()
+    return best_point(points, [cv_score(X, y, test, params, gi, seed)
+                               for gi, params in enumerate(points)])
 
 
 class VectorRecord(NamedTuple):

@@ -198,7 +198,8 @@ def test_criterion_6_forest_correctness():
     X_xor = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.uint8)
     y_xor = np.array([0, 1, 1, 0], dtype=np.uint8)
     feature, left, right, _, _, label, count = (a[0] for a in kernels.build_forest(
-        X_xor, y_xor, np.array([1], dtype=np.uint64), 2, 2, 1, bootstrap=False))
+        *kernels.pattern_cells(X_xor, y_xor), np.array([1], dtype=np.uint64), 2, 2, 1,
+        bootstrap=False))
     depth = {0: 0}
     for node in range(int(count)):
         if feature[node] >= 0:

@@ -506,6 +506,27 @@ class TestExitCodes:
         assert "records.jsonl:3:" in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda lines: [l for l in lines if json.loads(l)["persona"] != "p-000"],
+                     "records.jsonl: no record for persona 'p-000' of personas.json",
+                     id="missing_persona"),
+        pytest.param(lambda lines: lines + [json.dumps({**json.loads(l), "persona": "ctrl-000"})
+                                            for l in lines
+                                            if json.loads(l)["persona"] == "p-000"],
+                     "records.jsonl: persona 'ctrl-000' is a control persona of personas.json",
+                     id="control_persona"),
+    ])
+    def test_record_personas_must_be_the_non_control_personas(self, mini_run, tmp_path, edit,
+                                                              problem):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        records = out / "records.jsonl"
+        records.write_text("\n".join(edit(records.read_text().splitlines())) + "\n")
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert problem in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_duplicate_record_names_both_lines(self, mini_run, tmp_path):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")

@@ -12,7 +12,6 @@ from adtomo.forest import (
     ForestParams,
     HyperGrid,
     accuracy,
-    cross_validate_grid,
     feature_importance,
     kernels,
     predict_batch,
@@ -21,6 +20,7 @@ from adtomo.forest import (
 from adtomo.forest.model import _fold_assignment, _n_sub
 
 from conftest import load_config
+from oracles import cross_validate_grid
 
 
 def rows(X, y):
@@ -39,7 +39,7 @@ def train_tree(X, y, params, seed):
     ``Nodes`` of the kernel."""
     X, y = rows(X, y)
     return kernels.build_forest(
-        X, y, np.array([seed], dtype=np.uint64), params.max_depth,
+        *kernels.pattern_cells(X, y), np.array([seed], dtype=np.uint64), params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=False)
 
 

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from adtomo.forest import (
-    ForestModel, ForestParams, HyperGrid, cross_validate_grid, kernels, predict_batch,
-    train_forest,
+    ForestModel, ForestParams, HyperGrid, kernels, predict_batch, train_forest,
 )
 from adtomo.rng import splitmix64_draws
 
 import oracles
-from oracles import splitmix64
+from oracles import cross_validate_grid, splitmix64
 
 
 def test_splitmix_python_reference_known_values():
@@ -82,7 +81,8 @@ def test_tree_golden_digest():
     # One tree grown on the rows as given: the bootstrap=False path.
     X, y = _random_samples(34)
     nodes = kernels.build_forest(
-        X, y, np.array([3], dtype=np.uint64), None, 2, 1, bootstrap=False)
+        *kernels.pattern_cells(X, y), np.array([3], dtype=np.uint64), None, 2, 1,
+        bootstrap=False)
     tree = ForestModel(nodes, ForestParams(n_trees=1), 3, X.shape[1]).to_dict()["trees"][0]
     assert hashlib.sha256(json.dumps(tree).encode()).hexdigest() == (
         "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854")
@@ -162,7 +162,8 @@ def test_kernels_match_row_wise_reference():
         seeds = rng.integers(0, 1 << 64, int(rng.integers(1, 6)), dtype=np.uint64)
         params = (case, n, k, max_depth, n_sub, min_leaf, bootstrap)
 
-        nodes = kernels.build_forest(X, y, seeds, max_depth, n_sub, min_leaf, bootstrap)
+        nodes = kernels.build_forest(*kernels.pattern_cells(X, y), seeds, max_depth, n_sub,
+                                     min_leaf, bootstrap)
         got = _node_rows(nodes)
         want = oracles.forest_by_rows(X.tolist(), y.tolist(), seeds.tolist(),
                                       max_depth, n_sub, min_leaf, bootstrap)
@@ -218,7 +219,8 @@ def test_lockstep_batches_match_row_wise_reference():
         params = (case, k, max_depth, n_sub, min_leaf, bootstrap)
 
         got = _node_rows(kernels.build_forest(
-            X, y, seeds, max_depth, n_sub, min_leaf, bootstrap, train=train))
+            *kernels.pattern_cells(X, y), seeds, max_depth, n_sub, min_leaf, bootstrap,
+            train=train))
         for f in range(n_forests):
             trees = slice(f * per_forest, (f + 1) * per_forest)
             want = oracles.forest_by_rows(

@@ -16,15 +16,14 @@ import pytest
 
 from adtomo import cli, parallel, pipeline, tomography
 from adtomo.errors import ConfigError, WorkerLostError
-from adtomo.forest import HyperGrid, accuracy, cross_validate_grid, feature_importance, \
-    train_forest
+from adtomo.forest import HyperGrid, accuracy, feature_importance, train_forest
 from adtomo.parallel import fork_map
 from adtomo.pipeline import ARTIFACTS, load_pipeline_config, run_pipeline
 from adtomo.rng import substream_key
 from adtomo.tomography import Flags, holdout_mask, run_inference
 
 from conftest import load_config
-from oracles import FlaggedRecord, design_by_records
+from oracles import FlaggedRecord, cross_validate_grid, design_by_records
 
 
 @pytest.fixture
@@ -125,7 +124,11 @@ def test_no_worker_outlives_a_stage(tmp_path, two_cpus, monkeypatch):
 
 
 def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
-    cfg = load_pipeline_config(load_config("mini", seed=3))
+    doc = load_config("mini", seed=3)
+    # Two (max_depth, features_per_split, min_leaf) groups: two infer tasks,
+    # so the failing one runs in a pool.
+    doc["grid"]["max_depth"] = [3, None]
+    cfg = load_pipeline_config(doc)
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
     pipeline.stage_flag(cfg, out)
@@ -149,10 +152,10 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     assert multiprocessing.active_children() == []
     assert _files(out) == before
 
-    def failing_score(X, y, test, params, gi, seed):
+    def failing_score(patterns, cells, test, units):
         raise ConfigError("score failed")
 
-    monkeypatch.setattr(tomography, "cv_score", failing_score)
+    monkeypatch.setattr(tomography, "cv_scores", failing_score)
     with pytest.raises(ConfigError, match="score failed"):
         pipeline.stage_infer(cfg, out)
     assert multiprocessing.active_children() == []
@@ -303,7 +306,7 @@ pipeline.stage_simulate(cfg, Path({str(tmp_path / "out")!r}))
     assert elapsed < 2.0
 
 
-def _random_inference_case(seed):
+def _random_inference_case(seed, n_trees=(3, 5)):
     rng = random.Random(seed)
     trackers = [f"t{i}" for i in range(rng.randint(2, 5))]
     personas = [f"p{i}" for i in range(rng.randint(3, 8))]
@@ -316,7 +319,7 @@ def _random_inference_case(seed):
     flags = Flags(advertisers, personas, np.array(
         [rec.is_different_from_control for rec in records],
         dtype=np.uint8).reshape(len(advertisers), len(personas), runs))
-    grid = HyperGrid(n_trees=(3, 5), max_depth=(2, None), features_per_split=("sqrt", "all"),
+    grid = HyperGrid(n_trees=n_trees, max_depth=(2, None), features_per_split=("sqrt", "all"),
                      min_leaf=(1,))
     return records, flags, holdout_mask(runs, 1, seed), grid, folds, trackers, blocking
 
@@ -339,3 +342,42 @@ def test_run_inference_equals_per_advertiser_grid_search(case, two_cpus):
         assert (report.params, report.cv_accuracy) == (params, cv_acc)
         assert report.holdout_accuracy == accuracy(model, X_h, y_h)
         assert list(report.gains.values()) == feature_importance(model).tolist()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("budget", [1, 200])
+def test_packed_units_equal_per_advertiser_grid_search(budget, cpus, monkeypatch):
+    # Budget 1 puts every unit in a task alone; 200 tree-patterns packs a
+    # few units of mixed n_trees into each task.  Even tree counts let
+    # votes tie.
+    monkeypatch.setattr(tomography, "_PACK_BUDGET", budget)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for case in range(6):
+        records, flags, holdout, grid, folds, trackers, blocking = _random_inference_case(
+            case, n_trees=(2, 6))
+        reports = run_inference(flags, holdout, grid, folds, case, trackers, blocking, 0.5)
+        for report in reports:
+            X, y, personas = design_by_records(
+                [rec for rec in records if rec.advertiser == report.advertiser
+                 and not holdout[rec.run]], sorted(trackers), blocking)
+            adv_seed = substream_key(case, "infer", report.advertiser)
+            assert (report.params, report.cv_accuracy) == cross_validate_grid(
+                X, y, personas, grid, folds, adv_seed), (case, report.advertiser)
+
+
+def test_cv_units_spread_over_every_cpu(two_cpus, monkeypatch):
+    # Both advertisers' single grid point fit one task by the budget; the
+    # even share of the work per CPU still gives each unit its own task.
+    _, flags, holdout, _, folds, trackers, blocking = _random_inference_case(5)
+    assert len(flags.advertisers) == 2
+    grid = HyperGrid(n_trees=(3,), max_depth=(2,), features_per_split=("all",), min_leaf=(1,))
+    tasks = []
+    real = tomography.fork_map
+
+    def counting_map(fn, items):
+        tasks.append(len(items))
+        return real(fn, items)
+
+    monkeypatch.setattr(tomography, "fork_map", counting_map)
+    run_inference(flags, holdout, grid, folds, 7, trackers, blocking)
+    assert tasks == [2, 2]

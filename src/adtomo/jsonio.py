@@ -11,6 +11,11 @@ gives with ``ensure_ascii=False`` and ``separators=(",", ":")``, followed by
 LF.  The writers build many lines of one shape from a few values: they
 encode each value once with ``encode_str``, ``encode_int``, ``encode_float``
 or ``encode_scalar`` and join the fragments, which gives those bytes.
+
+``iter_jsonl`` is the one reader of JSON-lines files.  It reads bytes,
+decodes each line on its own and parses it with the C scanner behind
+``json.loads``, and it can read a byte range of whole lines, so a file can
+be parsed in spans by separate processes.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 import os
 from contextlib import contextmanager
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -76,57 +82,105 @@ def open_atomic(path, newline: str = "\n", binary: bool = False) -> Iterator[IO]
         raise
 
 
-def _decode_error(path, lineno: int, exc: json.JSONDecodeError) -> ConfigError:
-    return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", f"{path}:{lineno}")
+def _decode_error(where: str, exc: json.JSONDecodeError) -> ConfigError:
+    return ConfigError(f"invalid JSON ({exc.msg}, column {exc.colno})", where)
 
 
-def _utf8_error(path) -> ConfigError:
-    """ConfigError naming the first line of ``path`` that is not UTF-8.  The
-    text readers decode ahead of the line they yield, so the line is found
-    by reading the file again as bytes, only once a read has failed."""
+def _utf8_error(where: str, line: bytes, exc: UnicodeDecodeError) -> ConfigError:
+    return ConfigError(f"invalid UTF-8 (byte 0x{line[exc.start]:02x} at byte "
+                       f"{exc.start + 1} of the line)", where)
+
+
+def _first_utf8_error(path) -> ConfigError:
+    """ConfigError naming the first line of ``path`` that is not UTF-8, for
+    a reader that decoded the whole file at once."""
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return ConfigError(f"invalid UTF-8 (byte 0x{line[exc.start]:02x} at byte "
-                                   f"{exc.start + 1} of the line)", f"{path}:{lineno}")
+                return _utf8_error(f"{path}:{lineno}", line, exc)
     return ConfigError("invalid UTF-8", str(path))
 
 
+def _lines_before(path, offset: int) -> int:
+    """The number of lines in the first ``offset`` bytes of ``path``, which
+    end just after a line."""
+    with Path(path).open("rb") as fh:
+        head = fh.read(offset)
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+
+
+def _span(fh, size: int) -> Iterator[bytes]:
+    """The LF-terminated lines of ``fh`` that start in its next ``size``
+    bytes."""
+    for raw in fh:
+        if size <= 0:
+            return
+        yield raw
+        size -= len(raw)
+
+
+# The scanner json.loads parses with, without json.loads' checks for a BOM
+# and for data after the value.  A line that the scanner does not read
+# whole goes to json.loads, which raises its error, so every line reads as
+# json.loads reads it.
+_scan = make_scanner(json.JSONDecoder())
+
+
 def iter_jsonl(path, fields: Iterable[str] = (),
-               check: Callable[[dict, int], str | None] | None = None) -> Iterator[dict]:
+               check: Callable[[dict, int], str | None] | None = None,
+               start: int = 0, stop: int | None = None) -> Iterator[dict]:
     """The records of a JSON-lines file, each yielded as its line is read.
-    A line that is not UTF-8 or not JSON, a line that is not an object
+    With ``start`` and ``stop``, only the lines that start in that byte
+    range are read; both must be 0, the file's size or just after an LF.
+
+    Lines end at LF, CRLF or a lone CR, as Python's universal newlines read
+    them.  Each line is decoded on its own, so an error names the first bad
+    line: a line that is not UTF-8 or not JSON, a line that is not an object
     holding every name in ``fields``, or a record for which
-    ``check(record, lineno)`` returns a message raises ConfigError naming
-    the file and line."""
+    ``check(record, lineno)`` returns a message raises ConfigError naming the
+    file and line.  ``lineno`` counts from ``start``'s line; the lines before
+    it are counted only to name a bad line."""
     required = set(fields)
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
+
+    def where(lineno: int) -> str:
+        return f"{path}:{lineno + (_lines_before(path, start) if start else 0)}"
+
+    lineno = 0
+    with Path(path).open("rb") as fh:
+        fh.seek(start)
+        for raw in fh if stop is None else _span(fh, stop - start):
+            for piece in raw.splitlines() if b"\r" in raw else (raw,):
+                lineno += 1
+                try:
+                    line = piece.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise _utf8_error(where(lineno), piece, exc) from None
+                if not line:
+                    continue
+                try:
+                    record, end = _scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(line):
                     try:
                         record = json.loads(line)
                     except json.JSONDecodeError as exc:
-                        raise _decode_error(path, lineno, exc) from None
-                    if required and not (isinstance(record, dict)
-                                         and record.keys() >= required):
-                        raise _field_error(path, lineno, record, required)
-                    problem = check(record, lineno) if check else None
-                    if problem:
-                        raise ConfigError(problem, f"{path}:{lineno}")
-                    yield record
-        except UnicodeDecodeError:
-            raise _utf8_error(path) from None
+                        raise _decode_error(where(lineno), exc) from None
+                if required and not (isinstance(record, dict) and record.keys() >= required):
+                    raise _field_error(where(lineno), record, required)
+                problem = check(record, lineno) if check else None
+                if problem:
+                    raise ConfigError(problem, where(lineno))
+                yield record
 
 
-def _field_error(path, lineno: int, record, required: set) -> ConfigError:
+def _field_error(where: str, record, required: set) -> ConfigError:
     if not isinstance(record, dict):
-        return ConfigError("expected a JSON object", f"{path}:{lineno}")
+        return ConfigError("expected a JSON object", where)
     missing = ", ".join(repr(f) for f in sorted(required - record.keys()))
-    return ConfigError(f"missing field {missing}", f"{path}:{lineno}")
+    return ConfigError(f"missing field {missing}", where)
 
 
 def write_json(path, payload) -> None:
@@ -142,9 +196,9 @@ def read_json(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise _decode_error(path, exc.lineno, exc) from None
+            raise _decode_error(f"{path}:{exc.lineno}", exc) from None
         except UnicodeDecodeError:
-            raise _utf8_error(path) from None
+            raise _first_utf8_error(path) from None
 
 
 def _check_fields(entry, fields: dict[str, type], where: str) -> None:

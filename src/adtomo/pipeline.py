@@ -28,18 +28,21 @@ never inside one.
 ``simulate`` and ``flag`` build their JSON-lines artifacts in pooled tasks
 from fragments encoded once (``jsonio.encode_*``); each task writes its part
 to disk and the parent splices the parts in item order (``_write_pooled``),
-so the artifacts' text never passes between processes.
+so the artifacts' text never passes between processes.  ``flag`` and ``h1``
+parse a large ``adlog.jsonl`` the same way, in spans of whole lines whose
+columns come back through part files (``_read_ad_columns``).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from array import array
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .errors import ConfigError
 from .evaluation import stage_evaluate
 from .jsonio import (_check_fields, _check_strings, encode_int, encode_scalar, encode_str,
                      iter_jsonl, open_atomic, read_json, write_json)
-from .parallel import fork_map
+from .parallel import cpus, fork_map
 from .syncdetect import stage_syncdetect
 from .tomography import (
     AdLog,
@@ -63,6 +66,7 @@ from .tomography import (
 )
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 ARTIFACTS = ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl", "personas.json",
              "world.json", "corpus.json", "records.jsonl", "report.json",
@@ -119,11 +123,38 @@ class _Ids(dict):
         return i
 
 
-def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
-    """``adlog.jsonl`` as integer columns, each line checked and appended as
-    it is read.  No object per ad or per token occurrence is kept: each
-    persona, advertiser and token string is held once, in its id map."""
-    path = out_dir / "adlog.jsonl"
+# adlog.jsonl is parsed in spans of whole lines, one per CPU but at most one
+# per whole _SPAN_BYTES of the file: a log under twice that is parsed in
+# process.
+_SPAN_BYTES = 1 << 20
+# Ids remapped per np.take call when the spans' parts merge, so that its
+# temporaries stay small.
+_REMAP_CHUNK = 1 << 16
+
+
+def _line_spans(path: Path, size: int, count: int) -> list[tuple[int, int]]:
+    """``path``, of ``size`` bytes, cut into at most ``count`` near-equal
+    byte ranges of whole lines.  Each cut is the first line start at or
+    after its even share, found by seeking there, so the file is not read
+    to cut it."""
+    cuts = [0]
+    with path.open("rb") as fh:
+        for k in range(1, count):
+            fh.seek(max(k * size // count, cuts[-1]) - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _parse_ads(path: Path, runs: int, start: int = 0,
+               stop: int | None = None) -> tuple[list[array], list[list[str]]]:
+    """The ads of the lines of ``path`` that start in bytes [start, stop),
+    each line checked and appended as it is read: the run, persona,
+    advertiser, token offsets and token columns, and the persona,
+    advertiser and token names, ids numbered in order of first appearance.
+    No object per ad or per token occurrence is kept: each name is held
+    once, in its id map."""
     persona_ids, advertiser_ids, token_ids = _Ids(), _Ids(), _Ids()
     run, persona, advertiser, token = (array("i") for _ in range(4))
     offsets = array("q", [0])
@@ -141,18 +172,80 @@ def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
             return "field 'tokens' must be a JSON list of strings"
         return None
 
-    for r in iter_jsonl(path, fields=("run", "persona", "slot", "advertiser", "tokens"),
-                        check=check):
+    for r in iter_jsonl(path, ("run", "persona", "slot", "advertiser", "tokens"), check,
+                        start, stop):
         run.append(r["run"])
         persona.append(persona_ids[r["persona"]])
         advertiser.append(advertiser_ids[r["advertiser"]])
         token.extend(map(token_ids.__getitem__, r["tokens"]))
         offsets.append(len(token))
-    if not run:
+    return ([run, persona, advertiser, offsets, token],
+            [list(persona_ids), list(advertiser_ids), list(token_ids)])
+
+
+def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
+    """``adlog.jsonl`` as integer columns (``_parse_ads``), ids numbered in
+    order of first appearance.  A log of at least two ``_SPAN_BYTES`` is cut
+    into spans of whole lines, one per CPU, and parsed by one ``fork_map``
+    task per span (``_merge_ad_parts``); a smaller one is parsed in
+    process, straight into the columns.  Either way the error raised names
+    the log's first bad line."""
+    path = out_dir / "adlog.jsonl"
+    size = path.stat().st_size
+    count = min(cpus(), size // _SPAN_BYTES)
+    if count < 2:
+        columns, names = _parse_ads(path, runs)
+        log = AdLog(*(np.frombuffer(c, dtype=c.typecode) for c in columns), *names)
+    else:
+        log = _merge_ad_parts(out_dir, path, runs, _line_spans(path, size, count))
+    if not len(log.run):
         raise ConfigError("holds no ads", str(path))
-    return AdLog(*(np.frombuffer(column, dtype=column.typecode)
-                   for column in (run, persona, advertiser, offsets, token)),
-                 list(persona_ids), list(advertiser_ids), list(token_ids))
+    return log
+
+
+def _merge_ad_parts(out_dir: Path, path: Path, runs: int,
+                    spans: list[tuple[int, int]]) -> AdLog:
+    """The columns of the spans ``spans`` of ``path``, each span parsed by
+    one task of ``_pooled_parts``.  A task writes its span's names and
+    columns to a part file and returns their sizes, so no column passes
+    through the pool.  The parent allocates the columns once, reads each
+    part into its slices, one part at a time, and remaps the part's ids to
+    ids of the whole log: a name keeps the id of its first appearance in
+    the earliest span that holds it."""
+    def write_part(part: Callable[[str], Path], i: int) -> tuple[int, int, int]:
+        (run, persona, advertiser, offsets, token), names = _parse_ads(path, runs, *spans[i])
+        head = json.dumps(names).encode("ascii")
+        with part(path.name).open("wb") as fh:
+            fh.write(head)
+            for column in (run, persona, advertiser, token, offsets):
+                column.tofile(fh)
+        return len(head), len(run), len(token)
+
+    ids = _Ids(), _Ids(), _Ids()  # persona, advertiser and token ids in the whole log
+    with _pooled_parts(out_dir, (path.name,), write_part, len(spans)) as (results, part):
+        sizes = list(results)
+        ads, tokens = sum(n for _, n, _ in sizes), sum(m for _, _, m in sizes)
+        run, persona, advertiser = (np.empty(ads, np.int32) for _ in range(3))
+        token = np.empty(tokens, np.int32)
+        offsets = np.zeros(ads + 1, np.int64)
+        a = t = 0
+        for i, (head, n, m) in enumerate(sizes):
+            local = persona[a:a + n], advertiser[a:a + n], token[t:t + m]
+            with part(path.name, i).open("rb") as fh:
+                names = json.loads(fh.read(head))
+                for column in (run[a:a + n], *local, offsets[a:a + n + 1]):
+                    view = memoryview(column).cast("B")
+                    if fh.readinto(view) != len(view):
+                        raise OSError(f"{fh.name}: shorter than its columns")
+            part(path.name, i).unlink()
+            offsets[a:a + n + 1] += t
+            for column, names_i, id_of in zip(local, names, ids):
+                remap = np.fromiter(map(id_of.__getitem__, names_i), np.int32, len(names_i))
+                for c in range(0, len(column), _REMAP_CHUNK):
+                    chunk = column[c:c + _REMAP_CHUNK]
+                    np.take(remap, chunk, out=chunk)  # in place: mode "raise" buffers out
+            a, t = a + n, t + m
+    return AdLog(run, persona, advertiser, offsets, token, *map(list, ids))
 
 
 def _read_corpus(out_dir: Path) -> dict[str, int]:
@@ -230,52 +323,65 @@ def _read_records(out_dir: Path, corpus: dict[str, int], runs: int) -> Flags:
 # stages
 # --------------------------------------------------------------------------
 
-def _write_pooled(out_dir: Path, names: Sequence[str],
-                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
-    """Write the artifacts ``names`` under ``out_dir``, each the
-    concatenation, in item order, of one of the texts ``texts_of(item)``
-    yields per item (one per name).  The items run through ``fork_map``.
-    Each task writes its texts, UTF-8 encoded, to part files of its own
-    under ``out_dir`` and returns only their sizes; the parent appends each
-    part to its artifact with ``os.sendfile`` and deletes it, so no process
-    holds more than one item's text and the parent opens one part at a time.
-    The artifacts are replaced only when every part is appended; if anything
-    fails, every part file is deleted and the artifacts keep their previous
-    content."""
+@contextmanager
+def _pooled_parts(out_dir: Path, names: Sequence[str],
+                  write_parts: Callable[[Callable[[str], Path], int], R], count: int
+                  ) -> Iterator[tuple[Iterator[R], Callable[[str, int], Path]]]:
+    """Run ``write_parts(part, i)`` for i in range(count) through
+    ``fork_map``.  ``part(name)`` is the path of item i's part file for
+    ``name``, under ``out_dir`` and named with a leading dot.  Yields the
+    results, in item order, and ``part(name, i)``; the caller deletes each
+    part once it has read it.  If anything fails, every part file is
+    deleted."""
     pid = os.getpid()
 
     def part(name: str, i: int) -> Path:
         return out_dir / f".{name}.{pid}.{i}.part"
 
-    def write_parts(i: int) -> list[int]:
-        sizes = []
-        for name, text in zip(names, texts_of(items[i])):
-            with part(name, i).open("wb") as fh:
-                sizes.append(fh.write(text.encode("utf-8")))
-        return sizes
-
-    results = fork_map(write_parts, range(len(items)))
+    results = fork_map(lambda i: write_parts(lambda name: part(name, i), i), range(count))
     try:
-        with ExitStack() as stack:
-            outs = [stack.enter_context(open_atomic(out_dir / name, binary=True))
-                    for name in names]
-            for i, sizes in enumerate(results):
-                for name, out, size in zip(names, outs, sizes):
-                    with part(name, i).open("rb") as src:
-                        offset = 0
-                        while offset < size:
-                            sent = os.sendfile(out.fileno(), src.fileno(), offset,
-                                               size - offset)
-                            if not sent:
-                                raise OSError(f"{src.name}: {size - offset} bytes short")
-                            offset += sent
-                    part(name, i).unlink()
+        yield results, part
     except BaseException:
         results.close()  # the pool is shut down: no task writes a part any more
-        for i in range(len(items)):
+        for i in range(count):
             for name in names:
                 part(name, i).unlink(missing_ok=True)
         raise
+
+
+def _write_pooled(out_dir: Path, names: Sequence[str],
+                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
+    """Write the artifacts ``names`` under ``out_dir``, each the
+    concatenation, in item order, of one of the texts ``texts_of(item)``
+    yields per item (one per name).  The items run through
+    ``_pooled_parts``.  Each task writes its texts, UTF-8 encoded, to part
+    files of its own and returns only their sizes; the parent appends each
+    part to its artifact with ``os.sendfile`` and deletes it, so no process
+    holds more than one item's text and the parent opens one part at a time.
+    The artifacts are replaced only when every part is appended; if anything
+    fails, every part file is deleted and the artifacts keep their previous
+    content."""
+    def write_parts(part: Callable[[str], Path], i: int) -> list[int]:
+        sizes = []
+        for name, text in zip(names, texts_of(items[i])):
+            with part(name).open("wb") as fh:
+                sizes.append(fh.write(text.encode("utf-8")))
+        return sizes
+
+    with (_pooled_parts(out_dir, names, write_parts, len(items)) as (results, part),
+          ExitStack() as stack):
+        outs = [stack.enter_context(open_atomic(out_dir / name, binary=True))
+                for name in names]
+        for i, sizes in enumerate(results):
+            for name, out, size in zip(names, outs, sizes):
+                with part(name, i).open("rb") as src:
+                    offset = 0
+                    while offset < size:
+                        sent = os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
+                        if not sent:
+                            raise OSError(f"{src.name}: {size - offset} bytes short")
+                        offset += sent
+                part(name, i).unlink()
 
 
 def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -294,9 +400,10 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     """Flag and encode each advertiser's records in a process pool, one task
-    per advertiser (``flag_records``).  The parent reads ``adlog.jsonl`` into
-    integer columns (``_read_ad_columns``) that every task inherits and none
-    copies.  Each task writes its lines to a part file appended to
+    per advertiser (``flag_records``).  ``adlog.jsonl`` is parsed into
+    integer columns first (``_read_ad_columns``: in spans of whole lines
+    across the pool when the log is large), and every flag task inherits
+    them from the parent and copies none.  Each task writes its lines to a part file appended to
     ``records.jsonl`` in advertiser order, so no process holds every record.
     Each line is built from the corpus tokens and persona ids, encoded once
     before the pool forks."""

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from adtomo.jsonio import encode_float, encode_int, encode_scalar, encode_str, open_atomic, \
-    write_json
+from adtomo.errors import ConfigError
+from adtomo.jsonio import encode_float, encode_int, encode_scalar, encode_str, iter_jsonl, \
+    open_atomic, write_json
 
 from oracles import dumps_line, jsonl_lines
 
@@ -117,3 +118,88 @@ def test_completed_write_replaces_the_artifact(tmp_path):
     write_json(path, {"new": True})
     assert json.loads(path.read_text()) == {"new": True}
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def _read(path, **kwargs) -> list:
+    return list(iter_jsonl(path, **kwargs))
+
+
+def test_first_bad_line_is_named(tmp_path):
+    # Line 2 is not JSON and line 3 not UTF-8: the reader names line 2.
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n{"a":\n{"a":"\xff"}\n')
+    with pytest.raises(ConfigError) as info:
+        _read(path)
+    assert str(info.value) == f"{path}:2: invalid JSON (Expecting value, column 6)"
+
+
+# Lines the scanner alone would read differently from json.loads, or whose
+# errors it would word differently: data after the value, a BOM, whitespace
+# only str.strip removes, non-finite numbers, duplicate keys, big ints,
+# non-object values and unfinished or malformed values.
+TRICKY_LINES = [
+    '{"a":1} x', '{"a":1}{"b":2}', '{"a":1}  ,', '\ufeff{"a":1}', '\ufeff',
+    '\x0c{"a":1}\x0c', '\x1c\x1d{"a":1}\x1e\x1f', '\xa0{"a":1}\u3000',
+    '\x0c', '\x85', '{"a":1}\u2028', '{"a":"x\u2028y"}',
+    'NaN', '[NaN,Infinity,-Infinity]', '{"a":nan}', '{"a":1e400,"b":-1e400}',
+    '{"a":1,"a":2,"b":{"c":3,"c":[4]}}', '12345678901234567890123456789',
+    '-0', '-0.0', '1.5e-400', '"text"', 'true', 'null', '[]',
+    '{"a":', '{"a":1,}', '[1,]', "{'a':1}", '{"a":"\\x"}', '{"a":"\x01"}',
+    '{"a":"\\ud800"}', '{"\\u00e9":"\\U"}', '{"a" 1}', 'tru', '01', '1.',
+]
+
+
+@pytest.mark.parametrize("line", TRICKY_LINES, ids=range(len(TRICKY_LINES)))
+def test_scanner_reads_as_json_loads(tmp_path, line):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(line.encode("utf-8") + b"\n")
+    stripped = line.strip()
+    try:
+        expected = [json.loads(stripped)] if stripped else []
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ConfigError) as info:
+            _read(path)
+        assert str(info.value) == f"{path}:1: invalid JSON ({exc.msg}, column {exc.colno})"
+    else:
+        assert repr(_read(path)) == repr(expected)
+
+
+def test_lines_end_as_universal_newlines_read_them(tmp_path):
+    path = tmp_path / "log.jsonl"
+    text = '{"a":1}\r\n\r\n{"a":2}\r{"a":3}\n\n\r\r{"a":4}\r\r\n \x0c{"a":5}'
+    path.write_bytes(text.encode("utf-8"))
+    assert [r["a"] for r in _read(path)] == [1, 2, 3, 4, 5]
+    lines = []
+    _read(path, check=lambda r, lineno: lines.append(lineno))
+    with open(path, encoding="utf-8") as fh:  # universal newlines
+        assert lines == [i for i, line in enumerate(fh, 1) if line.strip()]
+    path.write_bytes((text + '\r{"a":\r').encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert len(list(fh)) == 11
+    with pytest.raises(ConfigError, match=r"log.jsonl:11: invalid JSON \(Expecting value"):
+        _read(path)
+    path.write_bytes(b'{"a":1}\r{"a":"\xff"}\n')
+    with pytest.raises(ConfigError) as info:
+        _read(path)
+    assert str(info.value) == f"{path}:2: invalid UTF-8 (byte 0xff at byte 7 of the line)"
+
+
+def test_byte_ranges_read_their_lines(tmp_path):
+    path = tmp_path / "log.jsonl"
+    lines = [b'{"a":%d}' % i + (b"\r\n", b"\n", b"\r\n\n")[i % 3] for i in range(12)]
+    path.write_bytes(b"".join(lines))
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    for cut in starts:
+        head = _read(path, start=0, stop=cut)
+        assert head + _read(path, start=cut, stop=starts[-1]) == _read(path)
+        assert [r["a"] for r in head] == list(range(starts.index(cut)))
+    lines[9] = b'{"a":9,}\n'
+    path.write_bytes(b"".join(lines))
+    with open(path, encoding="utf-8") as fh:
+        bad = next(i for i, line in enumerate(fh, 1) if line.startswith('{"a":9'))
+    for start in starts[:10]:
+        with pytest.raises(ConfigError, match=f"log.jsonl:{bad}: invalid JSON"):
+            _read(path, start=start, stop=starts[-1])
+    assert len(_read(path, start=starts[10], stop=starts[-1])) == 2

@@ -209,14 +209,28 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("stage", ["simulate", "flag"])
+@pytest.mark.parametrize("stage", ["simulate", "flag", "read"])
 def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeypatch, stage):
     cfg = load_pipeline_config(load_config("mini", seed=3))
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
     pipeline.stage_flag(cfg, out)
     before = _files(out)
-    if stage == "simulate":
+    if stage == "read":  # the flag stage's read of adlog.jsonl, in two runs of lines
+        monkeypatch.setattr(pipeline, "_SPAN_BYTES", 300)
+        real_read = pipeline.iter_jsonl
+
+        def dying_read(path, fields, check, start=0, stop=None):
+            yield from real_read(path, fields, check, start, stop)
+            if start:  # the second run's worker dies once the first run's part is written
+                deadline = time.monotonic() + 10
+                while not list(out.glob(".adlog.jsonl.*.part")) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                _kill_self()
+
+        monkeypatch.setattr(pipeline, "iter_jsonl", dying_read)
+        stage = "flag"
+    elif stage == "simulate":
         real = pipeline.prepare_simulation
 
         def dying_run(*args):

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import random
 
+import numpy as np
 import pytest
 
-from adtomo import pipeline
+from adtomo import parallel, pipeline
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, run_pipeline
 from adtomo.tomography import corpus_columns, flag_records
 
-from conftest import ad_log, load_config
+from conftest import ad_log, load_config, simulate_texts
 from oracles import DeliveredAd, build_corpus, jsonl_lines
 
 
@@ -187,3 +189,129 @@ def test_cross_field_validation_paths():
     doc["accuracy_threshold"] = 1.5
     with pytest.raises(ConfigError, match="accuracy_threshold"):
         load_pipeline_config(doc)
+
+
+# --------------------------------------------------------------------------
+# adlog.jsonl read in runs of lines
+# --------------------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2, 3], ids=["one_cpu", "two_cpus", "three_cpus"])
+def small_spans(request, monkeypatch):
+    """adlog.jsonl cut into runs of a few hundred bytes, one per CPU; the
+    number of CPUs, which is also the number of runs of ``_line_spans``.
+    Returns the span counts ``_line_spans`` gave."""
+    monkeypatch.setattr(pipeline, "_SPAN_BYTES", 300)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                        lambda pid: set(range(request.param)))
+    counts = []
+    real = pipeline._line_spans
+
+    def spy(*args):
+        spans = real(*args)
+        counts.append(len(spans))
+        return spans
+
+    monkeypatch.setattr(pipeline, "_line_spans", spy)
+    return request.param, counts
+
+
+def _mini_adlog(odd: bool = False) -> str:
+    doc = load_config("mini", seed=3)
+    cfg = load_pipeline_config(_odd_tokens_and_advertisers(doc) if odd else doc)
+    return simulate_texts(cfg.sim.world, cfg.sim.personas, cfg.sim.runs, cfg.seed)[0]
+
+
+def _assert_same_log(log, expected):
+    for field, got, want in zip(log._fields, log, expected):
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        else:
+            assert got == want, field
+
+
+@pytest.mark.parametrize("order", ["simulated", "odd_strings", "shuffled"])
+def test_span_read_equals_per_ad_columns(tmp_path, small_spans, order):
+    cpus, counts = small_spans
+    lines = _mini_adlog(odd=order == "odd_strings").split("\n")[:-1]
+    if order == "shuffled":
+        # plus a token holding an escaped LF and one holding a lone surrogate
+        lines.append('{"run":1,"persona":"ctrl-000","slot":"s","advertiser":"dsp-9",'
+                     '"tokens":["a\\nb","\\ud800","gen-0001"]}')
+        random.Random(5).shuffle(lines)
+    (tmp_path / "adlog.jsonl").write_text("".join(line + "\n" for line in lines),
+                                          encoding="utf-8", errors="surrogatepass")
+    log = pipeline._read_ad_columns(tmp_path, 6)
+    assert counts == ([] if cpus == 1 else [cpus])
+    _assert_same_log(log, ad_log(DeliveredAd(**json.loads(line)) for line in lines))
+    assert list(tmp_path.iterdir()) == [tmp_path / "adlog.jsonl"]  # no part file left
+
+
+def test_h1_matrix_does_not_depend_on_spans(tmp_path, small_spans, monkeypatch):
+    cfg = load_pipeline_config(load_config("h1", seed=3))
+    out = tmp_path / "out"
+    pipeline.stage_simulate(cfg, out)
+    monkeypatch.setattr(pipeline, "_SPAN_BYTES", 1 << 20)
+    pipeline.stage_h1(cfg, out)
+    whole = (out / "h1_matrix.csv").read_bytes()
+    monkeypatch.setattr(pipeline, "_SPAN_BYTES", 300)
+    pipeline.stage_h1(cfg, out)
+    assert (out / "h1_matrix.csv").read_bytes() == whole
+    assert small_spans[1] == ([] if small_spans[0] == 1 else [small_spans[0]])
+
+
+@pytest.mark.parametrize("bad", [(100, 300), (300,), (300, 100)],
+                         ids=["both_runs", "second_run", "both_runs_reversed"])
+def test_earliest_bad_line_wins_across_spans(tmp_path, small_spans, bad):
+    lines = _mini_adlog().split("\n")[:-1]
+    # two different errors, so the message shows which line won
+    lines[bad[0] - 1] = '{"run":0,"persona":"p","slot":"s","advertiser":"a","tokens":[1]}'
+    if len(bad) > 1:
+        lines[bad[1] - 1] = lines[bad[1] - 1][:-1]
+    path = tmp_path / "adlog.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        pipeline._read_ad_columns(tmp_path, 6)
+    first = min(bad)
+    problem = ("field 'tokens' must be a JSON list of strings" if first == bad[0]
+               else "invalid JSON (Expecting ',' delimiter, column")
+    assert str(info.value).startswith(f"{path}:{first}: {problem}")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _text_lines(path) -> list[str]:
+    """The lines of ``path`` as a UTF-8 text file reads them: universal
+    newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return list(fh)
+
+
+@pytest.mark.parametrize("ending", ["crlf", "lone_cr", "blank_lines"])
+def test_line_endings_across_spans(tmp_path, small_spans, ending):
+    lines = _mini_adlog().split("\n")[:-1]
+    if ending == "crlf":
+        text = "".join(line + "\r\n" for line in lines)
+    elif ending == "lone_cr":  # every other line ends at a CR, so each LF line holds two
+        text = "".join(line + "\r\n"[i % 2] for i, line in enumerate(lines))
+    else:
+        text = "".join(line + ("\n\n \t\r\n\x0c\n" if i % 7 == 0 else "\n")
+                       for i, line in enumerate(lines))
+    path = tmp_path / "adlog.jsonl"
+    path.write_text(text + "{", encoding="utf-8", newline="")
+    with pytest.raises(ConfigError) as info:
+        pipeline._read_ad_columns(tmp_path, 6)
+    # the line number a text-mode reader gives the unfinished last line
+    assert str(info.value).startswith(f"{path}:{len(_text_lines(path))}: invalid JSON (")
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_same_log(pipeline._read_ad_columns(tmp_path, 6),
+                     ad_log(DeliveredAd(**json.loads(line)) for line in lines))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("text", ["", "\n" * 1000, "\r\n" * 500, " \r" * 500],
+                         ids=["zero_bytes", "lf", "crlf", "lone_cr"])
+def test_log_without_ads_across_spans(tmp_path, small_spans, text):
+    path = tmp_path / "adlog.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ConfigError, match="holds no ads"):
+        pipeline._read_ad_columns(tmp_path, 6)
+    assert list(tmp_path.iterdir()) == [path]

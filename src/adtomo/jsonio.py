@@ -93,13 +93,17 @@ def _utf8_error(where: str, line: bytes, exc: UnicodeDecodeError) -> ConfigError
 
 def _first_utf8_error(path) -> ConfigError:
     """ConfigError naming the first line of ``path`` that is not UTF-8, for
-    a reader that decoded the whole file at once."""
+    a reader that decoded the whole file at once.  Lines end at LF, CRLF or
+    a lone CR, as for ``iter_jsonl`` and a JSON error's line number."""
+    lineno = 0
     with Path(path).open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return _utf8_error(f"{path}:{lineno}", line, exc)
+        for raw in fh:
+            for line in raw.splitlines() if b"\r" in raw else (raw,):
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return _utf8_error(f"{path}:{lineno}", line, exc)
     return ConfigError("invalid UTF-8", str(path))
 
 

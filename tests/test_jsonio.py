@@ -4,7 +4,7 @@ import pytest
 
 from adtomo.errors import ConfigError
 from adtomo.jsonio import encode_float, encode_int, encode_scalar, encode_str, iter_jsonl, \
-    open_atomic, write_json
+    open_atomic, read_json, write_json
 
 from oracles import dumps_line, jsonl_lines
 
@@ -182,6 +182,20 @@ def test_lines_end_as_universal_newlines_read_them(tmp_path):
     with pytest.raises(ConfigError) as info:
         _read(path)
     assert str(info.value) == f"{path}:2: invalid UTF-8 (byte 0xff at byte 7 of the line)"
+
+
+def test_read_json_numbers_lines_as_universal_newlines_read_them(tmp_path):
+    # A UTF-8 error and a JSON error on the third CR-terminated line both
+    # name line 3.
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a":\r1,\r"b":}')
+    with pytest.raises(ConfigError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}:3: invalid JSON (Expecting value, column 5)"
+    path.write_bytes(b'{"a":\r1,\r"b":"\xff"}')
+    with pytest.raises(ConfigError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}:3: invalid UTF-8 (byte 0xff at byte 6 of the line)"
 
 
 def test_byte_ranges_read_their_lines(tmp_path):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import random
 import shutil
@@ -9,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,38 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
 
 
+def _assert_no_child():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _within(seconds, what):
+    """TimeoutError naming ``what`` if the block runs over ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError(f"{what} is still running")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_script(script):
+    """``script`` run by a fresh interpreter with two usable CPUs and its
+    stdout a buffered pipe; the finished process."""
+    script = ("from adtomo import parallel\n"
+              "parallel.os.sched_getaffinity = lambda pid: {0, 1}\n" + script)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(parallel.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def _slow_square(x):
     time.sleep(0.01 * (5 - x % 5))  # early items finish last
     return x * x, os.getpid()
@@ -46,7 +78,7 @@ def test_results_come_back_in_item_order(two_cpus):
     results = list(fork_map(_slow_square, range(12)))
     assert [r for r, _ in results] == [x * x for x in range(12)]
     assert os.getpid() not in {pid for _, pid in results}
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _fail_on_2_and_5(x):
@@ -63,7 +95,7 @@ def test_first_raising_item_in_item_order_is_reraised(two_cpus):
         list(fork_map(_fail_on_2_and_5, range(8)))
     assert str(info.value) == "where.2: item 2 failed"
     assert info.value.path == "where.2"
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_closure_works_as_fn(two_cpus):
@@ -86,7 +118,94 @@ def test_stopping_early_terminates_the_pool(two_cpus):
     results = fork_map(_slow_square, range(50))
     assert next(results)[0] == 0
     results.close()
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def test_many_items_come_back_in_order(two_cpus):
+    # More item indices than a pipe holds: the parent hands them out one
+    # at a time, so none waits on a full pipe.
+    with _within(60, "fork_map"):
+        results = list(fork_map(abs, range(100_000)))
+    assert results == list(range(100_000))
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("exc", ["SystemExit", "KeyboardInterrupt"])
+def test_exit_in_a_worker_reraises_for_its_item(exc):
+    # A worker leaves through os._exit, so the script's own except and
+    # finally blocks run once, in the parent.
+    proc = _run_script(f"""
+def fn(x):
+    if x == 3:
+        raise {exc}(x)
+    return x
+try:
+    list(parallel.fork_map(fn, range(8)))
+except {exc} as exc:
+    print("caught", exc.args, flush=True)
+finally:
+    print("finally", flush=True)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "caught (3,)\nfinally\n"
+
+
+def test_buffered_output_is_written_once():
+    proc = _run_script("""
+import sys
+print("before")
+assert not (sys.stdout.line_buffering or sys.stdout.write_through)
+print(list(parallel.fork_map(abs, [-1, -2, -3])))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\n[1, 2, 3]\n"
+
+
+def test_pool_imports_no_executor():
+    proc = _run_script("""
+import sys
+assert list(parallel.fork_map(abs, [-1, -2])) == [1, 2]
+print([name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_unpicklable_result_fails_its_item(two_cpus):
+    def lock_on_2(x):
+        return threading.Lock() if x == 2 else x
+
+    results = fork_map(lock_on_2, range(5))
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(TypeError, match="pickle") as info:
+        next(results)
+    assert not isinstance(info.value, WorkerLostError)
+    _assert_no_child()
+
+
+def test_no_item_starts_after_one_raised(two_cpus, tmp_path):
+    def fail_on_1(x):
+        (tmp_path / str(x)).touch()
+        if x == 1:
+            raise ConfigError("item 1 failed")
+        time.sleep(0.5)
+        return x
+
+    with pytest.raises(ConfigError, match="item 1 failed"):
+        list(fork_map(fail_on_1, range(10)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
+    _assert_no_child()
+
+
+def test_killed_worker_names_its_item_and_signal(two_cpus):
+    def die_on_3(x):
+        if x == 3:
+            _kill_self()
+        return x
+
+    with pytest.raises(WorkerLostError, match=r"^item 3: worker \d+ was killed by SIGKILL$"):
+        list(fork_map(die_on_3, range(6)))
+    _assert_no_child()
 
 
 def _digests(out):
@@ -115,12 +234,12 @@ def test_no_worker_outlives_a_stage(tmp_path, two_cpus, monkeypatch):
     cfg = load_pipeline_config(load_config("mini", seed=3))
     out = tmp_path / "out"
     pipeline.stage_simulate(cfg, out)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert _leftovers(out) == []
     pipeline.stage_flag(cfg, out)
     assert _leftovers(out) == []
     pipeline.stage_infer(cfg, out)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
@@ -149,7 +268,7 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     monkeypatch.setattr(pipeline, "prepare_simulation", failing_run)
     with pytest.raises(ConfigError, match="simulate failed"):
         pipeline.stage_simulate(cfg, out)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert _files(out) == before
 
     def failing_score(patterns, cells, test, units):
@@ -158,7 +277,7 @@ def test_no_worker_outlives_a_failed_stage(tmp_path, two_cpus, monkeypatch):
     monkeypatch.setattr(tomography, "cv_scores", failing_score)
     with pytest.raises(ConfigError, match="score failed"):
         pipeline.stage_infer(cfg, out)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 
@@ -172,7 +291,7 @@ def test_flag_stage_artifacts_do_not_depend_on_worker_count(tmp_path, monkeypatc
         shutil.copytree(tmp_path / "sim", out)
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         pipeline.stage_flag(cfg, out)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         flagged[len(cpus)] = [(out / name).read_bytes() for name in ("corpus.json",
                                                                       "records.jsonl")]
     assert flagged[1] == flagged[2]
@@ -197,7 +316,7 @@ def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         assert cli.main(["flag", "--config", str(config), "--out", str(out)]) == 2
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         stderr[len(cpus)] = capsys.readouterr().err
     assert stderr[1] == stderr[2] == "adtomo: config error: records.jsonl: cannot flag dsp-2\n"
     assert not (out / "records.jsonl").exists()
@@ -254,18 +373,9 @@ def test_worker_killed_mid_task_leaves_no_part_files(tmp_path, two_cpus, monkeyp
             return real_flag(log, advertiser, *args)
 
         monkeypatch.setattr(pipeline, "flag_records", dying_flag)
-    def hung(signum, frame):
-        raise TimeoutError("the stage is still waiting on the dead worker")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(WorkerLostError):
-            getattr(pipeline, f"stage_{stage}")(cfg, out)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    with _within(60, "the stage waiting on the dead worker"), pytest.raises(WorkerLostError):
+        getattr(pipeline, f"stage_{stage}")(cfg, out)
+    _assert_no_child()
     assert _leftovers(out) == []
     assert _files(out) == before
 
@@ -286,7 +396,7 @@ def test_cli_reports_a_killed_worker_in_one_line(tmp_path, two_cpus, monkeypatch
     monkeypatch.setattr(pipeline, "flag_records", dying_flag)
     capsys.readouterr()
     assert cli.main(["flag", "--config", str(config), "--out", str(out)]) == 3
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     err = capsys.readouterr().err
     assert err.startswith("adtomo: flag: a worker process died: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -214,7 +214,8 @@ def _check_fields(entry, fields: dict[str, type], where: str) -> None:
         if field not in entry:
             raise ConfigError(f"missing field {field!r}", where)
         if not isinstance(entry[field], kind):
-            raise ConfigError(f"field {field!r} must be a JSON {kind.__name__}", where)
+            name = {str: "string", dict: "object"}.get(kind, kind.__name__)  # as JSON names it
+            raise ConfigError(f"field {field!r} must be a JSON {name}", where)
 
 
 def _check_strings(values: list, field: str, where: str) -> None:

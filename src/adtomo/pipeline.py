@@ -109,10 +109,10 @@ def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
     return personas
 
 
-def _check_known_personas(used, personas: list[dict], path: Path) -> None:
-    unknown = sorted(set(used) - {p["id"] for p in personas})
+def _check_known(kind: str, names, known, source: str, path: Path) -> None:
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        raise ConfigError(f"persona {unknown[0]!r} is missing from personas.json", str(path))
+        raise ConfigError(f"{kind} {unknown[0]!r} is missing from {source}", str(path))
 
 
 class _Ids(dict):
@@ -261,16 +261,25 @@ def _read_corpus(out_dir: Path) -> dict[str, int]:
     return index
 
 
-def _read_records(out_dir: Path, corpus: dict[str, int], runs: int) -> Flags:
-    """The flags of ``records.jsonl``, every field checked, every token
-    checked against the corpus, and every (advertiser, persona, run) cell
-    filled exactly once.  Inference reads no counts, so none are kept, and
-    no object is kept per record: each (advertiser, persona) pair holds the
-    line and the flag of each of its runs.  A ``null`` flag is a record the
-    flag stage did not write."""
+def _record_grid(cfg: PipelineConfig, personas: list[dict]) -> tuple[list[str], list[str]]:
+    """The sorted (advertisers, personas) of the record grid: the world's
+    advertisers and personas.json's non-control personas, over every run."""
+    return (sorted(a.id for a in cfg.sim.world.advertisers),
+            sorted(p["id"] for p in personas if not p["is_control"]))
+
+
+def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
+                  personas: list[str], runs: int) -> Flags:
+    """The flags of ``records.jsonl``, every field and token checked, and
+    every cell of the grid ``advertisers`` x ``personas`` x ``runs``
+    (``_record_grid``) filled exactly once; a record outside it is rejected
+    at its line.  Only each cell's line (0 while unseen) and flag are kept,
+    in one flat array each.  A ``null`` flag is a record flag did not write."""
     path = out_dir / "records.jsonl"
-    lines: dict[tuple[str, str], array] = {}  # per pair and run, its line; 0 while unseen
-    flags: dict[tuple[str, str], bytearray] = {}
+    advertiser_index = {a: i for i, a in enumerate(advertisers)}
+    persona_index = {p: i for i, p in enumerate(personas)}
+    cells = len(advertisers) * len(personas) * runs
+    lines, flags = array("i", [0]) * cells, bytearray(cells)
 
     def check(r, lineno: int) -> str | None:
         for field in ("advertiser", "persona"):
@@ -293,29 +302,28 @@ def _read_records(out_dir: Path, corpus: dict[str, int], runs: int) -> Flags:
                 return f"token {token!r} is missing from corpus.json"
             if type(c) is not int or c < 1:
                 return f"count of token {token!r} must be an integer >= 1, got {c!r}"
-        pair = (r["advertiser"], r["persona"])
-        if pair not in lines:
-            lines[pair], flags[pair] = array("i", [0]) * runs, bytearray(runs)
-        first = lines[pair][run]
-        if first:
-            return (f"duplicate record for (advertiser, persona, run) {(*pair, run)}, "
-                    f"first seen at line {first}")
-        lines[pair][run] = lineno
+        a = advertiser_index.get(r["advertiser"])
+        if a is None:
+            return f"advertiser {r['advertiser']!r} is missing from the config"
+        p = persona_index.get(r["persona"])
+        if p is None:
+            return f"persona {r['persona']!r} is not a non-control persona of personas.json"
+        cell = (a * len(personas) + p) * runs + run
+        if lines[cell]:
+            return (f"duplicate record for (advertiser, persona, run) "
+                    f"{(r['advertiser'], r['persona'], run)}, first seen at line {lines[cell]}")
+        lines[cell], flags[cell] = lineno, flag
         return None
 
-    for r in iter_jsonl(path, fields=("advertiser", "persona", "run", "counts",
+    for _ in iter_jsonl(path, fields=("advertiser", "persona", "run", "counts",
                                       "is_different_from_control"), check=check):
-        flags[r["advertiser"], r["persona"]][r["run"]] = r["is_different_from_control"]
-    advertisers = sorted({a for a, _ in lines})
-    personas = sorted({p for _, p in lines})
-    flag = np.zeros((len(advertisers), len(personas), runs), dtype=np.uint8)
-    for i, advertiser in enumerate(advertisers):
-        for j, persona in enumerate(personas):
-            seen = lines.get((advertiser, persona), [0])
-            if not all(seen):
-                raise ConfigError("no record for (advertiser, persona, run) "
-                                  f"{(advertiser, persona, seen.index(0))}", str(path))
-            flag[i, j] = np.frombuffer(flags[advertiser, persona], dtype=np.uint8)
+        pass
+    if 0 in lines:
+        a, rest = divmod(lines.index(0), len(personas) * runs)
+        p, run = divmod(rest, runs)
+        raise ConfigError("no record for (advertiser, persona, run) "
+                          f"{(advertisers[a], personas[p], run)}", str(path))
+    flag = np.frombuffer(flags, dtype=np.uint8).reshape(len(advertisers), len(personas), runs)
     return Flags(advertisers, personas, flag)
 
 
@@ -399,26 +407,27 @@ def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
-    """Flag and encode each advertiser's records in a process pool, one task
-    per advertiser (``flag_records``).  ``adlog.jsonl`` is parsed into
-    integer columns first (``_read_ad_columns``: in spans of whole lines
-    across the pool when the log is large), and every flag task inherits
-    them from the parent and copies none.  Each task writes its lines to a part file appended to
-    ``records.jsonl`` in advertiser order, so no process holds every record.
-    Each line is built from the corpus tokens and persona ids, encoded once
-    before the pool forks."""
+    """Flag and encode every record of the grid (``_record_grid``) in a
+    process pool, one task per advertiser (``flag_records``).  Every task
+    inherits the integer columns of ``adlog.jsonl`` (``_read_ad_columns``),
+    whose advertisers and personas must be the config's and
+    ``personas.json``'s, and copies none.  It writes its lines, built from
+    fragments encoded once before the pool forks, to a part file appended
+    to ``records.jsonl`` in advertiser order: no process holds every line."""
     log = _read_ad_columns(out_dir, cfg.sim.runs)
+    adlog = out_dir / "adlog.jsonl"
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas(log.personas, personas, out_dir / "adlog.jsonl")
-    is_control = {p["id"]: p["is_control"] for p in personas}
-    if not any(is_control[p] for p in log.personas):
+    advertisers, grid = _record_grid(cfg, personas)
+    _check_known("persona", log.personas, [p["id"] for p in personas], "personas.json", adlog)
+    _check_known("advertiser", log.advertisers, advertisers, "the config", adlog)
+    if set(log.personas) <= set(grid):
         raise ConfigError("flag stage requires a control persona with at least one ad",
-                          str(out_dir / "adlog.jsonl"))
+                          str(adlog))
     tokens, column = corpus_columns(log.tokens)
     write_json(out_dir / "corpus.json", {"tokens": tokens})
     # '"token":' per corpus column, and ',"persona":P,"run":' per persona.
     token_keys = [encode_str(t) + ":" for t in tokens]
-    persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in log.personas}
+    persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in grid}
 
     def flag_advertiser(advertiser: str) -> tuple[str]:
         head = '{"advertiser":' + encode_str(advertiser)
@@ -428,10 +437,10 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
             return (f'{head}{persona_heads[persona]}{encode_int(run)},"counts":{{{counts}}},'
                     f'"is_different_from_control":{encode_scalar(flag)}}}\n')
 
-        return ("".join(starmap(line, flag_records(log, advertiser, column, is_control,
-                                                   cfg.stats))),)
+        return ("".join(starmap(line, flag_records(log, advertiser, column, grid,
+                                                   cfg.sim.runs, cfg.stats))),)
 
-    _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, sorted(log.advertisers))
+    _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, advertisers)
 
 
 def _report_meta(cfg: PipelineConfig) -> dict:
@@ -447,19 +456,9 @@ def _report_meta(cfg: PipelineConfig) -> dict:
 
 
 def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
-    flags = _read_records(out_dir, _read_corpus(out_dir), cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    records = out_dir / "records.jsonl"
-    _check_known_personas(flags.personas, personas, records)
-    # The flag stage writes every non-control persona and no control one:
-    # a missing persona would shrink the design without notice.
-    control = sorted({p["id"] for p in personas if p["is_control"]} & set(flags.personas))
-    if control:
-        raise ConfigError(f"persona {control[0]!r} is a control persona of personas.json; "
-                          "records hold non-control personas only", str(records))
-    missing = sorted({p["id"] for p in personas if not p["is_control"]} - set(flags.personas))
-    if missing:
-        raise ConfigError(f"no record for persona {missing[0]!r} of personas.json", str(records))
+    flags = _read_records(out_dir, _read_corpus(out_dir), *_record_grid(cfg, personas),
+                          cfg.sim.runs)
     blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
     trackers = list(cfg.sim.world.tracker_ids)
     holdout = holdout_mask(cfg.sim.runs, cfg.holdout_runs, cfg.seed)
@@ -493,7 +492,8 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
     log = _read_ad_columns(out_dir, cfg.sim.runs)
     personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known_personas(log.personas, personas, out_dir / "adlog.jsonl")
+    _check_known("persona", log.personas, [p["id"] for p in personas], "personas.json",
+                 out_dir / "adlog.jsonl")
     vectors = group_run_vectors(log, {p["id"]: p["group"] for p in personas})
     result = h1_similarity_matrix(vectors)
     with open_atomic(out_dir / "h1_matrix.csv", newline="") as fh:

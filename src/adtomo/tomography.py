@@ -26,11 +26,11 @@ selects one advertiser's ads from them and keys each token occurrence by
 (row, corpus column).  A row is a (non-control persona, run) or, for every
 control persona alike, the run's pooled control.  The keys are sorted once
 and run-length encoded, so each record's vector and each run's pooled
-control come from their own slices of the runs.  It needs only one
-advertiser's ads, so the flag stage runs it per advertiser in separate
-processes that share the parent's columns.  Inference reads the flags
-back as one (advertiser, persona, run) array (``Flags``), which keeps no
-counts.
+control come from their own slices of the runs.  The flag stage runs it per
+advertiser in processes that share the parent's columns, for every
+(advertiser, non-control persona, run) the config and ``personas.json``
+name, won ads or not.  Inference reads the flags back as one such array
+(``Flags``), which keeps no counts.
 
 The forest sees one advertiser's flags as arrays (X, y, personas), built
 once for the cross-validation runs and once for the holdout runs.  X is
@@ -168,31 +168,29 @@ def group_run_vectors(log: AdLog, group_of: Mapping[str, str]
     return {(groups[r // n_runs], r % n_runs): vectors[r] for r in held}
 
 
-def flag_records(log: AdLog, advertiser: str, column: np.ndarray,
-                 is_control: Mapping[str, bool], config: StatConfig = StatConfig()
+def flag_records(log: AdLog, advertiser: str, column: np.ndarray, personas: Sequence[str],
+                 runs: int, config: StatConfig = StatConfig()
                  ) -> list[tuple[str, int, dict[int, int], bool]]:
-    """(persona, run, vector, flag) of ``advertiser`` per non-control persona
-    of the log, personas sorted, and per run that holds an ad, runs
-    ascending.  The vector counts the tokens of the advertiser's creatives
-    for that (persona, run) over the corpus columns ``column`` (per token
-    id), empty where it won nothing.  Every control persona maps to one
-    pooled row per run, so the sort that builds the vectors also sums the
-    controls, and each run's vectors are flagged against that row in one
-    ``flags_against`` call: flag True when the record's 2 x V table gives
-    ``p < config.alpha``, False where the table is degenerate."""
-    personas = sorted(p for p in log.personas if not is_control[p])
-    held = np.bincount(log.run) > 0
-    runs = np.flatnonzero(held).tolist()
+    """(persona, run, vector, flag) of ``advertiser`` per persona of the
+    sorted non-control ``personas`` and per run ``0 .. runs - 1``; every
+    other persona of the log is a control.  The vector counts the tokens of
+    the advertiser's creatives for that (persona, run) over the corpus
+    columns ``column`` (per token id), empty, so flagged False, where it won
+    nothing.  Every control persona maps to one pooled row per run, so the
+    sort that builds the vectors also sums the controls, and each run's
+    vectors are flagged against that row in one ``flags_against`` call:
+    flag True when the record's 2 x V table gives ``p < config.alpha``."""
     rank = {p: i for i, p in enumerate(personas)}
     row = np.array([rank.get(p, len(personas)) for p in log.personas], dtype=np.int64)
-    ads = np.flatnonzero(log.advertiser == log.advertisers.index(advertiser))
-    record = row[log.persona[ads]] * len(runs) + (np.cumsum(held) - 1)[log.run[ads]]
-    n = len(personas) * len(runs)  # the runs' pooled controls follow the n records
-    vectors = _count_vectors(log, ads, record, column, n + len(runs))
-    flags = [flags_against(vectors[n + j], vectors[j:n:len(runs)], config)
-             for j in range(len(runs))]
-    return [(p, r, vectors[i * len(runs) + j], flags[j][i])
-            for i, p in enumerate(personas) for j, r in enumerate(runs)]
+    # An advertiser that won nothing has no id in the log: no ad matches -1.
+    a = log.advertisers.index(advertiser) if advertiser in log.advertisers else -1
+    ads = np.flatnonzero(log.advertiser == a)
+    record = row[log.persona[ads]] * runs + log.run[ads]
+    n = len(personas) * runs  # the runs' pooled controls follow the n records
+    vectors = _count_vectors(log, ads, record, column, n + runs)
+    flags = [flags_against(vectors[n + r], vectors[r:n:runs], config) for r in range(runs)]
+    return [(p, r, vectors[i * runs + r], flags[r][i])
+            for i, p in enumerate(personas) for r in range(runs)]
 
 
 def holdout_mask(runs: int, holdout_runs: int, seed: int) -> np.ndarray:

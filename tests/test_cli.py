@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from adtomo import cli
 from adtomo.pipeline import ARTIFACTS
 
 from conftest import CONFIG_DIR, load_config
@@ -467,6 +468,21 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert read_artifacts(out) == before
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", 5, "string"), ("group", ["g1"], "string"), ("blocked", "t1", "list"),
+        ("is_control", "no", "bool")])
+    def test_persona_field_of_wrong_type_names_json_type(self, mini_run, tmp_path, field,
+                                                         value, kind):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        personas = json.loads((out / "personas.json").read_text())
+        personas[1][field] = value
+        (out / "personas.json").write_text(json.dumps(personas))
+        proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(
+            f"personas.json: entry 1: field {field!r} must be a JSON {kind}\n")
+
     @pytest.mark.parametrize("blocked, problem", [
         pytest.param([["t1"]], "field 'blocked' must be a JSON list of strings", id="nested"),
         pytest.param(["tZZ"], "blocked tracker 'tZZ' is not a tracker of the config",
@@ -492,6 +508,8 @@ class TestExitCodes:
                      id="persona_list"),
         pytest.param("advertiser", ["dsp-1"], "field 'advertiser' must be a JSON string",
                      id="advertiser_list"),
+        pytest.param("advertiser", "dsp-9", "advertiser 'dsp-9' is missing from the config",
+                     id="unknown_advertiser"),
     ])
     def test_bad_record_field_names_file_and_line(self, mini_run, tmp_path, field, value,
                                                   problem):
@@ -506,25 +524,27 @@ class TestExitCodes:
         assert "records.jsonl:3:" in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # ``{end}`` is the line number of the first line appended to the records.
     @pytest.mark.parametrize("edit, problem", [
         pytest.param(lambda lines: [l for l in lines if json.loads(l)["persona"] != "p-000"],
-                     "records.jsonl: no record for persona 'p-000' of personas.json",
-                     id="missing_persona"),
+                     "records.jsonl: no record for (advertiser, persona, run) "
+                     "('dsp-1', 'p-000', 0)", id="missing_persona"),
         pytest.param(lambda lines: lines + [json.dumps({**json.loads(l), "persona": "ctrl-000"})
                                             for l in lines
                                             if json.loads(l)["persona"] == "p-000"],
-                     "records.jsonl: persona 'ctrl-000' is a control persona of personas.json",
-                     id="control_persona"),
+                     "records.jsonl:{end}: persona 'ctrl-000' is not a non-control persona "
+                     "of personas.json", id="control_persona"),
     ])
     def test_record_personas_must_be_the_non_control_personas(self, mini_run, tmp_path, edit,
                                                               problem):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
         records = out / "records.jsonl"
-        records.write_text("\n".join(edit(records.read_text().splitlines())) + "\n")
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join(edit(lines)) + "\n")
         proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
-        assert problem in proc.stderr
+        assert problem.format(end=len(lines) + 1) in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_duplicate_record_names_both_lines(self, mini_run, tmp_path):
@@ -569,6 +589,20 @@ class TestExitCodes:
             assert proc.returncode == 2, stage
             assert "adlog.jsonl" in proc.stderr and "'ghost'" in proc.stderr, stage
             assert "Traceback" not in proc.stderr
+
+    def test_ad_log_advertiser_missing_from_config(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        adlog = out / "adlog.jsonl"
+        ghost = {**json.loads(adlog.read_text().splitlines()[0]), "advertiser": "dsp-9"}
+        with adlog.open("a") as fh:
+            fh.write(json.dumps(ghost) + "\n")
+        before = read_artifacts(out)
+        proc = run_cli("flag", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {adlog}: "
+                               "advertiser 'dsp-9' is missing from the config\n")
+        assert read_artifacts(out) == before
 
     @pytest.mark.parametrize("stage", ["flag", "h1"])
     @pytest.mark.parametrize("edit, problem", [
@@ -628,6 +662,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("corpus, problem", [
         pytest.param({"words": []}, "missing field 'tokens'", id="no_tokens_field"),
         pytest.param({"tokens": "abc"}, "field 'tokens' must be a JSON list", id="tokens_string"),
+        pytest.param({"tokens": {"a": 0}}, "corpus.json: field 'tokens' must be a JSON list\n",
+                     id="tokens_object"),
         pytest.param({"tokens": ["a", 7]}, "list of strings", id="non_string_token"),
         pytest.param(["a", "b"], "expected a JSON object", id="list_not_object"),
         pytest.param({"tokens": ["a", "b", "a"]}, "duplicate token 'a'", id="duplicate_token"),
@@ -651,6 +687,10 @@ class TestExitCodes:
                      id="inferred_string"),
         pytest.param(lambda row: row.update(inferred=[["tr-1"]]), "list of strings",
                      id="inferred_nested"),
+        pytest.param(lambda row: row.update(advertiser=["dsp-1"]),
+                     "field 'advertiser' must be a JSON string", id="advertiser_list"),
+        pytest.param(lambda row: row.update(inferred={"tr-1": True}),
+                     "field 'inferred' must be a JSON list", id="inferred_object"),
         pytest.param(lambda row: row.update(advertiser="nope"),
                      "advertiser 'nope' is not an advertiser of the config",
                      id="unknown_advertiser"),
@@ -677,6 +717,57 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "report.json: missing field 'advertisers'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestRecordGrid:
+    """The config and personas.json, not the ad log, name the records: a
+    persona, a run or an advertiser that wins no ad is a valid outcome,
+    whose records are flagged False, and every stage exits 0."""
+
+    @staticmethod
+    def run_stages(tmp_path, doc, capsys):
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for stage in ("simulate", "flag", "infer", "syncdetect", "evaluate"):
+            code = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
+            assert code == 0, (stage, capsys.readouterr().err)
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        ads = [json.loads(line) for line in (out / "adlog.jsonl").read_text().splitlines()]
+        return out, records, ads
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_high_floors_leave_cells_without_ads(self, tmp_path, capsys, seed):
+        doc = load_config("mini", seed=seed)
+        for slot in doc["sim"]["world"]["slots"]:
+            slot["floor_price"] = 2.2
+        out, records, ads = self.run_stages(tmp_path, doc, capsys)
+        personas = [p["id"] for p in json.loads((out / "personas.json").read_text())
+                    if not p["is_control"]]
+        # 2 advertisers x 8 non-control personas x 6 runs.
+        assert len(records) == 96
+        assert ({(r["advertiser"], r["persona"], r["run"]) for r in records}
+                == {(a, p, r) for a in ("dsp-1", "dsp-2") for p in personas for r in range(6)})
+        if seed == 0:  # a persona wins no ad in any run
+            assert set(personas) - {a["persona"] for a in ads}
+        else:  # a run holds no ad at all
+            assert set(range(6)) - {a["run"] for a in ads}
+        won = {(a["advertiser"], a["persona"], a["run"]) for a in ads}
+        assert not any(r["is_different_from_control"] or r["counts"] for r in records
+                       if (r["advertiser"], r["persona"], r["run"]) not in won)
+
+    def test_advertiser_that_never_wins(self, tmp_path, capsys):
+        doc = load_config("mini", seed=3)
+        doc["sim"]["world"]["advertisers"].append(
+            {"id": "dsp-0", "base_bid": 0.0, "knowledge_boost": 0.0, "bid_noise_sd": 0.0,
+             "creative_length": 12})
+        out, records, ads = self.run_stages(tmp_path, doc, capsys)
+        assert not any(a["advertiser"] == "dsp-0" for a in ads)
+        losing = [r for r in records if r["advertiser"] == "dsp-0"]
+        assert len(losing) == 48  # 8 non-control personas x 6 runs
+        assert not any(r["is_different_from_control"] or r["counts"] for r in losing)
+        report = json.loads((out / "report.json").read_text())
+        assert [row["advertiser"] for row in report["advertisers"]] == ["dsp-0", "dsp-1", "dsp-2"]
+        assert report["advertisers"][0]["inferred"] == []
 
 
 class TestImports:

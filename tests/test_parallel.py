@@ -505,3 +505,16 @@ def test_cv_units_spread_over_every_cpu(two_cpus, monkeypatch):
     monkeypatch.setattr(tomography, "fork_map", counting_map)
     run_inference(flags, holdout, grid, folds, 7, trackers, blocking)
     assert tasks == [2, 2]
+
+
+def test_requires_python_has_add_note():
+    # A worker attaches its traceback to an exception with
+    # BaseException.add_note, new in Python 3.11.  Under 3.10 that call
+    # raises in the worker, which dies, so a ConfigError of an item would
+    # come back as WorkerLostError and the CLI would exit 3, not 2.
+    import tomllib
+
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    bound = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert bound.startswith(">=")
+    assert tuple(map(int, bound[2:].split("."))) >= (3, 11)

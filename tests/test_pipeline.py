@@ -129,14 +129,14 @@ def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
     log = ad_log(ads)
     log_tokens, column = corpus_columns(log.tokens)
     assert log_tokens == tokens
-    is_control = {p.id: p.is_control for p in cfg.sim.personas}
+    personas = sorted(p.id for p in cfg.sim.personas if not p.is_control)
     expected = "".join(jsonl_lines(
         {"advertiser": advertiser, "persona": persona, "run": run,
          "counts": {tokens[i]: vector[i] for i in sorted(vector)},
          "is_different_from_control": flag}
-        for advertiser in sorted(log.advertisers)
-        for persona, run, vector, flag in flag_records(log, advertiser, column, is_control,
-                                                       cfg.stats)))
+        for advertiser in sorted(a.id for a in cfg.sim.world.advertisers)
+        for persona, run, vector, flag in flag_records(log, advertiser, column, personas,
+                                                       cfg.sim.runs, cfg.stats)))
     assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
 
 

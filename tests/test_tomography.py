@@ -71,13 +71,19 @@ def corpus_of(*tokens):
     return {t: i for i, t in enumerate(sorted(tokens))}
 
 
-def flag_log(log, column, controls=(), config=StatConfig()):
+def flag_log(log, column, personas, runs, config=StatConfig()):
     """``flag_records`` of every advertiser of ``log``, advertisers sorted,
-    as (advertiser, persona, run, vector, flag) rows; the personas in
-    ``controls`` are the control personas."""
-    is_control = {p: p in controls for p in log.personas}
+    as (advertiser, persona, run, vector, flag) rows over the non-control
+    ``personas`` and runs ``0 .. runs - 1``; every other persona of the log
+    is a control."""
     return [(advertiser, *row) for advertiser in sorted(log.advertisers)
-            for row in flag_records(log, advertiser, column, is_control, config)]
+            for row in flag_records(log, advertiser, column, personas, runs, config)]
+
+
+def log_grid(log, controls=()):
+    """(personas, runs) of the grid ``log`` spans: its personas outside
+    ``controls``, sorted, and its runs up to its last."""
+    return sorted(set(log.personas) - set(controls)), int(log.run.max(initial=-1)) + 1
 
 
 def summed_vectors(records, advertiser, run):
@@ -95,7 +101,8 @@ def collate_observed(ads, corpus, controls=()):
     columns of ``corpus``."""
     log = ad_log(ads)
     column = np.array([corpus[t] for t in log.tokens], dtype=np.int64)
-    return [VectorRecord(a, p, r, v) for a, p, r, v, _ in flag_log(log, column, controls)]
+    return [VectorRecord(a, p, r, v)
+            for a, p, r, v, _ in flag_log(log, column, *log_grid(log, controls))]
 
 
 class TestCollate:
@@ -104,12 +111,24 @@ class TestCollate:
         ads = [DeliveredAd(1, "p1", "s1", "adv", ("a", "b")),
                DeliveredAd(1, "p1", "s2", "adv", ("a",))]
         records = collate_observed(ads, corpus)
-        assert len(records) == 1
-        assert records[0].vector == {corpus["a"]: 2,
-                                     corpus["b"]: 1}
+        # Run 0 is a cell of the grid too, with no ad.
+        assert [(r.run, r.vector) for r in records] == [
+            (0, {}), (1, {corpus["a"]: 2, corpus["b"]: 1})]
 
     def test_empty_log(self):
         assert collate_observed([], corpus_of("a")) == []
+
+    def test_grid_cells_without_ads_are_empty_and_unflagged(self):
+        # The grid, not the log, names the records: a persona, a run and an
+        # advertiser without ads each get empty vectors, flagged False.
+        log = ad_log([DeliveredAd(0, "p1", "s1", "adv", ("a",) * 30),
+                      DeliveredAd(0, "ctrl", "s1", "adv", ("b",) * 30)])
+        column = np.arange(len(log.tokens))
+        assert flag_records(log, "adv", column, ["p0", "p1"], 2) == [
+            ("p0", 0, {}, False), ("p0", 1, {}, False),
+            ("p1", 0, {0: 30}, True), ("p1", 1, {}, False)]
+        assert flag_records(log, "ghost", column, ["p0", "p1"], 2) == [
+            (p, r, {}, False) for p in ("p0", "p1") for r in (0, 1)]
 
     def test_cross_product_includes_zero_vectors(self):
         corpus = corpus_of("a")
@@ -174,7 +193,8 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
     n_adv, n_personas, n_runs, n_ads, n_vocab, prefix = COLLATE_CASES[case]
     rng = np.random.default_rng(sorted(COLLATE_CASES).index(case))
     vocab = [f"{prefix}t{i}" for i in range(n_vocab)]
-    # Even runs only: the grid holds the runs with an ad, not 0 .. runs - 1.
+    # Even runs only, and below a persona without ads: the grid holds every
+    # run 0 .. runs - 1 and every persona it is given, whether it won ads or not.
     ads = [DeliveredAd(2 * int(rng.integers(n_runs)), f"p{rng.integers(n_personas)}", "s1",
                        f"{prefix}adv{rng.integers(n_adv)}",
                        tuple(vocab[i] for i in rng.integers(0, n_vocab,
@@ -190,8 +210,9 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
     corpus = build_corpus(a.tokens for a in ads)
     tokens, column = corpus_columns(log.tokens)
     assert tokens == list(corpus)
-    personas, runs = sorted({a.persona for a in ads}), sorted({a.run for a in ads})
+    personas, runs = sorted({a.persona for a in ads}), list(range(2 * n_runs))
     controls = set(personas[:2])
+    grid = sorted({*personas, "p-none"} - controls)
     pooled = []
     real = tomography.flags_against
 
@@ -201,10 +222,12 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tomography, "flags_against", spy)
-        records = [VectorRecord(a, p, r, v) for a, p, r, v, _ in flag_log(log, column, controls)]
-    oracle = collate_by_ads(ads, corpus, personas, runs)
+        records = [VectorRecord(a, p, r, v)
+                   for a, p, r, v, _ in flag_log(log, column, grid, len(runs))]
+    oracle = collate_by_ads(ads, corpus, sorted({*personas, "p-none"}), runs)
     assert records == [r for r in oracle if r.persona not in controls]
-    assert any(not r.vector for r in records)
+    assert all(not r.vector for r in records if r.persona == "p-none" or r.run % 2)
+    assert any(r.vector for r in records)
     # One flags_against call per (advertiser, run), advertisers sorted and
     # runs ascending, against the elementwise sum of its control records.
     keys = [(a, r) for a in sorted(log.advertisers) for r in runs]
@@ -262,7 +285,7 @@ def flag_with_results(records, control, config=StatConfig()):
     log, column = vector_log([*records, *control])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tomography, "flags_against", spy)
-        out = flag_log(log, column, {r.persona for r in control}, config)
+        out = flag_log(log, column, *log_grid(log, {r.persona for r in control}), config)
     assert len(out) == len(records)
     index = {(r.advertiser, r.persona, r.run): i for i, r in enumerate(records)}
     groups: dict[tuple[str, int], list] = {}
@@ -404,9 +427,9 @@ def test_flag_changes_golden_digest_on_small(seed, digest):
     corpus = build_corpus(a.tokens for a in ads)
     log = ad_log(ads)
     column = np.array([corpus[t] for t in log.tokens], dtype=np.int64)
-    controls = {p.id for p in cfg.sim.personas if p.is_control}
-    payload = json.dumps([[a, p, r, sorted(v.items()), flag]
-                          for a, p, r, v, flag in flag_log(log, column, controls, cfg.stats)])
+    personas = sorted(p.id for p in cfg.sim.personas if not p.is_control)
+    payload = json.dumps([[a, p, r, sorted(v.items()), flag] for a, p, r, v, flag
+                          in flag_log(log, column, personas, cfg.sim.runs, cfg.stats)])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
@@ -439,7 +462,7 @@ class TestSegment:
             lines = [json.dumps({"advertiser": a, "persona": p, "run": r, "counts": {},
                                  "is_different_from_control": f}) for a, p, r, f in kept]
             (tmp_path / "records.jsonl").write_text("\n".join(lines[::-1]) + "\n")
-            return pipeline._read_records(tmp_path, {}, 10)
+            return pipeline._read_records(tmp_path, {}, ["a0", "a1"], ["p0", "p1", "p2"], 10)
 
         flags = read(cells)
         assert (flags.advertisers, flags.personas) == (["a0", "a1"], ["p0", "p1", "p2"])

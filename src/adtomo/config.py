@@ -1,4 +1,4 @@
-"""The pipeline config: its parameter dataclasses and ``load_pipeline_config``.
+"""The pipeline config: its parameter types and ``load_pipeline_config``.
 
 A pipeline config is one JSON document:
 
@@ -10,76 +10,47 @@ a ``StatConfig``, ``grid`` a ``HyperGrid`` of ``ForestParams``.  Loading and
 validating one needs no numpy, so a CLI command whose stage needs none
 starts without it; ``stattest``, ``forest`` and ``pipeline`` import these
 names from here.
+
+The parameter types are ``NamedTuple``s and check nothing themselves:
+``load_pipeline_config`` validates every value it builds one from, and
+names the config section of a value it rejects.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from typing import NamedTuple
 
 from .ecosim import SimConfig, sim_config_from_dict
 from .errors import ConfigError, StatError, check_known_keys
 from .jsonio import read_json
 
 
-@dataclass(frozen=True)
-class StatConfig:
-    """alpha is the significance level; min_expected the smallest column mass
-    a chi-squared column may carry without being folded into the residual."""
+class StatConfig(NamedTuple):
+    """alpha is the significance level, in (0, 1); min_expected the smallest
+    column mass, positive and finite, a chi-squared column may carry without
+    being folded into the residual."""
 
     alpha: float = 0.05
     min_expected: float = 5.0
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise StatError(f"alpha must be in (0, 1), got {self.alpha}")
-        if isinstance(self.min_expected, bool) or not (
-                math.isfinite(self.min_expected) and self.min_expected > 0):
-            raise StatError(f"min_expected must be positive and finite, got {self.min_expected}")
 
-
-@dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    max_depth: int | None = None
+class ForestParams(NamedTuple):
+    n_trees: int = 100               # >= 1
+    max_depth: int | None = None     # >= 1, or None
     features_per_split: str = "sqrt"  # "sqrt" or "all"
-    min_leaf: int = 1
-
-    def __post_init__(self):
-        _positive_int("n_trees", self.n_trees)
-        if self.max_depth is not None:
-            _positive_int("max_depth", self.max_depth, " or None")
-        if self.features_per_split not in ("sqrt", "all"):
-            raise ValueError(f"unknown features_per_split {self.features_per_split!r}")
-        _positive_int("min_leaf", self.min_leaf)
+    min_leaf: int = 1                # >= 1
 
 
-def _positive_int(name: str, value, alternative: str = "") -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1{alternative}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class HyperGrid:
-    """Candidate hyperparameter sets for the grid search."""
+class HyperGrid(NamedTuple):
+    """Candidate hyperparameter sets for the grid search: per dimension, a
+    non-empty tuple of distinct ``ForestParams`` values."""
 
     n_trees: tuple[int, ...] = (50, 100, 200)
     max_depth: tuple[int | None, ...] = (3, 5, None)
     features_per_split: tuple[str, ...] = ("sqrt", "all")
     min_leaf: tuple[int, ...] = (1, 2)
-
-    def __post_init__(self):
-        for name in ("n_trees", "max_depth", "features_per_split", "min_leaf"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"grid dimension {name} is empty")
-            # Each value alone, so points() never meets a value it cannot sort.
-            for value in values:
-                ForestParams(**{name: value})
-            # A repeated value would grow and score the same grid point twice.
-            if len(set(values)) != len(values):
-                raise ValueError(f"grid dimension {name} repeats a value: {list(values)}")
 
     def points(self) -> list[ForestParams]:
         """Grid points in canonical (lexicographic-parameter) order."""
@@ -89,8 +60,7 @@ class HyperGrid:
         return [ForestParams(*c) for c in combos]
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     sim: SimConfig
     stats: StatConfig
     grid: HyperGrid
@@ -104,27 +74,63 @@ class PipelineConfig:
     def with_seed(self, seed: int) -> "PipelineConfig":
         resolved = dict(self.resolved)
         resolved["seed"] = seed
-        return replace(self, seed=seed, resolved=resolved)
+        return self._replace(seed=seed, resolved=resolved)
 
 
 _CONFIG_KEYS = ("sim", "stats", "grid", "folds", "holdout_runs", "accuracy_threshold",
                 "seed", "output_dir")
 
 
+def _parse_stats(d) -> StatConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("expected an object", "stats")
+    check_known_keys(d, StatConfig._fields, "stats.")
+    stats = StatConfig(**d)
+    try:
+        if not 0.0 < stats.alpha < 1.0:
+            raise StatError(f"alpha must be in (0, 1), got {stats.alpha}")
+        if isinstance(stats.min_expected, bool) or not (
+                math.isfinite(stats.min_expected) and stats.min_expected > 0):
+            raise StatError(f"min_expected must be positive and finite, got {stats.min_expected}")
+    except (TypeError, StatError) as e:
+        raise ConfigError(str(e), "stats") from None
+    return stats
+
+
+def _check_forest_param(name: str, value) -> None:
+    """ConfigError naming ``grid`` unless ``value`` is a valid value of the
+    ``ForestParams`` field ``name``."""
+    if name == "features_per_split":
+        if value not in ("sqrt", "all"):
+            raise ConfigError(f"unknown features_per_split {value!r}", "grid")
+        return
+    if name == "max_depth" and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        alternative = " or None" if name == "max_depth" else ""
+        raise ConfigError(f"{name} must be an integer >= 1{alternative}, got {value!r}", "grid")
+
+
 def _parse_grid(d: dict) -> HyperGrid:
     if not isinstance(d, dict):
         raise ConfigError("expected an object", "grid")
-    check_known_keys(d, (dim.name for dim in dataclass_fields(HyperGrid)), "grid.")
+    check_known_keys(d, HyperGrid._fields, "grid.")
     dims = {}
-    for dim in dataclass_fields(HyperGrid):
-        values = d.get(dim.name, dim.default)
+    for name, default in HyperGrid._field_defaults.items():
+        values = d.get(name, default)
         if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"{dim.name} must be a list, got {values!r}", "grid")
-        dims[dim.name] = tuple(values)
-    try:
-        return HyperGrid(**dims)
-    except ValueError as e:
-        raise ConfigError(str(e), "grid") from None
+            raise ConfigError(f"{name} must be a list, got {values!r}", "grid")
+        dims[name] = tuple(values)
+    for name, values in dims.items():
+        if not values:
+            raise ConfigError(f"grid dimension {name} is empty", "grid")
+        # Each value alone, so points() never meets a value it cannot sort.
+        for value in values:
+            _check_forest_param(name, value)
+        # A repeated value would grow and score the same grid point twice.
+        if len(set(values)) != len(values):
+            raise ConfigError(f"grid dimension {name} repeats a value: {list(values)}", "grid")
+    return HyperGrid(**dims)
 
 
 def _is_int(value) -> bool:
@@ -141,10 +147,7 @@ def load_pipeline_config(source) -> PipelineConfig:
     if "sim" not in doc:
         raise ConfigError("missing required field", "sim")
     sim = sim_config_from_dict(doc["sim"])
-    try:
-        stats = StatConfig(**doc.get("stats", {}))
-    except (TypeError, StatError) as e:
-        raise ConfigError(str(e), "stats") from None
+    stats = _parse_stats(doc.get("stats", {}))
     grid = _parse_grid(doc.get("grid", {}))
     folds = doc.get("folds", 4)
     holdout_runs = doc.get("holdout_runs", 2)

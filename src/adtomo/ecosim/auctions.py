@@ -9,14 +9,12 @@ the lowest advertiser id throughout, and sales are first-price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .types import AuctionSlot
 
 
-@dataclass(frozen=True)
-class AuctionOutcome:
+class AuctionOutcome(NamedTuple):
     winner: str | None
     price: float | None
 

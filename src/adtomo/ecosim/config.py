@@ -10,7 +10,9 @@ The canonical encoding is one JSON document:
 ``run.personas`` is either an explicit list of persona objects or an
 enumeration spec ``{"group": g, "controls": c}`` that creates one persona per
 blocked-tracker combination (2^k of them, ids ``p-<bitmask>``) plus ``c``
-unblocked control personas (ids ``ctrl-<i>``).
+unblocked control personas (ids ``ctrl-<i>``).  An explicit list needs at
+least one persona that is not a control, because inference learns from
+those alone, and a control persona blocks nothing.
 
 Every entry of a ``world`` list and of an explicit ``run.personas`` list is
 an object holding only the keys its kind knows.  Every validation failure
@@ -21,10 +23,11 @@ raises ConfigError carrying the offending field path, e.g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError, check_known_keys
 from .types import (
+    MECHANISMS,
     Advertiser,
     AuctionSlot,
     BlockingConfig,
@@ -38,8 +41,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     world: World          # validated static world
     personas: tuple[Persona, ...]
     runs: int
@@ -207,10 +209,13 @@ def _parse_world(w: dict) -> World:
         timeout = _non_negative(s.get("timeout", 1.0), f"{path}.timeout")
         if timeout <= 0:
             raise ConfigError("timeout must be positive", f"{path}.timeout")
-        slots.append(AuctionSlot(
-            _require(s, "id", path, str), website,
-            _non_negative(_require(s, "floor_price", path), f"{path}.floor_price"),
-            _require(s, "mechanism", path, str), timeout, tiers))
+        slot_id = _require(s, "id", path, str)
+        floor_price = _non_negative(_require(s, "floor_price", path), f"{path}.floor_price")
+        mechanism = _require(s, "mechanism", path, str)
+        if mechanism not in MECHANISMS:
+            raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}",
+                              f"{path}.mechanism")
+        slots.append(AuctionSlot(slot_id, website, floor_price, mechanism, timeout, tiers))
     slots.sort(key=lambda s: s.id)
     _unique_ids(slots, "world.slots")
 
@@ -290,10 +295,14 @@ def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
         if group not in world.group_by_id:
             raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
         blocked = _strings(p.get("blocked", []), f"{path}.blocked")
-        personas.append(Persona(
-            id=pid, group=group,
-            blocking=make_blocking(blocked, world.tracker_ids, f"{path}.blocked"),
-            is_control=_typed(p.get("is_control", False), bool, f"{path}.is_control")))
+        blocking = make_blocking(blocked, world.tracker_ids, f"{path}.blocked")
+        is_control = _typed(p.get("is_control", False), bool, f"{path}.is_control")
+        if is_control and blocking.blocked:
+            raise ConfigError("control personas must block nothing", f"{path}.blocked")
+        personas.append(Persona(pid, group, blocking, is_control))
+    if all(p.is_control for p in personas):
+        raise ConfigError("inference needs a persona that is not a control",
+                          "run.personas")
     return tuple(sorted(personas, key=lambda p: p.id))
 
 

@@ -5,44 +5,38 @@ generic token pool, websites (group sites are a persona's training itinerary;
 ungrouped sites only host ad slots), tracker organizations, advertisers, the
 planted tracker->advertiser sharing graph, auction slots, and configured
 cookie-sync pairs.
+
+Each type is a ``NamedTuple`` and checks nothing itself: the config loader
+(``ecosim.config``) validates every value it builds one from, and names
+the offending config path when it rejects one.  ``World`` is a plain class
+so that it can build its id lookups once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-from ..errors import ConfigError
+from typing import NamedTuple
 
 MECHANISMS = ("rtb_waterfall", "hb_client", "hb_server")
 
 
-@dataclass(frozen=True)
-class InterestGroup:
+class InterestGroup(NamedTuple):
     id: str
-    vocabulary: tuple[str, ...]            # sorted, deduplicated
+    vocabulary: tuple[str, ...]            # sorted, deduplicated, non-empty
     generic_overlap: float                 # |vocabulary & generic pool| / |vocabulary|
 
-    def __post_init__(self):
-        if not self.vocabulary:
-            raise ConfigError("vocabulary must be non-empty", f"groups[{self.id}].vocabulary")
 
-
-@dataclass(frozen=True)
-class Website:
+class Website(NamedTuple):
     id: str
     group: str | None = None
 
 
-@dataclass(frozen=True)
-class TrackerOrg:
+class TrackerOrg(NamedTuple):
     id: str
     site_coverage: tuple[str, ...]
     observe_prob: float = 1.0
 
 
-@dataclass(frozen=True)
-class Advertiser:
+class Advertiser(NamedTuple):
     id: str
     base_bid: float
     knowledge_boost: float = 0.0
@@ -50,15 +44,13 @@ class Advertiser:
     creative_length: int = 8
 
 
-@dataclass(frozen=True)
-class SharingEdge:
+class SharingEdge(NamedTuple):
     tracker: str
     advertiser: str
     reliability: float = 1.0
 
 
-@dataclass(frozen=True)
-class SharingGraph:
+class SharingGraph(NamedTuple):
     edges: tuple[SharingEdge, ...]
 
     def as_pairs(self) -> set[tuple[str, str]]:
@@ -69,24 +61,16 @@ class SharingGraph:
                       key=lambda e: e.tracker)
 
 
-@dataclass(frozen=True)
-class AuctionSlot:
+class AuctionSlot(NamedTuple):
     id: str
     website: str
     floor_price: float
-    mechanism: str
+    mechanism: str                         # one of MECHANISMS
     timeout: float = 1.0
     tiers: tuple[tuple[str, ...], ...] | None = None  # rtb only; None = single tier of all
 
-    def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(
-                f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}",
-                f"slots[{self.id}].mechanism")
 
-
-@dataclass(frozen=True)
-class BlockingConfig:
+class BlockingConfig(NamedTuple):
     """Set of blocked tracker orgs plus its bitmask (bit i = i-th tracker in
     lexicographic order)."""
 
@@ -94,29 +78,21 @@ class BlockingConfig:
     mask: int = 0
 
 
-@dataclass(frozen=True)
-class Persona:
+class Persona(NamedTuple):
     id: str
     group: str
-    blocking: BlockingConfig
+    blocking: BlockingConfig               # blocks nothing for a control persona
     is_control: bool = False
 
-    def __post_init__(self):
-        if self.is_control and self.blocking.blocked:
-            raise ConfigError("control personas must block nothing",
-                              f"personas[{self.id}].blocking")
 
-
-@dataclass(frozen=True)
-class AdCreative:
+class AdCreative(NamedTuple):
     advertiser: str
     tokens: tuple[str, ...]
     slot: str
     run: int
 
 
-@dataclass(frozen=True)
-class RequestLogEntry:
+class RequestLogEntry(NamedTuple):
     run: int
     persona: str
     chain_position: int
@@ -126,40 +102,29 @@ class RequestLogEntry:
     uid_param: str | None = None
 
 
-@dataclass(frozen=True)
 class World:
-    """Immutable simulation world, fully determined by the configuration."""
+    """Simulation world, fully determined by the configuration and never
+    changed once built.  The id lookups are built once, with the world."""
 
-    groups: tuple[InterestGroup, ...]
-    websites: tuple[Website, ...]
-    trackers: tuple[TrackerOrg, ...]
-    advertisers: tuple[Advertiser, ...]
-    graph: SharingGraph
-    slots: tuple[AuctionSlot, ...]
-    sync_pairs: tuple[tuple[str, str], ...]
-    generic_pool: tuple[str, ...]
-
-    @cached_property
-    def group_by_id(self) -> dict[str, InterestGroup]:
-        return {g.id: g for g in self.groups}
-
-    @cached_property
-    def tracker_by_id(self) -> dict[str, TrackerOrg]:
-        return {t.id: t for t in self.trackers}
-
-    @cached_property
-    def advertiser_by_id(self) -> dict[str, Advertiser]:
-        return {a.id: a for a in self.advertisers}
-
-    @cached_property
-    def tracker_ids(self) -> tuple[str, ...]:
-        """Lexicographic tracker universe; fixes blocking-bitmask bit order."""
-        return tuple(t.id for t in self.trackers)
-
-    @cached_property
-    def visited_by_group(self) -> dict[str, frozenset[str]]:
-        return {g.id: frozenset(w.id for w in self.websites if w.group == g.id)
-                for g in self.groups}
+    def __init__(self, groups: tuple[InterestGroup, ...], websites: tuple[Website, ...],
+                 trackers: tuple[TrackerOrg, ...], advertisers: tuple[Advertiser, ...],
+                 graph: SharingGraph, slots: tuple[AuctionSlot, ...],
+                 sync_pairs: tuple[tuple[str, str], ...], generic_pool: tuple[str, ...]):
+        self.groups = groups
+        self.websites = websites
+        self.trackers = trackers
+        self.advertisers = advertisers
+        self.graph = graph
+        self.slots = slots
+        self.sync_pairs = sync_pairs
+        self.generic_pool = generic_pool
+        self.group_by_id = {g.id: g for g in groups}
+        self.tracker_by_id = {t.id: t for t in trackers}
+        self.advertiser_by_id = {a.id: a for a in advertisers}
+        # Lexicographic tracker universe; fixes blocking-bitmask bit order.
+        self.tracker_ids = tuple(t.id for t in trackers)
+        self.visited_by_group = {g.id: frozenset(w.id for w in websites if w.group == g.id)
+                                 for g in groups}
 
     def visited_sites(self, group_id: str) -> frozenset[str]:
         return self.visited_by_group[group_id]

@@ -30,8 +30,7 @@ separates its samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,38 +39,11 @@ from ..rng import substream, substream_key
 from . import kernels
 
 
-@dataclass(frozen=True)
-class ForestModel:
+class ForestModel(NamedTuple):
     nodes: kernels.Nodes
     params: ForestParams
     seed: int
     n_features: int
-
-    def to_dict(self) -> dict:
-        n = self.nodes
-        return {
-            "params": {
-                "n_trees": self.params.n_trees,
-                "max_depth": self.params.max_depth,
-                "features_per_split": self.params.features_per_split,
-                "min_leaf": self.params.min_leaf,
-            },
-            "seed": self.seed,
-            "n_features": self.n_features,
-            "trees": [_tree_dict(*(a.tolist() for a in tree))
-                      for tree in zip(n.feature, n.left, n.right, n.n_samples, n.gain, n.label)],
-        }
-
-
-def _tree_dict(feature, left, right, n_samples, gain, label) -> dict:
-    """One tree's node lists as nested dicts from the root down."""
-    def node(i: int) -> dict:
-        if feature[i] < 0:
-            return {"kind": "leaf", "n": n_samples[i], "label": bool(label[i])}
-        return {"kind": "split", "feature": feature[i], "n": n_samples[i], "gain": gain[i],
-                "left": node(left[i]), "right": node(right[i])}
-
-    return {"n_samples": n_samples[0], "root": node(0)}
 
 
 def _rows(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -1,22 +1,26 @@
 """Statistical tests behind change flagging and the similarity analysis.
 
-Provides the unequal-variance (Welch) two-sample t-test, a chi-squared test
-of independence over 2 x V count tables with low-mass column collapsing, and
-the population mean/std used by the relationship-inference rule.  All tests
-are two-sided; reports emitted by the pipeline record that choice.
+Provides the unequal-variance (Welch) two-sample t-test and the
+chi-squared test of independence over 2 x V count tables that change
+flagging runs.  A table's columns whose total count falls below
+``min_expected`` are folded into one trailing residual column first, and
+df = V' - 1 over the V' surviving columns; an all-zero table, or one left
+with fewer than two columns, is degenerate and supports no test.  All tests
+are two-sided; reports emitted by the pipeline record that choice.  The
+test of one table is the reference ``chi_square_independence`` in
+``tests/oracles.py``.
 
-``chi_square_independence`` tests one table.  ``flags_against`` decides, for
-many sparse count vectors against one shared control row, whether each
-vector's table (control over vector) differs at ``alpha``, as change
-flagging needs for every record of an (advertiser, run).  It works on one
-dense block per batch of records.  The block's columns are the control's
-support plus every column some record fills to ``min_expected`` on its own.
-Any other column has control count 0 and a record count below
-``min_expected`` for every record, so it is folded into the residual in
-every record's table; its counts go straight into the record's residual.
-All counts are integers held exactly in float64, so totals and residuals do
-not depend on summation order, and the per-cell expressions are those of
-``chi_square_independence``, laid out in that function's order.
+``flags_against`` decides, for many sparse count vectors against one shared
+control row, whether each vector's table (control over vector) differs at
+``alpha``, as change flagging needs for every record of an (advertiser,
+run).  It works on one dense block per batch of records.  The block's
+columns are the control's support plus every column some record fills to
+``min_expected`` on its own.  Any other column has control count 0 and a
+record count below ``min_expected`` for every record, so it is folded into
+the residual in every record's table; its counts go straight into the
+record's residual.  All counts are integers held exactly in float64, so
+totals and residuals do not depend on summation order, and the per-cell
+expressions are those of the one-table test, laid out in its order.
 
 Per df, ``critical_bracket`` bisects ``chi2_sf`` once for ``lo < hi`` with
 ``chi2_sf(lo) >= alpha > chi2_sf(hi)``.  Each record's statistic comes from
@@ -30,10 +34,9 @@ one a ``chi_square_independence`` call on the record's own table gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,13 +45,7 @@ from .errors import StatError
 from .special import regularized_gamma_q, regularized_incomplete_beta
 
 
-class DegenerateTableError(StatError):
-    """Table cannot support a chi-squared test (all-zero, or fewer than two
-    effective columns after low-mass collapsing)."""
-
-
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     df: float
     p_value: float
@@ -99,55 +96,6 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TestRe
     df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
     p = min(1.0, 2.0 * student_t_sf(abs(t), df))
     return TestResult(t, df, p)
-
-
-def collapse_low_mass_columns(table: np.ndarray, min_expected: float) -> np.ndarray:
-    """Fold every column whose total count falls below ``min_expected`` into a
-    single trailing residual column (dropped again if it carries no mass).
-
-    A column's total observed count equals its total expected count under
-    independence, so this is the classic validity repair that preserves the
-    table's total mass.
-    """
-    col_totals = table.sum(axis=0)
-    keep = col_totals >= min_expected
-    kept = table[:, keep]
-    residual = table[:, ~keep].sum(axis=1)
-    if residual.sum() > 0:
-        kept = np.column_stack([kept, residual])
-    return kept
-
-
-def chi_square_independence(table, config: StatConfig = StatConfig()) -> TestResult:
-    """Chi-squared test of independence on a 2 x V table of counts.
-
-    Columns below ``config.min_expected`` total mass are collapsed into one
-    residual column first; df = V' - 1 over the V' surviving columns.
-    Raises ``DegenerateTableError`` when no valid test exists.
-    """
-    obs = np.asarray(table, dtype=float)
-    if obs.ndim != 2 or obs.shape[0] != 2:
-        raise StatError(f"expected a 2 x V table, got shape {obs.shape}")
-    if (obs < 0).any():
-        raise StatError("counts must be non-negative")
-    total = obs.sum()
-    if total == 0:
-        raise DegenerateTableError("all-zero table")
-    obs = collapse_low_mass_columns(obs, config.min_expected)
-    n_cols = obs.shape[1]
-    if n_cols < 2:
-        raise DegenerateTableError(
-            f"fewer than 2 effective columns after collapsing (got {n_cols})"
-        )
-    row_totals = obs.sum(axis=1)
-    col_totals = obs.sum(axis=0)
-    expected = np.outer(row_totals, col_totals) / obs.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = (obs - expected) ** 2 / expected
-    contrib[expected == 0.0] = 0.0  # zero row: O == E == 0
-    statistic = float(contrib.sum())
-    df = float(n_cols - 1)
-    return TestResult(statistic, df, chi2_sf(statistic, df))
 
 
 # Records per batch in flags_against: bounds a batch's memory (records x 2 x

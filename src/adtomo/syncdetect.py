@@ -18,9 +18,8 @@ without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import PipelineConfig
 from .ecosim.types import RequestLogEntry
@@ -28,15 +27,13 @@ from .errors import ConfigError
 from .jsonio import iter_jsonl, write_json
 
 
-@dataclass(frozen=True)
-class SyncPair:
+class SyncPair(NamedTuple):
     initiator: str
     receiver: str
     evidence: tuple[tuple[int, str, int], ...]  # (run, persona, chain position)
 
 
-@dataclass(frozen=True)
-class SyncReport:
+class SyncReport(NamedTuple):
     pairs: tuple[SyncPair, ...]
     weak_candidates: tuple[SyncPair, ...]
 

@@ -43,7 +43,6 @@ order of the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -66,8 +65,7 @@ from .stattest import StatConfig, TestResult, flags_against, welch_t_test
 from .textvec import cosine_similarity
 
 
-@dataclass(frozen=True)
-class AdvertiserReport:
+class AdvertiserReport(NamedTuple):
     advertiser: str
     params: ForestParams
     cv_accuracy: float
@@ -76,8 +74,7 @@ class AdvertiserReport:
     inferred: tuple[str, ...]         # tracker ids passing the mean + 1 sigma rule
 
 
-@dataclass(frozen=True)
-class H1Result:
+class H1Result(NamedTuple):
     groups: tuple[str, ...]
     means: dict[tuple[str, str], float]
     tests: dict[tuple[str, str], TestResult]   # within-vs-across Welch tests

@@ -12,6 +12,12 @@ feature subset with the scalar splitmix64 below.  The kernels grow a batch
 of trees in lockstep from per-pattern counts with vectorised draws, so the
 two must agree node for node.
 
+The one-table chi-squared test, ``chi_square_independence`` with its
+``collapse_low_mass_columns`` and ``DegenerateTableError``, is the test
+flagging ran per record before it was batched; only tests call it.
+``forest_dict`` writes a trained forest out as nested dicts for the forest
+digests; no artifact holds a model.
+
 The flagging oracle pools the controls into dense vectors the width of the
 corpus and tests every record on the full dense 2 x V table, the way the
 flagging code once did; the sparse tables must give the same floats.  The
@@ -53,12 +59,13 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from adtomo.config import ForestParams, HyperGrid
+from adtomo import stattest
+from adtomo.config import ForestParams, HyperGrid, StatConfig
 from adtomo.ecosim import auction_hb, auction_rtb
+from adtomo.errors import StatError
 from adtomo.forest import best_point, fold_masks, kernels
 from adtomo.forest.model import _n_sub, _rows, _tree_seeds
 from adtomo.rng import GAMMA, MASK64, substream, substream_key
-from adtomo.stattest import DegenerateTableError, chi_square_independence
 from adtomo.syncdetect import SyncReport
 
 _U_MAX = 1.0 - 1e-12
@@ -165,6 +172,61 @@ def chi2_statistic_collapsed(table: list[list[float]], min_expected: float) -> t
     return stat, v - 1
 
 
+class DegenerateTableError(StatError):
+    """Table cannot support a chi-squared test (all-zero, or fewer than two
+    effective columns after low-mass collapsing)."""
+
+
+def collapse_low_mass_columns(table: np.ndarray, min_expected: float) -> np.ndarray:
+    """Fold every column whose total count falls below ``min_expected`` into a
+    single trailing residual column (dropped again if it carries no mass).
+
+    A column's total observed count equals its total expected count under
+    independence, so this is the classic validity repair that preserves the
+    table's total mass.
+    """
+    col_totals = table.sum(axis=0)
+    keep = col_totals >= min_expected
+    kept = table[:, keep]
+    residual = table[:, ~keep].sum(axis=1)
+    if residual.sum() > 0:
+        kept = np.column_stack([kept, residual])
+    return kept
+
+
+def chi_square_independence(table, config: StatConfig = StatConfig()) -> stattest.TestResult:
+    """Chi-squared test of independence on a 2 x V table of counts, the
+    test ``stattest.flags_against`` runs per record, on one table at a time.
+
+    Columns below ``config.min_expected`` total mass are collapsed into one
+    residual column first; df = V' - 1 over the V' surviving columns.
+    Raises ``DegenerateTableError`` when no valid test exists.
+    """
+    obs = np.asarray(table, dtype=float)
+    if obs.ndim != 2 or obs.shape[0] != 2:
+        raise StatError(f"expected a 2 x V table, got shape {obs.shape}")
+    if (obs < 0).any():
+        raise StatError("counts must be non-negative")
+    total = obs.sum()
+    if total == 0:
+        raise DegenerateTableError("all-zero table")
+    obs = collapse_low_mass_columns(obs, config.min_expected)
+    n_cols = obs.shape[1]
+    if n_cols < 2:
+        raise DegenerateTableError(
+            f"fewer than 2 effective columns after collapsing (got {n_cols})"
+        )
+    row_totals = obs.sum(axis=1)
+    col_totals = obs.sum(axis=0)
+    expected = np.outer(row_totals, col_totals) / obs.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = (obs - expected) ** 2 / expected
+    contrib[expected == 0.0] = 0.0  # zero row: O == E == 0
+    statistic = float(contrib.sum())
+    df = float(n_cols - 1)
+    return stattest.TestResult(statistic, df, stattest.chi2_sf(statistic, df))
+
+
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state once; returns (new_state, draw), in
     pure-Python ints masked to 64 bits: the scalar reference for
@@ -254,6 +316,35 @@ def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
             votes += nodes[node][5]
         out.append(1 if 2 * votes > len(forest) else 0)
     return out
+
+
+def forest_dict(model) -> dict:
+    """A ``ForestModel`` as nested dicts, each tree from the root down: the
+    form the forest digests hash."""
+    n = model.nodes
+    return {
+        "params": {
+            "n_trees": model.params.n_trees,
+            "max_depth": model.params.max_depth,
+            "features_per_split": model.params.features_per_split,
+            "min_leaf": model.params.min_leaf,
+        },
+        "seed": model.seed,
+        "n_features": model.n_features,
+        "trees": [_tree_dict(*(a.tolist() for a in tree))
+                  for tree in zip(n.feature, n.left, n.right, n.n_samples, n.gain, n.label)],
+    }
+
+
+def _tree_dict(feature, left, right, n_samples, gain, label) -> dict:
+    """One tree's node lists as nested dicts from the root down."""
+    def node(i: int) -> dict:
+        if feature[i] < 0:
+            return {"kind": "leaf", "n": n_samples[i], "label": bool(label[i])}
+        return {"kind": "split", "feature": feature[i], "n": n_samples[i], "gain": gain[i],
+                "left": node(left[i]), "right": node(right[i])}
+
+    return {"n_samples": n_samples[0], "root": node(0)}
 
 
 def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParams,

@@ -18,11 +18,12 @@ import pytest
 from adtomo.ecosim import RequestLogEntry, enumerate_personas, sim_config_from_dict
 from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
-from adtomo.stattest import StatConfig, chi_square_independence, flags_against, welch_t_test
+from adtomo.stattest import StatConfig, flags_against, welch_t_test
 from adtomo.syncdetect import detect_cookie_sync
 from adtomo.tomography import infer_relationships
 
 import oracles
+from oracles import chi_square_independence, forest_dict
 from conftest import load_config, simulate_logs
 
 
@@ -190,7 +191,7 @@ def test_criterion_6_forest_correctness():
     params = ForestParams(n_trees=30, max_depth=None, features_per_split="sqrt")
     m1 = train_forest(*separable(64, 0), params, seed=5)
     m2 = train_forest(*separable(64, 0), params, seed=5)
-    assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
+    assert json.dumps(forest_dict(m1)) == json.dumps(forest_dict(m2))
 
     assert accuracy(m1, *separable(48, 1)) == 1.0
 

@@ -127,6 +127,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit,named", [
         (lambda doc: doc.update(stat={"alpha": 0.5}), "stat: unknown key"),
         (lambda doc: doc["grid"].update(n_tree=[20]), "grid.n_tree: unknown key"),
+        (lambda doc: doc["stats"].update(alhpa=0.1), "stats.alhpa: unknown key"),
         (lambda doc: doc["grid"].update(n_trees=[20, 20]), "grid: grid dimension n_trees"),
         (lambda doc: doc["grid"].update(max_depth=[None, 3, None]),
          "grid: grid dimension max_depth"),
@@ -140,9 +141,9 @@ class TestExitCodes:
             {"id": "ctrl", "group": "g1", "is_control": True},
             {"id": "p1", "group": "g1", "blocks": ["t1"]}]),
          "run.personas[1].blocks: unknown key"),
-    ], ids=["unknown_top_level", "unknown_grid_key", "repeated_trees", "repeated_depth",
-            "unknown_sim_key", "unknown_sim_run_key", "sim_run_seed", "unknown_sim_world_key",
-            "unknown_world_entry_key", "unknown_persona_key"])
+    ], ids=["unknown_top_level", "unknown_grid_key", "unknown_stats_key", "repeated_trees",
+            "repeated_depth", "unknown_sim_key", "unknown_sim_run_key", "sim_run_seed",
+            "unknown_sim_world_key", "unknown_world_entry_key", "unknown_persona_key"])
     def test_unknown_key_or_repeated_grid_value_names_it(self, tmp_path, edit, named):
         doc = load_config("mini")
         edit(doc)
@@ -176,6 +177,20 @@ class TestExitCodes:
             {"id": "p1", "group": "g1", "blocked": "t1"}]),
                      "run.personas[1].blocked: expected a list of strings",
                      id="blocked_string"),
+        pytest.param(lambda doc: doc["sim"]["world"]["slots"][2].update(mechanism="vickrey"),
+                     "world.slots[2].mechanism: mechanism must be one of "
+                     "('rtb_waterfall', 'hb_client', 'hb_server'), got 'vickrey'",
+                     id="unknown_mechanism"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
+            {"id": "p1", "group": "g1"},
+            {"id": "ctrl", "group": "g1", "is_control": True, "blocked": ["t2"]}]),
+                     "run.personas[1].blocked: control personas must block nothing",
+                     id="blocking_control"),
+        pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
+            {"id": "c1", "group": "g1", "is_control": True},
+            {"id": "c2", "group": "g1", "is_control": True}]),
+                     "run.personas: inference needs a persona that is not a control",
+                     id="all_control_personas"),
         pytest.param(lambda doc: doc.update(seed=True), "seed: seed must be an integer",
                      id="bool_seed"),
         pytest.param(lambda doc: doc.update(holdout_runs=True), "holdout_runs:",
@@ -785,6 +800,20 @@ class TestImports:
         code = ("import sys; from adtomo import cli; "
                 "cli.load_pipeline_config(sys.argv[1]); print('numpy' in sys.modules)")
         assert self.python(code, CONFIG_DIR / "desk.json") == ["False"]
+
+    def test_cli_loads_config_without_dataclasses(self):
+        # Each dataclass execs its generated methods at import, and the
+        # dataclasses module pulls in inspect: a cost every CLI process paid.
+        code = ("import sys; from adtomo import cli; "
+                "cli.load_pipeline_config(sys.argv[1]); print('dataclasses' in sys.modules)")
+        assert self.python(code, CONFIG_DIR / "desk.json") == ["False"]
+
+    def test_no_adtomo_class_is_a_dataclass(self):
+        code = ("import sys, adtomo.pipeline; "
+                "print(*sorted(f'{m}.{n}' for m, mod in list(sys.modules.items()) "
+                "if m.startswith('adtomo') for n, c in vars(mod).items() "
+                "if isinstance(c, type) and hasattr(c, '__dataclass_fields__')))")
+        assert self.python(code) == []
 
     @pytest.mark.parametrize("stage, artifact", [("syncdetect", "sync_pairs.json"),
                                                  ("evaluate", "evaluation.json")])

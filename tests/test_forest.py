@@ -20,7 +20,7 @@ from adtomo.forest import (
 from adtomo.forest.model import _fold_assignment, _n_sub
 
 from conftest import load_config
-from oracles import cross_validate_grid
+from oracles import cross_validate_grid, forest_dict
 
 
 def rows(X, y):
@@ -175,8 +175,8 @@ class TestForest:
             boot.append(draw % len(X))
         direct = train_tree(X[boot], y[boot], params, seed=0)  # seed unused: no subset draws
         direct_model = ForestModel(direct, params, 0, X.shape[1])
-        assert (json.dumps(model.to_dict()["trees"][0])
-                == json.dumps(direct_model.to_dict()["trees"][0]))
+        assert (json.dumps(forest_dict(model)["trees"][0])
+                == json.dumps(forest_dict(direct_model)["trees"][0]))
 
     def test_separable_holdout_perfect(self):
         train = separable_rows(n=64, seed=5)
@@ -190,7 +190,7 @@ class TestForest:
         params = ForestParams(n_trees=20, max_depth=None, features_per_split="sqrt")
         m1 = train_forest(X, y, params, seed=3)
         m2 = train_forest(X, y, params, seed=3)
-        assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
+        assert json.dumps(forest_dict(m1)) == json.dumps(forest_dict(m2))
 
     def test_sample_order_does_not_matter(self, tmp_path):
         # The forest uses its rows in the order given; inference fixes that
@@ -239,8 +239,6 @@ class TestForest:
         assert predict_one(tied, (0, 0)) is False  # exact tie resolves to false
 
     def test_prediction_invariant_under_tree_permutation(self):
-        import dataclasses
-
         rng = np.random.default_rng(10)
         X, y = rows(rng.integers(0, 2, (60, 4)), rng.integers(0, 2, 60))
         model = train_forest(X, y, ForestParams(n_trees=9), seed=6)
@@ -249,7 +247,7 @@ class TestForest:
         for _ in range(5):
             perm = rng.permutation(len(model.nodes.count))
             nodes = kernels.Nodes(*(a[perm] for a in model.nodes))
-            shuffled = dataclasses.replace(model, nodes=nodes)
+            shuffled = model._replace(nodes=nodes)
             assert np.array_equal(predict_batch(shuffled, X), base)
 
     def test_feature_length_mismatch(self):

@@ -18,7 +18,7 @@ from adtomo.forest import (
 from adtomo.rng import splitmix64_draws
 
 import oracles
-from oracles import cross_validate_grid, splitmix64
+from oracles import cross_validate_grid, forest_dict, splitmix64
 
 
 def test_splitmix_python_reference_known_values():
@@ -64,11 +64,11 @@ def test_forest_golden_digest(features_per_split, max_depth, digest):
     params = ForestParams(n_trees=15, max_depth=max_depth,
                           features_per_split=features_per_split, min_leaf=1)
     model = train_forest(*_random_samples(31), params, seed=99)
-    assert hashlib.sha256(json.dumps(model.to_dict()).encode()).hexdigest() == digest
+    assert hashlib.sha256(json.dumps(forest_dict(model)).encode()).hexdigest() == digest
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj.to_dict()).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(forest_dict(obj)).encode()).hexdigest()
 
 
 def _same_pattern_samples(n=60):
@@ -83,7 +83,7 @@ def test_tree_golden_digest():
     nodes = kernels.build_forest(
         *kernels.pattern_cells(X, y), np.array([3], dtype=np.uint64), None, 2, 1,
         bootstrap=False)
-    tree = ForestModel(nodes, ForestParams(n_trees=1), 3, X.shape[1]).to_dict()["trees"][0]
+    tree = forest_dict(ForestModel(nodes, ForestParams(n_trees=1), 3, X.shape[1]))["trees"][0]
     assert hashlib.sha256(json.dumps(tree).encode()).hexdigest() == (
         "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854")
 

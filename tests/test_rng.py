@@ -86,3 +86,31 @@ def test_choice_with_replacement_equals_integers(n, k):
         assert draws.dtype == picks.dtype
         assert draws.tolist() == picks.tolist()
     assert by_choice.random() == by_integers.random()
+
+
+# Every artifact depends on the values these Generator methods return, and
+# NEP 19 does not promise them across numpy releases.  Each method draws from
+# a fresh substream keyed the way the package keys its own, so a numpy that
+# changes one method fails here under that method's name alone.
+_GENERATOR_PINS = {
+    "random": (lambda g: g.random(4).tolist(),
+               [0.8973554717403804, 0.7538390682037686, 0.4707710539401343,
+                0.5672004114792972]),
+    "standard_normal": (lambda g: g.standard_normal(4).tolist(),
+                        [-0.1674745572291174, -0.08888582491827594, 0.9702437425084713,
+                         -1.0319603430173296]),
+    "integers": (lambda g: [g.integers(0, 12, size=8).tolist(),
+                            g.integers(0, 3000, size=4).tolist()],
+                 [[0, 10, 4, 9, 6, 5, 6, 6], [657, 2946, 2243, 277]]),
+    "permutation": (lambda g: g.permutation(10).tolist(), [6, 1, 5, 4, 7, 8, 9, 2, 0, 3]),
+}
+
+
+@pytest.mark.parametrize("method", list(_GENERATOR_PINS))
+def test_generator_method_values_pinned(method):
+    draw, expected = _GENERATOR_PINS[method]
+    rng = substream(7, "segment") if method == "permutation" else substream(7, "sim", 0, "p-000")
+    got = draw(rng)
+    assert got == expected, (
+        f"numpy Generator.{method} returns values other than the pinned ones "
+        f"(numpy {np.__version__}): got {got}, pinned {expected}")

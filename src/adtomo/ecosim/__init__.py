@@ -1,23 +1,18 @@
 """The ad-ecosystem simulator.
 
-The package exports the world types, config parsing and auctions, none of
-which needs numpy.  The simulation itself (``prepare_simulation``,
-``generate_creative``, ``knowledge_state``) is in ``adtomo.ecosim.sim``,
-imported by the stages that simulate.
+The package exports the world and persona types, config parsing and
+auctions, none of which needs numpy.  The config (``sim_config_from_dict``)
+is the only source of the personas.  The simulation itself
+(``prepare_simulation``, ``generate_creative``, ``knowledge_state``) is in
+``adtomo.ecosim.sim``, imported by the stages that simulate.
 """
 
 from .auctions import AuctionOutcome, auction_hb, auction_rtb
-from .config import (
-    SimConfig,
-    enumerate_personas,
-    make_blocking,
-    sim_config_from_dict,
-)
+from .config import SimConfig, enumerate_personas, sim_config_from_dict
 from .types import (
     AdCreative,
     Advertiser,
     AuctionSlot,
-    BlockingConfig,
     InterestGroup,
     Persona,
     RequestLogEntry,
@@ -29,9 +24,8 @@ from .types import (
 )
 
 __all__ = [
-    "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot",
-    "BlockingConfig", "InterestGroup", "Persona",
-    "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
+    "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot", "InterestGroup",
+    "Persona", "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
     "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
-    "enumerate_personas", "make_blocking", "sim_config_from_dict",
+    "enumerate_personas", "sim_config_from_dict",
 ]

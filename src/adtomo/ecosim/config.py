@@ -1,6 +1,7 @@
 """Simulation config parsing, validation, and world construction.
 
-The canonical encoding is one JSON document:
+The canonical encoding is one JSON document, the ``sim`` of a pipeline
+config:
 
     {"world": {"generic_pool": [...], "groups": [...], "websites": [...],
                "trackers": [...], "advertisers": [...], "edges": [...],
@@ -12,12 +13,13 @@ enumeration spec ``{"group": g, "controls": c}`` that creates one persona per
 blocked-tracker combination (2^k of them, ids ``p-<bitmask>``) plus ``c``
 unblocked control personas (ids ``ctrl-<i>``).  An explicit list needs at
 least one persona that is not a control, because inference learns from
-those alone, and a control persona blocks nothing.
+those alone, and a control persona blocks nothing.  ``SimConfig.personas``
+is the only source of the personas: every stage takes them from here.
 
 Every entry of a ``world`` list and of an explicit ``run.personas`` list is
 an object holding only the keys its kind knows.  Every validation failure
-raises ConfigError carrying the offending field path, e.g.
-``world.trackers[1].observe_prob``.
+raises ConfigError carrying the offending field's full path in the pipeline
+config, e.g. ``sim.world.trackers[1].observe_prob`` or ``sim.run.runs``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .types import (
     MECHANISMS,
     Advertiser,
     AuctionSlot,
-    BlockingConfig,
     InterestGroup,
     Persona,
     SharingEdge,
@@ -106,11 +107,11 @@ def _unique_ids(items, path):
 
 
 def _parse_world(w: dict) -> World:
-    pool = tuple(sorted(set(_strings(_require(w, "generic_pool", "world"),
-                                      "world.generic_pool"))))
+    pool = tuple(sorted(set(_strings(_require(w, "generic_pool", "sim.world"),
+                                      "sim.world.generic_pool"))))
 
     groups = []
-    for path, g in _entries(_require(w, "groups", "world", list), "world.groups",
+    for path, g in _entries(_require(w, "groups", "sim.world", list), "sim.world.groups",
                             ("id", "vocabulary")):
         vocab_raw = _strings(_require(g, "vocabulary", path), f"{path}.vocabulary")
         if not vocab_raw:
@@ -119,10 +120,10 @@ def _parse_world(w: dict) -> World:
         overlap = len(set(vocab) & set(pool)) / len(vocab)
         groups.append(InterestGroup(_require(g, "id", path, str), vocab, overlap))
     groups.sort(key=lambda g: g.id)
-    group_ids = _unique_ids(groups, "world.groups")
+    group_ids = _unique_ids(groups, "sim.world.groups")
 
     websites = []
-    for path, s in _entries(_require(w, "websites", "world", list), "world.websites",
+    for path, s in _entries(_require(w, "websites", "sim.world", list), "sim.world.websites",
                             ("id", "group")):
         group = s.get("group")
         if group is not None and not isinstance(group, str):
@@ -131,10 +132,10 @@ def _parse_world(w: dict) -> World:
             raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
         websites.append(Website(_require(s, "id", path, str), group))
     websites.sort(key=lambda s: s.id)
-    site_ids = _unique_ids(websites, "world.websites")
+    site_ids = _unique_ids(websites, "sim.world.websites")
 
     trackers = []
-    for path, t in _entries(_require(w, "trackers", "world", list), "world.trackers",
+    for path, t in _entries(_require(w, "trackers", "sim.world", list), "sim.world.trackers",
                             ("id", "site_coverage", "observe_prob")):
         coverage = tuple(sorted(set(_strings(_require(t, "site_coverage", path),
                                              f"{path}.site_coverage"))))
@@ -146,10 +147,10 @@ def _parse_world(w: dict) -> World:
             _require(t, "id", path, str), coverage,
             _probability(t.get("observe_prob", 1.0), f"{path}.observe_prob")))
     trackers.sort(key=lambda t: t.id)
-    tracker_ids = _unique_ids(trackers, "world.trackers")
+    tracker_ids = _unique_ids(trackers, "sim.world.trackers")
 
     advertisers = []
-    for path, a in _entries(_require(w, "advertisers", "world", list), "world.advertisers",
+    for path, a in _entries(_require(w, "advertisers", "sim.world", list), "sim.world.advertisers",
                             ("id", "base_bid", "knowledge_boost", "bid_noise_sd",
                              "creative_length")):
         length = _require(a, "creative_length", path, int)
@@ -163,17 +164,17 @@ def _parse_world(w: dict) -> World:
             _non_negative(a.get("bid_noise_sd", 0.0), f"{path}.bid_noise_sd"),
             length))
     advertisers.sort(key=lambda a: a.id)
-    advertiser_ids = _unique_ids(advertisers, "world.advertisers")
+    advertiser_ids = _unique_ids(advertisers, "sim.world.advertisers")
 
     overlap_ids = tracker_ids & advertiser_ids
     if overlap_ids:
         raise ConfigError(
             f"tracker and advertiser id spaces must be disjoint, both contain {sorted(overlap_ids)}",
-            "world")
+            "sim.world")
 
     edges = []
     edge_pairs = set()
-    for path, e in _entries(_typed(w.get("edges", []), list, "world.edges"), "world.edges",
+    for path, e in _entries(_typed(w.get("edges", []), list, "sim.world.edges"), "sim.world.edges",
                             ("tracker", "advertiser", "reliability")):
         tracker = _require(e, "tracker", path, str)
         advertiser = _require(e, "advertiser", path, str)
@@ -191,7 +192,7 @@ def _parse_world(w: dict) -> World:
     edges.sort(key=lambda e: (e.tracker, e.advertiser))
 
     slots = []
-    for path, s in _entries(_require(w, "slots", "world", list), "world.slots",
+    for path, s in _entries(_require(w, "slots", "sim.world", list), "sim.world.slots",
                             ("id", "website", "floor_price", "mechanism", "timeout", "tiers")):
         website = _require(s, "website", path, str)
         if website not in site_ids:
@@ -217,12 +218,12 @@ def _parse_world(w: dict) -> World:
                               f"{path}.mechanism")
         slots.append(AuctionSlot(slot_id, website, floor_price, mechanism, timeout, tiers))
     slots.sort(key=lambda s: s.id)
-    _unique_ids(slots, "world.slots")
+    _unique_ids(slots, "sim.world.slots")
 
     sync_pairs = []
     known_domains = tracker_ids | advertiser_ids
-    for i, pair in enumerate(_typed(w.get("sync_pairs", []), list, "world.sync_pairs")):
-        path = f"world.sync_pairs[{i}]"
+    for i, pair in enumerate(_typed(w.get("sync_pairs", []), list, "sim.world.sync_pairs")):
+        path = f"sim.world.sync_pairs[{i}]"
         if len(_strings(pair, path)) != 2:
             raise ConfigError("expected [initiator, receiver]", path)
         src, dst = pair
@@ -240,69 +241,54 @@ def _parse_world(w: dict) -> World:
         slots=tuple(slots), sync_pairs=tuple(sync_pairs), generic_pool=pool)
 
 
-def make_blocking(blocked, tracker_ids: tuple[str, ...], path: str) -> BlockingConfig:
-    """BlockingConfig with the bitmask laid out over the lexicographic
-    tracker universe; ``path`` names ``blocked`` in errors."""
-    blocked = tuple(sorted(set(blocked)))
-    mask = 0
-    for t in blocked:
-        try:
-            mask |= 1 << tracker_ids.index(t)
-        except ValueError:
-            raise ConfigError(f"dangling tracker reference {t!r}", path) from None
-    return BlockingConfig(blocked, mask)
-
-
 def enumerate_personas(world: World, group: str, controls: int) -> tuple[Persona, ...]:
-    """One persona per blocked-tracker combination plus unblocked controls."""
+    """One persona per blocked-tracker combination, id ``p-<bits>`` with bit
+    i set when the i-th tracker in id order is blocked, plus unblocked
+    controls."""
     if group not in world.group_by_id:
-        raise ConfigError(f"dangling group reference {group!r}", "run.personas.group")
+        raise ConfigError(f"dangling group reference {group!r}", "sim.run.personas.group")
     k = len(world.tracker_ids)
     width = max(k, 1)
     personas = []
     for mask in range(1 << k):
         blocked = tuple(world.tracker_ids[i] for i in range(k) if mask >> i & 1)
-        personas.append(Persona(
-            id=f"p-{mask:0{width}b}", group=group,
-            blocking=BlockingConfig(blocked, mask), is_control=False))
+        personas.append(Persona(f"p-{mask:0{width}b}", group, blocked, False))
     for c in range(controls):
-        personas.append(Persona(
-            id=f"ctrl-{c:03d}", group=group,
-            blocking=BlockingConfig((), 0), is_control=True))
+        personas.append(Persona(f"ctrl-{c:03d}", group, (), True))
     return tuple(personas)
 
 
 def _parse_personas(spec, world: World) -> tuple[Persona, ...]:
+    path = "sim.run.personas"
     if isinstance(spec, dict):
-        check_known_keys(spec, ("group", "controls"), "run.personas.")
-        group = _require(spec, "group", "run.personas", str)
-        controls = _typed(spec.get("controls", 0), int, "run.personas.controls")
+        check_known_keys(spec, ("group", "controls"), path + ".")
+        group = _require(spec, "group", path, str)
+        controls = _typed(spec.get("controls", 0), int, f"{path}.controls")
         if controls < 0:
-            raise ConfigError("controls must be a non-negative integer",
-                              "run.personas.controls")
+            raise ConfigError("controls must be a non-negative integer", f"{path}.controls")
         return enumerate_personas(world, group, controls)
     if not isinstance(spec, list) or not spec:
-        raise ConfigError("personas must be a non-empty list or an enumeration spec",
-                          "run.personas")
+        raise ConfigError("personas must be a non-empty list or an enumeration spec", path)
     personas = []
     seen = set()
-    for path, p in _entries(spec, "run.personas", ("id", "group", "blocked", "is_control")):
-        pid = _require(p, "id", path, str)
+    for where, p in _entries(spec, path, ("id", "group", "blocked", "is_control")):
+        pid = _require(p, "id", where, str)
         if pid in seen:
-            raise ConfigError(f"duplicate id {pid!r}", f"{path}.id")
+            raise ConfigError(f"duplicate id {pid!r}", f"{where}.id")
         seen.add(pid)
-        group = _require(p, "group", path, str)
+        group = _require(p, "group", where, str)
         if group not in world.group_by_id:
-            raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
-        blocked = _strings(p.get("blocked", []), f"{path}.blocked")
-        blocking = make_blocking(blocked, world.tracker_ids, f"{path}.blocked")
-        is_control = _typed(p.get("is_control", False), bool, f"{path}.is_control")
-        if is_control and blocking.blocked:
-            raise ConfigError("control personas must block nothing", f"{path}.blocked")
-        personas.append(Persona(pid, group, blocking, is_control))
+            raise ConfigError(f"dangling group reference {group!r}", f"{where}.group")
+        blocked = tuple(sorted(set(_strings(p.get("blocked", []), f"{where}.blocked"))))
+        for t in blocked:
+            if t not in world.tracker_by_id:
+                raise ConfigError(f"dangling tracker reference {t!r}", f"{where}.blocked")
+        is_control = _typed(p.get("is_control", False), bool, f"{where}.is_control")
+        if is_control and blocked:
+            raise ConfigError("control personas must block nothing", f"{where}.blocked")
+        personas.append(Persona(pid, group, blocked, is_control))
     if all(p.is_control for p in personas):
-        raise ConfigError("inference needs a persona that is not a control",
-                          "run.personas")
+        raise ConfigError("inference needs a persona that is not a control", path)
     return tuple(sorted(personas, key=lambda p: p.id))
 
 
@@ -322,10 +308,10 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     run_section = _require(d, "run", "sim", dict)
     check_known_keys(run_section, _RUN_KEYS, "sim.run.")
     check_known_keys(world_section, _WORLD_KEYS, "sim.world.")
-    runs = _require(run_section, "runs", "run", int)
+    runs = _require(run_section, "runs", "sim.run", int)
     if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}", "run.runs")
+        raise ConfigError(f"runs must be >= 1, got {runs}", "sim.run.runs")
     world = _parse_world(world_section)
-    personas = _parse_personas(_require(run_section, "personas", "run"), world)
+    personas = _parse_personas(_require(run_section, "personas", "sim.run"), world)
     return SimConfig(world=world, personas=personas, runs=runs)
 

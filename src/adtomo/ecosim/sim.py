@@ -90,7 +90,7 @@ def knowledge_state(advertiser: str, persona: Persona, world: World,
         raise ConfigError(f"unknown group {persona.group!r}")
     incoming = _incoming(world, advertiser)
     return _knows(incoming, world.visited_sites(persona.group),
-                  frozenset(persona.blocking.blocked),
+                  frozenset(persona.blocked),
                   rng.random(2 * len(incoming)).tolist())
 
 
@@ -133,25 +133,9 @@ def _chain_hops(world: World, slots) -> list[tuple[str, str, str, str | None]]:
     return hops
 
 
-def _validate_personas(world: World, personas) -> list[Persona]:
-    if not personas:
-        raise ConfigError("personas must be non-empty")
-    seen = set()
-    for p in personas:
-        if p.id in seen:
-            raise ConfigError(f"duplicate persona id {p.id!r}")
-        seen.add(p.id)
-        if p.group not in world.group_by_id:
-            raise ConfigError(f"persona {p.id!r} references unknown group {p.group!r}")
-        for t in p.blocking.blocked:
-            if t not in world.tracker_by_id:
-                raise ConfigError(f"persona {p.id!r} blocks unknown tracker {t!r}")
-    return sorted(personas, key=lambda p: p.id)
-
-
 def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], RunLogs]:
     """The body of one collection round, ``simulate_run(run)``, after
-    validating the personas and preparing what every round shares: the
+    sorting the personas by id and preparing what every round shares: the
     incoming edges and draw offsets of each advertiser, the auction tiers of
     each slot, and the encoded ids, tokens and redirect hops.
 
@@ -165,7 +149,7 @@ def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], Run
     process."""
     if not world.slots:
         raise ConfigError("no ad-collection slots configured")
-    personas = _validate_personas(world, personas)
+    personas = sorted(personas, key=lambda p: p.id)
     advertisers = sorted(world.advertisers, key=lambda a: a.id)
     ids = [a.id for a in advertisers]
     position = {aid: i for i, aid in enumerate(ids)}
@@ -204,7 +188,7 @@ def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], Run
             head = run_head + pid
             rng = substream(seed, "sim", run, persona.id)
             visited = world.visited_sites(persona.group)
-            blocked = frozenset(persona.blocking.blocked)
+            blocked = frozenset(persona.blocked)
             draws = rng.random(offsets[-1]).tolist()
             known = [_knows(edges, visited, blocked, draws[lo:hi])
                      for edges, lo, hi in zip(incoming, offsets, offsets[1:])]

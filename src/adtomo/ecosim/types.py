@@ -4,7 +4,9 @@ The world is immutable once built: interest groups with token vocabularies, a
 generic token pool, websites (group sites are a persona's training itinerary;
 ungrouped sites only host ad slots), tracker organizations, advertisers, the
 planted tracker->advertiser sharing graph, auction slots, and configured
-cookie-sync pairs.
+cookie-sync pairs.  A persona is one group's itinerary with one set of
+blocked trackers; it exists only as the config gives it
+(``SimConfig.personas``), and ``personas.json`` merely records it.
 
 Each type is a ``NamedTuple`` and checks nothing itself: the config loader
 (``ecosim.config``) validates every value it builds one from, and names
@@ -70,18 +72,10 @@ class AuctionSlot(NamedTuple):
     tiers: tuple[tuple[str, ...], ...] | None = None  # rtb only; None = single tier of all
 
 
-class BlockingConfig(NamedTuple):
-    """Set of blocked tracker orgs plus its bitmask (bit i = i-th tracker in
-    lexicographic order)."""
-
-    blocked: tuple[str, ...]
-    mask: int = 0
-
-
 class Persona(NamedTuple):
     id: str
     group: str
-    blocking: BlockingConfig               # blocks nothing for a control persona
+    blocked: tuple[str, ...]               # sorted tracker ids; empty for a control
     is_control: bool = False
 
 
@@ -121,7 +115,8 @@ class World:
         self.group_by_id = {g.id: g for g in groups}
         self.tracker_by_id = {t.id: t for t in trackers}
         self.advertiser_by_id = {a.id: a for a in advertisers}
-        # Lexicographic tracker universe; fixes blocking-bitmask bit order.
+        # Lexicographic tracker universe; bit i of a ``p-<bits>`` persona id
+        # is tracker i.
         self.tracker_ids = tuple(t.id for t in trackers)
         self.visited_by_group = {g.id: frozenset(w.id for w in websites if w.group == g.id)
                                  for g in groups}

@@ -5,7 +5,7 @@ Every stage reads and writes fixed-name artifacts under one output directory:
     adlog.jsonl       delivered creatives        (simulate)
     requestlog.jsonl  redirect chains            (simulate)
     bidlog.jsonl      client-side HB bids        (simulate)
-    personas.json     persona manifest           (simulate)
+    personas.json     persona manifest, checked  (simulate)
     world.json        canonical static world     (simulate)
     corpus.json       token -> column order      (flag)
     records.jsonl     flagged vector records     (flag)
@@ -13,6 +13,11 @@ Every stage reads and writes fixed-name artifacts under one output directory:
     sync_pairs.json   cookie-sync detection      (syncdetect)
     evaluation.json   precision/recall vs truth  (evaluate)
     h1_matrix.csv     similarity means + tests   (h1)
+
+The personas come from the config alone (``SimConfig.personas``).
+``personas.json`` records those the simulation ran, and ``flag``, ``infer``
+and ``h1`` check it against the config (``_check_personas``): logs
+simulated for other personas exit 2 rather than end in a wrong report.
 
 ``run`` composes simulate -> flag -> infer -> syncdetect -> evaluate through
 these same functions, so running stages individually over the emitted
@@ -78,41 +83,33 @@ ARTIFACTS = ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl", "personas.json",
 # --------------------------------------------------------------------------
 
 def _persona_manifest(cfg: PipelineConfig) -> list[dict]:
-    return [{"id": p.id, "group": p.group, "blocked": list(p.blocking.blocked),
+    return [{"id": p.id, "group": p.group, "blocked": list(p.blocked),
              "is_control": p.is_control} for p in cfg.sim.personas]
 
 
-_PERSONA_FIELDS = {"id": str, "group": str, "blocked": list, "is_control": bool}
-
-
-def _read_personas(out_dir: Path, trackers: tuple[str, ...]) -> list[dict]:
-    """Persona entries of ``personas.json``, one per persona id; each
-    ``blocked`` list must name trackers of the config."""
+def _check_personas(cfg: PipelineConfig, out_dir: Path) -> None:
+    """``personas.json`` must be the config's persona manifest, entry for
+    entry.  The personas come from the config; the file only records those
+    the simulation ran, so one that differs names its first differing
+    entry."""
     path = out_dir / "personas.json"
-    personas = read_json(path)
+    personas, manifest = read_json(path), _persona_manifest(cfg)
     if not isinstance(personas, list):
         raise ConfigError("expected a JSON list of persona entries", str(path))
-    known = set(trackers)
-    first_entry: dict[str, int] = {}
-    for i, entry in enumerate(personas):
-        where = f"{path}: entry {i}"
-        _check_fields(entry, _PERSONA_FIELDS, where)
-        _check_strings(entry["blocked"], "blocked", where)
-        unknown = [t for t in entry["blocked"] if t not in known]
-        if unknown:
-            raise ConfigError(f"blocked tracker {unknown[0]!r} is not a tracker of the config",
-                              where)
-        first = first_entry.setdefault(entry["id"], i)
-        if first != i:
-            raise ConfigError(f"duplicate persona {entry['id']!r}, first seen at entry {first}",
-                              where)
-    return personas
+    if len(personas) != len(manifest):
+        raise ConfigError(f"holds {len(personas)} persona entries, the config "
+                          f"{len(manifest)}", str(path))
+    for i, (entry, expected) in enumerate(zip(personas, manifest)):
+        # ``is not``: 0 and 1 compare equal to the JSON bools false and true.
+        if entry != expected or entry["is_control"] is not expected["is_control"]:
+            raise ConfigError(f"differs from the config's persona {json.dumps(expected)}",
+                              f"{path}: entry {i}")
 
 
-def _check_known(kind: str, names, known, source: str, path: Path) -> None:
+def _check_known(kind: str, names, known, path: Path) -> None:
     unknown = sorted(set(names) - set(known))
     if unknown:
-        raise ConfigError(f"{kind} {unknown[0]!r} is missing from {source}", str(path))
+        raise ConfigError(f"{kind} {unknown[0]!r} is missing from the config", str(path))
 
 
 class _Ids(dict):
@@ -261,11 +258,11 @@ def _read_corpus(out_dir: Path) -> dict[str, int]:
     return index
 
 
-def _record_grid(cfg: PipelineConfig, personas: list[dict]) -> tuple[list[str], list[str]]:
-    """The sorted (advertisers, personas) of the record grid: the world's
-    advertisers and personas.json's non-control personas, over every run."""
+def _record_grid(cfg: PipelineConfig) -> tuple[list[str], list[str]]:
+    """The sorted (advertisers, personas) of the record grid: the config's
+    advertisers and non-control personas, over every run."""
     return (sorted(a.id for a in cfg.sim.world.advertisers),
-            sorted(p["id"] for p in personas if not p["is_control"]))
+            sorted(p.id for p in cfg.sim.personas if not p.is_control))
 
 
 def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
@@ -307,7 +304,7 @@ def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
             return f"advertiser {r['advertiser']!r} is missing from the config"
         p = persona_index.get(r["persona"])
         if p is None:
-            return f"persona {r['persona']!r} is not a non-control persona of personas.json"
+            return f"persona {r['persona']!r} is not a non-control persona of the config"
         cell = (a * len(personas) + p) * runs + run
         if lines[cell]:
             return (f"duplicate record for (advertiser, persona, run) "
@@ -410,16 +407,16 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     """Flag and encode every record of the grid (``_record_grid``) in a
     process pool, one task per advertiser (``flag_records``).  Every task
     inherits the integer columns of ``adlog.jsonl`` (``_read_ad_columns``),
-    whose advertisers and personas must be the config's and
-    ``personas.json``'s, and copies none.  It writes its lines, built from
-    fragments encoded once before the pool forks, to a part file appended
-    to ``records.jsonl`` in advertiser order: no process holds every line."""
+    whose advertisers and personas must be the config's, and copies none.
+    It writes its lines, built from fragments encoded once before the pool
+    forks, to a part file appended to ``records.jsonl`` in advertiser
+    order: no process holds every line."""
     log = _read_ad_columns(out_dir, cfg.sim.runs)
     adlog = out_dir / "adlog.jsonl"
-    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    advertisers, grid = _record_grid(cfg, personas)
-    _check_known("persona", log.personas, [p["id"] for p in personas], "personas.json", adlog)
-    _check_known("advertiser", log.advertisers, advertisers, "the config", adlog)
+    _check_personas(cfg, out_dir)
+    advertisers, grid = _record_grid(cfg)
+    _check_known("persona", log.personas, [p.id for p in cfg.sim.personas], adlog)
+    _check_known("advertiser", log.advertisers, advertisers, adlog)
     if set(log.personas) <= set(grid):
         raise ConfigError("flag stage requires a control persona with at least one ad",
                           str(adlog))
@@ -456,10 +453,9 @@ def _report_meta(cfg: PipelineConfig) -> dict:
 
 
 def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
-    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    flags = _read_records(out_dir, _read_corpus(out_dir), *_record_grid(cfg, personas),
-                          cfg.sim.runs)
-    blocking = {p["id"]: tuple(p["blocked"]) for p in personas}
+    _check_personas(cfg, out_dir)
+    flags = _read_records(out_dir, _read_corpus(out_dir), *_record_grid(cfg), cfg.sim.runs)
+    blocking = {p.id: p.blocked for p in cfg.sim.personas}
     trackers = list(cfg.sim.world.tracker_ids)
     holdout = holdout_mask(cfg.sim.runs, cfg.holdout_runs, cfg.seed)
     reports = run_inference(flags, holdout, cfg.grid, cfg.folds, cfg.seed, trackers,
@@ -491,10 +487,10 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
 
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
     log = _read_ad_columns(out_dir, cfg.sim.runs)
-    personas = _read_personas(out_dir, cfg.sim.world.tracker_ids)
-    _check_known("persona", log.personas, [p["id"] for p in personas], "personas.json",
+    _check_personas(cfg, out_dir)
+    _check_known("persona", log.personas, [p.id for p in cfg.sim.personas],
                  out_dir / "adlog.jsonl")
-    vectors = group_run_vectors(log, {p["id"]: p["group"] for p in personas})
+    vectors = group_run_vectors(log, {p.id: p.group for p in cfg.sim.personas})
     result = h1_similarity_matrix(vectors)
     with open_atomic(out_dir / "h1_matrix.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

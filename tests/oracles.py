@@ -477,7 +477,7 @@ def simulate_by_scalar_draws(world, personas, runs: int, seed: int):
                                    key=lambda e: e.tracker):
                     tracker = world.tracker_by_id[edge.tracker]
                     obs, rel = rng.random(), rng.random()
-                    if (tracker.id not in persona.blocking.blocked
+                    if (tracker.id not in persona.blocked
                             and visited & set(tracker.site_coverage)
                             and obs < tracker.observe_prob and rel < edge.reliability):
                         known[a.id] = True

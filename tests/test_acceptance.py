@@ -265,10 +265,13 @@ def test_criterion_8_combinatorics_and_byte_identical_runs(tmp_path):
     one config produce byte-identical artifacts."""
     desk = sim_config_from_dict(load_config("desk")["sim"])  # a 10-tracker world
     assert len(desk.world.trackers) == 10
-    configs = [p.blocking for p in enumerate_personas(desk.world, "g1", controls=0)]
-    assert len(configs) == 1024
-    assert len({c.mask for c in configs}) == 1024
-    assert len({c.blocked for c in configs}) == 1024
+    personas = enumerate_personas(desk.world, "g1", controls=0)
+    assert len(personas) == 1024
+    # The id's bits are the blocked trackers: bit i is the i-th in id order.
+    assert [int(p.id[2:], 2) for p in personas] == list(range(1024))
+    assert all(p.blocked == tuple(t for i, t in enumerate(desk.world.tracker_ids)
+                                  if p.id[-1 - i] == "1") for p in personas)
+    assert len({p.blocked for p in personas}) == 1024
 
     doc = load_config("small", seed=42)
     cfg_path = tmp_path / "config.json"

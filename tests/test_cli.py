@@ -100,7 +100,7 @@ class TestExitCodes:
         proc = run_cli("simulate", "--config", str(write_config(tmp_path, doc)),
                        "--out", str(out))
         assert proc.returncode == 2
-        assert "world.advertisers[0].bid_noise_sd" in proc.stderr
+        assert "sim.world.advertisers[0].bid_noise_sd" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
@@ -136,11 +136,11 @@ class TestExitCodes:
         (lambda doc: doc["sim"]["run"].update(seed=7), "sim.run.seed: unknown key"),
         (lambda doc: doc["sim"]["world"].update(bogus=1), "sim.world.bogus: unknown key"),
         (lambda doc: doc["sim"]["world"]["advertisers"][0].update(creative_lenght=8),
-         "world.advertisers[0].creative_lenght: unknown key"),
+         "sim.world.advertisers[0].creative_lenght: unknown key"),
         (lambda doc: doc["sim"]["run"].update(personas=[
             {"id": "ctrl", "group": "g1", "is_control": True},
             {"id": "p1", "group": "g1", "blocks": ["t1"]}]),
-         "run.personas[1].blocks: unknown key"),
+         "sim.run.personas[1].blocks: unknown key"),
     ], ids=["unknown_top_level", "unknown_grid_key", "unknown_stats_key", "repeated_trees",
             "repeated_depth", "unknown_sim_key", "unknown_sim_run_key", "sim_run_seed",
             "unknown_sim_world_key", "unknown_world_entry_key", "unknown_persona_key"])
@@ -156,40 +156,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, named", [
         pytest.param(lambda doc: doc["sim"]["world"]["trackers"].__setitem__(0, 5),
-                     "world.trackers[0]: expected an object", id="tracker_not_object"),
+                     "sim.world.trackers[0]: expected an object", id="tracker_not_object"),
         pytest.param(lambda doc: doc["sim"]["run"].update(personas=[5]),
-                     "run.personas[0]: expected an object", id="persona_not_object"),
+                     "sim.run.personas[0]: expected an object", id="persona_not_object"),
         pytest.param(lambda doc: doc["sim"]["world"]["slots"][0].update(tiers=5),
-                     "world.slots[0].tiers: expected list", id="tiers_not_list"),
+                     "sim.world.slots[0].tiers: expected list", id="tiers_not_list"),
         pytest.param(lambda doc: doc["sim"]["world"].update(sync_pairs=[5]),
-                     "world.sync_pairs[0]: expected a list of strings", id="sync_pair_not_list"),
+                     "sim.world.sync_pairs[0]: expected a list of strings",
+                     id="sync_pair_not_list"),
         pytest.param(lambda doc: doc["sim"]["world"].update(edges=5),
-                     "world.edges: expected list", id="edges_not_list"),
+                     "sim.world.edges: expected list", id="edges_not_list"),
         pytest.param(lambda doc: doc["sim"]["world"]["groups"][0].update(vocabulary=[1, "a"]),
-                     "world.groups[0].vocabulary: expected a list of strings",
+                     "sim.world.groups[0].vocabulary: expected a list of strings",
                      id="int_in_vocabulary"),
         pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
             {"id": "ctrl", "group": "g1", "is_control": True},
             {"id": "p1", "group": "g1", "is_control": "no"}]),
-                     "run.personas[1].is_control: expected bool", id="is_control_string"),
+                     "sim.run.personas[1].is_control: expected bool", id="is_control_string"),
         pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
             {"id": "ctrl", "group": "g1", "is_control": True},
             {"id": "p1", "group": "g1", "blocked": "t1"}]),
-                     "run.personas[1].blocked: expected a list of strings",
+                     "sim.run.personas[1].blocked: expected a list of strings",
                      id="blocked_string"),
         pytest.param(lambda doc: doc["sim"]["world"]["slots"][2].update(mechanism="vickrey"),
-                     "world.slots[2].mechanism: mechanism must be one of "
+                     "sim.world.slots[2].mechanism: mechanism must be one of "
                      "('rtb_waterfall', 'hb_client', 'hb_server'), got 'vickrey'",
                      id="unknown_mechanism"),
         pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
             {"id": "p1", "group": "g1"},
             {"id": "ctrl", "group": "g1", "is_control": True, "blocked": ["t2"]}]),
-                     "run.personas[1].blocked: control personas must block nothing",
+                     "sim.run.personas[1].blocked: control personas must block nothing",
                      id="blocking_control"),
         pytest.param(lambda doc: doc["sim"]["run"].update(personas=[
             {"id": "c1", "group": "g1", "is_control": True},
             {"id": "c2", "group": "g1", "is_control": True}]),
-                     "run.personas: inference needs a persona that is not a control",
+                     "sim.run.personas: inference needs a persona that is not a control",
                      id="all_control_personas"),
         pytest.param(lambda doc: doc.update(seed=True), "seed: seed must be an integer",
                      id="bool_seed"),
@@ -198,10 +199,10 @@ class TestExitCodes:
         pytest.param(lambda doc: doc.update(holdout_runs=0),
                      "holdout_runs: holdout_runs must be in [1, runs=6), got 0",
                      id="zero_holdout_runs"),
-        pytest.param(lambda doc: doc["sim"]["run"].update(runs=True), "run.runs: expected int",
+        pytest.param(lambda doc: doc["sim"]["run"].update(runs=True), "sim.run.runs: expected int",
                      id="bool_runs"),
         pytest.param(lambda doc: doc["sim"]["world"]["advertisers"][0].update(
-            creative_length=True), "world.advertisers[0].creative_length: expected int",
+            creative_length=True), "sim.world.advertisers[0].creative_length: expected int",
                      id="bool_creative_length"),
         pytest.param(lambda doc: doc.update(accuracy_threshold=True), "accuracy_threshold:",
                      id="bool_threshold"),
@@ -450,70 +451,90 @@ class TestExitCodes:
         assert "records.jsonl:3:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @staticmethod
+    def edit_personas(out, edit):
+        """Apply ``edit`` to the entries of ``out``'s personas.json; returns
+        the entries as simulate wrote them."""
+        personas = json.loads((out / "personas.json").read_text())
+        edited = json.loads(json.dumps(personas))
+        edit(edited)
+        (out / "personas.json").write_text(json.dumps(edited))
+        return personas
+
+    @staticmethod
+    def assert_entry_rejected(proc, out, i, expected):
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {out / 'personas.json'}: entry {i}: "
+                               f"differs from the config's persona {json.dumps(expected)}\n")
+
+    @pytest.mark.parametrize("stage", ["flag", "infer", "h1"])
+    def test_personas_differing_from_config_name_entry(self, mini_run, tmp_path, stage):
+        # A well-formed personas.json that blocks t2, not t1, in p-001 used
+        # to give a silently different report: the stages read the personas
+        # from it.  They come from the config, and the file must match it.
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        personas = self.edit_personas(out, lambda p: p[1].update(blocked=["t2"]))
+        assert personas[1] == {"id": "p-001", "group": "g1", "blocked": ["t1"],
+                               "is_control": False}
+        before = read_artifacts(out)
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        self.assert_entry_rejected(proc, out, 1, personas[1])
+        assert read_artifacts(out) == before
+        assert not (out / "h1_matrix.csv").exists()
+
     @pytest.mark.parametrize("stage, field", [
         ("flag", "is_control"), ("infer", "id"), ("infer", "blocked"), ("h1", "group")])
     def test_persona_entry_missing_field_names_file_and_entry(self, mini_run, tmp_path,
                                                              stage, field):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
-        personas = json.loads((out / "personas.json").read_text())
-        del personas[1][field]
-        (out / "personas.json").write_text(json.dumps(personas))
+        personas = self.edit_personas(out, lambda p: p[1].pop(field))
         proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
-        assert proc.returncode == 2
-        assert "personas.json: entry 1:" in proc.stderr
-        assert repr(field) in proc.stderr
-        assert "Traceback" not in proc.stderr
+        self.assert_entry_rejected(proc, out, 1, personas[1])
 
     @pytest.mark.parametrize("stage", ["flag", "infer", "h1"])
     def test_duplicate_persona_names_both_entries(self, mini_run, tmp_path, stage):
         # A second entry for p-000 with is_control flipped used to give a
-        # silently different report: the later entry won.
+        # silently different report: the later entry won.  Now the file
+        # holds one entry more than the config has personas.
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
-        personas = json.loads((out / "personas.json").read_text())
+        personas = self.edit_personas(
+            out, lambda p: p.append({**p[0], "is_control": not p[0]["is_control"]}))
         assert personas[0]["id"] == "p-000"
-        personas.append({**personas[0], "is_control": not personas[0]["is_control"]})
-        (out / "personas.json").write_text(json.dumps(personas))
         before = read_artifacts(out)
         proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
-        assert (f"personas.json: entry {len(personas) - 1}: duplicate persona 'p-000', "
-                "first seen at entry 0") in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"adtomo: config error: {out / 'personas.json'}: holds "
+                               f"{len(personas) + 1} persona entries, the config "
+                               f"{len(personas)}\n")
         assert read_artifacts(out) == before
 
     @pytest.mark.parametrize("field, value, kind", [
         ("id", 5, "string"), ("group", ["g1"], "string"), ("blocked", "t1", "list"),
-        ("is_control", "no", "bool")])
+        ("is_control", "no", "bool"), ("is_control", 0, "bool")])
     def test_persona_field_of_wrong_type_names_json_type(self, mini_run, tmp_path, field,
                                                          value, kind):
+        # 0 equals False in Python; the JSON integer 0 is still not a bool.
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
-        personas = json.loads((out / "personas.json").read_text())
-        personas[1][field] = value
-        (out / "personas.json").write_text(json.dumps(personas))
+        personas = self.edit_personas(out, lambda p: p[1].update({field: value}))
+        json_type = {"string": str, "list": list, "bool": bool}[kind]
+        assert isinstance(personas[1][field], json_type) and not isinstance(value, json_type)
         proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
-        assert proc.returncode == 2
-        assert proc.stderr.endswith(
-            f"personas.json: entry 1: field {field!r} must be a JSON {kind}\n")
+        self.assert_entry_rejected(proc, out, 1, personas[1])
 
-    @pytest.mark.parametrize("blocked, problem", [
-        pytest.param([["t1"]], "field 'blocked' must be a JSON list of strings", id="nested"),
-        pytest.param(["tZZ"], "blocked tracker 'tZZ' is not a tracker of the config",
-                     id="unknown_tracker"),
+    @pytest.mark.parametrize("blocked", [
+        pytest.param([["t1"]], id="nested"),
+        pytest.param(["tZZ"], id="unknown_tracker"),
     ])
-    def test_bad_persona_blocked_names_file_and_entry(self, mini_run, tmp_path, blocked,
-                                                      problem):
+    def test_bad_persona_blocked_names_file_and_entry(self, mini_run, tmp_path, blocked):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
-        personas = json.loads((out / "personas.json").read_text())
-        personas[1]["blocked"] = blocked
-        (out / "personas.json").write_text(json.dumps(personas))
+        personas = self.edit_personas(out, lambda p: p[1].update(blocked=blocked))
         proc = run_cli("infer", "--config", str(cfg_path), "--out", str(out))
-        assert proc.returncode == 2
-        assert "personas.json: entry 1:" in proc.stderr and problem in proc.stderr
-        assert "Traceback" not in proc.stderr
+        self.assert_entry_rejected(proc, out, 1, personas[1])
 
     @pytest.mark.parametrize("field, value, problem", [
         pytest.param("is_different_from_control", "false",
@@ -548,7 +569,7 @@ class TestExitCodes:
                                             for l in lines
                                             if json.loads(l)["persona"] == "p-000"],
                      "records.jsonl:{end}: persona 'ctrl-000' is not a non-control persona "
-                     "of personas.json", id="control_persona"),
+                     "of the config", id="control_persona"),
     ])
     def test_record_personas_must_be_the_non_control_personas(self, mini_run, tmp_path, edit,
                                                               problem):
@@ -735,7 +756,7 @@ class TestExitCodes:
 
 
 class TestRecordGrid:
-    """The config and personas.json, not the ad log, name the records: a
+    """The config, not the ad log, names the records: a
     persona, a run or an advertiser that wins no ad is a valid outcome,
     whose records are flagged False, and every stage exits 0."""
 

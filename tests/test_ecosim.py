@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from adtomo.ecosim import BlockingConfig, Persona, sim_config_from_dict
+from adtomo.ecosim import Persona, sim_config_from_dict
 from adtomo.ecosim.sim import generate_creative, knowledge_state
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, stage_simulate
@@ -49,9 +49,8 @@ def assert_texts_match_scalar_oracle(world, personas, runs, seed):
     return texts
 
 
-def persona(pid="p1", blocked=(), control=False, tracker_ids=("t1",)):
-    mask = sum(1 << tracker_ids.index(t) for t in blocked)
-    return Persona(pid, "g1", BlockingConfig(tuple(sorted(blocked)), mask), control)
+def persona(pid="p1", blocked=(), control=False):
+    return Persona(pid, "g1", tuple(sorted(blocked)), control)
 
 
 class TestConfigValidation:
@@ -111,7 +110,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             make_config(trackers=[{"id": "t1", "site_coverage": [],
                                    "observe_prob": 2.0}])
-        assert "observe_prob" in str(err.value)
+        assert "sim.world.trackers[0].observe_prob" in str(err.value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize("section, field", [
@@ -123,7 +122,7 @@ class TestConfigValidation:
         entry = world_dict()[section][0]
         with pytest.raises(ConfigError, match="finite") as err:
             make_config(**{section: [{**entry, field: value}]})
-        assert f"world.{section}[0].{field}" in str(err.value)
+        assert f"sim.world.{section}[0].{field}" in str(err.value)
 
 
 class TestKnowledgeState:
@@ -172,7 +171,7 @@ class TestKnowledgeState:
                                   "reliability": 0.5},
                                  {"tracker": "t2", "advertiser": "a1",
                                   "reliability": 0.5}])
-        p = persona(tracker_ids=("t1", "t2"))
+        p = persona()
         n = 10_000
         rate1 = sum(knowledge_state("a1", p, one.world, substream(5, "k", i))
                     for i in range(n)) / n

@@ -30,9 +30,9 @@ from oracles import (DeliveredAd, VectorRecord, build_corpus, chi2_by_dense_tabl
 from oracles import collate as collate_by_ads
 
 
-def blocking_configs(trackers):
-    """The blocking of every non-control persona ``enumerate_personas``
-    builds over a world holding ``trackers``."""
+def enumerated(trackers):
+    """The non-control personas ``enumerate_personas`` builds over a world
+    holding ``trackers``."""
     world = sim_config_from_dict({"world": {
         "generic_pool": ["gen0"], "groups": [{"id": "g1", "vocabulary": ["v0"]}],
         "websites": [{"id": "site1", "group": "g1"}, {"id": "collect1", "group": None}],
@@ -42,29 +42,30 @@ def blocking_configs(trackers):
         "slots": [{"id": "s1", "website": "collect1", "floor_price": 0.1,
                    "mechanism": "hb_client"}],
     }, "run": {"personas": [{"id": "p1", "group": "g1"}], "runs": 1}}).world
-    return [p.blocking for p in enumerate_personas(world, "g1", controls=0)]
+    return enumerate_personas(world, "g1", controls=0)
 
 
 class TestEnumerate:
     def test_zero_trackers(self):
-        configs = blocking_configs([])
-        assert len(configs) == 1
-        assert configs[0].blocked == ()
+        personas = enumerated([])
+        assert [p.id for p in personas] == ["p-0"]
+        assert personas[0].blocked == ()
 
     def test_two_trackers_power_set(self):
-        configs = blocking_configs(["t1", "t2"])
-        assert [c.blocked for c in configs] == [(), ("t1",), ("t2",), ("t1", "t2")]
-        assert [c.mask for c in configs] == [0, 1, 2, 3]
+        personas = enumerated(["t1", "t2"])
+        assert [p.blocked for p in personas] == [(), ("t1",), ("t2",), ("t1", "t2")]
+        assert [p.id for p in personas] == ["p-00", "p-01", "p-10", "p-11"]
 
     def test_ten_trackers_full_combinatorics(self):
-        configs = blocking_configs([f"t{i:02d}" for i in range(10)])
-        assert len(configs) == 1024
-        assert len({c.mask for c in configs}) == 1024
-        assert len({c.blocked for c in configs}) == 1024
+        personas = enumerated([f"t{i:02d}" for i in range(10)])
+        assert len(personas) == 1024
+        assert [int(p.id[2:], 2) for p in personas] == list(range(1024))
+        assert len({p.blocked for p in personas}) == 1024
 
     def test_bit_order_is_lexicographic(self):
-        configs = blocking_configs(["zeta", "alpha"])
-        assert configs[1].blocked == ("alpha",)  # bit 0 = lexicographically first
+        personas = enumerated(["zeta", "alpha"])
+        assert personas[1].blocked == ("alpha",)  # bit 0 = lexicographically first
+        assert personas[1].id == "p-01"
 
 
 def corpus_of(*tokens):

@@ -8,13 +8,25 @@ worker process that died.
 
 A command imports only the module of its stage, when it runs it:
 ``pipeline`` for simulate, flag, infer, h1 and run, ``syncdetect`` and
-``evaluation`` for the other two, which need no numpy.
+``evaluation`` for the other two, which need no numpy.  A stage that reads
+its input needs ``--out`` to exist already; only ``simulate`` (and ``run``,
+which starts with it) creates it.
+
+An ``adtomo`` process runs ``entry``, not ``main``.  Before any stage
+imports numpy it sets ``OPENBLAS_NUM_THREADS`` to 1 unless the user set it:
+no stage calls BLAS, so numpy's OpenBLAS then starts no thread.  When
+``main`` returns, every artifact has been written and closed and every
+worker reaped, so ``entry`` flushes stdout and stderr and leaves through
+``os._exit`` without tearing the interpreter down.  An exception that
+escapes ``main``, and argparse's ``SystemExit``, end the process the usual
+way.  Tests call ``main`` in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -83,7 +95,6 @@ def main(argv=None) -> int:
         cfg = cfg.with_seed(args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _STAGES[args.command](cfg, out_dir)
     except (ConfigError, StatError) as exc:
         print(f"adtomo: config error: {exc}", file=sys.stderr)
@@ -102,5 +113,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """Run ``main`` as the ``adtomo`` process, and end it with main's exit
+    code without interpreter teardown (see the module docstring)."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -9,13 +9,19 @@ computes them, and no option chooses the worker count.
 
 The workers are ``os.fork`` children, so each inherits ``fn`` and ``items``
 as they are: ``fn`` may be a closure, and anything it records in module
-state inside a worker stays in that worker.  The package starts no thread,
-so a fork copies the whole state of the work.  There is no executor: each
-worker has a task pipe, on which the parent writes one item index at a
-time, and a result pipe, on which it sends back ``fn(item)`` or the
-exception it raised as one length-prefixed pickle.  The parent hands every
-worker one index at the start and the next unstarted index to whichever
-worker returns a result, so a worker with cheap items takes more of them.
+state inside a worker stays in that worker.  The package starts no thread
+of its own.  numpy's OpenBLAS starts a thread pool when numpy is imported,
+unless ``OPENBLAS_NUM_THREADS`` is 1, and its ``pthread_atfork`` handler
+stops that pool before each fork, so a fork still copies the whole state
+of the work.  An ``adtomo`` process never starts the pool: ``cli.entry``
+sets ``OPENBLAS_NUM_THREADS`` to 1 unless the user set it.
+
+There is no executor: each worker has a task pipe, on which the parent
+writes one item index at a time, and a result pipe, on which it sends back
+``fn(item)`` or the exception it raised as one length-prefixed pickle.
+The parent hands every worker one index at the start and the next
+unstarted index to whichever worker returns a result, so a worker with
+cheap items takes more of them.
 
 A worker that dies mid-task (killed, or out of memory) fails the map with
 ``errors.WorkerLostError`` instead of leaving it waiting for the lost result.

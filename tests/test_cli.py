@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -304,6 +305,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "records.jsonl:1: flag stage required" in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stage, name", [
+        ("flag", "adlog.jsonl"),
+        ("infer", "personas.json"),
+        ("h1", "adlog.jsonl"),
+        ("syncdetect", "requestlog.jsonl"),
+        ("evaluate", "report.json"),
+    ])
+    def test_reading_stage_does_not_create_missing_out(self, tmp_path, stage, name):
+        cfg_path = write_config(tmp_path, load_config("mini"))
+        out = tmp_path / "absent" / "out"
+        proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"adtomo: missing input {name}: run the producing stage first\n"
+        assert not (tmp_path / "absent").exists()
 
     def test_output_path_collision_is_io_error(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini"))
@@ -853,6 +869,56 @@ class TestImports:
                    "adtomo.ecosim.sim", "adtomo.syncdetect", "adtomo.evaluation"]
         code = "import sys, adtomo.pipeline; print(*[m in sys.modules for m in sys.argv[1:]])"
         assert self.python(code, *modules) == ["True"] * len(modules)
+
+
+class TestEntry:
+    """``cli.entry`` is the ``adtomo`` process: main's exit code, no
+    teardown, and no OpenBLAS thread unless the user asks for one."""
+
+    @staticmethod
+    def entry(main_body, **env):
+        """A fresh interpreter that runs ``cli.entry`` with ``cli.main``
+        replaced by a function of ``main_body``; stdout and stderr are
+        buffered pipes."""
+        script = ("import os, sys\nfrom adtomo import cli\n"
+                  "def main():\n" + "".join(f"    {line}\n" for line in main_body)
+                  + "cli.main = main\ncli.entry()\n")
+        base = {name: value for name, value in os.environ.items()
+                if name not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+        base["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**base, **env}, timeout=60)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_numpy_starts_no_thread(self):
+        proc = self.entry(["import numpy",
+                           "print(len(os.listdir('/proc/self/task')))",
+                           "return 0"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+
+    def test_exit_code_and_stderr_are_mains(self):
+        proc = self.entry(["sys.stderr.write('adtomo: stage failed\\n')", "return 3"])
+        assert proc.returncode == 3
+        assert proc.stderr == "adtomo: stage failed\n"
+
+    def test_users_openblas_setting_is_kept(self):
+        proc = self.entry(["print(os.environ['OPENBLAS_NUM_THREADS'])", "return 0"],
+                          OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
+
+    def test_exception_in_main_prints_traceback_and_exits_1(self):
+        proc = self.entry(["raise RuntimeError('stage bug')"])
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError: stage bug" in proc.stderr
+
+    def test_console_script_runs_entry(self):
+        import tomllib
+
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts["adtomo"] == "adtomo.cli:entry"
 
 
 class TestH1Command:

@@ -324,6 +324,16 @@ def test_failed_flag_task_exits_2_with_its_message(tmp_path, monkeypatch, capsys
     assert {name: (out / name).read_bytes() for name in simulated} == simulated
 
 
+def test_cli_stages_leave_no_child_process(two_cpus, tmp_path):
+    # cli.entry ends the process with os._exit once main returns, which is
+    # safe only because no stage leaves a worker behind.
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(load_config("mini", seed=7)), encoding="utf-8")
+    for stage in ("simulate", "flag", "infer", "run"):
+        assert cli.main([stage, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        _assert_no_child()
+
+
 def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 

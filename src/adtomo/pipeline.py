@@ -18,6 +18,9 @@ The personas come from the config alone (``SimConfig.personas``).
 ``personas.json`` records those the simulation ran, and ``flag``, ``infer``
 and ``h1`` check it against the config (``_check_personas``): logs
 simulated for other personas exit 2 rather than end in a wrong report.
+So do the ad log's names: its ids index the config's sorted personas,
+advertisers and tokens (``_ad_names``), and a name the config lacks exits
+2 at its ``adlog.jsonl`` line.
 
 ``run`` composes simulate -> flag -> infer -> syncdetect -> evaluate through
 these same functions, so running stages individually over the emitted
@@ -106,27 +109,19 @@ def _check_personas(cfg: PipelineConfig, out_dir: Path) -> None:
                               f"{path}: entry {i}")
 
 
-def _check_known(kind: str, names, known, path: Path) -> None:
-    unknown = sorted(set(names) - set(known))
-    if unknown:
-        raise ConfigError(f"{kind} {unknown[0]!r} is missing from the config", str(path))
-
-
-class _Ids(dict):
-    """Name -> id, ids numbered in order of first lookup."""
-
-    def __missing__(self, name) -> int:
-        self[name] = i = len(self)
-        return i
+def _ad_names(cfg: PipelineConfig) -> tuple[list[str], list[str], list[str]]:
+    """The (personas, advertisers, tokens) an ad log of ``cfg`` may name,
+    each sorted: the config's personas and advertisers, and the world's
+    group vocabularies and generic pool.  ``AdLog``'s ids index them."""
+    world = cfg.sim.world
+    return (sorted(p.id for p in cfg.sim.personas), sorted(a.id for a in world.advertisers),
+            sorted(set(world.generic_pool).union(*(g.vocabulary for g in world.groups))))
 
 
 # adlog.jsonl is parsed in spans of whole lines, one per CPU but at most one
 # per whole _SPAN_BYTES of the file: a log under twice that is parsed in
 # process.
 _SPAN_BYTES = 1 << 20
-# Ids remapped per np.take call when the spans' parts merge, so that its
-# temporaries stay small.
-_REMAP_CHUNK = 1 << 16
 
 
 def _line_spans(path: Path, size: int, count: int) -> list[tuple[int, int]]:
@@ -144,15 +139,14 @@ def _line_spans(path: Path, size: int, count: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _parse_ads(path: Path, runs: int, start: int = 0,
-               stop: int | None = None) -> tuple[list[array], list[list[str]]]:
-    """The ads of the lines of ``path`` that start in bytes [start, stop),
-    each line checked and appended as it is read: the run, persona,
-    advertiser, token offsets and token columns, and the persona,
-    advertiser and token names, ids numbered in order of first appearance.
-    No object per ad or per token occurrence is kept: each name is held
-    once, in its id map."""
-    persona_ids, advertiser_ids, token_ids = _Ids(), _Ids(), _Ids()
+def _parse_ads(path: Path, runs: int, index: Sequence[dict[str, int]], start: int = 0,
+               stop: int | None = None) -> list[array]:
+    """The run, persona, advertiser, token offsets and token columns of the
+    ads of the lines of ``path`` that start in bytes [start, stop), each
+    line checked and appended as it is read.  ``index`` gives the persona,
+    advertiser and token ids by name; a name it lacks is rejected at its
+    line.  No object per ad or per token occurrence is kept."""
+    persona_index, advertiser_index, token_index = index
     run, persona, advertiser, token = (array("i") for _ in range(4))
     offsets = array("q", [0])
 
@@ -167,82 +161,83 @@ def _parse_ads(path: Path, runs: int, start: int = 0,
         tokens = r["tokens"]
         if type(tokens) is not list or not set(map(type, tokens)) <= {str}:
             return "field 'tokens' must be a JSON list of strings"
+        p = persona_index.get(r["persona"])
+        if p is None:
+            return f"persona {r['persona']!r} is missing from the config"
+        a = advertiser_index.get(r["advertiser"])
+        if a is None:
+            return f"advertiser {r['advertiser']!r} is missing from the config"
+        try:
+            token.extend(map(token_index.__getitem__, tokens))
+        except KeyError as exc:
+            return f"token {exc.args[0]!r} is missing from the config"
+        run.append(r["run"])
+        persona.append(p)
+        advertiser.append(a)
+        offsets.append(len(token))
         return None
 
-    for r in iter_jsonl(path, ("run", "persona", "slot", "advertiser", "tokens"), check,
+    for _ in iter_jsonl(path, ("run", "persona", "slot", "advertiser", "tokens"), check,
                         start, stop):
-        run.append(r["run"])
-        persona.append(persona_ids[r["persona"]])
-        advertiser.append(advertiser_ids[r["advertiser"]])
-        token.extend(map(token_ids.__getitem__, r["tokens"]))
-        offsets.append(len(token))
-    return ([run, persona, advertiser, offsets, token],
-            [list(persona_ids), list(advertiser_ids), list(token_ids)])
+        pass
+    return [run, persona, advertiser, offsets, token]
 
 
-def _read_ad_columns(out_dir: Path, runs: int) -> AdLog:
-    """``adlog.jsonl`` as integer columns (``_parse_ads``), ids numbered in
-    order of first appearance.  A log of at least two ``_SPAN_BYTES`` is cut
-    into spans of whole lines, one per CPU, and parsed by one ``fork_map``
-    task per span (``_merge_ad_parts``); a smaller one is parsed in
-    process, straight into the columns.  Either way the error raised names
-    the log's first bad line."""
+def _read_ad_columns(out_dir: Path, runs: int,
+                     names: tuple[list[str], list[str], list[str]]) -> AdLog:
+    """``adlog.jsonl`` as integer columns (``_parse_ads``), ids indexing the
+    sorted persona, advertiser and token lists ``names`` (``_ad_names``).  A
+    log of at least two ``_SPAN_BYTES`` is cut into spans of whole lines,
+    one per CPU, and parsed by one ``fork_map`` task per span
+    (``_merge_ad_parts``); a smaller one is parsed in process, straight
+    into the columns.  Either way the error raised names the log's first
+    bad line."""
     path = out_dir / "adlog.jsonl"
     size = path.stat().st_size
     count = min(cpus(), size // _SPAN_BYTES)
+    index = [{name: i for i, name in enumerate(n)} for n in names]
     if count < 2:
-        columns, names = _parse_ads(path, runs)
-        log = AdLog(*(np.frombuffer(c, dtype=c.typecode) for c in columns), *names)
+        columns = [np.frombuffer(c, dtype=c.typecode) for c in _parse_ads(path, runs, index)]
     else:
-        log = _merge_ad_parts(out_dir, path, runs, _line_spans(path, size, count))
-    if not len(log.run):
+        columns = _merge_ad_parts(out_dir, path, runs, index, _line_spans(path, size, count))
+    if not len(columns[0]):
         raise ConfigError("holds no ads", str(path))
-    return log
+    return AdLog(*columns, *names)
 
 
-def _merge_ad_parts(out_dir: Path, path: Path, runs: int,
-                    spans: list[tuple[int, int]]) -> AdLog:
+def _merge_ad_parts(out_dir: Path, path: Path, runs: int, index: Sequence[dict[str, int]],
+                    spans: list[tuple[int, int]]) -> list[np.ndarray]:
     """The columns of the spans ``spans`` of ``path``, each span parsed by
-    one task of ``_pooled_parts``.  A task writes its span's names and
-    columns to a part file and returns their sizes, so no column passes
-    through the pool.  The parent allocates the columns once, reads each
-    part into its slices, one part at a time, and remaps the part's ids to
-    ids of the whole log: a name keeps the id of its first appearance in
-    the earliest span that holds it."""
-    def write_part(part: Callable[[str], Path], i: int) -> tuple[int, int, int]:
-        (run, persona, advertiser, offsets, token), names = _parse_ads(path, runs, *spans[i])
-        head = json.dumps(names).encode("ascii")
+    one task of ``_pooled_parts``.  A task writes its span's columns to a
+    part file and returns their lengths, so no column passes through the
+    pool.  The parent allocates the columns once and reads each part
+    straight into its slices, one part at a time.  Every span's ids index
+    the same lists, so only the token offsets are shifted."""
+    def write_part(part: Callable[[str], Path], i: int) -> tuple[int, int]:
+        run, persona, advertiser, offsets, token = _parse_ads(path, runs, index, *spans[i])
         with part(path.name).open("wb") as fh:
-            fh.write(head)
             for column in (run, persona, advertiser, token, offsets):
                 column.tofile(fh)
-        return len(head), len(run), len(token)
+        return len(run), len(token)
 
-    ids = _Ids(), _Ids(), _Ids()  # persona, advertiser and token ids in the whole log
     with _pooled_parts(out_dir, (path.name,), write_part, len(spans)) as (results, part):
         sizes = list(results)
-        ads, tokens = sum(n for _, n, _ in sizes), sum(m for _, _, m in sizes)
+        ads, tokens = sum(n for n, _ in sizes), sum(m for _, m in sizes)
         run, persona, advertiser = (np.empty(ads, np.int32) for _ in range(3))
         token = np.empty(tokens, np.int32)
         offsets = np.zeros(ads + 1, np.int64)
         a = t = 0
-        for i, (head, n, m) in enumerate(sizes):
-            local = persona[a:a + n], advertiser[a:a + n], token[t:t + m]
+        for i, (n, m) in enumerate(sizes):
             with part(path.name, i).open("rb") as fh:
-                names = json.loads(fh.read(head))
-                for column in (run[a:a + n], *local, offsets[a:a + n + 1]):
+                for column in (run[a:a + n], persona[a:a + n], advertiser[a:a + n],
+                               token[t:t + m], offsets[a:a + n + 1]):
                     view = memoryview(column).cast("B")
                     if fh.readinto(view) != len(view):
                         raise OSError(f"{fh.name}: shorter than its columns")
             part(path.name, i).unlink()
             offsets[a:a + n + 1] += t
-            for column, names_i, id_of in zip(local, names, ids):
-                remap = np.fromiter(map(id_of.__getitem__, names_i), np.int32, len(names_i))
-                for c in range(0, len(column), _REMAP_CHUNK):
-                    chunk = column[c:c + _REMAP_CHUNK]
-                    np.take(remap, chunk, out=chunk)  # in place: mode "raise" buffers out
             a, t = a + n, t + m
-    return AdLog(run, persona, advertiser, offsets, token, *map(list, ids))
+    return [run, persona, advertiser, offsets, token]
 
 
 def _read_corpus(out_dir: Path) -> dict[str, int]:
@@ -407,20 +402,19 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     """Flag and encode every record of the grid (``_record_grid``) in a
     process pool, one task per advertiser (``flag_records``).  Every task
     inherits the integer columns of ``adlog.jsonl`` (``_read_ad_columns``),
-    whose advertisers and personas must be the config's, and copies none.
+    whose ids index the config's names (``_ad_names``), and copies none.
     It writes its lines, built from fragments encoded once before the pool
     forks, to a part file appended to ``records.jsonl`` in advertiser
     order: no process holds every line."""
-    log = _read_ad_columns(out_dir, cfg.sim.runs)
-    adlog = out_dir / "adlog.jsonl"
+    log = _read_ad_columns(out_dir, cfg.sim.runs, _ad_names(cfg))
     _check_personas(cfg, out_dir)
     advertisers, grid = _record_grid(cfg)
-    _check_known("persona", log.personas, [p.id for p in cfg.sim.personas], adlog)
-    _check_known("advertiser", log.advertisers, advertisers, adlog)
-    if set(log.personas) <= set(grid):
+    controls = {p.id for p in cfg.sim.personas if p.is_control}
+    control = np.array([p in controls for p in log.personas], dtype=bool)  # per persona id
+    if not control[log.persona].any():
         raise ConfigError("flag stage requires a control persona with at least one ad",
-                          str(adlog))
-    tokens, column = corpus_columns(log.tokens)
+                          str(out_dir / "adlog.jsonl"))
+    tokens, column = corpus_columns(log)
     write_json(out_dir / "corpus.json", {"tokens": tokens})
     # '"token":' per corpus column, and ',"persona":P,"run":' per persona.
     token_keys = [encode_str(t) + ":" for t in tokens]
@@ -486,12 +480,10 @@ def stage_infer(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_h1(cfg: PipelineConfig, out_dir: Path) -> None:
-    log = _read_ad_columns(out_dir, cfg.sim.runs)
+    log = _read_ad_columns(out_dir, cfg.sim.runs, _ad_names(cfg))
     _check_personas(cfg, out_dir)
-    _check_known("persona", log.personas, [p.id for p in cfg.sim.personas],
-                 out_dir / "adlog.jsonl")
     vectors = group_run_vectors(log, {p.id: p.group for p in cfg.sim.personas})
-    result = h1_similarity_matrix(vectors)
+    result = h1_similarity_matrix(vectors, str(out_dir / "adlog.jsonl"))
     with open_atomic(out_dir / "h1_matrix.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["group_a", "group_b", "mean_similarity", "welch_t",

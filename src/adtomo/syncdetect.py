@@ -47,29 +47,27 @@ def _owner(value: str | None, prefix: str) -> str | None:
     return None
 
 
-def _validate_chains(entries: list[RequestLogEntry]) -> None:
-    """ConfigError naming ``requestlog.jsonl`` and the chain unless every
-    (run, persona) chain holds the positions 0 .. n - 1 once each."""
+def _validate_chains(entries: list[RequestLogEntry], where: str) -> None:
+    """ConfigError naming ``where`` and the chain unless every (run,
+    persona) chain holds the positions 0 .. n - 1 once each."""
     chains: dict[tuple[int, str], list[int]] = {}
     for e in entries:
-        if e.chain_position < 0:
-            raise ConfigError(f"negative position in chain (run {e.run}, persona {e.persona!r})",
-                              "requestlog.jsonl")
         chains.setdefault((e.run, e.persona), []).append(e.chain_position)
     for (run, persona), positions in chains.items():
         if sorted(positions) != list(range(len(positions))):
-            raise ConfigError(f"position gaps in chain (run {run}, persona {persona!r})",
-                              "requestlog.jsonl")
+            raise ConfigError(f"position gaps in chain (run {run}, persona {persona!r})", where)
 
 
-def detect_cookie_sync(log: Iterable[RequestLogEntry]) -> SyncReport:
-    """Scan redirect chains for cookie-sync hops.
+def detect_cookie_sync(log: Iterable[RequestLogEntry],
+                       where: str = "requestlog.jsonl") -> SyncReport:
+    """Scan redirect chains for cookie-sync hops; a chain with a gap raises
+    ConfigError naming ``where``, the log's file.
 
     Order-invariant: chains are reconstructed per (run, persona) and read in
     position order regardless of how the log was shuffled.
     """
     entries = sorted(log, key=lambda e: (e.run, e.persona, e.chain_position))
-    _validate_chains(entries)
+    _validate_chains(entries, where)
     strict: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
     weak: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
     for e in entries:
@@ -91,12 +89,15 @@ def detect_cookie_sync(log: Iterable[RequestLogEntry]) -> SyncReport:
     return SyncReport(pairs=as_pairs(strict), weak_candidates=as_pairs(weak))
 
 
-def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
-    """The entries of ``requestlog.jsonl``, each built as its line is read."""
+def _read_requestlog(path: Path) -> list[RequestLogEntry]:
+    """The entries of the request log ``path``, each built as its line is
+    read."""
     def check(r, lineno: int) -> str | None:
         for field in ("run", "chain_position"):
             if type(r[field]) is not int:
                 return f"field {field!r} must be a JSON integer"
+        if r["chain_position"] < 0:
+            return f"field 'chain_position' must be >= 0, got {r['chain_position']}"
         for field in ("persona", "source_domain", "destination_domain"):
             if type(r[field]) is not str:
                 return f"field {field!r} must be a JSON string"
@@ -108,11 +109,12 @@ def _read_requestlog(out_dir: Path) -> list[RequestLogEntry]:
     fields = ("run", "persona", "chain_position", "source_domain", "destination_domain",
               "cookie_sent", "uid_param")  # RequestLogEntry's field order
     return [RequestLogEntry(*map(r.__getitem__, fields))
-            for r in iter_jsonl(out_dir / "requestlog.jsonl", fields=fields, check=check)]
+            for r in iter_jsonl(path, fields=fields, check=check)]
 
 
 def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
-    report = detect_cookie_sync(_read_requestlog(out_dir))
+    path = out_dir / "requestlog.jsonl"
+    report = detect_cookie_sync(_read_requestlog(path), str(path))
 
     def rows(pairs):
         return [{"initiator": p.initiator, "receiver": p.receiver,

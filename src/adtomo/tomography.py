@@ -82,8 +82,8 @@ class H1Result(NamedTuple):
 
 class AdLog(NamedTuple):
     """``adlog.jsonl`` as integer columns, one entry per ad in file order.
-    Persona, advertiser and token ids index the name lists, which hold each
-    name once, in order of first appearance."""
+    Persona, advertiser and token ids index the name lists, which are the
+    config's, each sorted, whether an ad names them or not."""
 
     run: np.ndarray          # int32
     persona: np.ndarray      # int32 index into ``personas``
@@ -106,13 +106,12 @@ class Flags(NamedTuple):
     flag: np.ndarray         # uint8, shape (advertisers, personas, runs)
 
 
-def corpus_columns(tokens: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """(corpus tokens, column): the distinct tokens of a log, sorted into
-    corpus column order, and the corpus column of each token id."""
-    order = sorted(range(len(tokens)), key=tokens.__getitem__)
-    column = np.empty(len(tokens), dtype=np.int64)
-    column[order] = np.arange(len(tokens))
-    return [tokens[i] for i in order], column
+def corpus_columns(log: AdLog) -> tuple[list[str], np.ndarray]:
+    """(corpus tokens, column): the tokens the ads of ``log`` hold, in
+    corpus column order, and the corpus column of each token id.  The ids
+    follow the sorted ``log.tokens``, so the corpus is sorted too."""
+    held = np.bincount(log.token, minlength=len(log.tokens)) > 0
+    return [log.tokens[i] for i in np.flatnonzero(held).tolist()], np.cumsum(held) - 1
 
 
 def _ranks(names: Sequence[str], order: Sequence[str]) -> np.ndarray:
@@ -168,20 +167,18 @@ def group_run_vectors(log: AdLog, group_of: Mapping[str, str]
 def flag_records(log: AdLog, advertiser: str, column: np.ndarray, personas: Sequence[str],
                  runs: int, config: StatConfig = StatConfig()
                  ) -> list[tuple[str, int, dict[int, int], bool]]:
-    """(persona, run, vector, flag) of ``advertiser`` per persona of the
-    sorted non-control ``personas`` and per run ``0 .. runs - 1``; every
-    other persona of the log is a control.  The vector counts the tokens of
-    the advertiser's creatives for that (persona, run) over the corpus
-    columns ``column`` (per token id), empty, so flagged False, where it won
-    nothing.  Every control persona maps to one pooled row per run, so the
+    """(persona, run, vector, flag) of ``advertiser``, one of
+    ``log.advertisers``, per persona of the sorted non-control ``personas``
+    and per run ``0 .. runs - 1``; every other persona of the log is a
+    control.  The vector counts the tokens of the advertiser's creatives for
+    that (persona, run) over the corpus columns ``column`` (per token id),
+    empty, so flagged False, where it won nothing.  Every control persona maps to one pooled row per run, so the
     sort that builds the vectors also sums the controls, and each run's
     vectors are flagged against that row in one ``flags_against`` call:
     flag True when the record's 2 x V table gives ``p < config.alpha``."""
     rank = {p: i for i, p in enumerate(personas)}
     row = np.array([rank.get(p, len(personas)) for p in log.personas], dtype=np.int64)
-    # An advertiser that won nothing has no id in the log: no ad matches -1.
-    a = log.advertisers.index(advertiser) if advertiser in log.advertisers else -1
-    ads = np.flatnonzero(log.advertiser == a)
+    ads = np.flatnonzero(log.advertiser == log.advertisers.index(advertiser))
     record = row[log.persona[ads]] * runs + log.run[ads]
     n = len(personas) * runs  # the runs' pooled controls follow the n records
     vectors = _count_vectors(log, ads, record, column, n + runs)
@@ -249,17 +246,12 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     over that is a task alone.  A unit's
     folds never split across tasks: sqrt trees take one node per round, and
     the fold lockstep is what amortises the rounds.  The tasks run in one
-    process pool and the per-advertiser final fits in another; each unit
-    and fit draws from its own substreams, so the report depends neither on
-    the packing nor on the worker count.
-
-    One task per advertiser, grid search and final fit together, saves the
-    second pool's start-up and was measured on 2 vCPU.  It is faster on small
-    inputs: ``small`` infer 0.539 -> 0.505 s (median of 7 alternating runs),
-    ``mini`` 24 -> 16 ms.  But full ``desk`` infer went from 90.1 to 102.0 s
-    (median of 2): nine advertiser tasks do not split evenly over 2 workers.
-    So the cross-validation tasks and the fits stay apart.  Every
-    ``report.json`` was byte-identical either way.
+    process pool; the per-advertiser final fits then run in this process,
+    one after another.  A second pool for the fits costs more to start than
+    it saves: on 2 vCPU, ``mini`` infer takes 15-21 ms without it and 23 ms
+    with it, and full ``desk`` infer 90.3 s against 90.7 s.  Each unit and
+    fit draws from its own substreams, so the report depends neither on the
+    packing nor on the worker count.
     """
     trackers = tuple(sorted(trackers))
     blocked = [set(blocking_by_persona[p]) for p in flags.personas]
@@ -311,17 +303,10 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     chosen = [best_point(points, scores[a * len(points):(a + 1) * len(points)])
               for a in range(len(seeds))]
 
-    def fit(task: tuple[int, ForestParams]) -> tuple[float, np.ndarray]:
-        a, params = task
-        model = train_forest(*design(a, ~holdout), params, seeds[a])
-        return accuracy(model, *design(a, holdout)), feature_importance(model)
-
-    # Each task carries its chosen params: a worker sees this process only
-    # as it was when the pool forked.
-    fits = list(fork_map(fit, [(a, params) for a, (params, _) in enumerate(chosen)]))
     reports = []
-    for advertiser, (params, cv_acc), (holdout_acc, gains) in zip(flags.advertisers, chosen,
-                                                                  fits):
+    for a, (advertiser, (params, cv_acc)) in enumerate(zip(flags.advertisers, chosen)):
+        model = train_forest(*design(a, ~holdout), params, seeds[a])
+        holdout_acc, gains = accuracy(model, *design(a, holdout)), feature_importance(model)
         inferred = infer_relationships(gains, holdout_acc, accuracy_threshold, trackers)
         reports.append(AdvertiserReport(
             advertiser=advertiser, params=params, cv_accuracy=cv_acc,
@@ -331,20 +316,23 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     return reports
 
 
-def h1_similarity_matrix(vectors: Mapping[tuple[str, int], Mapping[int, int]]) -> H1Result:
+def h1_similarity_matrix(vectors: Mapping[tuple[str, int], Mapping[int, int]],
+                         where: str | None = None) -> H1Result:
     """Interest-dependence analysis over per-(group, run) document vectors.
 
     For each group pair the mean of the cosine-similarity distribution is
     reported (within-group distributions exclude self-pairs); each
     within-vs-across pair is Welch-tested two-sided.  A group needs at least
     three runs to carry two within-group pairs, the Welch minimum, so pairs
-    involving a two-run group report a mean but no test.
+    involving a two-run group report a mean but no test.  A group with
+    fewer than two runs raises ConfigError naming ``where``, the file the
+    vectors were read from.
     """
     groups = tuple(sorted({g for g, _ in vectors}))
     runs_by_group = {g: sorted(r for gg, r in vectors if gg == g) for g in groups}
     for g, runs in runs_by_group.items():
         if len(runs) < 2:
-            raise ConfigError(f"group {g!r} has fewer than 2 runs")
+            raise ConfigError(f"group {g!r} has fewer than 2 runs", where)
 
     def dist(g1: str, g2: str) -> list[float]:
         if g1 == g2:

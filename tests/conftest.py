@@ -40,18 +40,28 @@ def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, li
                  for text in simulate_texts(world, personas, runs, seed))
 
 
-def ad_log(ads) -> AdLog:
+def ad_log(ads, personas=None, advertisers=None, tokens=None) -> AdLog:
     """The columns of the ads ``ads`` (objects with ``run``, ``persona``,
-    ``advertiser`` and ``tokens``), ids numbered in order of first
-    appearance, built one row at a time."""
-    names: tuple[dict, dict, dict] = ({}, {}, {})
-    runs, personas, advertisers, tokens, offsets = [], [], [], [], [0]
+    ``advertiser`` and ``tokens``), built one row at a time, their ids
+    numbered by the persona, advertiser and token lists given; each list
+    left out is the sorted names the ads hold."""
+    ads = list(ads)
+    if personas is None:
+        personas = sorted({ad.persona for ad in ads})
+    if advertisers is None:
+        advertisers = sorted({ad.advertiser for ad in ads})
+    if tokens is None:
+        tokens = sorted({t for ad in ads for t in ad.tokens})
+    persona_id, advertiser_id, token_id = ({name: i for i, name in enumerate(names)}
+                                           for names in (personas, advertisers, tokens))
+    runs, persona, advertiser, token, offsets = [], [], [], [], [0]
     for ad in ads:
         runs.append(ad.run)
-        personas.append(names[0].setdefault(ad.persona, len(names[0])))
-        advertisers.append(names[1].setdefault(ad.advertiser, len(names[1])))
-        tokens += [names[2].setdefault(t, len(names[2])) for t in ad.tokens]
-        offsets.append(len(tokens))
-    return AdLog(np.array(runs, dtype=np.int32), np.array(personas, dtype=np.int32),
-                 np.array(advertisers, dtype=np.int32), np.array(offsets, dtype=np.int64),
-                 np.array(tokens, dtype=np.int32), *(list(n) for n in names))
+        persona.append(persona_id[ad.persona])
+        advertiser.append(advertiser_id[ad.advertiser])
+        token += [token_id[t] for t in ad.tokens]
+        offsets.append(len(token))
+    return AdLog(np.array(runs, dtype=np.int32), np.array(persona, dtype=np.int32),
+                 np.array(advertiser, dtype=np.int32), np.array(offsets, dtype=np.int64),
+                 np.array(token, dtype=np.int32), list(personas), list(advertisers),
+                 list(tokens))

@@ -328,6 +328,19 @@ class TestExitCodes:
         proc = run_cli("simulate", "--config", str(cfg_path), "--out", str(blocker))
         assert proc.returncode == 3
 
+    def test_h1_group_too_sparse_names_ad_log(self, tmp_path):
+        doc = load_config("h1", seed=7)
+        for slot in doc["sim"]["world"]["slots"]:
+            slot["floor_price"] = 3.0  # above every bid but one at seed 7
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        assert len((out / "adlog.jsonl").read_text().splitlines()) == 1
+        proc = run_cli("h1", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {out / 'adlog.jsonl'}: group 'g1' has "
+                               "fewer than 2 runs\n")
+
     def test_flag_without_controls_is_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("h1"))  # no control personas
         out = tmp_path / "out"
@@ -361,7 +374,7 @@ class TestExitCodes:
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         run, persona = chain[0]
-        assert proc.stderr == (f"adtomo: config error: requestlog.jsonl: position gaps in "
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: position gaps in "
                                f"chain (run {run}, persona {persona!r})\n")
 
     def test_truncated_ad_log_names_file_and_line(self, tmp_path):
@@ -430,6 +443,8 @@ class TestExitCodes:
                      id="int_uid"),
         pytest.param({"chain_position": "0"}, "field 'chain_position' must be a JSON integer",
                      id="string_position"),
+        pytest.param({"chain_position": -1}, "field 'chain_position' must be >= 0, got -1",
+                     id="negative_position"),
         pytest.param({"run": "0"}, "field 'run' must be a JSON integer", id="string_run"),
         pytest.param({"persona": None}, "field 'persona' must be a JSON string",
                      id="null_persona"),
@@ -633,26 +648,29 @@ class TestExitCodes:
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
         adlog = out / "adlog.jsonl"
-        ghost = {**json.loads(adlog.read_text().splitlines()[0]), "persona": "ghost"}
+        lines = adlog.read_text().splitlines()
+        ghost = {**json.loads(lines[0]), "persona": "ghost"}
         with adlog.open("a") as fh:
             fh.write(json.dumps(ghost) + "\n")
         for stage in ("flag", "h1"):
             proc = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
             assert proc.returncode == 2, stage
-            assert "adlog.jsonl" in proc.stderr and "'ghost'" in proc.stderr, stage
+            assert f"adlog.jsonl:{len(lines) + 1}:" in proc.stderr, stage
+            assert "'ghost'" in proc.stderr, stage
             assert "Traceback" not in proc.stderr
 
     def test_ad_log_advertiser_missing_from_config(self, mini_run, tmp_path):
         cfg_path, out = mini_run
         out = shutil.copytree(out, tmp_path / "out")
         adlog = out / "adlog.jsonl"
-        ghost = {**json.loads(adlog.read_text().splitlines()[0]), "advertiser": "dsp-9"}
+        lines = adlog.read_text().splitlines()
+        ghost = {**json.loads(lines[0]), "advertiser": "dsp-9"}
         with adlog.open("a") as fh:
             fh.write(json.dumps(ghost) + "\n")
         before = read_artifacts(out)
         proc = run_cli("flag", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
-        assert proc.stderr == (f"adtomo: config error: {adlog}: "
+        assert proc.stderr == (f"adtomo: config error: {adlog}:{len(lines) + 1}: "
                                "advertiser 'dsp-9' is missing from the config\n")
         assert read_artifacts(out) == before
 

@@ -502,6 +502,7 @@ def test_packed_units_equal_per_advertiser_grid_search(budget, cpus, monkeypatch
 def test_cv_units_spread_over_every_cpu(two_cpus, monkeypatch):
     # Both advertisers' single grid point fit one task by the budget; the
     # even share of the work per CPU still gives each unit its own task.
+    # The final fits run in this process: the grid search is the one pool.
     _, flags, holdout, _, folds, trackers, blocking = _random_inference_case(5)
     assert len(flags.advertisers) == 2
     grid = HyperGrid(n_trees=(3,), max_depth=(2,), features_per_split=("all",), min_leaf=(1,))
@@ -514,7 +515,7 @@ def test_cv_units_spread_over_every_cpu(two_cpus, monkeypatch):
 
     monkeypatch.setattr(tomography, "fork_map", counting_map)
     run_inference(flags, holdout, grid, folds, 7, trackers, blocking)
-    assert tasks == [2, 2]
+    assert tasks == [2]
 
 
 def test_requires_python_has_add_note():

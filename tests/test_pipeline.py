@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from adtomo import parallel, pipeline
+from adtomo import cli, parallel, pipeline
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, run_pipeline
 from adtomo.tomography import corpus_columns, flag_records
@@ -126,8 +126,8 @@ def test_records_lines_equal_dict_encoded_records(tmp_path, odd):
     tokens = list(build_corpus(a.tokens for a in ads))
     if odd:
         assert all('"' in t or "\\" in t for t in tokens)
-    log = ad_log(ads)
-    log_tokens, column = corpus_columns(log.tokens)
+    log = ad_log(ads, *pipeline._ad_names(cfg))
+    log_tokens, column = corpus_columns(log)
     assert log_tokens == tokens
     personas = sorted(p.id for p in cfg.sim.personas if not p.is_control)
     expected = "".join(jsonl_lines(
@@ -215,10 +215,18 @@ def small_spans(request, monkeypatch):
     return request.param, counts
 
 
-def _mini_adlog(odd: bool = False) -> str:
+def _mini_adlog(odd: bool = False, extra_tokens: tuple[str, ...] = ()
+                ) -> tuple[str, tuple[list[str], list[str], list[str]]]:
+    """(text, names): the ``adlog.jsonl`` mini simulates at seed 3, and the
+    names (``pipeline._ad_names``) of its config with ``extra_tokens`` added
+    to the generic pool."""
     doc = load_config("mini", seed=3)
-    cfg = load_pipeline_config(_odd_tokens_and_advertisers(doc) if odd else doc)
-    return simulate_texts(cfg.sim.world, cfg.sim.personas, cfg.sim.runs, cfg.seed)[0]
+    if odd:
+        doc = _odd_tokens_and_advertisers(doc)
+    cfg = load_pipeline_config(doc)
+    text = simulate_texts(cfg.sim.world, cfg.sim.personas, cfg.sim.runs, cfg.seed)[0]
+    doc["sim"]["world"]["generic_pool"] += extra_tokens
+    return text, pipeline._ad_names(load_pipeline_config(doc))
 
 
 def _assert_same_log(log, expected):
@@ -232,17 +240,20 @@ def _assert_same_log(log, expected):
 @pytest.mark.parametrize("order", ["simulated", "odd_strings", "shuffled"])
 def test_span_read_equals_per_ad_columns(tmp_path, small_spans, order):
     cpus, counts = small_spans
-    lines = _mini_adlog(odd=order == "odd_strings").split("\n")[:-1]
+    # In the shuffled log, an ad holding a token with an escaped LF and one
+    # with a lone surrogate, both in the config's generic pool.
+    text, names = _mini_adlog(odd=order == "odd_strings",
+                              extra_tokens=("a\nb", "\ud800") if order == "shuffled" else ())
+    lines = text.split("\n")[:-1]
     if order == "shuffled":
-        # plus a token holding an escaped LF and one holding a lone surrogate
-        lines.append('{"run":1,"persona":"ctrl-000","slot":"s","advertiser":"dsp-9",'
+        lines.append('{"run":1,"persona":"ctrl-000","slot":"s","advertiser":"dsp-2",'
                      '"tokens":["a\\nb","\\ud800","gen-0001"]}')
         random.Random(5).shuffle(lines)
     (tmp_path / "adlog.jsonl").write_text("".join(line + "\n" for line in lines),
                                           encoding="utf-8", errors="surrogatepass")
-    log = pipeline._read_ad_columns(tmp_path, 6)
+    log = pipeline._read_ad_columns(tmp_path, 6, names)
     assert counts == ([] if cpus == 1 else [cpus])
-    _assert_same_log(log, ad_log(DeliveredAd(**json.loads(line)) for line in lines))
+    _assert_same_log(log, ad_log((DeliveredAd(**json.loads(line)) for line in lines), *names))
     assert list(tmp_path.iterdir()) == [tmp_path / "adlog.jsonl"]  # no part file left
 
 
@@ -262,7 +273,8 @@ def test_h1_matrix_does_not_depend_on_spans(tmp_path, small_spans, monkeypatch):
 @pytest.mark.parametrize("bad", [(100, 300), (300,), (300, 100)],
                          ids=["both_runs", "second_run", "both_runs_reversed"])
 def test_earliest_bad_line_wins_across_spans(tmp_path, small_spans, bad):
-    lines = _mini_adlog().split("\n")[:-1]
+    text, names = _mini_adlog()
+    lines = text.split("\n")[:-1]
     # two different errors, so the message shows which line won
     lines[bad[0] - 1] = '{"run":0,"persona":"p","slot":"s","advertiser":"a","tokens":[1]}'
     if len(bad) > 1:
@@ -270,12 +282,37 @@ def test_earliest_bad_line_wins_across_spans(tmp_path, small_spans, bad):
     path = tmp_path / "adlog.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ConfigError) as info:
-        pipeline._read_ad_columns(tmp_path, 6)
+        pipeline._read_ad_columns(tmp_path, 6, names)
     first = min(bad)
     problem = ("field 'tokens' must be a JSON list of strings" if first == bad[0]
                else "invalid JSON (Expecting ',' delimiter, column")
     assert str(info.value).startswith(f"{path}:{first}: {problem}")
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("stage", ["flag", "h1"])
+@pytest.mark.parametrize("edit, problem", [
+    ({"persona": "ghost"}, "persona 'ghost'"),
+    ({"advertiser": "dsp-9"}, "advertiser 'dsp-9'"),
+    ({"tokens": ["gen-0001", "a\nb"]}, "token 'a\\nb'"),
+], ids=["persona", "advertiser", "token"])
+def test_name_missing_from_config_exits_2_at_its_line(tmp_path, small_spans, capsys, stage,
+                                                      edit, problem):
+    doc = load_config("mini", seed=3)
+    config = tmp_path / "mini.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    pipeline.stage_simulate(load_pipeline_config(doc), out)
+    path = out / "adlog.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines[99] = json.dumps({**json.loads(lines[99]), **edit})
+    lines[299] = lines[299][:-1]  # a later malformed line, in a later span when there are two
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([stage, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"adtomo: config error: {path}:100: {problem} "
+                                       "is missing from the config\n")
+    assert not list(out.glob(".*.part"))
 
 
 def _text_lines(path) -> list[str]:
@@ -287,7 +324,8 @@ def _text_lines(path) -> list[str]:
 
 @pytest.mark.parametrize("ending", ["crlf", "lone_cr", "blank_lines"])
 def test_line_endings_across_spans(tmp_path, small_spans, ending):
-    lines = _mini_adlog().split("\n")[:-1]
+    text, names = _mini_adlog()
+    lines = text.split("\n")[:-1]
     if ending == "crlf":
         text = "".join(line + "\r\n" for line in lines)
     elif ending == "lone_cr":  # every other line ends at a CR, so each LF line holds two
@@ -298,12 +336,12 @@ def test_line_endings_across_spans(tmp_path, small_spans, ending):
     path = tmp_path / "adlog.jsonl"
     path.write_text(text + "{", encoding="utf-8", newline="")
     with pytest.raises(ConfigError) as info:
-        pipeline._read_ad_columns(tmp_path, 6)
+        pipeline._read_ad_columns(tmp_path, 6, names)
     # the line number a text-mode reader gives the unfinished last line
     assert str(info.value).startswith(f"{path}:{len(_text_lines(path))}: invalid JSON (")
     path.write_text(text, encoding="utf-8", newline="")
-    _assert_same_log(pipeline._read_ad_columns(tmp_path, 6),
-                     ad_log(DeliveredAd(**json.loads(line)) for line in lines))
+    _assert_same_log(pipeline._read_ad_columns(tmp_path, 6, names),
+                     ad_log((DeliveredAd(**json.loads(line)) for line in lines), *names))
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -313,5 +351,5 @@ def test_log_without_ads_across_spans(tmp_path, small_spans, text):
     path = tmp_path / "adlog.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.raises(ConfigError, match="holds no ads"):
-        pipeline._read_ad_columns(tmp_path, 6)
+        pipeline._read_ad_columns(tmp_path, 6, ([], [], []))
     assert list(tmp_path.iterdir()) == [path]

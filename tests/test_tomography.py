@@ -123,7 +123,8 @@ class TestCollate:
         # The grid, not the log, names the records: a persona, a run and an
         # advertiser without ads each get empty vectors, flagged False.
         log = ad_log([DeliveredAd(0, "p1", "s1", "adv", ("a",) * 30),
-                      DeliveredAd(0, "ctrl", "s1", "adv", ("b",) * 30)])
+                      DeliveredAd(0, "ctrl", "s1", "adv", ("b",) * 30)],
+                     advertisers=["adv", "ghost"])
         column = np.arange(len(log.tokens))
         assert flag_records(log, "adv", column, ["p0", "p1"], 2) == [
             ("p0", 0, {}, False), ("p0", 1, {}, False),
@@ -205,13 +206,15 @@ def test_columnar_collation_equals_per_ad_oracle(tmp_path, case):
     with (tmp_path / "adlog.jsonl").open("w", encoding="utf-8") as fh:
         for a in ads:
             fh.write(json.dumps(vars(a), ensure_ascii=False) + "\n")
-    log = pipeline._read_ad_columns(tmp_path, 2 * n_runs)
-    assert all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-               for a, b in zip(log, ad_log(ads)))
-    corpus = build_corpus(a.tokens for a in ads)
-    tokens, column = corpus_columns(log.tokens)
-    assert tokens == list(corpus)
     personas, runs = sorted({a.persona for a in ads}), list(range(2 * n_runs))
+    # The names of the log: every advertiser and token of the case, held or not.
+    names = personas, sorted(f"{prefix}adv{i}" for i in range(n_adv)), sorted(vocab)
+    log = pipeline._read_ad_columns(tmp_path, 2 * n_runs, names)
+    assert all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in zip(log, ad_log(ads, *names)))
+    corpus = build_corpus(a.tokens for a in ads)
+    tokens, column = corpus_columns(log)
+    assert tokens == list(corpus)
     controls = set(personas[:2])
     grid = sorted({*personas, "p-none"} - controls)
     pooled = []

@@ -49,6 +49,7 @@ from .types import (
     SharingEdge,
     TrackerOrg,
     World,
+    _chain_hops,
 )
 
 # One collection round's (adlog, requestlog, bidlog) text.
@@ -118,19 +119,6 @@ def generate_creative(advertiser: str, known: bool, group: InterestGroup,
         tuple(_creative_tokens(adv.creative_length, known,
                                group.vocabulary if known else world.generic_pool, rng)),
         slot, run)
-
-
-def _chain_hops(world: World, slots) -> list[tuple[str, str, str, str | None]]:
-    """(source, destination, cookie, uid) of every hop of the redirect chain
-    each (run, persona) emits: collection-site tracker hops (cookie only)
-    followed by the configured cookie-sync hops (cookie + uid).  The chain
-    does not depend on blocking because all trackers are unblocked during
-    ad collection."""
-    hops = [(slot.website, tracker.id, f"c:{tracker.id}", None)
-            for slot in slots for tracker in world.trackers
-            if slot.website in tracker.site_coverage]
-    hops.extend((src, dst, f"c:{dst}", f"uid:{src}") for src, dst in world.sync_pairs)
-    return hops
 
 
 def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], RunLogs]:

@@ -12,6 +12,9 @@ Each type is a ``NamedTuple`` and checks nothing itself: the config loader
 (``ecosim.config``) validates every value it builds one from, and names
 the offending config path when it rejects one.  ``World`` is a plain class
 so that it can build its id lookups once, when it is built.
+``_chain_hops`` is the redirect chain every (run, persona) emits: the
+simulator writes it, and ``syncdetect`` checks the request log's chains
+against its length.
 """
 
 from __future__ import annotations
@@ -146,3 +149,16 @@ class World:
             "sync_pairs": [list(p) for p in self.sync_pairs],
             "generic_pool": list(self.generic_pool),
         }
+
+
+def _chain_hops(world: World, slots) -> list[tuple[str, str, str, str | None]]:
+    """(source, destination, cookie, uid) of every hop of the redirect chain
+    each (run, persona) emits: collection-site tracker hops (cookie only)
+    followed by the configured cookie-sync hops (cookie + uid).  The chain
+    does not depend on blocking because all trackers are unblocked during
+    ad collection."""
+    hops = [(slot.website, tracker.id, f"c:{tracker.id}", None)
+            for slot in slots for tracker in world.trackers
+            if slot.website in tracker.site_coverage]
+    hops.extend((src, dst, f"c:{dst}", f"uid:{src}") for src, dst in world.sync_pairs)
+    return hops

@@ -32,11 +32,13 @@ def evaluate(inferred: Iterable[tuple[str, str]],
 
 
 def _read_inferred_edges(out_dir: Path, world: World) -> set[tuple[str, str]]:
-    """The (tracker, advertiser) edges ``report.json`` infers; every
-    advertiser and tracker it names must be one of ``world``."""
+    """The (tracker, advertiser) edges ``report.json`` infers.  Its
+    advertisers entries must hold one row per advertiser of ``world``, and
+    every tracker a row infers must be one of ``world``'s."""
     path = out_dir / "report.json"
     report = read_json(path)
     _check_fields(report, {"advertisers": list}, str(path))
+    rows: dict[str, int] = {}  # advertiser -> its entry
     for i, row in enumerate(report["advertisers"]):
         where = f"{path}: advertisers entry {i}"
         _check_fields(row, {"advertiser": str, "inferred": list}, where)
@@ -44,10 +46,16 @@ def _read_inferred_edges(out_dir: Path, world: World) -> set[tuple[str, str]]:
         if row["advertiser"] not in world.advertiser_by_id:
             raise ConfigError(f"advertiser {row['advertiser']!r} is not an advertiser of "
                               "the config", where)
+        if rows.setdefault(row["advertiser"], i) != i:
+            raise ConfigError(f"advertiser {row['advertiser']!r} repeats entry "
+                              f"{rows[row['advertiser']]}", where)
         unknown = [t for t in row["inferred"] if t not in world.tracker_by_id]
         if unknown:
             raise ConfigError(f"inferred tracker {unknown[0]!r} is not a tracker of the config",
                               where)
+    missing = sorted(world.advertiser_by_id.keys() - rows.keys())
+    if missing:
+        raise ConfigError(f"no advertisers entry for advertiser {missing[0]!r}", str(path))
     return {(t, row["advertiser"]) for row in report["advertisers"] for t in row["inferred"]}
 
 

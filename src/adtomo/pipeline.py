@@ -37,8 +37,9 @@ never inside one.
 from fragments encoded once (``jsonio.encode_*``); each task writes its part
 to disk and the parent splices the parts in item order (``_write_pooled``),
 so the artifacts' text never passes between processes.  ``flag`` and ``h1``
-parse a large ``adlog.jsonl`` the same way, in spans of whole lines whose
-columns come back through part files (``_read_ad_columns``).
+parse ``adlog.jsonl`` in pooled tasks too, one per span of whole lines, and
+each span's integer columns come back through the pool
+(``_read_ad_columns``): reading writes no file.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ import csv
 import json
 import os
 from array import array
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -74,7 +75,6 @@ from .tomography import (
 )
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 ARTIFACTS = ("adlog.jsonl", "requestlog.jsonl", "bidlog.jsonl", "personas.json",
              "world.json", "corpus.json", "records.jsonl", "report.json",
@@ -185,59 +185,26 @@ def _parse_ads(path: Path, runs: int, index: Sequence[dict[str, int]], start: in
 
 def _read_ad_columns(out_dir: Path, runs: int,
                      names: tuple[list[str], list[str], list[str]]) -> AdLog:
-    """``adlog.jsonl`` as integer columns (``_parse_ads``), ids indexing the
-    sorted persona, advertiser and token lists ``names`` (``_ad_names``).  A
-    log of at least two ``_SPAN_BYTES`` is cut into spans of whole lines,
-    one per CPU, and parsed by one ``fork_map`` task per span
-    (``_merge_ad_parts``); a smaller one is parsed in process, straight
-    into the columns.  Either way the error raised names the log's first
-    bad line."""
+    """``adlog.jsonl`` as integer columns, ids indexing the sorted persona,
+    advertiser and token lists ``names`` (``_ad_names``).  The log is cut
+    into spans of whole lines (``_line_spans``), one per CPU but at most one
+    per whole ``_SPAN_BYTES``, and each span is parsed by one ``fork_map``
+    task (``_parse_ads``) whose columns come back through the pool; a log
+    under two ``_SPAN_BYTES`` is one span, parsed in process.  The parent
+    joins the columns in span order, shifting each span's token offsets by
+    the tokens of the spans before it.  No file is written, and the error
+    raised names the log's first bad line."""
     path = out_dir / "adlog.jsonl"
     size = path.stat().st_size
-    count = min(cpus(), size // _SPAN_BYTES)
     index = [{name: i for i, name in enumerate(n)} for n in names]
-    if count < 2:
-        columns = [np.frombuffer(c, dtype=c.typecode) for c in _parse_ads(path, runs, index)]
-    else:
-        columns = _merge_ad_parts(out_dir, path, runs, index, _line_spans(path, size, count))
-    if not len(columns[0]):
+    spans = _line_spans(path, size, max(1, min(cpus(), size // _SPAN_BYTES)))
+    parts = [[np.frombuffer(c, dtype=c.typecode) for c in part]
+             for part in fork_map(lambda span: _parse_ads(path, runs, index, *span), spans)]
+    if not sum(len(part[0]) for part in parts):
         raise ConfigError("holds no ads", str(path))
-    return AdLog(*columns, *names)
-
-
-def _merge_ad_parts(out_dir: Path, path: Path, runs: int, index: Sequence[dict[str, int]],
-                    spans: list[tuple[int, int]]) -> list[np.ndarray]:
-    """The columns of the spans ``spans`` of ``path``, each span parsed by
-    one task of ``_pooled_parts``.  A task writes its span's columns to a
-    part file and returns their lengths, so no column passes through the
-    pool.  The parent allocates the columns once and reads each part
-    straight into its slices, one part at a time.  Every span's ids index
-    the same lists, so only the token offsets are shifted."""
-    def write_part(part: Callable[[str], Path], i: int) -> tuple[int, int]:
-        run, persona, advertiser, offsets, token = _parse_ads(path, runs, index, *spans[i])
-        with part(path.name).open("wb") as fh:
-            for column in (run, persona, advertiser, token, offsets):
-                column.tofile(fh)
-        return len(run), len(token)
-
-    with _pooled_parts(out_dir, (path.name,), write_part, len(spans)) as (results, part):
-        sizes = list(results)
-        ads, tokens = sum(n for n, _ in sizes), sum(m for _, m in sizes)
-        run, persona, advertiser = (np.empty(ads, np.int32) for _ in range(3))
-        token = np.empty(tokens, np.int32)
-        offsets = np.zeros(ads + 1, np.int64)
-        a = t = 0
-        for i, (n, m) in enumerate(sizes):
-            with part(path.name, i).open("rb") as fh:
-                for column in (run[a:a + n], persona[a:a + n], advertiser[a:a + n],
-                               token[t:t + m], offsets[a:a + n + 1]):
-                    view = memoryview(column).cast("B")
-                    if fh.readinto(view) != len(view):
-                        raise OSError(f"{fh.name}: shorter than its columns")
-            part(path.name, i).unlink()
-            offsets[a:a + n + 1] += t
-            a, t = a + n, t + m
-    return [run, persona, advertiser, offsets, token]
+    for before, part in zip(parts, parts[1:]):  # a span's token offsets start at 0
+        part[3] = part[3][1:] + before[3][-1]
+    return AdLog(*map(np.concatenate, zip(*parts)), *names)
 
 
 def _read_corpus(out_dir: Path) -> dict[str, int]:
@@ -323,65 +290,52 @@ def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
 # stages
 # --------------------------------------------------------------------------
 
-@contextmanager
-def _pooled_parts(out_dir: Path, names: Sequence[str],
-                  write_parts: Callable[[Callable[[str], Path], int], R], count: int
-                  ) -> Iterator[tuple[Iterator[R], Callable[[str, int], Path]]]:
-    """Run ``write_parts(part, i)`` for i in range(count) through
-    ``fork_map``.  ``part(name)`` is the path of item i's part file for
-    ``name``, under ``out_dir`` and named with a leading dot.  Yields the
-    results, in item order, and ``part(name, i)``; the caller deletes each
-    part once it has read it.  If anything fails, every part file is
-    deleted."""
+def _write_pooled(out_dir: Path, names: Sequence[str],
+                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
+    """Write the artifacts ``names`` under ``out_dir``, each the
+    concatenation, in item order, of one of the texts ``texts_of(item)``
+    yields per item (one per name).  The items run through ``fork_map``.
+    Each task writes its texts, UTF-8 encoded, to part files of its own
+    (under ``out_dir``, named with a leading dot) and returns only their
+    sizes; the parent appends each part to its artifact with
+    ``os.sendfile`` and deletes it, so no process holds more than one item's
+    text and the parent opens one part at a time.  The artifacts are
+    replaced only when every part is appended; if anything fails, every
+    part file is deleted and the artifacts keep their previous content."""
     pid = os.getpid()
 
     def part(name: str, i: int) -> Path:
         return out_dir / f".{name}.{pid}.{i}.part"
 
-    results = fork_map(lambda i: write_parts(lambda name: part(name, i), i), range(count))
-    try:
-        yield results, part
-    except BaseException:
-        results.close()  # the pool is shut down: no task writes a part any more
-        for i in range(count):
-            for name in names:
-                part(name, i).unlink(missing_ok=True)
-        raise
-
-
-def _write_pooled(out_dir: Path, names: Sequence[str],
-                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
-    """Write the artifacts ``names`` under ``out_dir``, each the
-    concatenation, in item order, of one of the texts ``texts_of(item)``
-    yields per item (one per name).  The items run through
-    ``_pooled_parts``.  Each task writes its texts, UTF-8 encoded, to part
-    files of its own and returns only their sizes; the parent appends each
-    part to its artifact with ``os.sendfile`` and deletes it, so no process
-    holds more than one item's text and the parent opens one part at a time.
-    The artifacts are replaced only when every part is appended; if anything
-    fails, every part file is deleted and the artifacts keep their previous
-    content."""
-    def write_parts(part: Callable[[str], Path], i: int) -> list[int]:
+    def write_parts(i: int) -> list[int]:
         sizes = []
         for name, text in zip(names, texts_of(items[i])):
-            with part(name).open("wb") as fh:
+            with part(name, i).open("wb") as fh:
                 sizes.append(fh.write(text.encode("utf-8")))
         return sizes
 
-    with (_pooled_parts(out_dir, names, write_parts, len(items)) as (results, part),
-          ExitStack() as stack):
-        outs = [stack.enter_context(open_atomic(out_dir / name, binary=True))
-                for name in names]
-        for i, sizes in enumerate(results):
-            for name, out, size in zip(names, outs, sizes):
-                with part(name, i).open("rb") as src:
-                    offset = 0
-                    while offset < size:
-                        sent = os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
-                        if not sent:
-                            raise OSError(f"{src.name}: {size - offset} bytes short")
-                        offset += sent
-                part(name, i).unlink()
+    results = fork_map(write_parts, range(len(items)))
+    try:
+        with ExitStack() as stack:
+            outs = [stack.enter_context(open_atomic(out_dir / name, binary=True))
+                    for name in names]
+            for i, sizes in enumerate(results):
+                for name, out, size in zip(names, outs, sizes):
+                    with part(name, i).open("rb") as src:
+                        offset = 0
+                        while offset < size:
+                            sent = os.sendfile(out.fileno(), src.fileno(), offset,
+                                               size - offset)
+                            if not sent:
+                                raise OSError(f"{src.name}: {size - offset} bytes short")
+                            offset += sent
+                    part(name, i).unlink()
+    except BaseException:
+        results.close()  # the pool is shut down: no task writes a part any more
+        for i in range(len(items)):
+            for name in names:
+                part(name, i).unlink(missing_ok=True)
+        raise
 
 
 def stage_simulate(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -424,7 +378,7 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
         head = '{"advertiser":' + encode_str(advertiser)
 
         def line(persona: str, run: int, vector: dict[int, int], flag: bool) -> str:
-            counts = ",".join([token_keys[i] + encode_int(c) for i, c in sorted(vector.items())])
+            counts = ",".join([token_keys[i] + encode_int(c) for i, c in vector.items()])
             return (f'{head}{persona_heads[persona]}{encode_int(run)},"counts":{{{counts}}},'
                     f'"is_different_from_control":{encode_scalar(flag)}}}\n')
 

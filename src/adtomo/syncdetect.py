@@ -11,18 +11,20 @@ Identifier ownership is read from the structured forms ``c:<domain>`` and
 ``uid:<domain>`` the simulator emits; unstructured identifiers fall back to
 HTTP semantics (a cookie is the destination's, a uid parameter the source's).
 
-``stage_syncdetect`` reads ``requestlog.jsonl`` and writes
+``stage_syncdetect`` reads ``requestlog.jsonl``, checks its chains against
+the config's runs, personas and redirect hops, and writes
 ``sync_pairs.json``; it needs no numpy, so ``adtomo syncdetect`` starts
 without it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .config import PipelineConfig
-from .ecosim.types import RequestLogEntry
+from .ecosim.types import RequestLogEntry, _chain_hops
 from .errors import ConfigError
 from .jsonio import iter_jsonl, write_json
 
@@ -89,18 +91,24 @@ def detect_cookie_sync(log: Iterable[RequestLogEntry],
     return SyncReport(pairs=as_pairs(strict), weak_candidates=as_pairs(weak))
 
 
-def _read_requestlog(path: Path) -> list[RequestLogEntry]:
+def _read_requestlog(path: Path, runs: int, personas: Collection[str]
+                     ) -> list[RequestLogEntry]:
     """The entries of the request log ``path``, each built as its line is
-    read."""
+    read; a run outside [0, ``runs``) or a persona not in ``personas`` is
+    rejected at its line."""
     def check(r, lineno: int) -> str | None:
         for field in ("run", "chain_position"):
             if type(r[field]) is not int:
                 return f"field {field!r} must be a JSON integer"
+        if not 0 <= r["run"] < runs:
+            return f"field 'run' must be in [0, runs={runs}), got {r['run']}"
         if r["chain_position"] < 0:
             return f"field 'chain_position' must be >= 0, got {r['chain_position']}"
         for field in ("persona", "source_domain", "destination_domain"):
             if type(r[field]) is not str:
                 return f"field {field!r} must be a JSON string"
+        if r["persona"] not in personas:
+            return f"persona {r['persona']!r} is missing from the config"
         for field in ("cookie_sent", "uid_param"):
             if r[field] is not None and type(r[field]) is not str:
                 return f"field {field!r} must be a JSON string or null"
@@ -112,9 +120,32 @@ def _read_requestlog(path: Path) -> list[RequestLogEntry]:
             for r in iter_jsonl(path, fields=fields, check=check)]
 
 
+def _check_chain_lengths(entries: list[RequestLogEntry], runs: int, personas: list[str],
+                         hops: int, where: str) -> None:
+    """ConfigError naming ``where`` and the chain unless every (run,
+    persona) of the config has a chain of the config's ``hops`` hops."""
+    lengths = Counter((e.run, e.persona) for e in entries)
+    for run in range(runs):
+        for persona in personas:
+            n = lengths[run, persona]
+            if n != hops:
+                raise ConfigError(f"no chain for (run {run}, persona {persona!r})" if not n
+                                  else f"chain (run {run}, persona {persona!r}) holds {n} "
+                                  f"hops, the config {hops}", where)
+
+
 def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
+    """Detect the cookie syncs of ``requestlog.jsonl``, whose chains must be
+    those of the config: one per (run, persona), each of the config's hop
+    count (``_chain_hops``).  A chain with a gap is reported as such before
+    one of the wrong length."""
     path = out_dir / "requestlog.jsonl"
-    report = detect_cookie_sync(_read_requestlog(path), str(path))
+    personas = sorted(p.id for p in cfg.sim.personas)
+    entries = _read_requestlog(path, cfg.sim.runs, set(personas))
+    report = detect_cookie_sync(entries, str(path))
+    world = cfg.sim.world
+    _check_chain_lengths(entries, cfg.sim.runs, personas, len(_chain_hops(world, world.slots)),
+                         str(path))
 
     def rows(pairs):
         return [{"initiator": p.initiator, "receiver": p.receiver,

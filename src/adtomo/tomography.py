@@ -125,7 +125,8 @@ def _count_vectors(log: AdLog, ads: np.ndarray, record: np.ndarray, column: np.n
     """Per record r < ``n_records``, the column -> count vector of the tokens
     of the ads ``ads[i]`` with ``record[i] == r``.  The (record, column) keys
     are sorted once and run-length encoded; each record's vector is built
-    from its own slice of the runs."""
+    from its own slice of the runs, so its keys come in ascending column
+    order."""
     first = log.offsets[ads]
     length = log.offsets[ads + 1] - first
     occurrence = np.repeat(first - (np.cumsum(length) - length), length)

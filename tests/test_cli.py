@@ -377,6 +377,38 @@ class TestExitCodes:
         assert proc.stderr == (f"adtomo: config error: {requestlog}: position gaps in "
                                f"chain (run {run}, persona {persona!r})\n")
 
+    def test_request_log_missing_chain_names_file_and_chain(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini", seed=7))  # one hop per chain
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        chains = [(e["run"], e["persona"]) for e in map(json.loads, lines)]
+        assert len(set(chains)) == len(chains)
+        requestlog.write_text("\n".join(lines[1:4] + lines[5:]) + "\n")  # chains 0 and 4 go
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        run, persona = chains[0]
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: no chain for "
+                               f"(run {run}, persona {persona!r})\n")
+        assert not (out / "sync_pairs.json").exists()
+
+    def test_request_log_short_chain_names_file_and_chain(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("small"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        chains = [(e["run"], e["persona"]) for e in map(json.loads, lines)]
+        hops = chains.count(chains[0])
+        assert chains[:hops] == [chains[0]] * hops and hops > 1
+        requestlog.write_text("\n".join(lines[:hops - 1] + lines[hops:]) + "\n")  # no gap
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        run, persona = chains[0]
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: chain (run {run}, "
+                               f"persona {persona!r}) holds {hops - 1} hops, the config {hops}\n")
+
     def test_truncated_ad_log_names_file_and_line(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini"))
         out = tmp_path / "out"
@@ -450,6 +482,10 @@ class TestExitCodes:
                      id="null_persona"),
         pytest.param({"source_domain": 5}, "field 'source_domain' must be a JSON string",
                      id="int_source"),
+        pytest.param({"run": 6}, "field 'run' must be in [0, runs=6), got 6",
+                     id="run_out_of_range"),
+        pytest.param({"persona": "ghost"}, "persona 'ghost' is missing from the config",
+                     id="persona_missing_from_config"),
     ])
     def test_request_log_field_of_wrong_type_names_file_and_line(self, mini_run, tmp_path,
                                                                  edit, problem):
@@ -778,6 +814,30 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "report.json: advertisers entry 1:" in proc.stderr and problem in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_repeated_report_row_names_file_and_entry(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        report = json.loads((out / "report.json").read_text())
+        rows = report["advertisers"]
+        rows.append({**rows[0], "inferred": report["trackers"]})
+        (out / "report.json").write_text(json.dumps(report))
+        proc = run_cli("evaluate", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {out / 'report.json'}: advertisers "
+                               f"entry {len(rows) - 1}: advertiser {rows[0]['advertiser']!r} "
+                               "repeats entry 0\n")
+
+    def test_report_without_an_advertiser_names_it(self, mini_run, tmp_path):
+        cfg_path, out = mini_run
+        out = shutil.copytree(out, tmp_path / "out")
+        report = json.loads((out / "report.json").read_text())
+        dropped = report["advertisers"].pop(1)
+        (out / "report.json").write_text(json.dumps(report))
+        proc = run_cli("evaluate", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {out / 'report.json'}: no advertisers "
+                               f"entry for advertiser {dropped['advertiser']!r}\n")
 
     def test_report_without_advertisers_names_file(self, mini_run, tmp_path):
         cfg_path, out = mini_run

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,9 +253,27 @@ def test_span_read_equals_per_ad_columns(tmp_path, small_spans, order):
     (tmp_path / "adlog.jsonl").write_text("".join(line + "\n" for line in lines),
                                           encoding="utf-8", errors="surrogatepass")
     log = pipeline._read_ad_columns(tmp_path, 6, names)
-    assert counts == ([] if cpus == 1 else [cpus])
+    assert counts == [cpus]
     _assert_same_log(log, ad_log((DeliveredAd(**json.loads(line)) for line in lines), *names))
-    assert list(tmp_path.iterdir()) == [tmp_path / "adlog.jsonl"]  # no part file left
+    assert list(tmp_path.iterdir()) == [tmp_path / "adlog.jsonl"]  # no file beside the log
+
+
+def test_span_read_opens_no_file_for_writing(tmp_path, small_spans, monkeypatch):
+    text, names = _mini_adlog()
+    path = tmp_path / "adlog.jsonl"
+    path.write_text(text, encoding="utf-8")
+    real_open = Path.open
+
+    def read_only_open(self, mode="r", *args, **kwargs):  # forked workers inherit it
+        if set(mode) & set("wax+"):
+            raise AssertionError(f"{self} opened for writing (mode {mode!r})")
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", read_only_open)
+    log = pipeline._read_ad_columns(tmp_path, 6, names)
+    assert small_spans[1] == [small_spans[0]]
+    assert len(log.run) == text.count("\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_h1_matrix_does_not_depend_on_spans(tmp_path, small_spans, monkeypatch):
@@ -267,7 +286,7 @@ def test_h1_matrix_does_not_depend_on_spans(tmp_path, small_spans, monkeypatch):
     monkeypatch.setattr(pipeline, "_SPAN_BYTES", 300)
     pipeline.stage_h1(cfg, out)
     assert (out / "h1_matrix.csv").read_bytes() == whole
-    assert small_spans[1] == ([] if small_spans[0] == 1 else [small_spans[0]])
+    assert small_spans[1] == [1, small_spans[0]]
 
 
 @pytest.mark.parametrize("bad", [(100, 300), (300,), (300, 100)],

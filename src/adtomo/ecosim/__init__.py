@@ -1,13 +1,13 @@
 """The ad-ecosystem simulator.
 
-The package exports the world and persona types, config parsing and
-auctions, none of which needs numpy.  The config (``sim_config_from_dict``)
-is the only source of the personas.  The simulation itself
-(``prepare_simulation``, ``generate_creative``, ``knowledge_state``) is in
+The package exports the world and persona types and config parsing,
+none of which needs numpy.  The config (``sim_config_from_dict``) is the
+only source of the personas.  The simulation itself
+(``prepare_simulation``), which computes each round's knowledge, bids and
+auctions slot by slot as (personas x advertisers) arrays, is in
 ``adtomo.ecosim.sim``, imported by the stages that simulate.
 """
 
-from .auctions import AuctionOutcome, auction_hb, auction_rtb
 from .config import SimConfig, enumerate_personas, sim_config_from_dict
 from .types import (
     AdCreative,
@@ -24,8 +24,7 @@ from .types import (
 )
 
 __all__ = [
-    "AdCreative", "Advertiser", "AuctionOutcome", "AuctionSlot", "InterestGroup",
-    "Persona", "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig",
-    "TrackerOrg", "Website", "World", "auction_hb", "auction_rtb",
-    "enumerate_personas", "sim_config_from_dict",
+    "AdCreative", "Advertiser", "AuctionSlot", "InterestGroup", "Persona",
+    "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig", "TrackerOrg",
+    "Website", "World", "enumerate_personas", "sim_config_from_dict",
 ]

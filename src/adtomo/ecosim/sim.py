@@ -1,5 +1,5 @@
-"""Ad-delivery simulation: knowledge propagation, creative generation, and
-the run x persona x slot auction loop.
+"""Ad-delivery simulation: knowledge propagation, auctions and creatives of
+every collection round.
 
 Knowledge is resolved once per (run, persona, advertiser): the training crawl
 happens once per run, so whether an advertiser learned a persona's interest
@@ -8,11 +8,20 @@ persona) pair owns a hash-derived random substream, which makes the outputs
 independent of persona scheduling; logs are emitted in canonical
 (run, persona, slot) order.
 
-A round's logs come out as the text of ``adlog.jsonl``, ``requestlog.jsonl``
-and ``bidlog.jsonl``: one JSON line per row in the byte format ``jsonio``
-defines, built from fragments encoded once per world.  Every id and token is
-encoded once, and the requestlog text after a line's persona is the same for
-every persona and round, so a round encodes only its bids.
+A round is computed slot-major over all of its personas at once: knowledge,
+bid levels, bids and auction winners are (personas x advertisers) arrays,
+and only the draws, each from its persona's own substream, and the text of
+the lines stay in loops over the personas.  An RTB waterfall sells to the top bid of the first tier
+whose top bid clears the floor, header bidding to the top bid of all, if it
+clears the floor (every bid arrives on time).  Ties break to the lowest
+advertiser id, and sales are first-price.
+
+A round's logs come out as pieces of the text of ``adlog.jsonl``,
+``requestlog.jsonl`` and ``bidlog.jsonl``, one piece per persona and log:
+one JSON line per row in the byte format ``jsonio`` defines, built from
+fragments encoded once per world.  Every id and token is encoded once, and
+the requestlog text after a line's persona is the same for every persona
+and round, so a round encodes only its bids.
 
 Draw order.  Every artifact depends byte for byte on the order in which a
 (run, persona) substream is consumed:
@@ -28,130 +37,78 @@ Draw order.  Every artifact depends byte for byte on the order in which a
 Each batched call consumes the stream exactly as the equivalent scalar
 calls would: one ``random()`` per draw, one ``normal(0.0, sd)`` per
 advertiser, and ``choice(len(source), size=...)``.  ``tests/test_rng.py``
-pins these identities of numpy's ``Generator``.
+pins these identities of numpy's ``Generator``.  Streams are independent,
+so drawing slot s for every persona before slot s + 1 for any leaves each
+stream's order as listed.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..jsonio import encode_float, encode_int, encode_scalar, encode_str
 from ..rng import substream
-from .auctions import auction_hb, auction_rtb
-from .types import (
-    AdCreative,
-    InterestGroup,
-    Persona,
-    SharingEdge,
-    TrackerOrg,
-    World,
-    _chain_hops,
-)
+from .types import World, _chain_hops
 
-# One collection round's (adlog, requestlog, bidlog) text.
-RunLogs = tuple[str, str, str]
-
-
-def _incoming(world: World, advertiser: str) -> tuple[tuple[TrackerOrg, SharingEdge], ...]:
-    """(tracker, edge) of every sharing edge into the advertiser, in tracker
-    order."""
-    return tuple((world.tracker_by_id[e.tracker], e)
-                 for e in world.graph.edges_into(advertiser))
-
-
-def _knows(incoming, visited: frozenset[str], blocked: frozenset[str], draws) -> bool:
-    """The knowledge rule over an advertiser's ``incoming`` edges and their
-    draws, two per edge (observe, then reliability).  An edge (t ->
-    advertiser) fires when the persona does not block t, t covers at least
-    one site the persona visited during training, the visit is observed
-    (observe draw below observe_prob), and the reliability draw is below the
-    edge's reliability."""
-    for i, (tracker, edge) in enumerate(incoming):
-        if (tracker.id not in blocked and not visited.isdisjoint(tracker.site_coverage)
-                and draws[2 * i] < tracker.observe_prob
-                and draws[2 * i + 1] < edge.reliability):
-            return True
-    return False
-
-
-def knowledge_state(advertiser: str, persona: Persona, world: World,
-                    rng: np.random.Generator) -> bool:
-    """True iff any sharing edge into the advertiser fires for this persona.
-
-    Two draws are consumed per incoming edge regardless of outcome, so the
-    stream position never depends on the blocking configuration.
-    """
-    if advertiser not in world.advertiser_by_id:
-        raise ConfigError(f"unknown advertiser {advertiser!r}")
-    if persona.group not in world.group_by_id:
-        raise ConfigError(f"unknown group {persona.group!r}")
-    incoming = _incoming(world, advertiser)
-    return _knows(incoming, world.visited_sites(persona.group),
-                  frozenset(persona.blocked),
-                  rng.random(2 * len(incoming)).tolist())
-
-
-def _creative_tokens(length: int, known: bool, source: Sequence[str],
-                     rng: np.random.Generator) -> list[str]:
-    """``length`` creative tokens drawn from ``source``, the group
-    vocabulary when ``known`` and the generic pool otherwise, or from their
-    encoded tokens."""
-    if not source:
-        raise ConfigError("empty vocabulary" if known else "empty generic pool")
-    return [source[i] for i in rng.integers(0, len(source), size=length).tolist()]
-
-
-def generate_creative(advertiser: str, known: bool, group: InterestGroup,
-                      world: World, rng: np.random.Generator, *,
-                      slot: str = "", run: int = 0) -> AdCreative:
-    """Creative tokens drawn uniformly with replacement from the group
-    vocabulary when the advertiser knows the persona's interest, from the
-    generic pool otherwise."""
-    adv = world.advertiser_by_id.get(advertiser)
-    if adv is None:
-        raise ConfigError(f"unknown advertiser {advertiser!r}")
-    return AdCreative(
-        advertiser,
-        tuple(_creative_tokens(adv.creative_length, known,
-                               group.vocabulary if known else world.generic_pool, rng)),
-        slot, run)
+# One collection round's (adlog, requestlog, bidlog) text, one piece per
+# persona in id order.
+RunLogs = tuple[list[str], list[str], list[str]]
 
 
 def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], RunLogs]:
     """The body of one collection round, ``simulate_run(run)``, after
     sorting the personas by id and preparing what every round shares: the
-    incoming edges and draw offsets of each advertiser, the auction tiers of
-    each slot, and the encoded ids, tokens and redirect hops.
+    sharing edges in draw order and which of them each persona can use,
+    the auction tiers of each slot, and the encoded ids, tokens and
+    redirect hops.
 
-    Per persona in id order, ``simulate_run`` resolves knowledge per
-    advertiser, emits the redirect chain, then auctions every slot in id
-    order (bid = base + boost*known + N(0, sd), truncated at 0) and logs the
-    winner's creative.  Client-side HB slots also log every on-time bid;
-    server-side HB suppresses the bid log.  It returns the round's adlog,
-    requestlog and bidlog text.  Rounds share no state, because each (run,
-    persona) draws from its own substream, so they may run in any order or
-    process."""
+    ``simulate_run`` resolves every persona's knowledge of every
+    advertiser, then auctions every slot in id order (bid = base +
+    boost*known + N(0, sd), truncated at 0) and logs each winner's
+    creative.  Client-side HB slots also log every bid; server-side HB
+    suppresses the bid log.  Every persona's redirect chain is the same.
+    It returns the round's adlog, requestlog and bidlog text, one piece
+    per persona.  Rounds share no state, because each (run, persona) draws
+    from its own substream, so they may run in any order or process."""
     if not world.slots:
         raise ConfigError("no ad-collection slots configured")
     personas = sorted(personas, key=lambda p: p.id)
     advertisers = sorted(world.advertisers, key=lambda a: a.id)
     ids = [a.id for a in advertisers]
     position = {aid: i for i, aid in enumerate(ids)}
-    incoming = [_incoming(world, aid) for aid in ids]
-    # Advertiser i's knowledge draws are draws[offsets[i]:offsets[i + 1]].
-    offsets = list(accumulate((2 * len(edges) for edges in incoming), initial=0))
-    noise_sd = [a.bid_noise_sd for a in advertisers]
+    n_personas, n_ads = len(personas), len(ids)
+    # The sharing edges in knowledge-draw order: by advertiser, then tracker.
+    edges = [e for aid in ids for e in world.graph.edges_into(aid)]
+    trackers = [world.tracker_by_id[e.tracker] for e in edges]
+    observe = np.array([t.observe_prob for t in trackers], dtype=float)
+    reliability = np.array([e.reliability for e in edges], dtype=float)
+    # into[e, a]: edge e points into advertiser a.
+    into = np.zeros((len(edges), n_ads), dtype=bool)
+    into[np.arange(len(edges)), [position[e.advertiser] for e in edges]] = True
+    # usable[p, e]: persona p does not block edge e's tracker, and the
+    # tracker covers a site p visits in training.
+    usable = np.array([[t.id not in p.blocked
+                        and not world.visited_sites(p.group).isdisjoint(t.site_coverage)
+                        for t in trackers] for p in personas],
+                      dtype=bool).reshape(n_personas, len(edges))
+    base = np.array([a.base_bid for a in advertisers], dtype=float)
+    boost = np.array([a.knowledge_boost for a in advertisers], dtype=float)
+    noise_sd = np.array([a.bid_noise_sd for a in advertisers], dtype=float)
+    length = [a.creative_length for a in advertisers]
     slots = sorted(world.slots, key=lambda s: s.id)
-    # Per slot: the tiers of an RTB waterfall as advertiser positions, None
-    # for header bidding.
-    tiers_of = [None if s.mechanism != "rtb_waterfall"
-                else [range(len(ids))] if s.tiers is None
-                else [[position[aid] for aid in tier] for tier in s.tiers]
-                for s in slots]
+    # Per slot: its tiers as sorted advertiser positions, so that the first
+    # top bid of a tier is the lowest id's.  Header bidding and an RTB slot
+    # without tiers have one tier of every advertiser; an empty tier never
+    # sells, so it is left out.  Sorted in Python: np.unique imports numpy.ma
+    # on first use, about 1 MB in every simulating process.
+    tiers_of = []
+    for s in slots:
+        listed = s.tiers if s.mechanism == "rtb_waterfall" and s.tiers is not None else [ids]
+        tiers_of.append([np.array(sorted({position[aid] for aid in tier})) for tier in listed
+                         if tier])
     # Every line starts '{"run":R,"persona":P'.  What follows P: per hop, the
     # rest of its requestlog line; per slot and advertiser, the adlog line
     # up to the first token and the bidlog line up to the bid.
@@ -161,46 +118,52 @@ def prepare_simulation(world: World, personas, seed: int) -> Callable[[int], Run
                      for pos, (src, dst, cookie, uid) in enumerate(_chain_hops(world, slots))]
     ad_heads = [[f',"slot":{encode_str(s.id)},"advertiser":{encode_str(aid)},"tokens":['
                  for aid in ids] for s in slots]
-    bid_heads = [{aid: f',"slot":{encode_str(s.id)},"advertiser":{encode_str(aid)},"bid":'
-                  for aid in ids} for s in slots]
+    bid_heads = [[f',"slot":{encode_str(s.id)},"advertiser":{encode_str(aid)},"bid":'
+                  for aid in ids] for s in slots]
     generic = [encode_str(t) for t in world.generic_pool]
     vocabulary = {g.id: [encode_str(t) for t in g.vocabulary] for g in world.groups}
     persona_ids = [encode_str(p.id) for p in personas]
 
     def simulate_run(run: int) -> RunLogs:
-        ads: list[str] = []
-        requests: list[str] = []
-        bids: list[str] = []
+        rngs = [substream(seed, "sim", run, p.id) for p in personas]
         run_head = f'{{"run":{encode_int(run)},"persona":'
-        for persona, pid in zip(personas, persona_ids):
-            head = run_head + pid
-            rng = substream(seed, "sim", run, persona.id)
-            visited = world.visited_sites(persona.group)
-            blocked = frozenset(persona.blocked)
-            draws = rng.random(offsets[-1]).tolist()
-            known = [_knows(edges, visited, blocked, draws[lo:hi])
-                     for edges, lo, hi in zip(incoming, offsets, offsets[1:])]
-            level = [a.base_bid + (a.knowledge_boost if k else 0.0)
-                     for a, k in zip(advertisers, known)]
-            requests.extend(head + tail for tail in request_tails)
-            for slot, tiers, ad_head, bid_head in zip(slots, tiers_of, ad_heads, bid_heads):
-                z = rng.standard_normal(len(ids)).tolist()
-                bid = [max(0.0, lv + (0.0 + sd * x)) for lv, sd, x in zip(level, noise_sd, z)]
-                if tiers is not None:
-                    outcome = auction_rtb(slot, [[(ids[i], bid[i]) for i in tier]
-                                                 for tier in tiers])
-                else:
-                    outcome, recorded = auction_hb(
-                        slot, [(aid, b, 0.0) for aid, b in zip(ids, bid)], slot.timeout)
-                    if slot.mechanism == "hb_client":
-                        bids.extend(f"{head}{bid_head[aid]}{encode_float(value)}}}\n"
-                                    for aid, value in recorded)
-                if outcome.filled:
-                    w = position[outcome.winner]
-                    source = vocabulary[persona.group] if known[w] else generic
-                    tokens = _creative_tokens(advertisers[w].creative_length, known[w],
-                                              source, rng)
-                    ads.append(f"{head}{ad_head[w]}{','.join(tokens)}]}}\n")
-        return "".join(ads), "".join(requests), "".join(bids)
+        heads = [run_head + pid for pid in persona_ids]
+        draws = np.empty((n_personas, 2 * len(edges)))
+        for rng, row in zip(rngs, draws):
+            row[:] = rng.random(2 * len(edges))
+        fires = usable & (draws[:, 0::2] < observe) & (draws[:, 1::2] < reliability)
+        known = fires @ into
+        level = base + np.where(known, boost, 0.0)
+        # sources[i][a]: the tokens persona i sees in advertiser a's creatives.
+        sources = [[vocabulary[p.group] if k else generic for k in row]
+                   for p, row in zip(personas, known.tolist())]
+        ads, bids = [""] * n_personas, [""] * n_personas
+        z = np.empty((n_personas, n_ads))
+        for slot, tiers, ad_head, bid_head in zip(slots, tiers_of, ad_heads, bid_heads):
+            for rng, row in zip(rngs, z):
+                row[:] = rng.standard_normal(n_ads)
+            v = level + (0.0 + noise_sd * z)
+            bid = np.where(v > 0.0, v, 0.0)
+            winner = np.full(n_personas, -1)
+            for tier in tiers:
+                offers = bid[:, tier]
+                best = offers.argmax(axis=1)
+                sells = (winner < 0) & (offers.max(axis=1) >= slot.floor_price)
+                winner[sells] = tier[best[sells]]
+            if slot.mechanism == "hb_client":
+                for i, (head, values) in enumerate(zip(heads, bid.tolist())):
+                    bids[i] += "".join([f"{head}{h}{encode_float(b)}}}\n"
+                                        for h, b in zip(bid_head, values)])
+            for i, w in enumerate(winner.tolist()):
+                if w < 0:
+                    continue
+                source = sources[i][w]
+                if not source:
+                    raise ConfigError("empty generic pool" if source is generic
+                                      else "empty vocabulary")
+                picks = rngs[i].integers(0, len(source), size=length[w]).tolist()
+                tokens = ",".join([source[t] for t in picks])
+                ads[i] += f"{heads[i]}{ad_head[w]}{tokens}]}}\n"
+        return ads, ["".join(head + tail for tail in request_tails) for head in heads], bids
 
     return simulate_run

@@ -14,7 +14,7 @@ the offending config path when it rejects one.  ``World`` is a plain class
 so that it can build its id lookups once, when it is built.
 ``_chain_hops`` is the redirect chain every (run, persona) emits: the
 simulator writes it, and ``syncdetect`` checks the request log's chains
-against its length.
+against it, hop by hop.
 """
 
 from __future__ import annotations

@@ -192,8 +192,9 @@ def _read_ad_columns(out_dir: Path, runs: int,
     task (``_parse_ads``) whose columns come back through the pool; a log
     under two ``_SPAN_BYTES`` is one span, parsed in process.  The parent
     joins the columns in span order, shifting each span's token offsets by
-    the tokens of the spans before it.  No file is written, and the error
-    raised names the log's first bad line."""
+    the tokens of the spans before it; one span's columns are used as they
+    come.  No file is written, and the error raised names the log's first
+    bad line."""
     path = out_dir / "adlog.jsonl"
     size = path.stat().st_size
     index = [{name: i for i, name in enumerate(n)} for n in names]
@@ -202,6 +203,8 @@ def _read_ad_columns(out_dir: Path, runs: int,
              for part in fork_map(lambda span: _parse_ads(path, runs, index, *span), spans)]
     if not sum(len(part[0]) for part in parts):
         raise ConfigError("holds no ads", str(path))
+    if len(parts) == 1:
+        return AdLog(*parts[0], *names)
     for before, part in zip(parts, parts[1:]):  # a span's token offsets start at 0
         part[3] = part[3][1:] + before[3][-1]
     return AdLog(*map(np.concatenate, zip(*parts)), *names)
@@ -291,17 +294,19 @@ def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
 # --------------------------------------------------------------------------
 
 def _write_pooled(out_dir: Path, names: Sequence[str],
-                  texts_of: Callable[[T], Iterable[str]], items: Sequence[T]) -> None:
-    """Write the artifacts ``names`` under ``out_dir``, each the
-    concatenation, in item order, of one of the texts ``texts_of(item)``
-    yields per item (one per name).  The items run through ``fork_map``.
-    Each task writes its texts, UTF-8 encoded, to part files of its own
-    (under ``out_dir``, named with a leading dot) and returns only their
-    sizes; the parent appends each part to its artifact with
-    ``os.sendfile`` and deletes it, so no process holds more than one item's
-    text and the parent opens one part at a time.  The artifacts are
-    replaced only when every part is appended; if anything fails, every
-    part file is deleted and the artifacts keep their previous content."""
+                  texts_of: Callable[[T], Iterable[Iterable[str]]], items: Sequence[T]) -> None:
+    """Write the artifacts ``names`` under ``out_dir``.  ``texts_of(item)``
+    yields, per name in order, an iterable of text pieces; each artifact is
+    the concatenation of its pieces over the items, in item order.  The
+    items run through ``fork_map``.  Each task writes its pieces through a
+    buffered UTF-8 writer (``writelines``) to part files of its own (under
+    ``out_dir``, named with a leading dot) and returns only their sizes, so
+    no task joins or encodes an item's text whole; the parent appends each
+    part to its artifact with ``os.sendfile`` and deletes it, so no process
+    holds more than one item's text and the parent opens one part at a
+    time.  The artifacts are replaced only when every part is appended; if
+    anything fails, every part file is deleted and the artifacts keep their
+    previous content."""
     pid = os.getpid()
 
     def part(name: str, i: int) -> Path:
@@ -309,9 +314,10 @@ def _write_pooled(out_dir: Path, names: Sequence[str],
 
     def write_parts(i: int) -> list[int]:
         sizes = []
-        for name, text in zip(names, texts_of(items[i])):
-            with part(name, i).open("wb") as fh:
-                sizes.append(fh.write(text.encode("utf-8")))
+        for name, pieces in zip(names, texts_of(items[i])):
+            with part(name, i).open("w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+            sizes.append(part(name, i).stat().st_size)
         return sizes
 
     results = fork_map(write_parts, range(len(items)))
@@ -374,7 +380,7 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
     token_keys = [encode_str(t) + ":" for t in tokens]
     persona_heads = {p: f',"persona":{encode_str(p)},"run":' for p in grid}
 
-    def flag_advertiser(advertiser: str) -> tuple[str]:
+    def flag_advertiser(advertiser: str) -> tuple[Iterable[str]]:
         head = '{"advertiser":' + encode_str(advertiser)
 
         def line(persona: str, run: int, vector: dict[int, int], flag: bool) -> str:
@@ -382,8 +388,8 @@ def stage_flag(cfg: PipelineConfig, out_dir: Path) -> None:
             return (f'{head}{persona_heads[persona]}{encode_int(run)},"counts":{{{counts}}},'
                     f'"is_different_from_control":{encode_scalar(flag)}}}\n')
 
-        return ("".join(starmap(line, flag_records(log, advertiser, column, grid,
-                                                   cfg.sim.runs, cfg.stats))),)
+        return (starmap(line, flag_records(log, advertiser, column, grid, cfg.sim.runs,
+                                           cfg.stats)),)
 
     _write_pooled(out_dir, ("records.jsonl",), flag_advertiser, advertisers)
 

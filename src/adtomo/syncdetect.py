@@ -12,16 +12,18 @@ Identifier ownership is read from the structured forms ``c:<domain>`` and
 HTTP semantics (a cookie is the destination's, a uid parameter the source's).
 
 ``stage_syncdetect`` reads ``requestlog.jsonl``, checks its chains against
-the config's runs, personas and redirect hops, and writes
+the config's runs, personas and redirect hops, hop by hop, and writes
 ``sync_pairs.json``; it needs no numpy, so ``adtomo syncdetect`` starts
 without it.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .ecosim.types import RequestLogEntry, _chain_hops
@@ -91,11 +93,20 @@ def detect_cookie_sync(log: Iterable[RequestLogEntry],
     return SyncReport(pairs=as_pairs(strict), weak_candidates=as_pairs(weak))
 
 
-def _read_requestlog(path: Path, runs: int, personas: Collection[str]
+# The fields of a hop, in ``_chain_hops``' order, and of a request log
+# entry, in ``RequestLogEntry``'s.
+_HOP_FIELDS = ("source_domain", "destination_domain", "cookie_sent", "uid_param")
+_ENTRY_FIELDS = ("run", "persona", "chain_position", *_HOP_FIELDS)
+_hop_of, _entry_of = itemgetter(*_HOP_FIELDS), itemgetter(*_ENTRY_FIELDS)
+
+
+def _read_requestlog(path: Path, runs: int, personas: Collection[str],
+                     hops: Sequence[tuple[str, str, str, str | None]]
                      ) -> list[RequestLogEntry]:
     """The entries of the request log ``path``, each built as its line is
-    read; a run outside [0, ``runs``) or a persona not in ``personas`` is
-    rejected at its line."""
+    read; a run outside [0, ``runs``), a persona not in ``personas``, or a
+    hop other than the one at its position of the config's chain ``hops``
+    (``_chain_hops``) is rejected at its line."""
     def check(r, lineno: int) -> str | None:
         for field in ("run", "chain_position"):
             if type(r[field]) is not int:
@@ -112,12 +123,17 @@ def _read_requestlog(path: Path, runs: int, personas: Collection[str]
         for field in ("cookie_sent", "uid_param"):
             if r[field] is not None and type(r[field]) is not str:
                 return f"field {field!r} must be a JSON string or null"
+        position = r["chain_position"]
+        if position >= len(hops):
+            return (f"field 'chain_position' must be < {len(hops)}, the length of the "
+                    f"config's chain, got {position}")
+        if _hop_of(r) != hops[position]:
+            hop = dict(zip(_HOP_FIELDS, hops[position]))
+            return f"differs from hop {position} of the config's chain {json.dumps(hop)}"
         return None
 
-    fields = ("run", "persona", "chain_position", "source_domain", "destination_domain",
-              "cookie_sent", "uid_param")  # RequestLogEntry's field order
-    return [RequestLogEntry(*map(r.__getitem__, fields))
-            for r in iter_jsonl(path, fields=fields, check=check)]
+    return [RequestLogEntry(*_entry_of(r))
+            for r in iter_jsonl(path, fields=_ENTRY_FIELDS, check=check)]
 
 
 def _check_chain_lengths(entries: list[RequestLogEntry], runs: int, personas: list[str],
@@ -136,16 +152,17 @@ def _check_chain_lengths(entries: list[RequestLogEntry], runs: int, personas: li
 
 def stage_syncdetect(cfg: PipelineConfig, out_dir: Path) -> None:
     """Detect the cookie syncs of ``requestlog.jsonl``, whose chains must be
-    those of the config: one per (run, persona), each of the config's hop
-    count (``_chain_hops``).  A chain with a gap is reported as such before
-    one of the wrong length."""
+    those of the config: one per (run, persona), each the config's hops
+    (``_chain_hops``).  A hop that differs from the config's at its
+    position is rejected at its line; then a chain with a gap is reported
+    as such before one of the wrong length."""
     path = out_dir / "requestlog.jsonl"
     personas = sorted(p.id for p in cfg.sim.personas)
-    entries = _read_requestlog(path, cfg.sim.runs, set(personas))
-    report = detect_cookie_sync(entries, str(path))
     world = cfg.sim.world
-    _check_chain_lengths(entries, cfg.sim.runs, personas, len(_chain_hops(world, world.slots)),
-                         str(path))
+    hops = _chain_hops(world, sorted(world.slots, key=lambda s: s.id))
+    entries = _read_requestlog(path, cfg.sim.runs, set(personas), hops)
+    report = detect_cookie_sync(entries, str(path))
+    _check_chain_lengths(entries, cfg.sim.runs, personas, len(hops), str(path))
 
     def rows(pairs):
         return [{"initiator": p.initiator, "receiver": p.receiver,

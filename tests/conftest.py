@@ -23,12 +23,13 @@ def load_config(name: str, seed: int | None = None) -> dict:
 
 def simulate_texts(world, personas, runs: int, seed: int) -> tuple[str, str, str]:
     """The adlog, requestlog and bidlog text of runs 0 .. runs - 1 in run
-    order, as ``stage_simulate`` writes them."""
+    order, as ``stage_simulate`` writes them: each run's pieces, one per
+    persona, joined."""
     simulate_run = prepare_simulation(world, personas, seed)
     logs = ([], [], [])
     for run in range(runs):
-        for log, text in zip(logs, simulate_run(run)):
-            log.append(text)
+        for log, pieces in zip(logs, simulate_run(run)):
+            log.extend(pieces)
     return tuple("".join(log) for log in logs)
 
 

@@ -28,8 +28,13 @@ batched.
 
 The simulation oracle draws every knowledge uniform, bid noise and creative
 token with its own scalar numpy call, in the order the simulator's draw
-contract states, and sorts the logs into canonical order at the end; the
-batched simulator must give equal log rows.
+contract states, runs each auction with ``auction_rtb`` or ``auction_hb``
+(one call per (persona, slot), bids as (advertiser, value) pairs), and
+sorts the logs into canonical order at the end; the simulator, which
+computes a round slot-major over (personas x advertisers) arrays, must give
+equal log rows.  ``knowledge_state`` and ``generate_creative`` resolve one
+advertiser's knowledge and draw one creative, the way the simulator did
+per persona before it went slot-major.
 
 The grid-search oracle scores one grid point at a time: its fold forests
 grow as one batch over the advertiser's own rows, and each fold's held-out
@@ -61,8 +66,8 @@ import numpy as np
 
 from adtomo import stattest
 from adtomo.config import ForestParams, HyperGrid, StatConfig
-from adtomo.ecosim import auction_hb, auction_rtb
-from adtomo.errors import StatError
+from adtomo.ecosim import AdCreative, AuctionSlot, InterestGroup, Persona, World
+from adtomo.errors import ConfigError, StatError
 from adtomo.forest import best_point, fold_masks, kernels
 from adtomo.forest.model import _n_sub, _rows, _tree_seeds
 from adtomo.rng import GAMMA, MASK64, substream, substream_key
@@ -458,6 +463,120 @@ def chi2_by_union_tables(control, vectors, config) -> list:
         except DegenerateTableError:
             out.append(None)
     return out
+
+
+class AuctionOutcome(NamedTuple):
+    winner: str | None
+    price: float | None
+
+    @property
+    def filled(self) -> bool:
+        return self.winner is not None
+
+
+UNFILLED = AuctionOutcome(None, None)
+
+
+def _top_bid(bids: Iterable[tuple[str, float]]) -> tuple[str, float] | None:
+    best = None
+    for advertiser, value in bids:
+        if best is None or value > best[1] or (value == best[1] and advertiser < best[0]):
+            best = (advertiser, value)
+    return best
+
+
+def auction_rtb(slot: AuctionSlot,
+                tiers: Sequence[Sequence[tuple[str, float]]]) -> AuctionOutcome:
+    """Waterfall over SSP tiers: the first tier whose max bid >= floor sells,
+    first-price, ties to the lowest advertiser id; the impression can go
+    unsold even when a later tier holds a higher bid."""
+    for tier in tiers:
+        for advertiser, value in tier:
+            if value < 0:
+                raise ValueError(f"negative bid {value} from {advertiser}")
+        best = _top_bid(tier)
+        if best is not None and best[1] >= slot.floor_price:
+            return AuctionOutcome(*best)
+    return UNFILLED
+
+
+def auction_hb(slot: AuctionSlot, bids: Iterable[tuple[str, float, float]],
+               timeout: float) -> tuple[AuctionOutcome, list[tuple[str, float]]]:
+    """Simultaneous auction among bids arriving within ``timeout``,
+    first-price, ties to the lowest advertiser id.
+
+    Returns the outcome plus the recorded on-time bid list (what a browser
+    sees under client-side header bidding; callers model server-side HB by
+    discarding it).
+    """
+    if timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    on_time = []
+    for advertiser, value, latency in bids:
+        if latency < 0:
+            raise ValueError(f"negative latency {latency} from {advertiser}")
+        if latency <= timeout:
+            on_time.append((advertiser, value))
+    best = _top_bid(on_time)
+    if best is None or best[1] < slot.floor_price:
+        return UNFILLED, on_time
+    return AuctionOutcome(*best), on_time
+
+
+def _knows(incoming, visited: frozenset[str], blocked: frozenset[str], draws) -> bool:
+    """The knowledge rule over an advertiser's ``incoming`` (tracker, edge)
+    pairs and their draws, two per edge (observe, then reliability).  An
+    edge (t -> advertiser) fires when the persona does not block t, t
+    covers at least one site the persona visited during training, the
+    visit is observed (observe draw below observe_prob), and the
+    reliability draw is below the edge's reliability."""
+    for i, (tracker, edge) in enumerate(incoming):
+        if (tracker.id not in blocked and not visited.isdisjoint(tracker.site_coverage)
+                and draws[2 * i] < tracker.observe_prob
+                and draws[2 * i + 1] < edge.reliability):
+            return True
+    return False
+
+
+def knowledge_state(advertiser: str, persona: Persona, world: World,
+                    rng: np.random.Generator) -> bool:
+    """True iff any sharing edge into the advertiser fires for this persona.
+
+    Two draws are consumed per incoming edge regardless of outcome, so the
+    stream position never depends on the blocking configuration.
+    """
+    if advertiser not in world.advertiser_by_id:
+        raise ConfigError(f"unknown advertiser {advertiser!r}")
+    if persona.group not in world.group_by_id:
+        raise ConfigError(f"unknown group {persona.group!r}")
+    incoming = [(world.tracker_by_id[e.tracker], e) for e in world.graph.edges_into(advertiser)]
+    return _knows(incoming, world.visited_sites(persona.group), frozenset(persona.blocked),
+                  rng.random(2 * len(incoming)).tolist())
+
+
+def _creative_tokens(length: int, known: bool, source: Sequence[str],
+                     rng: np.random.Generator) -> list[str]:
+    """``length`` creative tokens drawn from ``source``, the group
+    vocabulary when ``known`` and the generic pool otherwise."""
+    if not source:
+        raise ConfigError("empty vocabulary" if known else "empty generic pool")
+    return [source[i] for i in rng.integers(0, len(source), size=length).tolist()]
+
+
+def generate_creative(advertiser: str, known: bool, group: InterestGroup,
+                      world: World, rng: np.random.Generator, *,
+                      slot: str = "", run: int = 0) -> AdCreative:
+    """Creative tokens drawn uniformly with replacement from the group
+    vocabulary when the advertiser knows the persona's interest, from the
+    generic pool otherwise."""
+    adv = world.advertiser_by_id.get(advertiser)
+    if adv is None:
+        raise ConfigError(f"unknown advertiser {advertiser!r}")
+    return AdCreative(
+        advertiser,
+        tuple(_creative_tokens(adv.creative_length, known,
+                               group.vocabulary if known else world.generic_pool, rng)),
+        slot, run)
 
 
 def simulate_by_scalar_draws(world, personas, runs: int, seed: int):

@@ -1,6 +1,7 @@
 import pytest
 
-from adtomo.ecosim import AuctionSlot, auction_hb, auction_rtb
+from adtomo.ecosim import AuctionSlot
+from oracles import auction_hb, auction_rtb
 
 
 def slot(floor=1.0, mechanism="rtb_waterfall"):

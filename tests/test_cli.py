@@ -355,12 +355,14 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
         lines = (out / "requestlog.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
-        first["chain_position"] = 999  # punch a gap into the first chain
+        first["chain_position"] = 999  # past the end of mini's one-hop chain
         (out / "requestlog.jsonl").write_text(
             "\n".join([json.dumps(first)] + lines[1:]) + "\n")
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
-        assert "gap" in proc.stderr
+        assert proc.stderr == (f"adtomo: config error: {out / 'requestlog.jsonl'}:1: field "
+                               "'chain_position' must be < 1, the length of the config's "
+                               "chain, got 999\n")
 
     def test_request_log_chain_gap_names_file_and_chain(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("small"))  # mini's chains are one hop
@@ -408,6 +410,33 @@ class TestExitCodes:
         run, persona = chains[0]
         assert proc.stderr == (f"adtomo: config error: {requestlog}: chain (run {run}, "
                                f"persona {persona!r}) holds {hops - 1} hops, the config {hops}\n")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"destination_domain": "t9", "cookie_sent": "c:t9"}, id="foreign_tracker"),
+        pytest.param({"uid_param": None}, id="uid_dropped"),
+        pytest.param({"source_domain": "t2", "destination_domain": "t1", "cookie_sent": "c:t1",
+                      "uid_param": "uid:t2"}, id="reversed_pair"),
+    ])
+    def test_request_log_hop_differing_from_config_names_file_and_line(self, tmp_path, edit):
+        # Each edit is a well-formed hop that is not the config's: before
+        # the hops were checked, the first edit added the pair (t1, t9).
+        cfg_path = write_config(tmp_path, load_config("mini", seed=7))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        first = json.loads(lines[0])
+        hop = {k: first[k] for k in ("source_domain", "destination_domain", "cookie_sent",
+                                     "uid_param")}
+        assert hop == {"source_domain": "t1", "destination_domain": "t2",
+                       "cookie_sent": "c:t2", "uid_param": "uid:t1"}
+        lines[0] = json.dumps({**first, **edit})
+        requestlog.write_text("\n".join(lines) + "\n")
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"adtomo: config error: {requestlog}:1: differs from hop 0 of "
+                               f"the config's chain {json.dumps(hop)}\n")
+        assert not (out / "sync_pairs.json").exists()
 
     def test_truncated_ad_log_names_file_and_line(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini"))

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from adtomo.ecosim import Persona, sim_config_from_dict
-from adtomo.ecosim.sim import generate_creative, knowledge_state
 from adtomo.errors import ConfigError
 from adtomo.pipeline import load_pipeline_config, stage_simulate
 from adtomo.rng import substream
 from conftest import load_config, simulate_logs, simulate_texts
-from oracles import jsonl_lines, simulate_by_scalar_draws
+from oracles import generate_creative, jsonl_lines, knowledge_state, simulate_by_scalar_draws
 
 
 def world_dict(*, groups=None, trackers=None, advertisers=None, edges=None,
@@ -364,6 +363,59 @@ class TestRunSimulation:
                         "runs": rand.randint(1, 3)}})
             assert_texts_match_scalar_oracle(cfg.world, cfg.personas,
                                              cfg.runs, case)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_ties_and_floor_boundaries_match_scalar_oracle(self, seed):
+        # Zero noise, so bids tie exactly: a1, a2 and a3 always bid 1.0, a4
+        # 1.0 when it knows the persona (0.5 + 0.5) and 0.5 otherwise, a0
+        # 0.0.  Ties go to the lowest id, and a bid equal to the floor
+        # sells.
+        advertisers = [{"id": aid, "base_bid": 1.0, "creative_length": 3}
+                       for aid in ("a1", "a2", "a3")]
+        advertisers += [{"id": "a4", "base_bid": 0.5, "knowledge_boost": 0.5,
+                         "creative_length": 2},
+                        {"id": "a0", "base_bid": 0.0, "creative_length": 1}]
+        slots = [
+            # tier in reverse id order: a1 wins the four-way tie at the floor
+            {"id": "s1", "website": "collect1", "floor_price": 1.0,
+             "mechanism": "rtb_waterfall", "tiers": [["a4", "a3", "a2", "a1"]]},
+            # a4 in two tiers: it sells in the first when it knows the
+            # persona, else a2 wins the second tier's tie
+            {"id": "s2", "website": "collect1", "floor_price": 1.0,
+             "mechanism": "rtb_waterfall", "tiers": [["a4"], ["a3", "a4", "a2"]]},
+            # no tiers: never sold
+            {"id": "s3", "website": "collect1", "floor_price": 0.0,
+             "mechanism": "rtb_waterfall", "tiers": []},
+            # an empty tier, then a zero bid at a zero floor
+            {"id": "s4", "website": "collect1", "floor_price": 0.0,
+             "mechanism": "rtb_waterfall", "tiers": [[], ["a0"]]},
+            {"id": "s5", "website": "collect1", "floor_price": 1.0, "mechanism": "hb_client"},
+            # a floor one ulp above every bid: never sold
+            {"id": "s6", "website": "collect1", "floor_price": 1.0000000000000002,
+             "mechanism": "hb_server"},
+            {"id": "s7", "website": "collect1", "floor_price": 1.0,
+             "mechanism": "rtb_waterfall"},
+        ]
+        cfg = make_config(
+            personas=[{"id": f"p{i}", "group": "g1", "blocked": blocked}
+                      for i, blocked in enumerate([[], ["t1"], [], []])],
+            runs=3, advertisers=advertisers, slots=slots,
+            edges=[{"tracker": "t1", "advertiser": "a4", "reliability": 0.5}])
+        ads, _, bids = assert_texts_match_scalar_oracle(cfg.world, cfg.personas, cfg.runs, seed)
+        winners: dict[str, set[str]] = {}
+        for ad in map(json.loads, ads.splitlines()):
+            winners.setdefault(ad["slot"], set()).add(ad["advertiser"])
+        assert winners["s1"] == winners["s5"] == winners["s7"] == {"a1"}
+        assert winners["s4"] == {"a0"}
+        assert winners["s2"] == {"a2", "a4"}
+        assert "s3" not in winners and "s6" not in winners
+        assert len(ads.splitlines()) == 5 * 4 * 3  # five slots sell to every (persona, run)
+        assert '"bid":1.0}' in bids and '"bid":0.0}' in bids
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_small_matches_scalar_oracle(self, seed):
+        cfg = load_pipeline_config(load_config("small", seed=seed))
+        assert_texts_match_scalar_oracle(cfg.sim.world, cfg.sim.personas, 2, seed)
 
     def test_escaped_ids_and_tokens_match_scalar_oracle(self):
         # Every id and token that reaches a log holds a character the

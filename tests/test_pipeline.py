@@ -192,6 +192,22 @@ def test_cross_field_validation_paths():
         load_pipeline_config(doc)
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_write_pooled_writes_the_joined_pieces(tmp_path, monkeypatch, n_cpus):
+    # Per item and artifact, pieces as lists and as a lazy iterator; empty
+    # pieces, an item with none, CR and CRLF (written untranslated), and
+    # characters of two, three and four UTF-8 bytes.
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    items = [(["a\n", "", "é\r\n"], iter(["x\u2028", "\U0001f600\n"])),
+             ([], ["\r", ""]),
+             (["tail"], iter([]))]
+    expected = ["a\né\r\n" + "tail", "x\u2028\U0001f600\n" + "\r"]  # item by item
+    pipeline._write_pooled(tmp_path, ("a.jsonl", "b.jsonl"), lambda item: item, items)
+    assert [(tmp_path / name).read_bytes() for name in ("a.jsonl", "b.jsonl")] == [
+        text.encode("utf-8") for text in expected]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"]
+
+
 # --------------------------------------------------------------------------
 # adlog.jsonl read in runs of lines
 # --------------------------------------------------------------------------

@@ -10,12 +10,10 @@ auctions slot by slot as (personas x advertisers) arrays, is in
 
 from .config import SimConfig, enumerate_personas, sim_config_from_dict
 from .types import (
-    AdCreative,
     Advertiser,
     AuctionSlot,
     InterestGroup,
     Persona,
-    RequestLogEntry,
     SharingEdge,
     SharingGraph,
     TrackerOrg,
@@ -24,7 +22,7 @@ from .types import (
 )
 
 __all__ = [
-    "AdCreative", "Advertiser", "AuctionSlot", "InterestGroup", "Persona",
-    "RequestLogEntry", "SharingEdge", "SharingGraph", "SimConfig", "TrackerOrg",
-    "Website", "World", "enumerate_personas", "sim_config_from_dict",
+    "Advertiser", "AuctionSlot", "InterestGroup", "Persona", "SharingEdge",
+    "SharingGraph", "SimConfig", "TrackerOrg", "Website", "World",
+    "enumerate_personas", "sim_config_from_dict",
 ]

@@ -13,8 +13,8 @@ Each type is a ``NamedTuple`` and checks nothing itself: the config loader
 the offending config path when it rejects one.  ``World`` is a plain class
 so that it can build its id lookups once, when it is built.
 ``_chain_hops`` is the redirect chain every (run, persona) emits: the
-simulator writes it, and ``syncdetect`` checks the request log's chains
-against it, hop by hop.
+simulator writes it, and ``syncdetect`` checks every request-log line
+against its hop at the line's position.
 """
 
 from __future__ import annotations
@@ -80,23 +80,6 @@ class Persona(NamedTuple):
     group: str
     blocked: tuple[str, ...]               # sorted tracker ids; empty for a control
     is_control: bool = False
-
-
-class AdCreative(NamedTuple):
-    advertiser: str
-    tokens: tuple[str, ...]
-    slot: str
-    run: int
-
-
-class RequestLogEntry(NamedTuple):
-    run: int
-    persona: str
-    chain_position: int
-    source_domain: str
-    destination_domain: str
-    cookie_sent: str | None = None
-    uid_param: str | None = None
 
 
 class World:

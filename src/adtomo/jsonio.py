@@ -15,7 +15,10 @@ or ``encode_scalar`` and join the fragments, which gives those bytes.
 ``iter_jsonl`` is the one reader of JSON-lines files.  It reads bytes,
 decodes each line on its own and parses it with the C scanner behind
 ``json.loads``, and it can read a byte range of whole lines, so a file can
-be parsed in spans by separate processes.
+be parsed in spans by separate processes.  ``LineGrid`` checks a file
+whose lines must fill a grid of cells exactly once: a line that fills a
+filled cell is rejected at its line, and the first empty cell after the
+read.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
@@ -178,6 +182,41 @@ def iter_jsonl(path, fields: Iterable[str] = (),
                 if problem:
                     raise ConfigError(problem, where(lineno))
                 yield record
+
+
+class LineGrid:
+    """The grid of cells a JSON-lines file must fill exactly once, each by
+    one line: ``axes`` holds the coordinates along each axis ``names``
+    names, and a cell is numbered row-major by its coordinates' indices.
+    Only each cell's first line (0 while unseen) is kept, in one flat
+    array; ``what`` names a line's kind in the messages."""
+
+    def __init__(self, what: str, names: Sequence[str], axes: Sequence[Sequence]):
+        self.what, self.names, self.axes = what, ", ".join(names), axes
+        self.lines = array("i", [0]) * math.prod(map(len, axes))
+
+    def fill(self, cell: int, lineno: int) -> str | None:
+        """Fill ``cell`` from line ``lineno``: the message for a cell an
+        earlier line filled, else None."""
+        first = self.lines[cell]
+        if first:
+            return (f"duplicate {self.what} for ({self.names}) {self._coordinates(cell)}, "
+                    f"first seen at line {first}")
+        self.lines[cell] = lineno
+        return None
+
+    def check_full(self, where: str) -> None:
+        """ConfigError naming ``where`` and the first cell no line filled."""
+        if 0 in self.lines:
+            raise ConfigError(f"no {self.what} for ({self.names}) "
+                              f"{self._coordinates(self.lines.index(0))}", where)
+
+    def _coordinates(self, cell: int) -> tuple:
+        coordinates = []
+        for axis in reversed(self.axes):
+            cell, i = divmod(cell, len(axis))
+            coordinates.append(axis[i])
+        return tuple(reversed(coordinates))
 
 
 def _field_error(where: str, record, required: set) -> ConfigError:

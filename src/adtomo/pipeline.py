@@ -59,8 +59,8 @@ from .config import PipelineConfig, load_pipeline_config
 from .ecosim.sim import prepare_simulation
 from .errors import ConfigError
 from .evaluation import stage_evaluate
-from .jsonio import (_check_fields, _check_strings, encode_int, encode_scalar, encode_str,
-                     iter_jsonl, open_atomic, read_json, write_json)
+from .jsonio import (LineGrid, _check_fields, _check_strings, encode_int, encode_scalar,
+                     encode_str, iter_jsonl, open_atomic, read_json, write_json)
 from .parallel import cpus, fork_map
 from .syncdetect import stage_syncdetect
 from .tomography import (
@@ -234,14 +234,15 @@ def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
                   personas: list[str], runs: int) -> Flags:
     """The flags of ``records.jsonl``, every field and token checked, and
     every cell of the grid ``advertisers`` x ``personas`` x ``runs``
-    (``_record_grid``) filled exactly once; a record outside it is rejected
-    at its line.  Only each cell's line (0 while unseen) and flag are kept,
-    in one flat array each.  A ``null`` flag is a record flag did not write."""
+    (``_record_grid``) filled exactly once (``LineGrid``); a record outside
+    it is rejected at its line.  Only each cell's line and flag are kept, in
+    one flat array each.  A ``null`` flag is a record flag did not write."""
     path = out_dir / "records.jsonl"
     advertiser_index = {a: i for i, a in enumerate(advertisers)}
     persona_index = {p: i for i, p in enumerate(personas)}
-    cells = len(advertisers) * len(personas) * runs
-    lines, flags = array("i", [0]) * cells, bytearray(cells)
+    grid = LineGrid("record", ("advertiser", "persona", "run"),
+                    (advertisers, personas, range(runs)))
+    flags = bytearray(len(grid.lines))
 
     def check(r, lineno: int) -> str | None:
         for field in ("advertiser", "persona"):
@@ -271,20 +272,13 @@ def _read_records(out_dir: Path, corpus: dict[str, int], advertisers: list[str],
         if p is None:
             return f"persona {r['persona']!r} is not a non-control persona of the config"
         cell = (a * len(personas) + p) * runs + run
-        if lines[cell]:
-            return (f"duplicate record for (advertiser, persona, run) "
-                    f"{(r['advertiser'], r['persona'], run)}, first seen at line {lines[cell]}")
-        lines[cell], flags[cell] = lineno, flag
-        return None
+        flags[cell] = flag
+        return grid.fill(cell, lineno)
 
     for _ in iter_jsonl(path, fields=("advertiser", "persona", "run", "counts",
                                       "is_different_from_control"), check=check):
         pass
-    if 0 in lines:
-        a, rest = divmod(lines.index(0), len(personas) * runs)
-        p, run = divmod(rest, runs)
-        raise ConfigError("no record for (advertiser, persona, run) "
-                          f"{(advertisers[a], personas[p], run)}", str(path))
+    grid.check_full(str(path))
     flag = np.frombuffer(flags, dtype=np.uint8).reshape(len(advertisers), len(personas), runs)
     return Flags(advertisers, personas, flag)
 

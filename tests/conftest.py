@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 
+from adtomo.config import HyperGrid, PipelineConfig, StatConfig
+from adtomo.ecosim import sim_config_from_dict
 from adtomo.ecosim.sim import prepare_simulation
+from adtomo.syncdetect import stage_syncdetect
 from adtomo.tomography import AdLog
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -39,6 +42,23 @@ def simulate_logs(world, personas, runs: int, seed: int) -> tuple[list, list, li
     hold U+2028, which the encoder does not escape."""
     return tuple([json.loads(line) for line in text.split("\n")[:-1]]
                  for text in simulate_texts(world, personas, runs, seed))
+
+
+def syncdetect_world(sim_doc: dict, seed: int, out_dir: Path) -> tuple[dict, list]:
+    """(sync_pairs, requests): the ``sync_pairs.json`` that
+    ``stage_syncdetect`` writes over the request log of the simulation
+    config ``sim_doc`` at ``seed``, written to ``out_dir``, and the rows of
+    that log."""
+    sim = sim_config_from_dict(sim_doc)
+    cfg = PipelineConfig(sim=sim, stats=StatConfig(), grid=HyperGrid(), folds=2,
+                         holdout_runs=1, accuracy_threshold=0.6, seed=seed,
+                         output_dir=str(out_dir), resolved={})
+    _, requests, _ = simulate_texts(sim.world, sim.personas, sim.runs, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "requestlog.jsonl").write_text(requests, encoding="utf-8")
+    stage_syncdetect(cfg, out_dir)
+    sync_pairs = json.loads((out_dir / "sync_pairs.json").read_text(encoding="utf-8"))
+    return sync_pairs, [json.loads(line) for line in requests.split("\n")[:-1]]
 
 
 def ad_log(ads, personas=None, advertisers=None, tokens=None) -> AdLog:

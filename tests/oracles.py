@@ -53,6 +53,12 @@ token, over a ``build_corpus`` corpus, the way the flag stage collated
 before it read the ad log into columns; the columnar collation must give
 equal records.  ``jsonl_lines`` encodes whole records with one
 ``json.JSONEncoder``; the stages' fragment-built lines must equal it.
+
+The cookie-sync oracle, ``detect_cookie_sync``, reads any request log: it
+keeps one ``RequestLogEntry`` per line, sorts them into chains, rejects a
+chain with a position gap and classifies every entry on its own, the way
+``syncdetect`` did before it read the log as the config's chain grid.  On a
+log the stage accepts, ``sync_pairs.json`` must equal its report.
 """
 
 from __future__ import annotations
@@ -66,12 +72,11 @@ import numpy as np
 
 from adtomo import stattest
 from adtomo.config import ForestParams, HyperGrid, StatConfig
-from adtomo.ecosim import AdCreative, AuctionSlot, InterestGroup, Persona, World
+from adtomo.ecosim import AuctionSlot, InterestGroup, Persona, World
 from adtomo.errors import ConfigError, StatError
 from adtomo.forest import best_point, fold_masks, kernels
 from adtomo.forest.model import _n_sub, _rows, _tree_seeds
 from adtomo.rng import GAMMA, MASK64, substream, substream_key
-from adtomo.syncdetect import SyncReport
 
 _U_MAX = 1.0 - 1e-12
 
@@ -563,6 +568,13 @@ def _creative_tokens(length: int, known: bool, source: Sequence[str],
     return [source[i] for i in rng.integers(0, len(source), size=length).tolist()]
 
 
+class AdCreative(NamedTuple):
+    advertiser: str
+    tokens: tuple[str, ...]
+    slot: str
+    run: int
+
+
 def generate_creative(advertiser: str, known: bool, group: InterestGroup,
                       world: World, rng: np.random.Generator, *,
                       slot: str = "", run: int = 0) -> AdCreative:
@@ -709,6 +721,85 @@ def jsonl_lines(records: Iterable) -> Iterator[str]:
     JSON-lines file."""
     for rec in records:
         yield dumps_line(rec) + "\n"
+
+
+class RequestLogEntry(NamedTuple):
+    run: int
+    persona: str
+    chain_position: int
+    source_domain: str
+    destination_domain: str
+    cookie_sent: str | None = None
+    uid_param: str | None = None
+
+
+class SyncPair(NamedTuple):
+    initiator: str
+    receiver: str
+    evidence: tuple[tuple[int, str, int], ...]  # (run, persona, chain position)
+
+
+class SyncReport(NamedTuple):
+    pairs: tuple[SyncPair, ...]
+    weak_candidates: tuple[SyncPair, ...]
+
+
+def _owner(value: str | None, prefix: str) -> str | None:
+    """Domain that owns a structured identifier, else None (unknown)."""
+    if value is not None and value.startswith(prefix):
+        return value[len(prefix):]
+    return None
+
+
+def _validate_chains(entries: list[RequestLogEntry], where: str) -> None:
+    """ConfigError naming ``where`` and the chain unless every (run,
+    persona) chain holds the positions 0 .. n - 1 once each."""
+    chains: dict[tuple[int, str], list[int]] = {}
+    for e in entries:
+        chains.setdefault((e.run, e.persona), []).append(e.chain_position)
+    for (run, persona), positions in chains.items():
+        if sorted(positions) != list(range(len(positions))):
+            raise ConfigError(f"position gaps in chain (run {run}, persona {persona!r})", where)
+
+
+def detect_cookie_sync(log: Iterable[RequestLogEntry],
+                       where: str = "requestlog.jsonl") -> SyncReport:
+    """Scan redirect chains for cookie-sync hops; a chain with a gap raises
+    ConfigError naming ``where``, the log's file.
+
+    Order-invariant: chains are reconstructed per (run, persona) and read in
+    position order regardless of how the log was shuffled.
+    """
+    entries = sorted(log, key=lambda e: (e.run, e.persona, e.chain_position))
+    _validate_chains(entries, where)
+    strict: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
+    weak: dict[tuple[str, str], list[tuple[int, str, int]]] = {}
+    for e in entries:
+        if e.cookie_sent is None or e.source_domain == e.destination_domain:
+            continue
+        cookie_owner = _owner(e.cookie_sent, "c:")
+        if cookie_owner is not None and cookie_owner != e.destination_domain:
+            continue  # someone else's cookie: not a delivery to its owner
+        uid_owner = _owner(e.uid_param, "uid:")
+        has_source_uid = e.uid_param is not None and uid_owner in (None, e.source_domain)
+        bucket = strict if has_source_uid else weak
+        bucket.setdefault((e.source_domain, e.destination_domain), []).append(
+            (e.run, e.persona, e.chain_position))
+
+    def as_pairs(found: dict) -> tuple[SyncPair, ...]:
+        return tuple(SyncPair(src, dst, tuple(sorted(ev)))
+                     for (src, dst), ev in sorted(found.items()))
+
+    return SyncReport(pairs=as_pairs(strict), weak_candidates=as_pairs(weak))
+
+
+def sync_pairs_document(report: SyncReport) -> dict:
+    """``report`` as ``sync_pairs.json`` holds it."""
+    def rows(pairs: tuple[SyncPair, ...]) -> list[dict]:
+        return [{"initiator": p.initiator, "receiver": p.receiver,
+                 "evidence": [list(e) for e in p.evidence]} for p in pairs]
+
+    return {"pairs": rows(report.pairs), "weak_candidates": rows(report.weak_candidates)}
 
 
 def pair_keys(report: SyncReport) -> set[tuple[str, str]]:

@@ -15,16 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from adtomo.ecosim import RequestLogEntry, enumerate_personas, sim_config_from_dict
+from adtomo.ecosim import enumerate_personas, sim_config_from_dict
 from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
 from adtomo.stattest import StatConfig, flags_against, welch_t_test
-from adtomo.syncdetect import detect_cookie_sync
 from adtomo.tomography import infer_relationships
 
 import oracles
 from oracles import chi_square_independence, forest_dict
-from conftest import load_config, simulate_logs
+from conftest import load_config, syncdetect_world
 
 
 def report(name, detail):
@@ -224,9 +223,10 @@ def test_criterion_6_forest_correctness():
            "importance sums 1e-9, 20/20 top-feature")
 
 
-def test_criterion_7_cookie_sync_oracle():
-    """Detected pairs equal the configured sync_pairs exactly on 10 random
-    worlds."""
+def test_criterion_7_cookie_sync_oracle(tmp_path):
+    """The pairs ``stage_syncdetect`` writes to ``sync_pairs.json`` equal
+    the configured sync_pairs exactly on 10 random worlds, and the file
+    equals the oracle's report over the same request log."""
     rng = np.random.default_rng(1234)
     trackers = [f"t{i}" for i in range(1, 7)]
     for seed in range(10):
@@ -235,7 +235,7 @@ def test_criterion_7_cookie_sync_oracle():
         while len(pairs) < n_pairs:
             a, b = rng.choice(trackers, size=2, replace=False)
             pairs.add((str(a), str(b)))
-        cfg = sim_config_from_dict({
+        sim_doc = {
             "world": {
                 "generic_pool": [f"gen{i}" for i in range(30)],
                 "groups": [{"id": "g1", "vocabulary": ["v1", "v2", "v3"]}],
@@ -251,12 +251,13 @@ def test_criterion_7_cookie_sync_oracle():
             "run": {"personas": [{"id": "p1", "group": "g1"},
                                  {"id": "p2", "group": "g1"}],
                     "runs": 3},
-        })
-        world = cfg.world
-        _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
-        detected = oracles.pair_keys(
-            detect_cookie_sync([RequestLogEntry(**row) for row in requests]))
+        }
+        sync_pairs, requests = syncdetect_world(sim_doc, seed, tmp_path / str(seed))
+        detected = {(p["initiator"], p["receiver"]) for p in sync_pairs["pairs"]}
         assert detected == pairs, f"seed {seed}: {detected} != {pairs}"
+        oracle = oracles.detect_cookie_sync(
+            [oracles.RequestLogEntry(**row) for row in requests])
+        assert sync_pairs == oracles.sync_pairs_document(oracle), f"seed {seed}"
     report("criterion 7 (cookie-sync oracle)", "exact recovery on 10 random worlds")
 
 

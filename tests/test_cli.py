@@ -376,8 +376,9 @@ class TestExitCodes:
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         run, persona = chain[0]
-        assert proc.stderr == (f"adtomo: config error: {requestlog}: position gaps in "
-                               f"chain (run {run}, persona {persona!r})\n")
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: no request for (run, "
+                               f"persona, chain_position) {(run, persona, 1)}\n")
+        assert not (out / "sync_pairs.json").exists()
 
     def test_request_log_missing_chain_names_file_and_chain(self, tmp_path):
         cfg_path = write_config(tmp_path, load_config("mini", seed=7))  # one hop per chain
@@ -391,8 +392,8 @@ class TestExitCodes:
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         run, persona = chains[0]
-        assert proc.stderr == (f"adtomo: config error: {requestlog}: no chain for "
-                               f"(run {run}, persona {persona!r})\n")
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: no request for (run, "
+                               f"persona, chain_position) {(run, persona, 0)}\n")
         assert not (out / "sync_pairs.json").exists()
 
     def test_request_log_short_chain_names_file_and_chain(self, tmp_path):
@@ -408,8 +409,25 @@ class TestExitCodes:
         proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 2
         run, persona = chains[0]
-        assert proc.stderr == (f"adtomo: config error: {requestlog}: chain (run {run}, "
-                               f"persona {persona!r}) holds {hops - 1} hops, the config {hops}\n")
+        assert proc.stderr == (f"adtomo: config error: {requestlog}: no request for (run, "
+                               f"persona, chain_position) {(run, persona, hops - 1)}\n")
+        assert not (out / "sync_pairs.json").exists()
+
+    def test_request_log_duplicate_line_names_file_and_line(self, tmp_path):
+        cfg_path = write_config(tmp_path, load_config("mini", seed=7))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)).returncode == 0
+        requestlog = out / "requestlog.jsonl"
+        lines = requestlog.read_text().splitlines()
+        requestlog.write_text("\n".join(lines + lines[:1]) + "\n")
+        proc = run_cli("syncdetect", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        first = json.loads(lines[0])
+        cell = (first["run"], first["persona"], first["chain_position"])
+        assert proc.stderr == (f"adtomo: config error: {requestlog}:{len(lines) + 1}: "
+                               f"duplicate request for (run, persona, chain_position) {cell}, "
+                               "first seen at line 1\n")
+        assert not (out / "sync_pairs.json").exists()
 
     @pytest.mark.parametrize("edit", [
         pytest.param({"destination_domain": "t9", "cookie_sent": "c:t9"}, id="foreign_tracker"),

@@ -2,8 +2,9 @@
 
 The full ``desk`` world, the only shipped world with advertisers fed by two
 trackers (dsp-01 and dsp-06), at one grid point; the limit of the mean + 1
-sigma rule when half the trackers share with an advertiser; and the grid
-search on ``small``, whose every point infers the planted set.
+sigma rule when half the trackers share with an advertiser; the grid
+search on ``small``, whose every point infers the planted set; and
+``small`` with weak edges, which recovery still finds whole.
 """
 
 import json
@@ -49,6 +50,22 @@ def test_desk_at_one_grid_point_recovers_every_edge(tmp_path, seed):
     assert len(ev["true_edges"]) == 11
     assert sorted(ev["inferred_edges"]) == sorted(ev["true_edges"])
     assert (ev["precision"], ev["recall"]) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("reliability", [0.4, 0.15])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_with_weak_edges_recovers_every_edge(tmp_path, seed, reliability):
+    """``small`` with every edge's reliability overridden, and nothing else
+    changed: all 4 planted edges are inferred, and nothing else.  Recall
+    is not monotone in reliability (it collapses at 0.7-0.85, where flags
+    stop carrying the knowledge), so these points pin where it holds."""
+    doc = load_config("small", seed=seed)
+    for edge in doc["sim"]["world"]["edges"]:
+        edge["reliability"] = reliability
+    run_pipeline(load_pipeline_config(doc), tmp_path)
+    ev = json.loads((tmp_path / "evaluation.json").read_text())
+    assert len(ev["true_edges"]) == 4
+    assert sorted(ev["inferred_edges"]) == sorted(ev["true_edges"])
 
 
 @pytest.mark.parametrize("seed", [1, 2])

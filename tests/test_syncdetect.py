@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from adtomo.ecosim import sim_config_from_dict
-from adtomo.ecosim.types import RequestLogEntry
 from adtomo.errors import ConfigError
-from adtomo.syncdetect import detect_cookie_sync
+from adtomo.pipeline import load_pipeline_config, stage_simulate
+from adtomo.syncdetect import _hop_kind, stage_syncdetect
 
-from conftest import simulate_logs
-from oracles import pair_keys
+from conftest import load_config, syncdetect_world
+from oracles import RequestLogEntry, detect_cookie_sync, pair_keys, sync_pairs_document
 
 
 def hop(pos, src, dst, cookie=None, uid=None, run=0, persona="p1"):
@@ -71,9 +72,36 @@ class TestDetection:
         detect_cookie_sync(log)  # distinct (run, persona) chains, each contiguous
 
 
+@pytest.mark.parametrize("hop, kind", [
+    pytest.param(("t1", "t2", "c:t2", "uid:t1"), "pairs", id="full_handshake"),
+    pytest.param(("t1", "t2", None, None), None, id="bare_hop"),
+    pytest.param(("site", "t2", "c:t2", None), "weak_candidates", id="cookie_only"),
+    pytest.param(("t1", "t2", "c:t9", "uid:t1"), None, id="foreign_cookie"),
+    pytest.param(("t1", "t2", "opaque123", "u-abc"), "pairs", id="unstructured_identifiers"),
+    pytest.param(("t1", "t2", "c:t2", "uid:t9"), "weak_candidates", id="foreign_uid"),
+    pytest.param(("t1", "t1", "c:t1", "uid:t1"), None, id="self_hop"),
+])
+def test_hop_kind(hop, kind):
+    assert _hop_kind(*hop) == kind
+    assert pair_keys(detect_cookie_sync([RequestLogEntry(0, "p1", 0, *hop)])) == (
+        {hop[:2]} if kind == "pairs" else set())
+
+
+@pytest.mark.parametrize("name", ["mini", "small"])
+def test_stage_matches_oracle_on_shipped_configs(tmp_path, name):
+    cfg = load_pipeline_config(load_config(name, seed=7))
+    stage_simulate(cfg, tmp_path)
+    stage_syncdetect(cfg, tmp_path)
+    lines = (tmp_path / "requestlog.jsonl").read_text(encoding="utf-8").splitlines()
+    report = detect_cookie_sync(RequestLogEntry(**json.loads(line)) for line in lines)
+    assert report.pairs
+    sync_pairs = json.loads((tmp_path / "sync_pairs.json").read_text(encoding="utf-8"))
+    assert sync_pairs == sync_pairs_document(report)
+
+
 class TestSimulatorRecovery:
-    def _run_world(self, sync_pairs, seed):
-        cfg = sim_config_from_dict({
+    def _world(self, sync_pairs):
+        return {
             "world": {
                 "generic_pool": [f"gen{i}" for i in range(20)],
                 "groups": [{"id": "g1", "vocabulary": ["v1", "v2"]}],
@@ -90,12 +118,11 @@ class TestSimulatorRecovery:
             "run": {"personas": [{"id": "p1", "group": "g1"},
                                  {"id": "p2", "group": "g1"}],
                     "runs": 2},
-        })
-        world = cfg.world
-        _, requests, _ = simulate_logs(world, cfg.personas, cfg.runs, seed)
-        return [RequestLogEntry(**row) for row in requests]
+        }
 
-    def test_exact_recovery_on_random_worlds(self):
+    def test_exact_recovery_on_random_worlds(self, tmp_path):
+        """The stage's pairs are the configured ones, and its
+        ``sync_pairs.json`` is the oracle's report over the same log."""
         rng = np.random.default_rng(123)
         trackers = [f"t{i}" for i in range(1, 6)]
         for seed in range(10):
@@ -104,6 +131,9 @@ class TestSimulatorRecovery:
             while len(pairs) < n_pairs:
                 a, b = rng.choice(trackers, size=2, replace=False)
                 pairs.add((str(a), str(b)))
-            requests = self._run_world([list(p) for p in sorted(pairs)], seed=seed)
-            report = detect_cookie_sync(requests)
-            assert pair_keys(report) == pairs, f"seed {seed}"
+            sync_pairs, requests = syncdetect_world(
+                self._world([list(p) for p in sorted(pairs)]), seed, tmp_path / str(seed))
+            detected = {(p["initiator"], p["receiver"]) for p in sync_pairs["pairs"]}
+            assert detected == pairs, f"seed {seed}"
+            report = detect_cookie_sync(RequestLogEntry(**row) for row in requests)
+            assert sync_pairs == sync_pairs_document(report), f"seed {seed}"

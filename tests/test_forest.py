@@ -7,20 +7,12 @@ import pytest
 
 from adtomo import pipeline
 from adtomo.config import load_pipeline_config
-from adtomo.forest import (
-    ForestModel,
-    ForestParams,
-    HyperGrid,
-    accuracy,
-    feature_importance,
-    kernels,
-    predict_batch,
-    train_forest,
-)
-from adtomo.forest.model import _fold_assignment, _n_sub
+from adtomo.forest import ForestParams, HyperGrid, feature_importance, fold_masks, kernels
+from adtomo.forest.model import _n_sub
 
 from conftest import load_config
-from oracles import cross_validate_grid, forest_dict
+from oracles import (ForestModel, _fold_assignment, accuracy, cross_validate_grid, forest_dict,
+                     predict_batch, train_forest)
 
 
 def rows(X, y):
@@ -270,13 +262,13 @@ class TestImportance:
     def test_single_split_concentrates(self):
         params = ForestParams(n_trees=1, max_depth=1, features_per_split="all")
         model = train_forest(*separable_rows(n=40, seed=11), params, seed=7)
-        imp = feature_importance(model)
+        imp = feature_importance(model.nodes, model.n_features)
         assert imp[0] == pytest.approx(1.0, abs=1e-12)
         assert imp[1:].sum() == 0.0
 
     def test_all_leaf_forest_zero_vector(self):
         model = train_forest(*rows([(0, 1)] * 6, [1] * 6), ForestParams(n_trees=5), seed=8)
-        imp = feature_importance(model)
+        imp = feature_importance(model.nodes, model.n_features)
         assert imp.sum() == 0.0
 
     def test_matches_hand_weighted_bookkeeping(self):
@@ -293,20 +285,20 @@ class TestImportance:
                 raw[feature[node]] += (n_samples[node] / n_samples[0]) * gain[node]
         assert raw == pytest.approx(expected, abs=1e-9)
         # feature_importance applies the same bookkeeping to a forest's trees.
-        model = ForestModel(tree, params, seed=0, n_features=2)
-        assert feature_importance(model) == pytest.approx(expected / expected.sum(), abs=1e-12)
+        assert feature_importance(tree, 2) == pytest.approx(expected / expected.sum(), abs=1e-12)
 
     def test_importances_sum_to_one(self):
         rng = np.random.default_rng(12)
         X, y = rows(rng.integers(0, 2, (80, 6)), rng.integers(0, 2, 80))
         model = train_forest(X, y, ForestParams(n_trees=30), seed=9)
-        assert feature_importance(model).sum() == pytest.approx(1.0, abs=1e-9)
+        imp = feature_importance(model.nodes, model.n_features)
+        assert imp.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_discriminative_feature_tops(self):
         for seed in range(20):
             model = train_forest(*separable_rows(n=60, seed=100 + seed),
                                  ForestParams(n_trees=25), seed=seed)
-            imp = feature_importance(model)
+            imp = feature_importance(model.nodes, model.n_features)
             assert imp[0] > max(imp[1:])
 
 
@@ -336,6 +328,17 @@ class TestCrossValidation:
             idxs = [i for i, q in enumerate(personas) if q == f"persona-{p}"]
             counts = np.bincount(assignment[idxs], minlength=4)
             assert counts.tolist() == [2, 2, 2, 2]
+
+    def test_fold_masks_equal_the_row_list_assignment(self):
+        # Persona blocks in sorted order draw the permutations the row-list
+        # form draws, in the same order.
+        rng = random.Random(16)
+        for _ in range(40):
+            n_personas, folds = rng.randint(1, 9), rng.randint(2, 5)
+            runs, seed = folds * rng.randint(1, 4), rng.randrange(1 << 32)
+            personas = [f"p{p}" for p in range(n_personas) for _ in range(runs)]
+            want = _fold_assignment(personas, folds, seed) == np.arange(folds)[:, None]
+            assert np.array_equal(fold_masks(n_personas, runs, folds, seed), want)
 
     def test_indivisible_counts_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

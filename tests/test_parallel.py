@@ -16,14 +16,14 @@ import pytest
 
 from adtomo import cli, parallel, pipeline, tomography
 from adtomo.errors import ConfigError, WorkerLostError
-from adtomo.forest import HyperGrid, accuracy, feature_importance, train_forest
+from adtomo.forest import HyperGrid, feature_importance, kernels
 from adtomo.parallel import fork_map
 from adtomo.pipeline import ARTIFACTS, load_pipeline_config, run_pipeline
 from adtomo.rng import substream_key
 from adtomo.tomography import Flags, holdout_mask, run_inference
 
 from conftest import load_config
-from oracles import FlaggedRecord, cross_validate_grid, design_by_records
+from oracles import FlaggedRecord, accuracy, cross_validate_grid, design_by_records, train_forest
 
 
 @pytest.fixture
@@ -472,7 +472,8 @@ def test_run_inference_equals_per_advertiser_grid_search(case, two_cpus):
                                         sorted(trackers), blocking)
         assert (report.params, report.cv_accuracy) == (params, cv_acc)
         assert report.holdout_accuracy == accuracy(model, X_h, y_h)
-        assert list(report.gains.values()) == feature_importance(model).tolist()
+        gains = feature_importance(model.nodes, model.n_features)
+        assert list(report.gains.values()) == gains.tolist()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -494,6 +495,23 @@ def test_packed_units_equal_per_advertiser_grid_search(budget, cpus, monkeypatch
             adv_seed = substream_key(case, "infer", report.advertiser)
             assert (report.params, report.cv_accuracy) == cross_validate_grid(
                 X, y, personas, grid, folds, adv_seed), (case, report.advertiser)
+
+
+def test_run_inference_builds_one_pattern_table(monkeypatch):
+    # Every fold forest and every final fit grows and is scored on the
+    # personas' one pattern table.  One CPU keeps every call in this process.
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    _, flags, holdout, grid, folds, trackers, blocking = _random_inference_case(3)
+    calls = []
+    real = kernels.pattern_cells
+
+    def counting(X, y):
+        calls.append(len(X))
+        return real(X, y)
+
+    monkeypatch.setattr(kernels, "pattern_cells", counting)
+    run_inference(flags, holdout, grid, folds, 3, trackers, blocking)
+    assert calls == [len(flags.personas)]
 
 
 def test_cv_units_spread_over_every_cpu(two_cpus, monkeypatch):

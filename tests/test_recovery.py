@@ -12,14 +12,14 @@ import json
 import numpy as np
 import pytest
 
-from adtomo.forest import ForestParams, accuracy, feature_importance, train_forest
+from adtomo.forest import ForestParams, feature_importance
 from adtomo.pipeline import (load_pipeline_config, run_pipeline, stage_flag, stage_infer,
                              stage_simulate)
 from adtomo.rng import substream_key
 from adtomo.tomography import holdout_mask, infer_relationships
 
 from conftest import load_config
-from oracles import FlaggedRecord, design_by_records
+from oracles import FlaggedRecord, accuracy, design_by_records, train_forest
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 20])
@@ -97,7 +97,8 @@ def test_every_small_grid_point_infers_the_planted_set(tmp_path, seed):
         assert chosen in points
         for params in points:
             model = train_forest(X, y, params, adv_seed)
-            holdout_acc, gains = accuracy(model, X_h, y_h), feature_importance(model)
+            holdout_acc = accuracy(model, X_h, y_h)
+            gains = feature_importance(model.nodes, model.n_features)
             inferred = infer_relationships(gains, holdout_acc, cfg.accuracy_threshold, trackers)
             assert inferred == planted, (advertiser, params)
             if params == chosen:

@@ -119,8 +119,8 @@ def _parse_world(w: dict) -> World:
         vocab = tuple(sorted(set(vocab_raw)))
         overlap = len(set(vocab) & set(pool)) / len(vocab)
         groups.append(InterestGroup(_require(g, "id", path, str), vocab, overlap))
-    groups.sort(key=lambda g: g.id)
     group_ids = _unique_ids(groups, "sim.world.groups")
+    groups.sort(key=lambda g: g.id)
 
     websites = []
     for path, s in _entries(_require(w, "websites", "sim.world", list), "sim.world.websites",
@@ -131,8 +131,8 @@ def _parse_world(w: dict) -> World:
         if group is not None and group not in group_ids:
             raise ConfigError(f"dangling group reference {group!r}", f"{path}.group")
         websites.append(Website(_require(s, "id", path, str), group))
-    websites.sort(key=lambda s: s.id)
     site_ids = _unique_ids(websites, "sim.world.websites")
+    websites.sort(key=lambda s: s.id)
 
     trackers = []
     for path, t in _entries(_require(w, "trackers", "sim.world", list), "sim.world.trackers",
@@ -146,8 +146,8 @@ def _parse_world(w: dict) -> World:
         trackers.append(TrackerOrg(
             _require(t, "id", path, str), coverage,
             _probability(t.get("observe_prob", 1.0), f"{path}.observe_prob")))
-    trackers.sort(key=lambda t: t.id)
     tracker_ids = _unique_ids(trackers, "sim.world.trackers")
+    trackers.sort(key=lambda t: t.id)
 
     advertisers = []
     for path, a in _entries(_require(w, "advertisers", "sim.world", list), "sim.world.advertisers",
@@ -163,8 +163,8 @@ def _parse_world(w: dict) -> World:
             _non_negative(a.get("knowledge_boost", 0.0), f"{path}.knowledge_boost"),
             _non_negative(a.get("bid_noise_sd", 0.0), f"{path}.bid_noise_sd"),
             length))
-    advertisers.sort(key=lambda a: a.id)
     advertiser_ids = _unique_ids(advertisers, "sim.world.advertisers")
+    advertisers.sort(key=lambda a: a.id)
 
     overlap_ids = tracker_ids & advertiser_ids
     if overlap_ids:
@@ -217,8 +217,8 @@ def _parse_world(w: dict) -> World:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}",
                               f"{path}.mechanism")
         slots.append(AuctionSlot(slot_id, website, floor_price, mechanism, timeout, tiers))
-    slots.sort(key=lambda s: s.id)
     _unique_ids(slots, "sim.world.slots")
+    slots.sort(key=lambda s: s.id)
 
     sync_pairs = []
     known_domains = tracker_ids | advertiser_ids
@@ -232,6 +232,8 @@ def _parse_world(w: dict) -> World:
         for d in (src, dst):
             if d not in known_domains:
                 raise ConfigError(f"dangling domain reference {d!r}", path)
+        if (src, dst) in sync_pairs:
+            raise ConfigError(f"duplicate sync pair {(src, dst)}", path)
         sync_pairs.append((src, dst))
     sync_pairs.sort()
 

@@ -11,12 +11,12 @@ resample only changes the multiplicities, which are one ``np.bincount`` over
 the drawn row indices.
 
 ``pattern_cells`` maps rows to their distinct patterns and (pattern, label)
-cells once; ``build_forest`` takes the pattern table and the cells, so a
-caller that grows many batches over one row set pays that ``np.unique``
-once.  It grows a batch of trees (the fold forests of several grid points,
-or one forest) in lockstep, one numpy pass per round over every tree.  The
-batch shares one hyperparameter set; only the training rows differ per
-forest.
+cells once; ``build_forest`` takes the pattern table and, per forest, the
+cells of its training rows, so a caller that grows many batches over one
+row set pays that ``np.unique`` once.  It grows a batch of forests (the
+fold forests of several grid points, or one forest) in lockstep, one numpy
+pass per round over every tree.  The batch shares one hyperparameter set;
+each forest brings its own training cells and tree seeds.
 
 * Each tree's present patterns are its elements, and a node owns a
   contiguous segment of its tree's elements; a split stably partitions the
@@ -58,13 +58,13 @@ class Nodes(NamedTuple):
     """The trees of a forest as (trees, width) node arrays, one row per
     tree, indexed by node id.  Tree t has ``count[t]`` nodes; past them its
     row is padded with leaves (feature -1, label 0).  Node 0 is the root;
-    feature == -1 marks a leaf, and the children of a split follow the
-    X == 0 branch on the left.  ``n_samples`` counts a node's training rows
-    and ``gain`` is a split's information gain."""
+    feature == -1 marks a leaf.  A split's X == 0 child is ``left`` and its
+    X == 1 child ``left + 1``; a leaf's ``left`` is -1.  ``n_samples``
+    counts a node's training rows and ``gain`` is a split's information
+    gain."""
 
     feature: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     n_samples: np.ndarray
     gain: np.ndarray
     label: np.ndarray
@@ -125,12 +125,11 @@ START, END, NN, POS, DEPTH, PARENT, TREE, GROW = range(8)
 _SCORE_CHUNK = 1 << 13
 
 
-def _samples(cells, rows, seeds, bootstrap, n_cells):
+def _samples(cells, seeds, bootstrap, n_cells):
     """(states, counts) of the trees of one forest: each tree's splitmix64
     state after its bootstrap draws, and its (negative, positive) rows per
     pattern, shape (trees, patterns, 2).  Draws run in chunks of trees of
     about 2^16 values each."""
-    cells = cells[rows]
     n = len(cells)
     if not bootstrap:
         counts = np.bincount(cells, minlength=n_cells)
@@ -155,21 +154,18 @@ def pattern_cells(X, y) -> tuple[np.ndarray, np.ndarray]:
     return patterns, 2 * inverse.reshape(-1) + np.asarray(y, dtype=np.uint8)
 
 
-def build_forest(patterns, cells, tree_seeds, max_depth, n_sub, min_leaf, bootstrap,
-                 train=None):
+def build_forest(patterns, forests, max_depth, n_sub, min_leaf, bootstrap):
     """Grow a batch of forests in lockstep; returns their trees as
-    ``Nodes``, tree after tree.
+    ``Nodes``, forest after forest and tree after tree.
 
-    The rows are ``cells`` over the pattern table ``patterns``
-    (``pattern_cells``).  Forest f trains on the rows where ``train[f]`` is
-    set, in the order given; ``train`` None means one forest on all rows.
-    The trees of forest f are the f-th of len(train) equal runs of
-    ``tree_seeds``.  ``max_depth`` (None: unbounded), ``n_sub``,
-    ``min_leaf`` and ``bootstrap`` are one value each for every tree of the
-    batch.  With ``bootstrap`` each tree trains on a same-size bootstrap
-    resample of its forest's rows, drawn from its seed, else on the rows as
-    given.  A tree depends on the rows' patterns and labels, not on the
-    table's other patterns.
+    ``forests`` holds one (cells, tree_seeds) pair per forest: the cells of
+    its training rows over the pattern table ``patterns``
+    (``pattern_cells``), in order, and one seed per tree.  ``max_depth``
+    (None: unbounded), ``n_sub``, ``min_leaf`` and ``bootstrap`` are one
+    value each for every tree of the batch.  With ``bootstrap`` each tree
+    trains on a same-size bootstrap resample of its forest's rows, drawn
+    from its seed, else on the rows as given.  A tree depends on the rows'
+    patterns and labels, not on the table's other patterns.
 
     Every tree is grown exactly as a depth-first builder grows it alone (see
     the module docstring): when ``n_sub`` < k, a round takes from each tree
@@ -177,31 +173,23 @@ def build_forest(patterns, cells, tree_seeds, max_depth, n_sub, min_leaf, bootst
     nodes.
     """
     patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
-    cells = np.asarray(cells, dtype=np.int64)
-    tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
-    train = (np.ones((1, len(cells)), dtype=bool) if train is None
-             else np.asarray(train, dtype=bool))
-    n_trees = len(tree_seeds)
-    if n_trees % len(train):
-        raise ValueError(f"{n_trees} tree seeds do not split into {len(train)} forests")
     depth_cap = UNBOUNDED_DEPTH if max_depth is None else max_depth
+    n_trees = sum(len(seeds) for _, seeds in forests)
     # Nested calls: the elements die with _grow, before the output arrays exist.
-    return _renumber(*_grow(*_roots(cells, train, tree_seeds, bootstrap, 2 * len(patterns)),
+    return _renumber(*_grow(*_roots(forests, bootstrap, 2 * len(patterns)),
                             patterns, depth_cap, n_sub, min_leaf), n_trees)
 
 
-def _roots(cells, train, tree_seeds, bootstrap, n_cells):
+def _roots(forests, bootstrap, n_cells):
     """(states, elements, roots) of a batch: each tree's splitmix64 state
     after its bootstrap draws; its elements, one per pattern present in its
     sample with the pattern's rows and positive rows, tree after tree; and
     its root node over all of them."""
-    per_forest = len(tree_seeds) // len(train)
     states, elements, roots = [], [], []
     offset = 0
-    for f, mask in enumerate(train):
-        rows = np.flatnonzero(mask)
-        state, counts = _samples(cells, rows, tree_seeds[f * per_forest:(f + 1) * per_forest],
-                                 bootstrap, n_cells)
+    for cells, seeds in forests:
+        cells = np.asarray(cells, dtype=np.int64)
+        state, counts = _samples(cells, np.asarray(seeds, dtype=np.uint64), bootstrap, n_cells)
         sizes = counts.sum(axis=2)
         tree, pattern = np.nonzero(sizes)
         elements.append(np.stack([pattern, sizes[tree, pattern], counts[tree, pattern, 1]])
@@ -210,7 +198,7 @@ def _roots(cells, train, tree_seeds, bootstrap, n_cells):
         root = np.zeros((len(ends), 8), dtype=np.int32)
         root[:, START] = np.concatenate([[offset], ends[:-1]])
         root[:, END] = ends
-        root[:, NN] = len(rows)
+        root[:, NN] = len(cells)
         root[:, POS] = counts[:, :, 1].sum(axis=1)
         states.append(state)
         roots.append(root)
@@ -405,7 +393,6 @@ def _renumber(rec, feat, gain, label, n_trees):
     width = int(node_count.max())
     feat_a = np.full((n_trees, width), -1, dtype=np.int32)
     left_a = np.full((n_trees, width), -1, dtype=np.int32)
-    right_a = np.full((n_trees, width), -1, dtype=np.int32)
     n_a = np.zeros((n_trees, width), dtype=np.int32)
     gain_a = np.zeros((n_trees, width), dtype=np.float64)
     label_a = np.zeros((n_trees, width), dtype=np.uint8)
@@ -414,11 +401,8 @@ def _renumber(rec, feat, gain, label, n_trees):
     n_a[at] = rec[:, 3]
     gain_a[at] = gain
     label_a[at] = label
-    at = (tree[split], node_id[split])
-    rank = rank[split]
-    left_a[at] = 1 + 2 * rank
-    right_a[at] = 2 + 2 * rank
-    return Nodes(feat_a, left_a, right_a, n_a, gain_a, label_a, node_count)
+    left_a[tree[split], node_id[split]] = 1 + 2 * rank[split]
+    return Nodes(feat_a, left_a, n_a, gain_a, label_a, node_count)
 
 
 def _preorder(rec, split, n_splits):
@@ -454,7 +438,7 @@ def tree_labels(nodes: Nodes, patterns) -> np.ndarray:
     patterns = np.ascontiguousarray(patterns, dtype=np.uint8)
     n_patterns, k = patterns.shape
     width = nodes.feature.shape[1]
-    feature, left, right = (a.reshape(-1) for a in (nodes.feature, nodes.left, nodes.right))
+    feature, left = nodes.feature.reshape(-1), nodes.left.reshape(-1)
     # Per (tree, pattern) pair, tree after tree: its node as a flat index.
     node = np.repeat(np.arange(len(nodes.count), dtype=np.intp) * width, n_patterns)
     live = np.arange(node.size)
@@ -464,6 +448,6 @@ def tree_labels(nodes: Nodes, patterns) -> np.ndarray:
         split = feat >= 0
         live, at, feat = live[split], at[split], feat[split]
         go_right = patterns.reshape(-1)[live % n_patterns * k + feat] != 0
-        node[live] = at - at % width + np.where(go_right, right[at], left[at])
+        node[live] = at - at % width + left[at] + go_right
     return nodes.label.reshape(-1)[node].reshape(len(nodes.count), n_patterns)
 

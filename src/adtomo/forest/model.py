@@ -14,11 +14,12 @@ row order: ``tomography.run_inference`` lays out each advertiser's rows in
 Growth runs in ``kernels.build_forest`` and scoring in one walk of every
 tree over the pattern table (``kernels.tree_labels``): a row's vote is its
 pattern's.  ``cv_scores`` hands the kernel the fold forests of several grid
-points as one batch, each fold's training rows a mask, and the kernel grows
-every tree of the batch in lockstep.  ``best_point`` keeps the best grid
-point, and ``holdout_fit`` grows the final forest on all the training rows,
-scores it on the holdout rows and returns its importances.  Each fold forest
-is the one ``holdout_fit`` would grow on that fold's rows and seed.
+points as one batch, each with its fold's training cells and its own tree
+seeds, and the kernel grows every tree of the batch in lockstep.
+``best_point`` keeps the best grid point, and ``holdout_fit`` grows the
+final forest on all the training rows, scores it on the holdout rows and
+returns its importances.  Each fold forest is the one ``holdout_fit`` would
+grow on that fold's rows and seed.
 
 A note on zero-gain splits: an impure node is still split when the best
 achievable gain is zero, as long as some feature actually partitions it.
@@ -45,10 +46,9 @@ def _n_sub(params: ForestParams, n_features: int) -> int:
     return max(1, int(math.sqrt(n_features)))
 
 
-def _tree_seeds(seeds: Sequence[int], n_trees: int) -> np.ndarray:
-    """The tree seeds of one forest per seed, forest after forest."""
-    return np.array([substream_key(seed, "tree", t) for seed in seeds for t in range(n_trees)],
-                    dtype=np.uint64)
+def _tree_seeds(seed: int, n_trees: int) -> np.ndarray:
+    """The tree seeds of the forest of ``n_trees`` trees grown from ``seed``."""
+    return np.array([substream_key(seed, "tree", t) for t in range(n_trees)], dtype=np.uint64)
 
 
 def feature_importance(nodes: kernels.Nodes, n_features: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def holdout_fit(patterns: np.ndarray, cells: np.ndarray, held: np.ndarray,
     bootstrap resample of the rows, drawn from its own seed-derived
     substream."""
     nodes = kernels.build_forest(
-        patterns, cells, _tree_seeds([seed], params.n_trees), params.max_depth,
+        patterns, [(cells, _tree_seeds(seed, params.n_trees))], params.max_depth,
         _n_sub(params, patterns.shape[1]), params.min_leaf, bootstrap=True)
     accuracy, = _accuracies(nodes, patterns, np.array([params.n_trees]), [held])
     return accuracy, feature_importance(nodes, patterns.shape[1])
@@ -119,27 +119,17 @@ def cv_scores(patterns: np.ndarray, cells: np.ndarray, test: np.ndarray,
     ``cells[r, ~test[r, k]]`` from substream_key(seed, "cv", gi, k).  The
     units must share ``max_depth``, ``features_per_split`` and
     ``min_leaf``: every fold forest grows in one ``kernels.build_forest``
-    batch, a forest of n trees as n / g forests of g trees on one row mask
-    (g the gcd of the units' ``n_trees``), and one walk of every tree over
-    the pattern table scores them all.  Each unit draws from its own
-    substreams, so units may be scored in any batch or process."""
-    folds, n_rows = test.shape[1:]
+    batch, and one walk of every tree over the pattern table scores them
+    all.  Each unit draws from its own substreams, so units may be scored in
+    any batch or process."""
+    folds = test.shape[1]
     first = units[0][1]
-    sizes = np.repeat([params.n_trees for _, params, _, _ in units], folds)
-    g = math.gcd(*sizes.tolist())
-    # Rows of the units' own advertisers only, block i being cells[rows[i]].
-    rows = sorted({r for r, *_ in units})
-    block = {r: i for i, r in enumerate(rows)}
-    train = np.zeros((len(sizes), len(rows), n_rows), dtype=bool)
-    for u, (r, _, _, _) in enumerate(units):
-        train[u * folds:(u + 1) * folds, block[r]] = ~test[r]
-    seeds = np.concatenate([
-        _tree_seeds([substream_key(seed, "cv", gi, k) for k in range(folds)], params.n_trees)
-        for _, params, gi, seed in units])
     nodes = kernels.build_forest(
-        patterns, cells[rows].reshape(-1), seeds, first.max_depth,
-        _n_sub(first, patterns.shape[1]), first.min_leaf, bootstrap=True,
-        train=np.repeat(train.reshape(len(sizes), -1), sizes // g, axis=0))
+        patterns, [(cells[r, ~test[r, k]],
+                    _tree_seeds(substream_key(seed, "cv", gi, k), params.n_trees))
+                   for r, params, gi, seed in units for k in range(folds)],
+        first.max_depth, _n_sub(first, patterns.shape[1]), first.min_leaf, bootstrap=True)
+    sizes = np.repeat([params.n_trees for _, params, _, _ in units], folds)
     accs = _accuracies(nodes, patterns, sizes, [cells[r, test[r, k]]
                                                 for r, *_ in units for k in range(folds)])
     return [float(np.mean(accs[u * folds:(u + 1) * folds])) for u in range(len(units))]

@@ -361,8 +361,9 @@ def train_forest(X, y, params: ForestParams, seed: int) -> ForestModel:
     bootstrap resample of the rows, drawn from its own seed-derived
     substream.  The pattern table is the distinct rows of X."""
     X, y = _rows(X, y)
+    patterns, cells = kernels.pattern_cells(X, y)
     nodes = kernels.build_forest(
-        *kernels.pattern_cells(X, y), _tree_seeds([seed], params.n_trees), params.max_depth,
+        patterns, [(cells, _tree_seeds(seed, params.n_trees))], params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
     return ForestModel(nodes, params, seed, X.shape[1])
 
@@ -403,8 +404,14 @@ def forest_dict(model) -> dict:
         "seed": model.seed,
         "n_features": model.n_features,
         "trees": [_tree_dict(*(a.tolist() for a in tree))
-                  for tree in zip(n.feature, n.left, n.right, n.n_samples, n.gain, n.label)],
+                  for tree in zip(n.feature, n.left, right_children(n), n.n_samples, n.gain,
+                                  n.label)],
     }
+
+
+def right_children(nodes: kernels.Nodes) -> np.ndarray:
+    """Each node's X == 1 child, ``left + 1`` at a split and -1 at a leaf."""
+    return np.where(nodes.left >= 0, nodes.left + 1, -1)
 
 
 def _tree_dict(feature, left, right, n_samples, gain, label) -> dict:
@@ -422,14 +429,15 @@ def cv_score(X: np.ndarray, y: np.ndarray, test: np.ndarray, params: ForestParam
              gi: int, seed: int) -> float:
     """Mean held-out-fold accuracy of grid point ``gi`` (``params``) over the
     folds of ``test`` (from ``fold_masks``); X and y as ``_rows`` returns
-    them.  The fold forests grow as one batch; fold k's forest equals
-    train_forest(X[~test[k]], y[~test[k]], params, substream_key(seed, "cv",
-    gi, k))."""
+    them.  The fold forests grow as one batch of ``params.n_trees`` trees
+    each; fold k's forest equals train_forest(X[~test[k]], y[~test[k]],
+    params, substream_key(seed, "cv", gi, k))."""
     folds = len(test)
-    seeds = [substream_key(seed, "cv", gi, k) for k in range(folds)]
+    patterns, cells = kernels.pattern_cells(X, y)
     nodes = kernels.build_forest(
-        *kernels.pattern_cells(X, y), _tree_seeds(seeds, params.n_trees), params.max_depth,
-        _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True, train=~test)
+        patterns, [(cells[~test[k]], _tree_seeds(substream_key(seed, "cv", gi, k),
+                                                 params.n_trees)) for k in range(folds)],
+        params.max_depth, _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=True)
     accs = []
     for k in range(folds):
         trees = slice(k * params.n_trees, (k + 1) * params.n_trees)

@@ -22,7 +22,8 @@ from adtomo.stattest import StatConfig, flags_against, welch_t_test
 from adtomo.tomography import infer_relationships
 
 import oracles
-from oracles import accuracy, chi_square_independence, forest_dict, train_forest
+from oracles import (accuracy, chi_square_independence, forest_dict, right_children,
+                     train_forest)
 from conftest import load_config, syncdetect_world
 
 
@@ -197,9 +198,12 @@ def test_criterion_6_forest_correctness():
     # One tree grown on the XOR rows as given (no bootstrap), all features.
     X_xor = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.uint8)
     y_xor = np.array([0, 1, 1, 0], dtype=np.uint8)
-    feature, left, right, _, _, label, count = (a[0] for a in kernels.build_forest(
-        *kernels.pattern_cells(X_xor, y_xor), np.array([1], dtype=np.uint64), 2, 2, 1,
-        bootstrap=False))
+    patterns, cells = kernels.pattern_cells(X_xor, y_xor)
+    nodes = kernels.build_forest(patterns, [(cells, np.array([1], dtype=np.uint64))], 2, 2, 1,
+                                 bootstrap=False)
+    feature, left, right, label = (a[0] for a in (
+        nodes.feature, nodes.left, right_children(nodes), nodes.label))
+    count = nodes.count[0]
     depth = {0: 0}
     for node in range(int(count)):
         if feature[node] >= 0:

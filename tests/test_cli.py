@@ -167,6 +167,13 @@ class TestExitCodes:
                      id="sync_pair_not_list"),
         pytest.param(lambda doc: doc["sim"]["world"].update(edges=5),
                      "sim.world.edges: expected list", id="edges_not_list"),
+        pytest.param(lambda doc: doc["sim"]["world"].update(
+            trackers=[doc["sim"]["world"]["trackers"][i] for i in (1, 1, 0, 2)]),
+                     "sim.world.trackers[1].id: duplicate id 't2'",
+                     id="duplicate_tracker_named_in_config_order"),
+        pytest.param(lambda doc: doc["sim"]["world"].update(sync_pairs=[["t1", "t2"]] * 2),
+                     "sim.world.sync_pairs[1]: duplicate sync pair ('t1', 't2')",
+                     id="repeated_sync_pair"),
         pytest.param(lambda doc: doc["sim"]["world"]["groups"][0].update(vocabulary=[1, "a"]),
                      "sim.world.groups[0].vocabulary: expected a list of strings",
                      id="int_in_vocabulary"),

@@ -12,7 +12,7 @@ from adtomo.forest.model import _n_sub
 
 from conftest import load_config
 from oracles import (ForestModel, _fold_assignment, accuracy, cross_validate_grid, forest_dict,
-                     predict_batch, train_forest)
+                     predict_batch, right_children, train_forest)
 
 
 def rows(X, y):
@@ -30,8 +30,9 @@ def train_tree(X, y, params, seed):
     """One greedy tree on the rows as given (no bootstrap), as the one-tree
     ``Nodes`` of the kernel."""
     X, y = rows(X, y)
+    patterns, cells = kernels.pattern_cells(X, y)
     return kernels.build_forest(
-        *kernels.pattern_cells(X, y), np.array([seed], dtype=np.uint64), params.max_depth,
+        patterns, [(cells, np.array([seed], dtype=np.uint64))], params.max_depth,
         _n_sub(params, X.shape[1]), params.min_leaf, bootstrap=False)
 
 
@@ -40,7 +41,7 @@ def n_nodes(tree):
 
 
 def depth(tree):
-    feature, left, right = tree.feature[0], tree.left[0], tree.right[0]
+    feature, left, right = tree.feature[0], tree.left[0], right_children(tree)[0]
     depths = {0: 0}
     for node in range(n_nodes(tree)):
         if feature[node] >= 0:
@@ -49,7 +50,7 @@ def depth(tree):
 
 
 def leaf_label(tree, row):
-    feature, left, right = tree.feature[0], tree.left[0], tree.right[0]
+    feature, left, right = tree.feature[0], tree.left[0], right_children(tree)[0]
     node = 0
     while feature[node] >= 0:
         node = left[node] if row[feature[node]] == 0 else right[node]
@@ -214,7 +215,6 @@ class TestForest:
             n = len(labels)
             return kernels.Nodes(feature=np.full((n, 1), -1, dtype=np.int32),
                                  left=np.full((n, 1), -1, dtype=np.int32),
-                                 right=np.full((n, 1), -1, dtype=np.int32),
                                  n_samples=np.full((n, 1), 4, dtype=np.int32),
                                  gain=np.zeros((n, 1)),
                                  label=np.array(labels, dtype=np.uint8)[:, None],

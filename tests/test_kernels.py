@@ -79,9 +79,9 @@ def _same_pattern_samples(n=60):
 def test_tree_golden_digest():
     # One tree grown on the rows as given: the bootstrap=False path.
     X, y = _random_samples(34)
-    nodes = kernels.build_forest(
-        *kernels.pattern_cells(X, y), np.array([3], dtype=np.uint64), None, 2, 1,
-        bootstrap=False)
+    patterns, cells = kernels.pattern_cells(X, y)
+    nodes = kernels.build_forest(patterns, [(cells, np.array([3], dtype=np.uint64))], None, 2, 1,
+                                 bootstrap=False)
     tree = forest_dict(ForestModel(nodes, ForestParams(n_trees=1), 3, X.shape[1]))["trees"][0]
     assert hashlib.sha256(json.dumps(tree).encode()).hexdigest() == (
         "53e3cb7abe1792c15d76bf7d2065cfdbdc153eb1e55f7f8fff7ebbca9fccf854")
@@ -139,7 +139,8 @@ def test_entropy01_shared_formula():
 def _node_rows(nodes):
     """Each tree of ``nodes`` as a list of (feature, left, right, n_samples,
     gain, label) node tuples, the form of ``oracles.forest_by_rows``."""
-    fields = (nodes.feature, nodes.left, nodes.right, nodes.n_samples, nodes.gain, nodes.label)
+    fields = (nodes.feature, nodes.left, oracles.right_children(nodes), nodes.n_samples,
+              nodes.gain, nodes.label)
     return [list(zip(*(a[t, :c].tolist() for a in fields)))
             for t, c in enumerate(nodes.count.tolist())]
 
@@ -161,8 +162,9 @@ def test_kernels_match_row_wise_reference():
         seeds = rng.integers(0, 1 << 64, int(rng.integers(1, 6)), dtype=np.uint64)
         params = (case, n, k, max_depth, n_sub, min_leaf, bootstrap)
 
-        nodes = kernels.build_forest(*kernels.pattern_cells(X, y), seeds, max_depth, n_sub,
-                                     min_leaf, bootstrap)
+        patterns, cells = kernels.pattern_cells(X, y)
+        nodes = kernels.build_forest(patterns, [(cells, seeds)], max_depth, n_sub, min_leaf,
+                                     bootstrap)
         got = _node_rows(nodes)
         want = oracles.forest_by_rows(X.tolist(), y.tolist(), seeds.tolist(),
                                       max_depth, n_sub, min_leaf, bootstrap)
@@ -191,10 +193,10 @@ def test_entropy_memo_equals_scalar_formula_bit_for_bit():
 
 
 def test_lockstep_batches_match_row_wise_reference():
-    """Batches of forests over shared rows, each forest with its own row
-    mask and the batch with one parameter set, against one reference forest
-    at a time.  The 48 cases take every (max_depth, n_sub, min_leaf,
-    bootstrap) combination twice."""
+    """Batches of forests over shared rows, each forest with its own rows
+    and its own number of trees and the batch with one parameter set,
+    against one reference forest at a time.  The 48 cases take every
+    (max_depth, n_sub, min_leaf, bootstrap) combination twice."""
     rng = np.random.default_rng(707)
     combos = itertools.product([3, 5, None], ["sqrt", "all"], [1, 2], [False, True])
     for case, (max_depth, subset, min_leaf, bootstrap) in enumerate(2 * list(combos)):
@@ -205,7 +207,7 @@ def test_lockstep_batches_match_row_wise_reference():
         X = pool[rng.integers(0, len(pool), n)]
         y = (rng.random(n) < rng.choice([0.1, 0.3, 0.5])).astype(np.uint8)
         n_forests = int(rng.integers(1, 6))
-        per_forest = int(rng.integers(1, 4))
+        n_trees = rng.integers(1, 4, n_forests)
         train = rng.random((n_forests, n)) < rng.uniform(0.3, 1.0, (n_forests, 1))
         train[:, 0] = True
         if n_forests > 1:
@@ -214,18 +216,19 @@ def test_lockstep_batches_match_row_wise_reference():
         if n_forests > 2:
             train[2] = (X == X[0]).all(axis=1)  # a one-pattern forest
         n_sub = max(1, int(np.sqrt(k))) if subset == "sqrt" else k
-        seeds = rng.integers(0, 1 << 64, n_forests * per_forest, dtype=np.uint64)
-        params = (case, k, max_depth, n_sub, min_leaf, bootstrap)
+        seeds = [rng.integers(0, 1 << 64, t, dtype=np.uint64) for t in n_trees]
+        params = (case, k, max_depth, n_sub, min_leaf, bootstrap, n_trees.tolist())
 
+        patterns, cells = kernels.pattern_cells(X, y)
         got = _node_rows(kernels.build_forest(
-            *kernels.pattern_cells(X, y), seeds, max_depth, n_sub, min_leaf, bootstrap,
-            train=train))
+            patterns, [(cells[mask], s) for mask, s in zip(train, seeds)], max_depth, n_sub,
+            min_leaf, bootstrap))
+        ends = np.cumsum(n_trees)
         for f in range(n_forests):
-            trees = slice(f * per_forest, (f + 1) * per_forest)
             want = oracles.forest_by_rows(
-                X[train[f]].tolist(), y[train[f]].tolist(), seeds[trees].tolist(),
+                X[train[f]].tolist(), y[train[f]].tolist(), seeds[f].tolist(),
                 max_depth, n_sub, min_leaf, bootstrap)
-            assert got[trees] == want, (params, f)
+            assert got[ends[f] - n_trees[f]:ends[f]] == want, (params, f)
 
 
 def _k10_personas():

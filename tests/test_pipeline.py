@@ -292,6 +292,16 @@ def test_span_read_opens_no_file_for_writing(tmp_path, small_spans, monkeypatch)
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_h1_matrix_golden_digest(tmp_path):
+    # SHA-256 of h1_matrix.csv for the h1 profile at seed 3, criterion 5's
+    # world: the other h1 tests compare runs, this one pins the bytes.
+    cfg = load_pipeline_config(load_config("h1", seed=3))
+    pipeline.stage_simulate(cfg, tmp_path)
+    pipeline.stage_h1(cfg, tmp_path)
+    assert hashlib.sha256((tmp_path / "h1_matrix.csv").read_bytes()).hexdigest() == (
+        "b8846cfc2f5ce22395c5b1f69600dc4ae34edee9c9ebb01d888623a8447a9580")
+
+
 def test_h1_matrix_does_not_depend_on_spans(tmp_path, small_spans, monkeypatch):
     cfg = load_pipeline_config(load_config("h1", seed=3))
     out = tmp_path / "out"
